@@ -10,8 +10,11 @@ Clifford module list used for the bridge comparisons.
 from __future__ import annotations
 
 from .scalars import Scalar
-from .polys import Poly, RingSpec, RingMap
-from .mf import MF, MFMor, mf_new, rank_one, external_tensor, knorrer_apply
+from .polys import Poly, RingSpec
+from .mf import (
+    MF, MFMor, rank_one, external_tensor, knorrer_apply, identity_mor,
+    scaled_identity, is_closed,
+)
 from .groups import (
     GroupSpec, ActionSpec, ANTILINEAR, cyclic_group, dihedral_group,
     diagonal_action, twist_mf,
@@ -20,7 +23,6 @@ from .real import (
     RealStruct, verify_real_structure, rank_one_real_condition,
     tensor_real_structure, real_knorrer,
 )
-from .mf import identity_mor, compose, is_closed
 from .clifford import (
     QuadForm, CliffAlg, CliffMod, smat, beh_phi, parity_shift, module_validate,
 )
@@ -186,8 +188,8 @@ def real_catalog():
     x = Poly.variable(Rx, "x")
     base = rank_one(x, x)
     act = conjugation_action(Rx)
-    s_spin = RealStruct(base, act, (identity_mor(base),
-                                    _identity_components(base, act, 1)))
+    conj = scaled_identity(base, twist_mf(act.map_of(1), base), 1, 1)
+    s_spin = RealStruct(base, act, (identity_mor(base), conj))
     out.append(("conjugation-spinor", s_spin))
 
     Ruv = _ring(("u", "v"))
@@ -209,18 +211,6 @@ def real_catalog():
     out.append(("dihedral-knorrer", real_knorrer(s_d)))
 
     return out
-
-
-def _identity_components(base: MF, act: ActionSpec, i: int) -> MFMor:
-    target = twist_mf(act.map_of(i), base)
-    ring = base.ring
-    one = Poly.constant(ring, 1)
-    zero = Poly.zero(ring)
-    f0 = tuple(tuple(one if r == c else zero for c in range(base.r0))
-               for r in range(base.r0))
-    f1 = tuple(tuple(one if r == c else zero for c in range(base.r1))
-               for r in range(base.r1))
-    return MFMor(base, target, 0, f0, f1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ from fractions import Fraction
 from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap
 from .mf import (
-    MF, MFMor, mf_new, rank_one, identity_mor, compose, hom_diff, shift,
-    shift_mor, dual, dual_mor, double_dual_iso, grading_iso, swap_iso,
-    external_tensor, tensor_dual_pairing, shift_tensor_iso_left,
-    shift_tensor_iso_right, is_closed, is_isomorphism, mor_inverse, diff_mor,
+    MF, MFMor, mf_new, rank_one, identity_mor, scaled_identity, hom_diff, shift,
+    double_dual_iso, grading_iso, swap_iso, tensor_dual_pairing,
+    shift_tensor_iso_left, shift_tensor_iso_right, is_closed, is_isomorphism,
+    diff_mor,
 )
 from .groups import (
     GroupSpec, ActionSpec, ANTILINEAR, CONTRAVARIANT, cyclic_group,
@@ -42,15 +42,13 @@ from .orientifold import (
     verify_contra_structure, theta_cocycle_check, fixed_point_duality,
     duality_comparison, comparison_torsor_check, orientifold_knorrer,
     double_knorrer, hyperbolic_transport_check, ContraRealStruct,
-    eta_component, _extend_rep,
 )
 from .clifford import (
     beh_hom_compare, real_clifford_fixed, graded_tensor, cl_rs, signature,
-    beh_twist_intertwined, module_validate, beh_phi,
-    mf_to_clifford_module, module_hom_dim, parity_shift,
+    module_validate, mf_to_clifford_module, module_hom_dim, parity_shift,
 )
 from .cohomology import (
-    hom_cohomology, null_homotopy, default_cutoff, knorrer_hom_preservation,
+    hom_cohomology, default_cutoff, knorrer_hom_preservation,
 )
 from . import catalog
 
@@ -442,8 +440,8 @@ def _eightfold_consistency(iters: int = 4):
     x = Poly.variable(ring, "x")
     base = rank_one(x, x)
     act = catalog.conjugation_action(ring)
-    s = RealStruct(base, act, (identity_mor(base),
-                               catalog._identity_components(base, act, 1)))
+    conj = scaled_identity(base, twist_mf(act.map_of(1), base), 1, 1)
+    s = RealStruct(base, act, (identity_mor(base), conj))
     start_closed = tuple(
         closed_dimension(fixed_hom(s, s, p, cutoff=0)) for p in (0, 1)
     )

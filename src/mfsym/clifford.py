@@ -18,8 +18,8 @@ from itertools import product as iproduct
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec
-from .mf import MF, MFMor, mf_new
-from .linalg import matrix_rank, sparse_nullspace
+from .mf import MF, MFMor, mf_new, diff_mor, window_operator
+from .linalg import sparse_rank, sparse_transpose
 
 
 def _to_scalar(c) -> Scalar:
@@ -57,8 +57,9 @@ class QuadForm:
             for j in range(n):
                 if not self.value(i, j) == self.value(j, i):
                     raise ValueError(f"bilinear matrix not symmetric at ({i},{j})")
-        rows = [list(row) for row in self.bilinear]
-        if matrix_rank(rows, n) != n:
+        rows = [{j: c for j, c in enumerate(row) if not c.is_zero()}
+                for row in self.bilinear]
+        if sparse_rank(rows) != n:
             raise ValueError("quadratic form is degenerate")
 
     @staticmethod
@@ -286,7 +287,7 @@ def module_act(m: CliffMod, elem: dict, parity: int):
 # the bridge functor to matrix factorizations
 
 def _scalar_to_poly_mat(ring: RingSpec, a):
-    return tuple(tuple(Poly.constant(ring, 1) * c for c in row) for row in a)
+    return tuple(tuple(Poly.constant(ring, c) for c in row) for row in a)
 
 
 def beh_phi(m: CliffMod, ring: RingSpec) -> MF:
@@ -385,52 +386,27 @@ def beh_phi_mor(f: CliffModMor, ring: RingSpec) -> MFMor:
                  _scalar_to_poly_mat(ring, f.f1))
 
 
+def _constant_mf(gamma) -> MF:
+    """A generator's blocks (g0, g1) as the differential of an object over
+    the ring with no variables; no factorization identity is checked."""
+    ring = RingSpec(())
+    return MF(ring, Poly.zero(ring),
+              _scalar_to_poly_mat(ring, gamma[0]), _scalar_to_poly_mat(ring, gamma[1]))
+
+
 def module_hom_dim(m: CliffMod, mp: CliffMod) -> int:
     """Dimension over the scalar field of the space of degree-zero module
-    maps m -> mp, by exact linear solve of the intertwining relations."""
-    a0, a1 = m.dims
-    b0, b1 = mp.dims
-    # unknowns: entries of f0 (b0 x a0) then f1 (b1 x a1)
-    off1 = b0 * a0
-    width = off1 + b1 * a1
-
-    def idx0(r, c):
-        return r * a0 + c
-
-    def idx1(r, c):
-        return off1 + r * a1 + c
-
+    maps m -> mp: the common kernel over the generators j of the Hom
+    differential with d = gamma_j on the constant window, since
+    f1 g0 = h0 f0 and f0 g1 = h1 f1 say exactly that D(f) = 0."""
+    if m.alg != mp.alg:
+        raise ValueError("modules over different Clifford algebras")
     rows = []
-    for (g0, g1), (h0, h1) in zip(m.gammas, mp.gammas):
-        # f1 g0 = h0 f0 (maps A0 -> A1'), entry (r, c): r < b1, c < a0
-        for r in range(b1):
-            for c in range(a0):
-                row = {}
-                for k in range(a1):
-                    if not g0[k][c].is_zero():
-                        row[idx1(r, k)] = row.get(idx1(r, k), Scalar.zero()) + g0[k][c]
-                for k in range(b0):
-                    if not h0[r][k].is_zero():
-                        row[idx0(k, c)] = row.get(idx0(k, c), Scalar.zero()) - h0[r][k]
-                row = {j: v for j, v in row.items() if not v.is_zero()}
-                if row:
-                    rows.append(row)
-        # f0 g1 = h1 f1 (maps A1 -> A0'), entry (r, c): r < b0, c < a1
-        for r in range(b0):
-            for c in range(a1):
-                row = {}
-                for k in range(a0):
-                    if not g1[k][c].is_zero():
-                        row[idx0(r, k)] = row.get(idx0(r, k), Scalar.zero()) + g1[k][c]
-                for k in range(b1):
-                    if not h1[r][k].is_zero():
-                        row[idx1(k, c)] = row.get(idx1(k, c), Scalar.zero()) - h1[r][k]
-                row = {j: v for j, v in row.items() if not v.is_zero()}
-                if row:
-                    rows.append(row)
-    if not rows:
-        return width
-    return len(sparse_nullspace(rows, width, Scalar.zero(), Scalar.one()))
+    for g, h in zip(m.gammas, mp.gammas):
+        rows += sparse_transpose(
+            window_operator(diff_mor(_constant_mf(h)), diff_mor(_constant_mf(g)), 0, [()]))
+    (a0, a1), (b0, b1) = m.dims, mp.dims
+    return a0 * b0 + a1 * b1 - sparse_rank(rows)
 
 
 def beh_hom_compare(m: CliffMod, mp: CliffMod, ring: RingSpec,

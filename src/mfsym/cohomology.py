@@ -1,11 +1,17 @@
 """Cohomology of Hom complexes between matrix factorizations.
 
 Dimensions are computed on bounded-degree windows of the polynomial Hom
-space: kernels on the degree <= cutoff window, with the image intersected
-back into the window by a projection rank.  The stabilization flag
-compares dimensions at cutoff and cutoff + 1.  Null homotopies are solved
+space.  The Hom differential D is built once, by mf.window_operator, on
+the window of degree <= cutoff + 1; its columns are restricted to the
+unknowns of degree <= c for c = cutoff and cutoff + 1.  D has
+untruncated polynomial images, so there is no target window: at each c,
+dim H = kernel of D on the window minus the part of the other parity's
+image that stays in degree <= c, which is that image's rank minus the
+rank of its projection onto degree > c.  The stabilization flag compares
+the dimensions at cutoff and cutoff + 1.  Null homotopies are solved
 over the truncated quotient ring k[x]/(monomials of degree > cutoff),
-where the twisted-differential identity survives truncation.
+where the twisted-differential identity survives truncation; there the
+image coordinates above the truncation are dropped.
 """
 
 from __future__ import annotations
@@ -13,9 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import Scalar
-from .polys import Poly, RingSpec, jacobi_basis
-from .mf import MF, MFMor, Matrix, hom_diff, external_tensor, mat_shape
-from .linalg import sparse_rank, sparse_solve
+from .polys import Poly, jacobi_basis
+from .mf import (
+    MF, MFError, MFMor, diff_mor, external_tensor, mor_coordinates,
+    mor_from_coordinates, window_monomials, window_operator, window_slots,
+)
+from .linalg import sparse_rank, sparse_solve, sparse_transpose
 
 
 @dataclass
@@ -34,178 +43,50 @@ def truncate_mf(M: MF, cutoff: int) -> MF:
     return MF(ring, Poly(ring, M.w.terms), tr(M.d0), tr(M.d1))
 
 
-def _monomials_up_to(nvars: int, cutoff: int):
-    monos = []
-
-    def rec(idx, exp, total):
-        if idx == nvars:
-            monos.append(tuple(exp))
-            return
-        for k in range(cutoff - total + 1):
-            exp.append(k)
-            rec(idx + 1, exp, total + k)
-            exp.pop()
-
-    rec(0, [], 0)
-    return monos
-
-
-def _mor_shapes(M: MF, N: MF, parity: int):
-    if parity == 0:
-        return [(N.r0, M.r0), (N.r1, M.r1)]
-    return [(N.r1, M.r0), (N.r0, M.r1)]
-
-
-class _ChainSpace:
-    """Coordinates for truncated morphism spaces of one parity."""
-
-    def __init__(self, M: MF, N: MF, parity: int, cutoff: int):
-        self.M, self.N, self.parity = M, N, parity
-        self.monomials = _monomials_up_to(M.ring.nvars, cutoff)
-        self.mono_index = {m: k for k, m in enumerate(self.monomials)}
-        self.shapes = _mor_shapes(M, N, parity)
-        self.slots = []
-        for b, (rows, cols) in enumerate(self.shapes):
-            for r in range(rows):
-                for c in range(cols):
-                    for mi in range(len(self.monomials)):
-                        self.slots.append((b, r, c, mi))
-        self.slot_index = {s: k for k, s in enumerate(self.slots)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.slots)
-
-    def elementary(self, slot) -> MFMor:
-        b, r, c, mi = slot
-        ring = self.M.ring
-        blocks = []
-        for bb, (rows, cols) in enumerate(self.shapes):
-            entries = [[Poly.zero(ring)] * cols for _ in range(rows)]
-            if bb == b:
-                entries[r][c] = Poly(ring, {self.monomials[mi]: Scalar.one()})
-            blocks.append(tuple(tuple(row) for row in entries))
-        return MFMor(self.M, self.N, self.parity, blocks[0], blocks[1])
-
-    def coordinates(self, f: MFMor) -> dict:
-        out = {}
-        for b, blk in enumerate((f.f0, f.f1)):
-            for r, row in enumerate(blk):
-                for c, p in enumerate(row):
-                    for e, s in p.terms.items():
-                        k = self.slot_index[(b, r, c, self.mono_index[e])]
-                        out[k] = out.get(k, Scalar.zero()) + s
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _diff_rows(src: _ChainSpace, tgt: _ChainSpace):
-    rows = []
-    for slot in src.slots:
-        rows.append(tgt.coordinates(hom_diff(src.elementary(slot))))
-    return rows
-
-
-def _entry_degree(M: MF) -> int:
-    deg = 1
-    for blk in (M.d0, M.d1):
-        for row in blk:
-            for p in row:
-                deg = max(deg, p.total_degree())
-    return deg
-
-
-def _dims_at(M: MF, N: MF, cutoff: int) -> tuple[int, int]:
-    """Work with untruncated polynomial entries: the differential raises entry
-    degree by at most delta, so D maps the degree <= cutoff space into the
-    degree <= cutoff + delta space.  The image is intersected back with the
-    bounded-degree window by a projection rank."""
-    delta = max(_entry_degree(M), _entry_degree(N))
-    spaces = {}
-    for parity in (0, 1):
-        spaces[(parity, cutoff)] = _ChainSpace(M, N, parity, cutoff)
-        spaces[(parity, cutoff + delta)] = _ChainSpace(M, N, parity, cutoff + delta)
-
-    def high_degree_slots(space):
-        out = set()
-        for k, (b, r, c, mi) in enumerate(space.slots):
-            if sum(space.monomials[mi]) > cutoff:
-                out.add(k)
-        return out
-
-    dims = []
-    for parity in (0, 1):
-        src = spaces[(parity, cutoff)]
-        tgt = spaces[((parity + 1) % 2, cutoff + delta)]
-        rank_d = sparse_rank(_diff_rows(src, tgt))
-        ker = src.dim - rank_d
-        # image of D from the other parity, intersected with degree <= cutoff
-        osrc = spaces[((parity + 1) % 2, cutoff)]
-        otgt = spaces[(parity, cutoff + delta)]
-        cols = _diff_rows(osrc, otgt)
-        r_full = sparse_rank(cols)
-        high = high_degree_slots(otgt)
-        proj = [{k: v for k, v in col.items() if k in high} for col in cols]
-        r_high = sparse_rank(proj)
-        dims.append(ker - (r_full - r_high))
-    return (dims[0], dims[1])
-
-
 def hom_cohomology(M: MF, N: MF, cutoff: int) -> CohoReport:
     """(dim H0, dim H1) of the truncated Hom complex, with a flag recording
     agreement between cutoff and cutoff + 1."""
-    assert cutoff >= 1
-    assert M.w == N.w, "potentials differ"
-    dims = _dims_at(M, N, cutoff)
-    dims_next = _dims_at(M, N, cutoff + 1)
-    return CohoReport(dims, cutoff, dims == dims_next)
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
+    if not M.w == N.w:
+        raise MFError("potentials differ")
+    monomials = window_monomials(M.ring.nvars, cutoff + 1)
+    size, rank, high = {}, {}, {}
+    for p in (0, 1):
+        slots = window_slots(M, N, p, monomials)
+        columns = window_operator(diff_mor(N), diff_mor(M), p, monomials)
+        for c in (cutoff, cutoff + 1):
+            cols = [col for slot, col in zip(slots, columns) if sum(slot[3]) <= c]
+            size[p, c] = len(cols)
+            rank[p, c] = sparse_rank(cols)
+            high[p, c] = sparse_rank([{k: v for k, v in col.items() if sum(k[3]) > c}
+                                      for col in cols])
+
+    # the image of D that stays in degree <= c has dimension rank - high,
+    # high being the rank of its part in degree > c
+    dims = {c: tuple(size[p, c] - rank[p, c] - (rank[1 - p, c] - high[1 - p, c])
+                     for p in (0, 1))
+            for c in (cutoff, cutoff + 1)}
+    return CohoReport(dims[cutoff], cutoff, dims[cutoff] == dims[cutoff + 1])
 
 
 def null_homotopy(f: MFMor, cutoff: int) -> MFMor | None:
     """A morphism h with D(h) = f over the truncated ring, if one exists."""
-    Mt = truncate_mf(f.source, cutoff)
-    Nt = truncate_mf(f.target, cutoff)
-    ring = Mt.ring
-    ft = MFMor(Mt, Nt, f.parity,
-               tuple(tuple(Poly(ring, p.terms) for p in row) for row in f.f0),
-               tuple(tuple(Poly(ring, p.terms) for p in row) for row in f.f1))
-    hspace = _ChainSpace(Mt, Nt, (f.parity + 1) % 2, cutoff)
-    fspace = _ChainSpace(Mt, Nt, f.parity, cutoff)
-    target = fspace.coordinates(ft)
-    # rows indexed by target coordinates: sum_j D(e_j)[row] * x_j - f[row] = 0
-    cols = [fspace.coordinates(hom_diff(hspace.elementary(s))) for s in hspace.slots]
-    rowkeys = sorted(set(target) | {k for col in cols for k in col})
-    width = hspace.dim
-    rows = []
-    for key in rowkeys:
-        row = {}
-        for j, col in enumerate(cols):
-            v = col.get(key)
-            if v is not None:
-                row[j] = v
-        t = target.get(key)
-        if t is not None:
-            row[width] = -t
-        if row:
-            rows.append(row)
-    sol = sparse_solve(rows, width, width, Scalar.zero())
+    parity = (f.parity + 1) % 2
+    monomials = window_monomials(f.source.ring.nvars, cutoff)
+    slots = window_slots(f.source, f.target, parity, monomials)
+    columns = window_operator(diff_mor(f.target), diff_mor(f.source), parity, monomials)
+    # solve sum_j D(e_j) x_j - f = 0 on the coordinates of degree <= cutoff
+    target = {k: -v for k, v in mor_coordinates(f).items()}
+    rows = sparse_transpose(
+        [{k: v for k, v in col.items() if sum(k[3]) <= cutoff}
+         for col in columns + [target]])
+    sol = sparse_solve(rows, len(slots), len(slots), Scalar.zero())
     if sol is None:
         return None
-    blocks = []
-    for bb, (nrows, ncols) in enumerate(hspace.shapes):
-        entries = [[{} for _ in range(ncols)] for _ in range(nrows)]
-        blocks.append(entries)
-    for slot, val in zip(hspace.slots, sol):
-        if isinstance(val, Scalar) and val.is_zero():
-            continue
-        b, r, c, mi = slot
-        blocks[b][r][c][hspace.monomials[mi]] = val
-    mats = []
-    for bb, (nrows, ncols) in enumerate(hspace.shapes):
-        mats.append(tuple(
-            tuple(Poly(ring, blocks[bb][r][c]) for c in range(ncols))
-            for r in range(nrows)
-        ))
-    return MFMor(Mt, Nt, (f.parity + 1) % 2, mats[0], mats[1])
+    coords = {slot[:4]: v for slot, v in zip(slots, sol) if not v.is_zero()}
+    return mor_from_coordinates(truncate_mf(f.source, cutoff),
+                                truncate_mf(f.target, cutoff), parity, coords)
 
 
 def default_cutoff(w: Poly, entry_degree: int | None = None) -> int:

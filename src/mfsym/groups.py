@@ -16,7 +16,7 @@ from itertools import product as iproduct
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap, apply_ring_map
-from .mf import MF, MFMor, Matrix, mat_apply, mf_new
+from .mf import MF, MFMor, mat_apply
 
 
 ANTILINEAR = "antilinear"

@@ -1,4 +1,9 @@
-"""Dense exact linear algebra over the scalar field or the rationals."""
+"""Exact sparse linear algebra over the scalar field or the rationals.
+
+Rows (or columns) are dicts mapping a sortable key to a nonzero
+coefficient.  Every routine here runs on one forward elimination,
+sparse_echelon, which pivots on the smallest key of each row.
+"""
 
 from __future__ import annotations
 
@@ -6,70 +11,6 @@ from fractions import Fraction
 
 from .scalars import Scalar
 
-
-def _ops_for(sample):
-    if isinstance(sample, Scalar):
-        return (lambda c: c.is_zero()), (lambda c: c.inverse())
-    return (lambda c: c == 0), (lambda c: Fraction(1) / c)
-
-
-def row_reduce(rows, width):
-    """Returns (reduced rows, pivot column list); destructive on copies."""
-    if not rows:
-        return [], []
-    is_zero, inv = _ops_for(rows[0][0])
-    reduced = []
-    pivots = []
-    for row in rows:
-        row = list(row)
-        for prow, pcol in zip(reduced, pivots):
-            c = row[pcol]
-            if not is_zero(c):
-                row = [a - c * b for a, b in zip(row, prow)]
-        lead = next((j for j in range(width) if not is_zero(row[j])), None)
-        if lead is None:
-            continue
-        c = inv(row[lead])
-        row = [a * c for a in row]
-        # back-substitute into earlier rows
-        for k, (prow, pcol) in enumerate(zip(reduced, pivots)):
-            d = prow[lead]
-            if not is_zero(d):
-                reduced[k] = [a - d * b for a, b in zip(prow, row)]
-        reduced.append(row)
-        pivots.append(lead)
-    return reduced, pivots
-
-
-def matrix_rank(rows, width) -> int:
-    return len(row_reduce(rows, width)[1])
-
-
-def nullspace(rows, width, zero, one):
-    """Basis of the kernel of the linear map given by constraint rows."""
-    reduced, pivots = row_reduce(rows, width)
-    pivot_set = set(pivots)
-    free = [j for j in range(width) if j not in pivot_set]
-    basis = []
-    for fcol in free:
-        vec = [zero] * width
-        vec[fcol] = one
-        for prow, pcol in zip(reduced, pivots):
-            vec[pcol] = -prow[fcol]
-        basis.append(vec)
-    return basis
-
-
-def nullspace_rational(rows, width):
-    return nullspace(rows, width, Fraction(0), Fraction(1))
-
-
-def nullspace_scalar(rows, width):
-    return nullspace(rows, width, Scalar.zero(), Scalar.one())
-
-
-# ---------------------------------------------------------------------------
-# sparse variants: rows are dicts column -> nonzero coefficient
 
 def _sparse_ops(rows):
     for row in rows:
@@ -112,11 +53,20 @@ def sparse_rank(rows) -> int:
     return len(sparse_echelon(rows))
 
 
-def sparse_nullspace(rows, width, zero, one):
-    """Kernel basis (list of dense lists) of the sparse constraint rows."""
+def sparse_transpose(columns) -> list[dict]:
+    """The rows of the matrix whose j-th column is columns[j], keyed by j."""
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for key, v in col.items():
+            rows.setdefault(key, {})[j] = v
+    return list(rows.values())
+
+
+def _reduced_echelon(rows):
+    """sparse_echelon followed by back-substitution: each pivot column is
+    zero in every other pivot row."""
     is_zero, _ = _sparse_ops(rows)
     pivots = sparse_echelon(rows)
-    # back-substitute to reduced echelon form
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         for other_lead, other in pivots.items():
@@ -125,9 +75,16 @@ def sparse_nullspace(rows, width, zero, one):
             c = other.get(lead)
             if c is not None and not is_zero(c):
                 _sparse_axpy(other, c, row, is_zero)
-    free = [j for j in range(width) if j not in pivots]
+    return pivots
+
+
+def sparse_nullspace(rows, width, zero, one):
+    """Kernel basis (list of dense lists) of the sparse constraint rows."""
+    pivots = _reduced_echelon(rows)
     basis = []
-    for fcol in free:
+    for fcol in range(width):
+        if fcol in pivots:
+            continue
         vec = [zero] * width
         vec[fcol] = one
         for lead, row in pivots.items():
@@ -142,18 +99,9 @@ def sparse_solve(rows, rhs_col, width, zero):
     """Solve the homogeneous system on the extended vector (x, 1): each row
     encodes sum a_j x_j + row[rhs_col] = 0; returns a dense solution list
     (free variables set to zero) or None if inconsistent."""
-    is_zero, _ = _sparse_ops(rows)
-    pivots = sparse_echelon(rows)
+    pivots = _reduced_echelon(rows)
     if rhs_col in pivots:
         return None  # inconsistent: a pivot in the augmented column
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for other_lead, other in pivots.items():
-            if other_lead >= lead:
-                continue
-            c = other.get(lead)
-            if c is not None and not is_zero(c):
-                _sparse_axpy(other, c, row, is_zero)
     x = [zero] * width
     for lead, row in pivots.items():
         val = row.get(rhs_col)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polys import Poly, RingSpec, RingMap, apply_ring_map
+from .polys import (
+    Poly, RingSpec, RingMap, apply_ring_map, _monomials_of_weighted_degree_upto,
+)
 from .scalars import Scalar
 
 Matrix = tuple  # rows of tuples of Poly
@@ -237,23 +239,6 @@ def mat_block(blocks) -> Matrix:
     return tuple(out)
 
 
-def rename_to(p: Poly, ring: RingSpec) -> Poly:
-    """Transport a polynomial to a ring with the same variable names in a
-    possibly different order."""
-    perm = [ring.var_index(v) for v in p.ring.variables]
-    terms = {}
-    for e, c in p.terms.items():
-        e2 = [0] * ring.nvars
-        for pos, k in enumerate(e):
-            e2[perm[pos]] = k
-        terms[tuple(e2)] = c
-    return Poly(ring, terms)
-
-
-def mat_rename(a: Matrix, ring: RingSpec) -> Matrix:
-    return tuple(tuple(rename_to(x, ring) for x in r) for r in a)
-
-
 # ---------------------------------------------------------------------------
 # objects and morphisms
 
@@ -311,6 +296,14 @@ def rank_one(a: Poly, b: Poly) -> MF:
     return mf_new(a.ring, a * b, ((a,),), ((b,),))
 
 
+def _block_shapes(M: MF, N: MF, parity: int):
+    """(rows, cols) of the blocks, out of source parts 0 and 1, of a map
+    M -> N of the given parity."""
+    if parity == 0:
+        return ((N.r0, M.r0), (N.r1, M.r1))
+    return ((N.r1, M.r0), (N.r0, M.r1))
+
+
 @dataclass(frozen=True)
 class MFMor:
     source: MF
@@ -320,13 +313,7 @@ class MFMor:
     f1: Matrix  # even: M1 -> N1 ; odd: M1 -> N0
 
     def __post_init__(self):
-        M, N = self.source, self.target
-        if self.parity == 0:
-            want0 = (N.r0, M.r0)
-            want1 = (N.r1, M.r1)
-        else:
-            want0 = (N.r1, M.r0)
-            want1 = (N.r0, M.r1)
+        want0, want1 = _block_shapes(self.source, self.target, self.parity)
         assert mat_shape(self.f0) == want0, f"f0 shape {mat_shape(self.f0)} != {want0}"
         assert mat_shape(self.f1) == want1, f"f1 shape {mat_shape(self.f1)} != {want1}"
 
@@ -371,6 +358,13 @@ def identity_mor(M: MF) -> MFMor:
     return MFMor(M, M, 0, mat_identity(M.ring, M.r0), mat_identity(M.ring, M.r1))
 
 
+def scaled_identity(M: MF, N: MF, c0, c1) -> MFMor:
+    """The even map M -> N with blocks c0 * id and c1 * id (N has M's ranks)."""
+    return MFMor(M, N, 0,
+                 mat_scale(c0, mat_identity(M.ring, M.r0)),
+                 mat_scale(c1, mat_identity(M.ring, M.r1)))
+
+
 def zero_mor(M: MF, N: MF, parity: int) -> MFMor:
     if parity == 0:
         return MFMor(M, N, 0, mat_zero(M.ring, N.r0, M.r0), mat_zero(M.ring, N.r1, M.r1))
@@ -400,6 +394,89 @@ def hom_diff(f: MFMor) -> MFMor:
     if f.parity == 0:
         return left - right
     return left + right
+
+
+def window_monomials(nvars: int, cutoff: int) -> list:
+    """Exponent tuples of total degree <= cutoff, in order of degree."""
+    buckets = _monomials_of_weighted_degree_upto((1,) * nvars, cutoff)
+    return [m for d in sorted(buckets) for m in buckets[d]]
+
+
+def window_slots(M: MF, N: MF, parity: int, monomials, size: int = 1) -> list:
+    """The unknowns (block, row, col, monomial, t) of the window of
+    morphisms M -> N of the given parity with entries in the span of
+    basis[t] * x^monomial, t < size."""
+    return [(b, r, c, m, t)
+            for b, (rows, cols) in enumerate(_block_shapes(M, N, parity))
+            for r in range(rows) for c in range(cols)
+            for m in monomials for t in range(size)]
+
+
+def window_operator(left: MFMor, right: MFMor, parity: int, monomials,
+                    twist: RingMap | None = None, basis=(Scalar.one(),)) -> list:
+    """The matrix of  f -> left . f - (-1)^{|f||right|} twist(f) . right  on
+    the window of morphisms f: right.source -> left.source of the given
+    parity whose entries are rational combinations of basis[t] * x^m, m in
+    monomials.
+
+    With left = d_N and right = d_M this is hom_diff; with left = u'_sigma,
+    right = u_sigma and twist = sigma it is the Real residual
+    u'_sigma . f - f^sigma . u_sigma, where an antilinear twist conjugates
+    basis[t].  Column k is the image of the k-th unknown of window_slots,
+    a dict (block, row, col, exponent) -> nonzero coefficient.  It is read
+    off the entries of left and right, since multiplying an entry by a
+    monomial only shifts its exponents.
+    """
+    M, N = right.source, left.source
+    q = right.parity
+    sign = 1 if parity * q % 2 else -1
+    anti = twist is not None and twist.antilinear
+    right_coeffs = [(c.conjugate() if anti else c) * sign for c in basis]
+    one = Scalar.one()
+    if twist is None:
+        twisted = {m: {m: one} for m in monomials}
+    else:
+        twisted = {m: apply_ring_map(twist, Poly(M.ring, {m: one})).terms
+                   for m in monomials}
+    columns = []
+    for b, r, c, m, t in window_slots(M, N, parity, monomials, len(basis)):
+        out = (b + q) % 2
+        shifted = [(e1, right_coeffs[t] * v1) for e1, v1 in twisted[m].items()]
+        terms = [((b, i, c, _exp_add(e, m)), basis[t] * v)
+                 for i, row in enumerate(left.block((b + parity) % 2))
+                 for e, v in row[r].terms.items()]
+        terms += [((out, r, j, _exp_add(e1, e2)), v1 * v2)
+                  for j, p in enumerate(right.block(out)[c])
+                  for e2, v2 in p.terms.items()
+                  for e1, v1 in shifted]
+        col: dict = {}
+        for key, val in terms:
+            col[key] = col[key] + val if key in col else val
+        columns.append({k: v for k, v in col.items() if not v.is_zero()})
+    return columns
+
+
+def _exp_add(e, m) -> tuple:
+    return tuple(x + y for x, y in zip(e, m))
+
+
+def mor_coordinates(f: MFMor) -> dict:
+    """{(block, row, col, exponent): coefficient} over the terms of f."""
+    return {(b, r, c, e): v
+            for b, blk in enumerate((f.f0, f.f1))
+            for r, row in enumerate(blk)
+            for c, p in enumerate(row)
+            for e, v in p.terms.items()}
+
+
+def mor_from_coordinates(M: MF, N: MF, parity: int, coords: dict) -> MFMor:
+    """The morphism M -> N with the given mor_coordinates."""
+    terms = [[[{} for _ in range(cols)] for _ in range(rows)]
+             for rows, cols in _block_shapes(M, N, parity)]
+    for (b, r, c, e), v in coords.items():
+        terms[b][r][c][e] = v
+    f0, f1 = (tuple(tuple(Poly(M.ring, t) for t in row) for row in blk) for blk in terms)
+    return MFMor(M, N, parity, f0, f1)
 
 
 def is_closed(f: MFMor) -> bool:
@@ -570,7 +647,7 @@ def _basis_permutation_mor(src: MF, tgt: MF, src_bases, tgt_bases, mapping) -> M
 
 def transport_mf(M: MF, ring: RingSpec) -> MF:
     """Reinterpret M over a ring with the same variables in another order."""
-    return MF(ring, rename_to(M.w, ring), mat_rename(M.d0, ring), mat_rename(M.d1, ring))
+    return MF(ring, lift_poly(M.w, ring), lift_mat(M.d0, ring), lift_mat(M.d1, ring))
 
 
 def swap_iso(M: MF, N: MF) -> MFMor:

@@ -13,17 +13,16 @@ elements, and the Knoerrer functor with its explicit eta blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap, apply_ring_map
 from .mf import (
-    MF, MFMor, MFError,
-    mat_identity, mat_neg, mat_scale, mat_zero, mat_block, mat_shape,
-    compose, identity_mor, mor_inverse, is_closed, is_isomorphism,
+    MF, MFMor, mat_identity, mat_neg, mat_zero, mat_block, compose,
+    identity_mor, scaled_identity, mor_inverse, is_closed, is_isomorphism,
     shift, shift_mor, dual, dual_mor, external_tensor, external_tensor_mor,
-    rank_one, join_rings, lift_poly, lift_mat, transport_mf,
+    rank_one, join_rings, lift_poly,
 )
 from .groups import (
     GroupSpec, ActionSpec, Cocycle2, CONTRAVARIANT,
@@ -78,13 +77,6 @@ def rep_apply_mor(rep: ContraRep, i: int, f: MFMor) -> MFMor:
     return twist_mor(rm, dual_mor(shift_mor(f)))
 
 
-def _scaled_identity(rep: ContraRep, src: MF, tgt: MF, c0: Scalar, c1: Scalar) -> MFMor:
-    ring = src.ring
-    return MFMor(src, tgt, 0,
-                 mat_scale(c0, mat_identity(ring, src.r0)),
-                 mat_scale(c1, mat_identity(ring, src.r1)))
-
-
 def theta_component(rep: ContraRep, i2: int, i1: int, M: MF) -> MFMor:
     """theta_{i2,i1} at M, from rho(i2)(rho(i1)(M)) to rho(i2*i1)(M).
 
@@ -102,8 +94,8 @@ def theta_component(rep: ContraRep, i2: int, i1: int, M: MF) -> MFMor:
     c = rep.twist_value(i2, i1)
     both_odd = rep.group.grading[i2] == -1 and rep.group.grading[i1] == -1
     if both_odd and rep.variant == PLAIN:
-        return _scaled_identity(rep, src, tgt, c, -c)
-    return _scaled_identity(rep, src, tgt, c, c)
+        return scaled_identity(src, tgt, c, -c)
+    return scaled_identity(src, tgt, c, c)
 
 
 def theta_cocycle_check(rep: ContraRep, M: MF) -> bool:
@@ -336,7 +328,6 @@ def fixed_point_duality(rep: ContraRep, sigma: int, s: ContraRealStruct):
     P = rep_apply(rep, sigma, C)
     v = _induced_structure(rep, sigma, C, s.u)
 
-    object_law = ContraReport(True, [], [], [])
     object_law = verify_contra_structure(ContraRealStruct(P, rep, v)).ok
 
     sq = g.mul(sigma, sigma)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import Scalar
+from .linalg import sparse_echelon
 
 
 @dataclass(frozen=True)
@@ -286,7 +287,7 @@ def jacobi_basis(w: Poly):
             pdeg = next(iter(p.weighted_degrees()))
             shift = d - pdeg
             for m in buckets.get(shift, []):
-                row = [Scalar.zero()] * len(monos)
+                row = {}
                 hit = True
                 for e, c in p.terms.items():
                     tot = tuple(a + b for a, b in zip(e, m))
@@ -296,7 +297,7 @@ def jacobi_basis(w: Poly):
                     row[index[tot]] = c
                 if hit:
                     rows.append(row)
-        pivots = _row_reduce_pivots(rows, len(monos))
+        pivots = sparse_echelon(rows)
         free = [monos[j] for j in range(len(monos)) if j not in pivots]
         if free:
             if d > socle_bound:
@@ -305,22 +306,3 @@ def jacobi_basis(w: Poly):
             socle = max(socle, d)
     return basis, socle
 
-
-def _row_reduce_pivots(rows, width) -> set:
-    """Gaussian elimination over the scalar field; returns pivot column set."""
-    pivots: set = set()
-    reduced: list = []
-    for row in rows:
-        row = list(row)
-        for prow, pcol in reduced:
-            c = row[pcol]
-            if not c.is_zero():
-                row = [a - c * b for a, b in zip(row, prow)]
-        lead = next((j for j in range(width) if not row[j].is_zero()), None)
-        if lead is None:
-            continue
-        inv = row[lead].inverse()
-        row = [a * inv for a in row]
-        reduced.append((row, lead))
-        pivots.add(lead)
-    return pivots

@@ -11,17 +11,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Scalar, euler_phi
-from .polys import Poly, RingSpec, RingMap, apply_ring_map
+from .polys import Poly, RingSpec, RingMap, jacobi_basis
 from .mf import (
-    MF, MFMor, rank_one, identity_mor, compose, is_closed, is_isomorphism,
-    external_tensor, external_tensor_mor, lift_poly, join_rings, mf_new,
+    MF, MFMor, rank_one, identity_mor, scaled_identity, compose, diff_mor,
+    is_closed, is_isomorphism, external_tensor, external_tensor_mor, lift_poly,
+    join_rings, mor_coordinates, mor_from_coordinates, window_monomials,
+    window_operator, window_slots,
 )
 from .groups import (
-    ActionSpec, ActionReport, Char1, Cocycle2, GroupSpec, ANTILINEAR,
-    diagonal_action, twist_mf, twist_mor, validate_action,
+    ActionSpec, Char1, Cocycle2, GroupSpec, ANTILINEAR, diagonal_action,
+    twist_mf, twist_mor, validate_action,
 )
-from .linalg import sparse_nullspace, sparse_rank
-from .polys import jacobi_basis
+from .linalg import sparse_nullspace, sparse_rank, sparse_transpose
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def rank_one_real_condition(act: ActionSpec):
         return None
     base = rank_one(uvar, vvar)
     struct = RealStruct(base, act, tuple(
-        _scaled_identity_components(base, act, i, Scalar.one(), chi.value(i))
+        scaled_identity(base, twist_mf(act.map_of(i), base), 1, chi.value(i))
         for i in g.elements()
     ))
     report = verify_real_structure(struct)
@@ -122,20 +123,6 @@ def _scalar_multiple_of(p: Poly, var: Poly):
     if e != ev:
         return None
     return c
-
-
-def _scaled_identity_components(base: MF, act: ActionSpec, i: int, c0: Scalar, c1: Scalar) -> MFMor:
-    ring = base.ring
-    target = twist_mf(act.map_of(i), base)
-    f0 = tuple(
-        tuple(Poly.constant(ring, c0 if r == s else 0) for s in range(base.r0))
-        for r in range(base.r0)
-    )
-    f1 = tuple(
-        tuple(Poly.constant(ring, c1 if r == s else 0) for s in range(base.r1))
-        for r in range(base.r1)
-    )
-    return MFMor(base, target, 0, f0, f1)
 
 
 def join_actions(a: ActionSpec, b: ActionSpec) -> ActionSpec:
@@ -240,82 +227,60 @@ def default_chain_cutoff(w: Poly) -> int:
 def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int | None = None) -> FixedMorSpace:
     """Q-basis of chain-level morphisms f with u'_sigma . f = f^sigma . u_sigma
     for all sigma, entries of total degree <= cutoff."""
-    assert s.group == sp.group
+    if s.group != sp.group:
+        raise ValueError("Real structures over different groups")
     M, N = s.base, sp.base
-    ring = M.ring
     if cutoff is None:
         cutoff = default_chain_cutoff(M.w)
     L = _field_conductor(s, sp)
-    phi = euler_phi(L)
-    monomials = _monomials_up_to(ring.nvars, cutoff)
-    # unknown slots: (block, row, col, monomial index, field basis index)
-    shapes = _mor_shapes(M, N, parity)
-    slots = []
-    for b, (rows, cols) in enumerate(shapes):
-        for r in range(rows):
-            for c in range(cols):
-                for mi in range(len(monomials)):
-                    for t in range(phi):
-                        slots.append((b, r, c, mi, t))
-    index = {slot: k for k, slot in enumerate(slots)}
-    nvar = len(slots)
-    act = s.action
-    g = s.group
-    constraints = []
-    coords = _CoordIndexer(L)
-    # build constraint columns by pushing each elementary morphism through
-    columns = []
-    for slot in slots:
-        f = _elementary_mor(M, N, parity, shapes, monomials, L, slot)
-        col = {}
-        for i in g.elements():
-            if i == g.identity:
-                continue
-            resid = compose(sp.u[i], f) - compose(twist_mor(act.map_of(i), f), s.u[i])
-            _collect_residual(col, i, resid, coords)
-        columns.append(col)
-    rowkeys = sorted({k for col in columns for k in col})
-    rows = []
-    for key in rowkeys:
-        row = {}
-        for j, col in enumerate(columns):
-            v = col.get(key)
-            if v is not None and v != 0:
-                row[j] = v
-        if row:
-            rows.append(row)
-    basis_vecs = sparse_nullspace(rows, nvar, Fraction(0), Fraction(1))
-    basis = []
-    for vec in basis_vecs:
-        basis.append(_assemble_mor(M, N, parity, shapes, monomials, L, slots, vec))
-    return FixedMorSpace(s, sp, parity, cutoff, basis)
+    basis = [Scalar.zeta(L, t) for t in range(euler_phi(L))]
+    monomials = window_monomials(M.ring.nvars, cutoff)
+    slots = window_slots(M, N, parity, monomials, len(basis))
+    columns = [{} for _ in slots]
+    for i in s.group.elements():
+        if i == s.group.identity:
+            continue
+        images = window_operator(sp.u[i], s.u[i], parity, monomials,
+                                 s.action.map_of(i), basis)
+        for col, image in zip(columns, images):
+            col.update(_rational_coordinates(i, image, L))
+    vecs = sparse_nullspace(sparse_transpose(columns), len(slots), Fraction(0), Fraction(1))
+    space = []
+    for vec in vecs:
+        coords = {}
+        for (b, r, c, m, t), v in zip(slots, vec):
+            if v:
+                key = (b, r, c, m)
+                coords[key] = coords.get(key, Scalar.zero()) + basis[t] * v
+        space.append(mor_from_coordinates(M, N, parity, coords))
+    return FixedMorSpace(s, sp, parity, cutoff, space)
 
 
 def closed_dimension(space: FixedMorSpace) -> int:
     """Dimension over Q of the closed morphisms inside the fixed space,
     computed as the kernel of D restricted to the returned basis."""
-    from .mf import hom_diff
-
+    M, N = space.source.base, space.target.base
     L = _field_conductor(space.source, space.target)
-    coords = _CoordIndexer(L)
-    rows = []
-    for k, f in enumerate(space.basis):
-        col = {}
-        _collect_residual(col, 0, hom_diff(f), coords)
-        rows.append(col)
-    # rank of the matrix with columns D(b_k); transpose to coordinate rows
-    keys = {}
-    cols = [dict() for _ in space.basis]
-    for k, col in enumerate(rows):
-        for key, v in col.items():
-            idx = keys.setdefault(key, len(keys))
-            cols[k][idx] = v
-    transposed = {}
-    for k, col in enumerate(cols):
-        for idx, v in col.items():
-            transposed.setdefault(idx, {})[k] = v
-    rank = sparse_rank(list(transposed.values()))
-    return len(space.basis) - rank
+    monomials = window_monomials(M.ring.nvars, space.cutoff)
+    slots = window_slots(M, N, space.parity, monomials)
+    columns = window_operator(diff_mor(N), diff_mor(M), space.parity, monomials)
+    column_of = {slot[:4]: col for slot, col in zip(slots, columns)}
+    images = []
+    for f in space.basis:
+        image = {}
+        for key, c in mor_coordinates(f).items():
+            for k, v in column_of[key].items():
+                image[k] = image.get(k, Scalar.zero()) + c * v
+        images.append(_rational_coordinates(0, image, L))
+    return len(space.basis) - sparse_rank(images)
+
+
+def _rational_coordinates(tag, image: dict, L: int) -> dict:
+    """image's coefficients over the power basis of Q(zeta_L), keyed
+    (tag, *key, t)."""
+    return {(tag, *k, t): q
+            for k, v in image.items()
+            for t, q in enumerate(v.promote(L).coeffs) if q}
 
 
 def _field_conductor(*structs) -> int:
@@ -334,82 +299,3 @@ def _field_conductor(*structs) -> int:
         L = L * s.base.ring.conductor // gcd(L, s.base.ring.conductor)
     return L
 
-
-def _monomials_up_to(nvars: int, cutoff: int):
-    monos = []
-
-    def rec(idx, exp, total):
-        if idx == nvars:
-            monos.append(tuple(exp))
-            return
-        for k in range(cutoff - total + 1):
-            exp.append(k)
-            rec(idx + 1, exp, total + k)
-            exp.pop()
-
-    rec(0, [], 0)
-    return monos
-
-
-def _mor_shapes(M: MF, N: MF, parity: int):
-    if parity == 0:
-        return [(N.r0, M.r0), (N.r1, M.r1)]
-    return [(N.r1, M.r0), (N.r0, M.r1)]
-
-
-def _elementary_mor(M, N, parity, shapes, monomials, L, slot) -> MFMor:
-    b, r, c, mi, t = slot
-    ring = M.ring
-    coeff = Scalar(L, tuple(
-        Fraction(1) if k == t else Fraction(0) for k in range(euler_phi(L))
-    ))
-    blocks = []
-    for bb, (rows, cols) in enumerate(shapes):
-        entries = [[Poly.zero(ring) for _ in range(cols)] for _ in range(rows)]
-        if bb == b:
-            entries[r][c] = Poly(ring, {monomials[mi]: coeff})
-        blocks.append(tuple(tuple(row) for row in entries))
-    return MFMor(M, N, parity, blocks[0], blocks[1])
-
-
-def _assemble_mor(M, N, parity, shapes, monomials, L, slots, vec) -> MFMor:
-    ring = M.ring
-    phi = euler_phi(L)
-    blocks = []
-    for bb, (rows, cols) in enumerate(shapes):
-        entries = [[{} for _ in range(cols)] for _ in range(rows)]
-        blocks.append(entries)
-    for slot, val in zip(slots, vec):
-        if val == 0:
-            continue
-        b, r, c, mi, t = slot
-        terms = blocks[b][r][c]
-        key = monomials[mi]
-        cur = terms.get(key)
-        coeffs = list(cur.coeffs) if cur is not None else [Fraction(0)] * phi
-        coeffs[t] += val
-        terms[key] = Scalar(L, tuple(coeffs))
-    mats = []
-    for bb, (rows, cols) in enumerate(shapes):
-        mats.append(tuple(
-            tuple(Poly(ring, blocks[bb][r][c]) for c in range(cols))
-            for r in range(rows)
-        ))
-    return MFMor(M, N, parity, mats[0], mats[1])
-
-
-class _CoordIndexer:
-    def __init__(self, L):
-        self.L = L
-
-
-def _collect_residual(col: dict, tag: int, resid: MFMor, coords: _CoordIndexer):
-    L = coords.L
-    for b, blk in enumerate((resid.f0, resid.f1)):
-        for r, row in enumerate(blk):
-            for c, p in enumerate(row):
-                for e, s in p.terms.items():
-                    s = s.promote(L)
-                    for t, q in enumerate(s.coeffs):
-                        if q != 0:
-                            col[(tag, b, r, c, e, t)] = q

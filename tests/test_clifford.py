@@ -150,3 +150,8 @@ def test_twist_intertwines_bridge():
     act = catalog.conjugation_action(ring)
     for i in act.group.elements():
         assert beh_twist_intertwined(m, ring, act.map_of(i))
+
+
+def test_module_hom_dim_rejects_differing_algebras():
+    with pytest.raises(ValueError):
+        module_hom_dim(catalog.spinor_module(), catalog.pauli_module())

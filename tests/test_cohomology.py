@@ -1,5 +1,7 @@
 """Hom complex cohomology over truncated rings."""
 
+import pytest
+
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec
 from mfsym.mf import (
@@ -106,3 +108,18 @@ def test_knorrer_preserves_hom_dims():
                 left, right, same = knorrer_hom_preservation(M, N, K, cutoff)
                 assert same, (n, k, j)
                 assert left.stable and right.stable
+
+
+def test_hom_cohomology_rejects_differing_potentials():
+    ring = RingSpec(("x",))
+    x = Poly.variable(ring, "x")
+    with pytest.raises(ValueError):
+        hom_cohomology(rank_one(x, x), rank_one(x, x ** 2), 3)
+
+
+def test_hom_cohomology_rejects_cutoff_below_one():
+    ring = RingSpec(("x",))
+    x = Poly.variable(ring, "x")
+    M = rank_one(x, x)
+    with pytest.raises(ValueError):
+        hom_cohomology(M, M, 0)

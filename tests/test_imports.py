@@ -1,0 +1,38 @@
+"""No module of the package imports a name at module level that it never uses."""
+
+import ast
+from pathlib import Path
+
+import mfsym
+
+SOURCES = sorted(Path(mfsym.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def test_sources_found():
+    assert len(SOURCES) >= 10
+
+
+def test_no_unused_module_level_imports():
+    unused = {}
+    for path in SOURCES:
+        names = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+        if names:
+            unused[path.name] = names
+    assert not unused, unused

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.groups import cyclic_group, product_group, ActionSpec, ANTILINEAR
@@ -99,3 +101,9 @@ def test_knorrer_closed_dims_are_stable():
     dims = tuple(closed_dimension(fixed_hom(k, k, p, cutoff=0))
                  for p in (0, 1))
     assert dims == (1, 1)
+
+
+def test_fixed_hom_rejects_differing_groups():
+    entries = dict(catalog.real_catalog())
+    with pytest.raises(ValueError):
+        fixed_hom(entries["conjugation-spinor"], entries["dihedral-cubic-line"], 0)
