@@ -17,6 +17,7 @@ import random
 import re
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
@@ -527,26 +528,36 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _timed(tasks: Iterator[TaskResult]) -> list[TaskResult]:
+    """Run tasks lazily, giving each result the time since the previous one."""
+    out = []
+    t0 = time.monotonic()
+    for r in tasks:
+        t1 = time.monotonic()
+        r.seconds = round(t1 - t0, 6)
+        out.append(r)
+        t0 = t1
+    return out
+
+
 def run_scenario(path: str) -> Report:
     sc = load_scenario(path)
-    results = []
-    for idx, task in enumerate(sc.tasks):
-        op = task["op"]
-        t0 = time.monotonic()
-        try:
-            ok, detail = TASKS[op](sc, task)
-        except ScenarioError as exc:
-            ok, detail = False, {"error": str(exc)}
-        results.append(TaskResult(idx, op, bool(ok), detail,
-                                  round(time.monotonic() - t0, 6)))
-    return Report(REPORT_SCHEMA, sc.name, results)
+
+    def tasks() -> Iterator[TaskResult]:
+        for idx, task in enumerate(sc.tasks):
+            try:
+                ok, detail = TASKS[task["op"]](sc, task)
+            except ScenarioError as exc:
+                ok, detail = False, {"error": str(exc)}
+            yield TaskResult(idx, task["op"], bool(ok), detail)
+
+    return Report(REPORT_SCHEMA, sc.name, _timed(tasks()))
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_signs(rng: random.Random) -> list[TaskResult]:
-    out = []
+def _suite_signs(rng: random.Random) -> Iterator[TaskResult]:
     cat = catalog.mf_catalog()
 
     def rand_mor(M, N, parity):
@@ -574,10 +585,10 @@ def _suite_signs(rng: random.Random) -> list[TaskResult]:
         dd = hom_diff(hom_diff(f))
         zero_ok = all(p.is_zero() for blk in (dd.f0, dd.f1) for row in blk for p in row)
         ok_dd = ok_dd and zero_ok
-    out.append(TaskResult(0, "hom-differential-squares-to-zero", ok_dd))
+    yield TaskResult(0, "hom-differential-squares-to-zero", ok_dd)
 
     ok_shift = all(shift(shift(M)).d0 == M.d0 for _, M in cat)
-    out.append(TaskResult(1, "double-shift-identity", ok_shift))
+    yield TaskResult(1, "double-shift-identity", ok_shift)
 
     ok_dual = True
     for _, M in cat:
@@ -585,7 +596,7 @@ def _suite_signs(rng: random.Random) -> list[TaskResult]:
         ok_dual = ok_dual and is_closed(theta) and is_isomorphism(theta)
         j = grading_iso(M)
         ok_dual = ok_dual and is_closed(j) and is_isomorphism(j)
-    out.append(TaskResult(2, "double-dual-and-grading-isos", ok_dual))
+    yield TaskResult(2, "double-dual-and-grading-isos", ok_dual)
 
     ok_swap = True
     pairs = [(catalog.an_rank_one(2), catalog.an_rank_one(3))]
@@ -600,29 +611,25 @@ def _suite_signs(rng: random.Random) -> list[TaskResult]:
         ok_swap = ok_swap and is_closed(f) and is_isomorphism(f)
     pairing = tensor_dual_pairing(A, B)
     ok_swap = ok_swap and is_closed(pairing) and is_isomorphism(pairing)
-    out.append(TaskResult(3, "tensor-isos-closed-invertible", ok_swap))
-    return out
+    yield TaskResult(3, "tensor-isos-closed-invertible", ok_swap)
 
 
-def _suite_real() -> list[TaskResult]:
-    out = []
+def _suite_real() -> Iterator[TaskResult]:
     ok = True
     names = []
     for name, s in catalog.real_catalog():
         good = verify_real_structure(s).ok
         ok = ok and good
         names.append(name)
-    out.append(TaskResult(0, "catalog-structures-verify", ok, {"entries": names}))
+    yield TaskResult(0, "catalog-structures-verify", ok, {"entries": names})
     ok_k = True
     for name, s in catalog.real_catalog():
         t = real_knorrer(s)
         ok_k = ok_k and verify_real_structure(t).ok
-    out.append(TaskResult(1, "knorrer-images-verify", ok_k))
-    return out
+    yield TaskResult(1, "knorrer-images-verify", ok_k)
 
 
-def _suite_orientifold() -> list[TaskResult]:
-    out = []
+def _suite_orientifold() -> Iterator[TaskResult]:
     ring = RingSpec(("u", "v"), conductor=4)
     u = Poly.variable(ring, "u")
     v = Poly.variable(ring, "v")
@@ -632,43 +639,41 @@ def _suite_orientifold() -> list[TaskResult]:
                       (RingMap.identity(ring), RingMap((-u, v), False)))
     rep2 = ContraRep(g2, act2, w, SHIFTED, universal_sign_cocycle(g2))
     found2 = rank_one_contra_condition(rep2)
-    out.append(TaskResult(0, "terminal-shifted-witness", found2 is not None))
+    yield TaskResult(0, "terminal-shifted-witness", found2 is not None)
     g4 = cyclic_group(4, graded=True)
     act4 = ActionSpec(g4, CONTRAVARIANT, (
         RingMap.identity(ring), RingMap((-v, u), False),
         RingMap((-u, -v), False), RingMap((v, -u), False)))
     rep4 = ContraRep(g4, act4, w, PLAIN)
     found4 = rank_one_contra_condition(rep4)
-    out.append(TaskResult(1, "order-four-plain-witness", found4 is not None))
+    yield TaskResult(1, "order-four-plain-witness", found4 is not None)
     if found2 and found4:
         s2, s4 = found2[1], found4[1]
-        out.append(TaskResult(2, "theta-cocycle",
-                              theta_cocycle_check(rep2, s2.base)
-                              and theta_cocycle_check(rep4, s4.base)))
+        yield TaskResult(2, "theta-cocycle",
+                         theta_cocycle_check(rep2, s2.base)
+                         and theta_cocycle_check(rep4, s4.base))
         k2, c2 = orientifold_knorrer(s2)
         k4, c4 = orientifold_knorrer(s4)
-        out.append(TaskResult(3, "knorrer-coherence-and-verify",
-                              c2 and c4 and verify_contra_structure(k2).ok
-                              and verify_contra_structure(k4).ok))
+        yield TaskResult(3, "knorrer-coherence-and-verify",
+                         c2 and c4 and verify_contra_structure(k2).ok
+                         and verify_contra_structure(k4).ok)
         d4, cd = double_knorrer(s4)
-        out.append(TaskResult(4, "double-knorrer-roundtrip",
-                              cd and verify_contra_structure(d4).ok
-                              and d4.rep.variant == PLAIN))
+        yield TaskResult(4, "double-knorrer-roundtrip",
+                         cd and verify_contra_structure(d4).ok
+                         and d4.rep.variant == PLAIN)
         sub = ContraRealStruct(s4.base, rep4, {i: s4.u[i] for i in g4.kernel()})
         _, dr = fixed_point_duality(rep4, 1, sub)
         _, fr = duality_comparison(rep4, 1, 3, s4)
-        out.append(TaskResult(5, "duality-and-comparison",
-                              bool(dr) and bool(fr)
-                              and comparison_torsor_check(rep4, s4)))
-    out.append(TaskResult(6, "hyperbolic-transport", hyperbolic_transport_check()))
-    return out
+        yield TaskResult(5, "duality-and-comparison",
+                         bool(dr) and bool(fr)
+                         and comparison_torsor_check(rep4, s4))
+    yield TaskResult(6, "hyperbolic-transport", hyperbolic_transport_check())
 
 
-def _suite_clifford() -> list[TaskResult]:
-    out = []
+def _suite_clifford() -> Iterator[TaskResult]:
     mods = catalog.clifford_module_catalog()
     ok_valid = all(not module_validate(m) for _, m in mods)
-    out.append(TaskResult(0, "modules-validate", ok_valid))
+    yield TaskResult(0, "modules-validate", ok_valid)
     ok_cmp = True
     count = 0
     for i, (n1, m1) in enumerate(mods):
@@ -679,7 +684,7 @@ def _suite_clifford() -> list[TaskResult]:
             left, right, rep = beh_hom_compare(m1, m2, ring)
             ok_cmp = ok_cmp and left == right and rep.stable
             count += 1
-    out.append(TaskResult(1, "bridge-hom-dims-agree", ok_cmp, {"pairs": count}))
+    yield TaskResult(1, "bridge-hom-dims-agree", ok_cmp, {"pairs": count})
     ok_fix = True
     for r in range(5):
         for s in range(5 - r):
@@ -687,7 +692,7 @@ def _suite_clifford() -> list[TaskResult]:
                 continue
             _, rel = real_clifford_fixed(r, s)
             ok_fix = ok_fix and rel
-    out.append(TaskResult(2, "signature-fixed-points", ok_fix))
+    yield TaskResult(2, "signature-fixed-points", ok_fix)
     ok_tensor = True
     for r in range(3):
         for s in range(3 - r):
@@ -695,22 +700,20 @@ def _suite_clifford() -> list[TaskResult]:
                 continue
             _, iso = graded_tensor(cl_rs(r, s), cl_rs(1, 1))
             ok_tensor = ok_tensor and iso
-    out.append(TaskResult(3, "graded-tensor-isos", ok_tensor))
-    return out
+    yield TaskResult(3, "graded-tensor-isos", ok_tensor)
 
 
-def _suite_cohomology() -> list[TaskResult]:
-    out = []
+def _suite_cohomology() -> Iterator[TaskResult]:
     Ruv = RingSpec(("u", "v"))
     u = Poly.variable(Ruv, "u")
     v = Poly.variable(Ruv, "v")
     rep = hom_cohomology(rank_one(u, v), rank_one(u, v), 3)
-    out.append(TaskResult(0, "hyperbolic-dims", rep.dims == (1, 0) and rep.stable))
+    yield TaskResult(0, "hyperbolic-dims", rep.dims == (1, 0) and rep.stable)
     Rx = RingSpec(("x",))
     x = Poly.variable(Rx, "x")
     triv = rank_one(Poly.constant(Rx, 1), x ** 3)
     rep = hom_cohomology(triv, triv, 4)
-    out.append(TaskResult(1, "contractible-dims", rep.dims == (0, 0) and rep.stable))
+    yield TaskResult(1, "contractible-dims", rep.dims == (0, 0) and rep.stable)
     ok_k = True
     Ryz = RingSpec(("y", "z"))
     K = rank_one(Poly.variable(Ryz, "y"), Poly.variable(Ryz, "z"))
@@ -723,7 +726,7 @@ def _suite_cohomology() -> list[TaskResult]:
             cutoff = default_cutoff(M.w)
             _, _, same = knorrer_hom_preservation(M, N, K, cutoff)
             ok_k = ok_k and same
-    out.append(TaskResult(2, "knorrer-preserves-dims", ok_k))
+    yield TaskResult(2, "knorrer-preserves-dims", ok_k)
     ok_h = True
     for name, M in catalog.mf_catalog():
         half = Scalar.from_rational(Fraction(1, 2))
@@ -737,8 +740,7 @@ def _suite_cohomology() -> list[TaskResult]:
             target.f0[r][c] == idm.f0[r][c] * M.w
             for r in range(M.r0) for c in range(M.r0)
         )
-    out.append(TaskResult(3, "potential-null-homotopy-witness", ok_h))
-    return out
+    yield TaskResult(3, "potential-null-homotopy-witness", ok_h)
 
 
 SUITES = {
@@ -754,14 +756,14 @@ def run_suite(name: str) -> Report:
     if name == "all":
         results = []
         for key in ("signs", "real", "orientifold", "clifford", "cohomology"):
-            for r in SUITES[key]():
+            for r in _timed(SUITES[key]()):
                 results.append(TaskResult(len(results), f"{key}:{r.name}",
                                           r.ok, r.detail, r.seconds))
         return Report(REPORT_SCHEMA, "all", results)
     if name not in SUITES:
         raise ScenarioError(f"unknown suite {name!r}; choose from "
                             f"{sorted(SUITES) + ['all']}")
-    return Report(REPORT_SCHEMA, name, SUITES[name]())
+    return Report(REPORT_SCHEMA, name, _timed(SUITES[name]()))
 
 
 # ---------------------------------------------------------------------------

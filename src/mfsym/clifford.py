@@ -3,7 +3,8 @@
 A Clifford algebra is stored by the polarized bilinear matrix of its
 quadratic form, with basis the subsets of the generator index set and
 multiplication by straightening.  Graded modules are pairs of generator
-block matrices with exact anticommutation relations.  The bridge functor
+block matrices with exact anticommutation relations; module products run
+on sparse rows, so they touch only nonzero entries.  The bridge functor
 sends a module to the factorization with differential sum gamma_j x_j.
 Conjugation fixed points realize the signature algebras Cl_{r,s} over
 the rationals, and the graded tensor product carries the periodicity
@@ -107,7 +108,8 @@ class CliffAlg:
         return {(): Scalar.one()}
 
     def generator(self, j: int):
-        assert 0 <= j < self.quad.dimension
+        if not 0 <= j < self.quad.dimension:
+            raise ValueError(f"generator index {j} out of range")
         return {(j,): Scalar.one()}
 
     def parity(self, subset: tuple[int, ...]) -> int:
@@ -191,41 +193,48 @@ class CliffMod:
     gammas: tuple[tuple[tuple, tuple], ...]
 
 
-def _smat_mul(a, b):
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(
-            sum((a[r][k] * b[k][c] for k in range(inner)), Scalar.zero())
-            for c in range(cols)
-        )
-        for r in range(rows)
-    )
+# A block in sparse rows is a list of {column: nonzero scalar} dicts.
+
+def _sparse_block(block, rows: int, cols: int, what: str) -> list[dict]:
+    """A dense rows x cols block as sparse rows; ValueError on any other shape."""
+    if len(block) != rows:
+        raise ValueError(f"{what} has {len(block)} rows, expected {rows}")
+    out = []
+    for r, row in enumerate(block):
+        if len(row) != cols:
+            raise ValueError(f"{what} row {r} has {len(row)} entries, expected {cols}")
+        out.append({c: x for c, x in enumerate(row) if not x.is_zero()})
+    return out
 
 
-def _smat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def _sparse_gammas(m: CliffMod) -> list[tuple[list[dict], list[dict]]]:
+    """The generator blocks as sparse rows, after checking their count and shapes."""
+    n = m.alg.quad.dimension
+    if len(m.gammas) != n:
+        raise ValueError(f"{len(m.gammas)} generators for a form of dimension {n}")
+    a0, a1 = m.dims
+    return [(_sparse_block(g0, a1, a0, f"gamma_{j} even block"),
+             _sparse_block(g1, a0, a1, f"gamma_{j} odd block"))
+            for j, (g0, g1) in enumerate(m.gammas)]
 
 
-def _smat_scale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
+def _sparse_mul(a: list[dict], b: list[dict], acc: list[dict] | None = None) -> list[dict]:
+    """The product a b of sparse-row blocks, added onto acc when given."""
+    out = [{} for _ in a] if acc is None else acc
+    for row, orow in zip(a, out):
+        for k, x in row.items():
+            for c, y in b[k].items():
+                _elem_add(orow, c, x * y)
+    return out
 
 
-def _smat_identity(n):
-    one, zero = Scalar.one(), Scalar.zero()
-    return tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
+def _sparse_scaled_identity(c: Scalar, n: int) -> list[dict]:
+    return [{r: c} if not c.is_zero() else {} for r in range(n)]
 
 
-def _smat_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if not x == y:
-                return False
-    return True
+def _dense(rows: list[dict], cols: int):
+    zero = Scalar.zero()
+    return tuple(tuple(row.get(c, zero) for c in range(cols)) for row in rows)
 
 
 def smat(rows):
@@ -234,53 +243,41 @@ def smat(rows):
 
 def module_validate(m: CliffMod) -> list[tuple[int, int]]:
     """Failing index pairs of the anticommutation relations
-    gamma_i gamma_j + gamma_j gamma_i = 2 B_ij I, per parity; empty if valid."""
-    n = m.alg.quad.dimension
-    assert len(m.gammas) == n
+    gamma_i gamma_j + gamma_j gamma_i = 2 B_ij I, per parity; empty if valid.
+    Raises ValueError when the generator count or a block shape is wrong."""
+    gs = _sparse_gammas(m)
     a0, a1 = m.dims
-    failures = []
     two = _to_scalar(2)
-    for i in range(n):
-        g0i, g1i = m.gammas[i]
-        assert len(g0i) == a1 and (a1 == 0 or len(g0i[0]) == a0)
-        assert len(g1i) == a0 and (a0 == 0 or len(g1i[0]) == a1)
-        for j in range(n):
-            g0j, g1j = m.gammas[j]
-            c = two * m.alg.quad.value(i, j)
-            even = _smat_add(_smat_mul(g1i, g0j), _smat_mul(g1j, g0i))
-            odd = _smat_add(_smat_mul(g0i, g1j), _smat_mul(g0j, g1i))
-            if not (_smat_eq(even, _smat_scale(c, _smat_identity(a0)))
-                    and _smat_eq(odd, _smat_scale(c, _smat_identity(a1)))):
-                failures.append((i, j))
-    return failures
+    failures = []
+    for i, (g0i, g1i) in enumerate(gs):
+        for j in range(i, len(gs)):
+            g0j, g1j = gs[j]
+            # the left side is symmetric in i, j, so it is formed once per
+            # pair; an unvalidated form may not be, so both orders are compared
+            even = _sparse_mul(g1i, g0j, _sparse_mul(g1j, g0i))
+            odd = _sparse_mul(g0i, g1j, _sparse_mul(g0j, g1i))
+            for p, q in {(i, j), (j, i)}:
+                c = two * m.alg.quad.value(p, q)
+                if (even != _sparse_scaled_identity(c, a0)
+                        or odd != _sparse_scaled_identity(c, a1)):
+                    failures.append((p, q))
+    return sorted(failures)
 
 
 def module_act(m: CliffMod, elem: dict, parity: int):
     """The matrix of an algebra element on the given parity component,
     as an (even block, odd block) pair of its graded pieces."""
-    a0, a1 = m.dims
-    src = a0 if parity == 0 else a1
-    acc = {0: None, 1: None}
+    gs = _sparse_gammas(m)
+    src = m.dims[parity]
+    acc = tuple([{} for _ in range(a)] for a in m.dims)
     for subset, c in elem.items():
         cur_parity = parity
-        matcur = _smat_identity(src)
+        cur = _sparse_scaled_identity(Scalar.one(), src)
         for j in reversed(subset):
-            g0, g1 = m.gammas[j]
-            step = g0 if cur_parity == 0 else g1
-            matcur = _smat_mul(step, matcur)
+            cur = _sparse_mul(gs[j][cur_parity], cur)
             cur_parity = 1 - cur_parity
-        scaled = _smat_scale(c, matcur)
-        if acc[cur_parity] is None:
-            acc[cur_parity] = scaled
-        else:
-            acc[cur_parity] = _smat_add(acc[cur_parity], scaled)
-    out = []
-    for p in (0, 1):
-        if acc[p] is None:
-            rows = a0 if p == 0 else a1
-            acc[p] = tuple(tuple(Scalar.zero() for _ in range(src)) for _ in range(rows))
-        out.append(acc[p])
-    return tuple(out)
+        _sparse_mul(_sparse_scaled_identity(_to_scalar(c), len(cur)), cur, acc[cur_parity])
+    return tuple(_dense(rows, src) for rows in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +291,18 @@ def beh_phi(m: CliffMod, ring: RingSpec) -> MF:
     """The factorization of the quadratic form with differential
     sum_j gamma_j x_j over the given ring."""
     n = m.alg.quad.dimension
-    assert ring.nvars == n, "ring variables must match the form dimension"
+    if ring.nvars != n:
+        raise ValueError("ring variables must match the form dimension")
     xs = [Poly.variable(ring, v) for v in ring.variables]
     a0, a1 = m.dims
     zero = Poly.zero(ring)
     d0 = [[zero] * a0 for _ in range(a1)]
     d1 = [[zero] * a1 for _ in range(a0)]
-    for j, (g0, g1) in enumerate(m.gammas):
-        for r in range(a1):
-            for c in range(a0):
-                d0[r][c] = d0[r][c] + xs[j] * g0[r][c]
-        for r in range(a0):
-            for c in range(a1):
-                d1[r][c] = d1[r][c] + xs[j] * g1[r][c]
+    for x, blocks in zip(xs, _sparse_gammas(m)):
+        for d, blk in zip((d0, d1), blocks):
+            for r, row in enumerate(blk):
+                for c, v in row.items():
+                    d[r][c] = d[r][c] + x * v
     w = Poly.zero(ring)
     for i in range(n):
         for j in range(n):
@@ -370,10 +366,16 @@ class CliffModMor:
     f1: tuple
 
     def is_module_map(self) -> bool:
-        for (g0, g1), (h0, h1) in zip(self.source.gammas, self.target.gammas):
-            if not _smat_eq(_smat_mul(self.f1, g1), _smat_mul(h1, self.f0)):
+        """Whether f commutes with every generator: f1 g0 = h0 f0 on the
+        even part and f0 g1 = h1 f1 on the odd part."""
+        (a0, a1), (b0, b1) = self.source.dims, self.target.dims
+        f0 = _sparse_block(self.f0, b0, a0, "f0")
+        f1 = _sparse_block(self.f1, b1, a1, "f1")
+        for (g0, g1), (h0, h1) in zip(_sparse_gammas(self.source),
+                                      _sparse_gammas(self.target)):
+            if _sparse_mul(f1, g0) != _sparse_mul(h0, f0):
                 return False
-            if not _smat_eq(_smat_mul(self.f0, g0), _smat_mul(h0, self.f1)):
+            if _sparse_mul(f0, g1) != _sparse_mul(h1, f1):
                 return False
         return True
 
@@ -430,34 +432,24 @@ def module_twist(m: CliffMod, rm) -> CliffMod:
     preimage vectors, read off from the ring-map images of the coordinates."""
     ring = rm.images[0].ring
     n = m.alg.quad.dimension
-    assert ring.nvars == n and len(rm.images) == n
-
-    def conj_if(a):
-        if not rm.antilinear:
-            return a
-        return tuple(tuple(c.conjugate() for c in row) for row in a)
-
-    coeffs = []
-    for img in rm.images:
-        row = [Scalar.zero()] * n
-        for e, c in img.terms.items():
-            assert sum(e) == 1, "twist needs a linear change of variables"
-            row[list(e).index(1)] = c
-        coeffs.append(row)
+    if ring.nvars != n or len(rm.images) != n:
+        raise ValueError("twist needs one image per form variable")
+    gs = _sparse_gammas(m)
+    if rm.antilinear:
+        gs = [tuple([{c: x.conjugate() for c, x in row.items()} for row in blk]
+                    for blk in g) for g in gs]
     a0, a1 = m.dims
-    gammas = []
-    for k in range(n):
-        g0 = tuple(tuple(Scalar.zero() for _ in range(a0)) for _ in range(a1))
-        g1 = tuple(tuple(Scalar.zero() for _ in range(a1)) for _ in range(a0))
-        for j in range(n):
-            c = coeffs[j][k]
-            if c.is_zero():
-                continue
-            oj0, oj1 = m.gammas[j]
-            g0 = _smat_add(g0, _smat_scale(c, conj_if(oj0)))
-            g1 = _smat_add(g1, _smat_scale(c, conj_if(oj1)))
-        gammas.append((g0, g1))
-    return CliffMod(m.alg, m.dims, tuple(gammas))
+    new = [([{} for _ in range(a1)], [{} for _ in range(a0)]) for _ in range(n)]
+    # image j = sum_k c x_k adds c times old generator j to new generator k
+    for img, (g0, g1) in zip(rm.images, gs):
+        for e, c in img.terms.items():
+            if sum(e) != 1:
+                raise ValueError("twist needs a linear change of variables")
+            k = e.index(1)
+            _sparse_mul(_sparse_scaled_identity(c, a1), g0, new[k][0])
+            _sparse_mul(_sparse_scaled_identity(c, a0), g1, new[k][1])
+    return CliffMod(m.alg, m.dims,
+                    tuple((_dense(h0, a0), _dense(h1, a1)) for h0, h1 in new))
 
 
 def beh_twist_intertwined(m: CliffMod, ring: RingSpec, rm) -> bool:
@@ -574,10 +566,8 @@ def graded_tensor(a: CliffAlg, b: CliffAlg):
         for y in range(n + m):
             prod = element_add(tensor.mul(images[x], images[y]),
                                tensor.mul(images[y], images[x]))
-            want = {((), ()): two * total.quad.value(x, y)}
-            if total.quad.value(x, y).is_zero():
-                want = {}
-            if not prod == want:
+            c = two * total.quad.value(x, y)
+            if prod != ({((), ()): c} if not c.is_zero() else {}):
                 ok = False
     # basis check: images of sorted monomials are single pair-basis terms
     seen = set()

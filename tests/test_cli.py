@@ -142,3 +142,12 @@ def test_main_failing_task_exits_one(tmp_path):
         }],
     }))
     assert main(["run", str(p)]) == 1
+
+
+def test_suite_tasks_record_their_duration():
+    import time
+    t0 = time.monotonic()
+    rep = run_suite("signs")
+    wall = time.monotonic() - t0
+    assert rep.results and all(r.seconds > 0 for r in rep.results)
+    assert sum(r.seconds for r in rep.results) <= wall

@@ -1,9 +1,13 @@
 """Clifford algebras, graded modules, and the bridge to factorizations."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mfsym.scalars import Scalar
-from mfsym.polys import Poly, RingSpec
+from mfsym.polys import Poly, RingMap, RingSpec
 from mfsym.mf import mat_mul, mat_eq
 from mfsym.clifford import (
     QuadForm, CliffAlg, CliffMod, CliffModMor, clifford_mul, element_eq,
@@ -155,3 +159,69 @@ def test_twist_intertwines_bridge():
 def test_module_hom_dim_rejects_differing_algebras():
     with pytest.raises(ValueError):
         module_hom_dim(catalog.spinor_module(), catalog.pauli_module())
+
+
+def _ragged_double_pauli():
+    """The double Pauli module with one extra entry in row 1 of gamma_0's even block."""
+    m = catalog.double_pauli_module()
+    (g0, g1), rest = m.gammas[0], m.gammas[1:]
+    bad = (g0[0], g0[1] + (Scalar.one(),))
+    return CliffMod(m.alg, m.dims, ((bad, g1),) + rest)
+
+
+def test_module_validate_rejects_wrong_generator_count():
+    m = catalog.pauli_module()
+    with pytest.raises(ValueError):
+        module_validate(CliffMod(m.alg, m.dims, m.gammas[:1]))
+
+
+def test_module_validate_rejects_wrong_row_count():
+    m = catalog.double_pauli_module()
+    (g0, g1), rest = m.gammas[0], m.gammas[1:]
+    with pytest.raises(ValueError):
+        module_validate(CliffMod(m.alg, m.dims, ((g0[:1], g1),) + rest))
+
+
+def test_module_validate_rejects_ragged_row():
+    with pytest.raises(ValueError):
+        module_validate(_ragged_double_pauli())
+
+
+def test_module_validate_rejects_ragged_row_without_asserts():
+    code = ("import sys; sys.path[:0] = sys.argv[1:]\n"
+            "from test_clifford import _ragged_double_pauli\n"
+            "from mfsym.clifford import module_validate\n"
+            "try:\n"
+            "    module_validate(_ragged_double_pauli())\n"
+            "except ValueError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n")
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = tests_dir.parent / "src"
+    run = subprocess.run([sys.executable, "-O", "-c", code, str(tests_dir), str(src_dir)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_generator_index_out_of_range():
+    with pytest.raises(ValueError):
+        cl_rs(2, 0).generator(2)
+
+
+def test_beh_phi_rejects_ring_size():
+    with pytest.raises(ValueError):
+        beh_phi(catalog.pauli_module(), RingSpec(("x",)))
+
+
+def test_module_twist_rejects_ring_size():
+    ring = RingSpec(("x", "y"))
+    rm = RingMap((Poly.variable(ring, "x"), Poly.variable(ring, "y")), False)
+    with pytest.raises(ValueError):
+        module_twist(catalog.spinor_module(), rm)
+
+
+def test_module_twist_rejects_nonlinear_map():
+    ring = RingSpec(("x",))
+    x = Poly.variable(ring, "x")
+    with pytest.raises(ValueError):
+        module_twist(catalog.spinor_module(), RingMap((x * x,), False))
