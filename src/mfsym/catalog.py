@@ -12,8 +12,8 @@ from __future__ import annotations
 from .scalars import Scalar
 from .polys import Poly, RingSpec
 from .mf import (
-    MF, MFMor, rank_one, external_tensor, knorrer_apply, identity_mor,
-    scaled_identity, is_closed,
+    MF, rank_one, external_tensor, knorrer_apply, identity_mor, scaled_identity,
+    scaled_witnesses,
 )
 from .groups import (
     GroupSpec, ActionSpec, ANTILINEAR, cyclic_group, dihedral_group,
@@ -103,64 +103,19 @@ def conjugation_action(ring: RingSpec, signs=None) -> ActionSpec:
     return diagonal_action(g, ring, ANTILINEAR, eigen)
 
 
-def search_scaled_structure(act: ActionSpec, base: MF, candidates=None):
-    """Brute-force a Real structure whose components are scalar multiples
-    of the identity blocks: the even-block scalar ranges over the
-    candidate units, the odd-block scalar is forced by closedness, and
-    the cocycle law is verified on all pairs.  Returns None on failure."""
-    if candidates is None:
-        L = max(act.ring.conductor, 4)
-        candidates = tuple(Scalar.zeta(L, k) for k in range(L))
+def search_scaled_structure(act: ActionSpec, base: MF):
+    """The first Real structure whose components are scalar multiples of
+    the identity blocks (mf.scaled_witnesses over the units zeta_L^k,
+    L = max(conductor, 4)) that passes the cocycle law; None if none does."""
+    L = max(act.ring.conductor, 4)
+    units = [Scalar.zeta(L, k) for k in range(L)]
     g = act.group
-    ring = base.ring
-
-    def component(i, a):
-        target = twist_mf(act.map_of(i), base)
-        # closedness on the d0 block forces b; read it off the leading term
-        # of the (0,0) entry, then let the closedness check confirm it
-        lead = base.d0[0][0]
-        tlead = target.d0[0][0] * a
-        (e, c), = list(lead.terms.items())[:1]
-        top = tlead.terms.get(e)
-        if top is None:
-            return None
-        b = top * c.inverse()
-        f0 = tuple(
-            tuple(Poly.constant(ring, 1) * (a if r == c else Scalar.zero())
-                  for c in range(base.r0)) for r in range(base.r0)
-        )
-        f1 = tuple(
-            tuple(Poly.constant(ring, 1) * (b if r == c else Scalar.zero())
-                  for c in range(base.r1)) for r in range(base.r1)
-        )
-        f = MFMor(base, target, 0, f0, f1)
-        if not is_closed(f):
-            return None
-        return f
-
-    options = []
-    for i in g.elements():
-        if i == g.identity:
-            options.append([identity_mor(base)])
-            continue
-        opts = [f for a in candidates if (f := component(i, a)) is not None]
-        if not opts:
-            return None
-        options.append(opts)
-
-    def rec(i, chosen):
-        if i == g.order:
-            s = RealStruct(base, act, tuple(chosen))
-            if verify_real_structure(s).ok:
-                return s
-            return None
-        for f in options[i]:
-            out = rec(i + 1, chosen + [f])
-            if out is not None:
-                return out
-        return None
-
-    return rec(0, [])
+    targets = [twist_mf(act.map_of(i), base) for i in g.elements()]
+    for u in scaled_witnesses(base, targets, g.identity, units):
+        s = RealStruct(base, act, u)
+        if verify_real_structure(s).ok:
+            return s
+    return None
 
 
 def dihedral_cubic_action(m: int = 3) -> ActionSpec:

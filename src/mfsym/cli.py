@@ -238,8 +238,11 @@ def load_scenario(path: str) -> Scenario:
     ring_spec = raw.get("ring")
     if not ring_spec or "variables" not in ring_spec:
         raise ScenarioError(f"{path}: missing ring.variables")
-    ring = RingSpec(tuple(ring_spec["variables"]),
-                    conductor=int(ring_spec.get("conductor", 4)))
+    try:
+        ring = RingSpec(tuple(ring_spec["variables"]),
+                        conductor=int(ring_spec.get("conductor", 4)))
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}")
     potential = parse_poly(raw.get("potential", "0"), ring)
     group = action = None
     setting = raw.get("setting")
@@ -399,22 +402,13 @@ def task_hom_cohomology(sc: Scenario, params: dict):
 
 
 def task_null_homotopy_scale(sc: Scenario, params: dict):
-    M = _mf_from_params(sc, params)
-    # w * id is D(d/2); verify the exact witness rather than re-solving
-    half = Scalar.from_rational(Fraction(1, 2))
-    d = diff_mor(M)
-    h = MFMor(M, M, 1,
-              tuple(tuple(p * half for p in row) for row in d.f0),
-              tuple(tuple(p * half for p in row) for row in d.f1))
-    target = hom_diff(h)
-    ok = all(
-        target.f0[r][c] == identity_mor(M).f0[r][c] * M.w
-        for r in range(M.r0) for c in range(M.r0)
-    ) and all(
-        target.f1[r][c] == identity_mor(M).f1[r][c] * M.w
-        for r in range(M.r1) for c in range(M.r1)
-    )
-    return ok, {}
+    return _potential_null_homotopy(_mf_from_params(sc, params)), {}
+
+
+def _potential_null_homotopy(M: MF) -> bool:
+    """w * id is D(d/2): check the exact witness rather than re-solving."""
+    h = diff_mor(M).scale(Scalar.from_rational(Fraction(1, 2)))
+    return hom_diff(h) == scaled_identity(M, M, M.w, M.w)
 
 
 def _mf_from_params(sc: Scenario, params: dict, key_prefix: str = "") -> MF:
@@ -547,7 +541,7 @@ def run_scenario(path: str) -> Report:
         for idx, task in enumerate(sc.tasks):
             try:
                 ok, detail = TASKS[task["op"]](sc, task)
-            except ScenarioError as exc:
+            except ValueError as exc:
                 ok, detail = False, {"error": str(exc)}
             yield TaskResult(idx, task["op"], bool(ok), detail)
 
@@ -727,19 +721,7 @@ def _suite_cohomology() -> Iterator[TaskResult]:
             _, _, same = knorrer_hom_preservation(M, N, K, cutoff)
             ok_k = ok_k and same
     yield TaskResult(2, "knorrer-preserves-dims", ok_k)
-    ok_h = True
-    for name, M in catalog.mf_catalog():
-        half = Scalar.from_rational(Fraction(1, 2))
-        d = diff_mor(M)
-        h = MFMor(M, M, 1,
-                  tuple(tuple(p * half for p in row) for row in d.f0),
-                  tuple(tuple(p * half for p in row) for row in d.f1))
-        target = hom_diff(h)
-        idm = identity_mor(M)
-        ok_h = ok_h and all(
-            target.f0[r][c] == idm.f0[r][c] * M.w
-            for r in range(M.r0) for c in range(M.r0)
-        )
+    ok_h = all(_potential_null_homotopy(M) for _, M in catalog.mf_catalog())
     yield TaskResult(3, "potential-null-homotopy-witness", ok_h)
 
 

@@ -9,6 +9,7 @@ live here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .polys import (
@@ -365,6 +366,33 @@ def scaled_identity(M: MF, N: MF, c0, c1) -> MFMor:
                  mat_scale(c1, mat_identity(M.ring, M.r1)))
 
 
+def scaled_witnesses(base: MF, targets, identity: int, units):
+    """Candidate families u of closed even maps base -> targets[i], in the
+    order of itertools.product.  u[identity] is the identity; every other
+    u[i] is scaled_identity(base, targets[i], a, b) with a in units and b
+    forced by closedness, read off the term of targets[i].d0[0][0] * a at
+    the exponent of base.d0[0][0]'s leading term.  Yields nothing when
+    some element has no closed candidate."""
+    (e, c), = list(base.d0[0][0].terms.items())[:1]
+    options = []
+    for i, target in enumerate(targets):
+        if i == identity:
+            options.append((identity_mor(base),))
+            continue
+        closed = []
+        for a in units:
+            top = (target.d0[0][0] * a).terms.get(e)
+            if top is None:
+                continue
+            f = scaled_identity(base, target, a, top * c.inverse())
+            if is_closed(f):
+                closed.append(f)
+        if not closed:
+            return
+        options.append(closed)
+    yield from itertools.product(*options)
+
+
 def zero_mor(M: MF, N: MF, parity: int) -> MFMor:
     if parity == 0:
         return MFMor(M, N, 0, mat_zero(M.ring, N.r0, M.r0), mat_zero(M.ring, N.r1, M.r1))
@@ -685,15 +713,13 @@ def dual_mor(f: MFMor) -> MFMor:
 
 def grading_iso(M: MF) -> MFMor:
     """J_M = id_{M0} + (-id_{M1}): M -> M-."""
-    return MFMor(M, negate_mf(M), 0,
-                 mat_identity(M.ring, M.r0), mat_neg(mat_identity(M.ring, M.r1)))
+    return scaled_identity(M, negate_mf(M), 1, -1)
 
 
 def double_dual_iso(M: MF) -> MFMor:
     """Theta_M: M -> M^vv; evaluation is the identity in the chosen bases,
     composed with the grading isomorphism."""
-    return MFMor(M, dual(dual(M)), 0,
-                 mat_identity(M.ring, M.r0), mat_neg(mat_identity(M.ring, M.r1)))
+    return scaled_identity(M, dual(dual(M)), 1, -1)
 
 
 def tensor_dual_pairing(M: MF, N: MF) -> MFMor:

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Scalar
-from .polys import Poly, RingSpec, RingMap, apply_ring_map
+from .polys import Poly, RingSpec, RingMap, apply_ring_map, monomial_ratio
 from .mf import (
     MF, MFMor, mat_identity, mat_neg, mat_zero, mat_block, compose,
     identity_mor, scaled_identity, mor_inverse, is_closed, is_isomorphism,
     shift, shift_mor, dual, dual_mor, external_tensor, external_tensor_mor,
-    rank_one, join_rings, lift_poly,
+    rank_one, join_rings, lift_poly, scaled_witnesses,
 )
 from .groups import (
     GroupSpec, ActionSpec, Cocycle2, CONTRAVARIANT,
@@ -165,122 +165,40 @@ def verify_contra_structure(s: ContraRealStruct) -> ContraReport:
     return ContraReport(ok, not_closed, not_iso, pair_failures)
 
 
-_UNIT_CANDIDATES = None
-
-
-def _unit_candidates():
-    global _UNIT_CANDIDATES
-    if _UNIT_CANDIDATES is None:
-        one = Scalar.one()
-        i = Scalar.i()
-        _UNIT_CANDIDATES = (one, -one, i, -i)
-    return _UNIT_CANDIDATES
-
-
-def _scalar_multiple(p: Poly, q: Poly):
-    """c with p = c*q when q has a single term dividing p; else None."""
-    if len(q.terms) != 1 or len(p.terms) != 1:
-        return None
-    (eq, cq), = q.terms.items()
-    (ep, cp), = p.terms.items()
-    if ep != eq:
-        return None
-    return cp * cq.inverse()
-
-
 def rank_one_contra_condition(rep: ContraRep):
     """For w = u*v on two variables: extracts the character chi forced by
     the action pattern of the chosen variant, brute-forces a witness
     structure on {u, v}, and returns (chi values, witness) or None."""
     ring = rep.action.ring
-    assert ring.nvars == 2
+    if ring.nvars != 2:
+        raise ValueError(f"rank-one orientifold needs two variables, got {ring.nvars}")
     uvar = Poly.variable(ring, ring.variables[0])
     vvar = Poly.variable(ring, ring.variables[1])
-    assert rep.w == uvar * vvar
+    if not rep.w == uvar * vvar:
+        raise ValueError(f"rank-one orientifold needs w = {uvar * vvar}, got {rep.w}")
     g = rep.group
     chi = []
     for i in g.elements():
-        rm = rep.action.map_of(i)
-        iu, iv = rm.images
+        iu, iv = rep.action.map_of(i).images
         odd = g.grading[i] == -1
-        if rep.variant == SHIFTED:
-            cu = _scalar_multiple(iu, uvar)
-            cv = _scalar_multiple(iv, vvar)
-            if cu is None or cv is None:
-                return None
-            want = -cu if odd else cu
-            if not (want * cv == 1):
-                return None
-            chi.append(want)
-        else:
-            if odd:
-                cu = _scalar_multiple(iu, vvar)
-                cv = _scalar_multiple(iv, uvar)
-                if cu is None or cv is None:
-                    return None
-                if not (-cu * cv == 1):
-                    return None
-                chi.append(-cu)
-            else:
-                cu = _scalar_multiple(iu, uvar)
-                cv = _scalar_multiple(iv, vvar)
-                if cu is None or cv is None:
-                    return None
-                if not (cu * cv == 1):
-                    return None
-                chi.append(cu)
+        # odd elements of the plain variant exchange u and v
+        swap = odd and rep.variant == PLAIN
+        cu = monomial_ratio(iu, vvar if swap else uvar)
+        cv = monomial_ratio(iv, uvar if swap else vvar)
+        if cu is None or cv is None:
+            return None
+        want = -cu if odd else cu
+        if not (want * cv == 1):
+            return None
+        chi.append(want)
     base = rank_one(uvar, vvar)
-    witness = _search_rank_one_witness(rep, base)
-    if witness is None:
-        return None
-    return tuple(chi), witness
-
-
-def _search_rank_one_witness(rep: ContraRep, base: MF):
-    """Brute force over unit scalars for the first block of each u_i; the
-    second block is forced by closedness."""
-    g = rep.group
-    order = g.order
     targets = [rep_apply(rep, i, base) for i in g.elements()]
-    ring = base.ring
-
-    def candidate(i, a):
-        tgt = targets[i]
-        top = tgt.d0[0][0] * a
-        b = _scalar_multiple(top, base.d0[0][0])
-        if b is None:
-            return None
-        f = MFMor(base, tgt, 0,
-                  ((Poly.constant(ring, 1) * a,),),
-                  ((Poly.constant(ring, 1) * b,),))
-        if not is_closed(f):
-            return None
-        return f
-
-    per_element = []
-    for i in g.elements():
-        if i == g.identity:
-            options = [identity_mor(base)]
-        else:
-            options = [f for a in _unit_candidates()
-                       if (f := candidate(i, a)) is not None]
-        if not options:
-            return None
-        per_element.append(options)
-
-    def rec(i, chosen):
-        if i == order:
-            s = ContraRealStruct(base, rep, dict(enumerate(chosen)))
-            if verify_contra_structure(s):
-                return s
-            return None
-        for f in per_element[i]:
-            out = rec(i + 1, chosen + [f])
-            if out is not None:
-                return out
-        return None
-
-    return rec(0, [])
+    units = (Scalar.one(), -Scalar.one(), Scalar.i(), -Scalar.i())
+    for u in scaled_witnesses(base, targets, g.identity, units):
+        s = ContraRealStruct(base, rep, dict(enumerate(u)))
+        if verify_contra_structure(s):
+            return tuple(chi), s
+    return None
 
 
 # ---------------------------------------------------------------------------

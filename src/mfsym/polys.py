@@ -24,10 +24,14 @@ class RingSpec:
     truncation: int = 0
 
     def __post_init__(self):
-        assert len(set(self.variables)) == len(self.variables), "duplicate variable names"
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"duplicate variable names in {self.variables}")
         if self.weights is not None:
-            assert len(self.weights) == len(self.variables)
-            assert all(w > 0 for w in self.weights)
+            if len(self.weights) != len(self.variables):
+                raise ValueError(f"{len(self.weights)} weights for "
+                                 f"{len(self.variables)} variables")
+            if not all(w > 0 for w in self.weights):
+                raise ValueError(f"weights must be positive, got {self.weights}")
 
     @property
     def nvars(self) -> int:
@@ -225,6 +229,18 @@ def apply_ring_map(rm: RingMap, p: Poly) -> Poly:
     return result
 
 
+def monomial_ratio(p: Poly, q: Poly):
+    """The scalar c with p = c*q when p and q are single terms at the same
+    exponent, else None."""
+    if len(p.terms) != 1 or len(q.terms) != 1:
+        return None
+    (ep, cp), = p.terms.items()
+    (eq, cq), = q.terms.items()
+    if ep != eq:
+        return None
+    return cp * cq.inverse()
+
+
 def graded_component(p: Poly, d) -> Poly:
     if p.ring.weights is None:
         raise ValueError("ring has no weights")
@@ -243,18 +259,18 @@ def _monomials_of_weighted_degree_upto(weights, bound):
     n = len(weights)
     buckets: dict = {}
 
-    def rec(idx, exp, deg):
+    def walk(idx, exp, deg):
         if idx == n:
             buckets.setdefault(deg, []).append(tuple(exp))
             return
         k = 0
         while deg + weights[idx] * k <= bound:
             exp.append(k)
-            rec(idx + 1, exp, deg + weights[idx] * k)
+            walk(idx + 1, exp, deg + weights[idx] * k)
             exp.pop()
             k += 1
 
-    rec(0, [], Fraction(0))
+    walk(0, [], Fraction(0))
     return buckets
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Scalar, euler_phi
-from .polys import Poly, RingSpec, RingMap, jacobi_basis
+from .polys import Poly, RingSpec, RingMap, jacobi_basis, monomial_ratio
 from .mf import (
     MF, MFMor, rank_one, identity_mor, scaled_identity, compose, diff_mor,
     is_closed, is_isomorphism, external_tensor, external_tensor_mor, lift_poly,
@@ -89,15 +89,16 @@ def rank_one_real_condition(act: ActionSpec):
     (chi, witness RealStruct) when every sigma scales the first variable by
     chi(sigma) and the second by its inverse, else None."""
     ring = act.ring
-    assert ring.nvars == 2
+    if ring.nvars != 2:
+        raise ValueError(f"rank-one Real structures need two variables, got {ring.nvars}")
     uvar = Poly.variable(ring, ring.variables[0])
     vvar = Poly.variable(ring, ring.variables[1])
     g = act.group
     values = []
     for i in g.elements():
         iu, iv = act.map_of(i).images
-        cu = _scalar_multiple_of(iu, uvar)
-        cv = _scalar_multiple_of(iv, vvar)
+        cu = monomial_ratio(iu, uvar)
+        cv = monomial_ratio(iv, vvar)
         if cu is None or cv is None or not (cv == cu.inverse()):
             return None
         values.append(cu)
@@ -112,17 +113,6 @@ def rank_one_real_condition(act: ActionSpec):
     report = verify_real_structure(struct)
     assert report.ok, report.problems
     return chi, struct
-
-
-def _scalar_multiple_of(p: Poly, var: Poly):
-    """The scalar c with p = c*var, or None."""
-    if len(p.terms) != 1:
-        return None
-    (e, c), = p.terms.items()
-    (ev, _), = var.terms.items()
-    if e != ev:
-        return None
-    return c
 
 
 def join_actions(a: ActionSpec, b: ActionSpec) -> ActionSpec:

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +154,56 @@ def test_suite_tasks_record_their_duration():
     wall = time.monotonic() - t0
     assert rep.results and all(r.seconds > 0 for r in rep.results)
     assert sum(r.seconds for r in rep.results) <= wall
+
+
+def _cli(args, optimize):
+    """Run the command line in a fresh interpreter, with or without -O."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-m", "mfsym.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+BAD_RANK_ONE = {
+    "rank-one-orientifold": {
+        "ring": {"variables": ["u", "v"]}, "potential": "u*v + u^3",
+        "setting": "contravariant", "variant": "shifted",
+        "action": [["u", "v"], ["-u", "v"]],
+    },
+    "rank-one-real": {
+        "ring": {"variables": ["u", "v", "t"]}, "potential": "u*v",
+        "setting": "antilinear",
+        "action": [["u", "v", "t"], ["u", "v", "t"]],
+    },
+}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@pytest.mark.parametrize("op", sorted(BAD_RANK_ONE))
+def test_bad_rank_one_task_reports_error_and_later_tasks_run(tmp_path, op, optimize):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({
+        "schema": SCHEMA, "name": "bad-rank-one", "group": {"preset": "C(2)"},
+        **BAD_RANK_ONE[op],
+        "tasks": [{"op": op}, {"op": "hyperbolic-transport"}],
+    }))
+    out = tmp_path / "report.json"
+    run = _cli(["run", str(p), "--json", str(out)], optimize)
+    assert "Traceback" not in run.stdout + run.stderr
+    tasks = json.loads(out.read_text())["tasks"]
+    assert not tasks[0]["ok"] and "error" in tasks[0]["detail"]
+    assert tasks[1]["ok"]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_validate_rejects_duplicate_variables(tmp_path, optimize):
+    p = tmp_path / "dup.json"
+    p.write_text(json.dumps({"schema": SCHEMA, "ring": {"variables": ["x", "x"]},
+                             "potential": "x^2"}))
+    run = _cli(["validate", str(p)], optimize)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

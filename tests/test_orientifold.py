@@ -153,3 +153,20 @@ def test_double_knorrer_restores_variant():
 
 def test_hyperbolic_transport():
     assert hyperbolic_transport_check()
+
+
+def test_rank_one_contra_condition_rejects_other_potential():
+    rep = c2_shifted_rep()
+    bad = ContraRep(rep.group, rep.action, W + U ** 3, SHIFTED, rep.twist)
+    with pytest.raises(ValueError):
+        rank_one_contra_condition(bad)
+
+
+def test_rank_one_contra_condition_rejects_three_variables():
+    ring = RingSpec(("u", "v", "t"), conductor=4)
+    u, v = Poly.variable(ring, "u"), Poly.variable(ring, "v")
+    g = cyclic_group(2, graded=True)
+    act = ActionSpec(g, CONTRAVARIANT, (RingMap.identity(ring),
+                                        RingMap((-u, v, Poly.variable(ring, "t")), False)))
+    with pytest.raises(ValueError):
+        rank_one_contra_condition(ContraRep(g, act, u * v, SHIFTED))

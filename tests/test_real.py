@@ -107,3 +107,9 @@ def test_fixed_hom_rejects_differing_groups():
     entries = dict(catalog.real_catalog())
     with pytest.raises(ValueError):
         fixed_hom(entries["conjugation-spinor"], entries["dihedral-cubic-line"], 0)
+
+
+def test_rank_one_condition_rejects_three_variables():
+    act = catalog.conjugation_action(RingSpec(("u", "v", "t"), conductor=4))
+    with pytest.raises(ValueError):
+        rank_one_real_condition(act)
