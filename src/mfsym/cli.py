@@ -6,7 +6,8 @@ and scalar values are written in a small expression grammar (integers,
 rationals, the imaginary unit ``i``, ``zeta(m)`` or ``zeta(m, k)``,
 variables, ``+ - * ^`` and parentheses).  The ``suite`` verb runs named
 verification batteries over the built-in catalogs.  Exit codes: 0 all
-tasks pass, 1 failures, 2 usage or parse errors.
+tasks pass, 1 failures, 2 usage or parse errors, or a task rejecting its
+input.
 """
 
 from __future__ import annotations
@@ -794,6 +795,8 @@ def main(argv=None) -> int:
         if args.verb == "run":
             report = run_scenario(args.file)
             _print_report(report, args.json_out)
+            if any("error" in r.detail for r in report.results):
+                return 2
             return 0 if report.ok else 1
         if args.verb == "suite":
             report = run_suite(args.name)

@@ -275,6 +275,23 @@ class MF:
     __hash__ = None
 
 
+def mf_key(M: MF) -> tuple:
+    """A hashable key of M's content: the ring and every term of w, d0
+    and d1 as (exponent, conductor, coeffs), in storage order, with an
+    entry's own ring where it differs from M's.  Equal keys mean the two
+    factorizations are identical field by field, so whatever is built
+    from one is exactly what would be built from the other."""
+    ring = M.ring
+
+    def poly(p: Poly) -> tuple:
+        terms = tuple((e, c.conductor, c.coeffs) for e, c in p.terms.items())
+        return terms if p.ring == ring else (p.ring, terms)
+
+    return (ring, poly(M.w),
+            tuple(tuple(poly(p) for p in row) for row in M.d0),
+            tuple(tuple(poly(p) for p in row) for row in M.d1))
+
+
 def mf_new(ring: RingSpec, w: Poly, d0, d1) -> MF:
     d0, d1 = mat(d0), mat(d1)
     r1, r0 = mat_shape(d0)
@@ -610,14 +627,17 @@ def external_tensor(M: MF, N: MF) -> MF:
 
 def external_tensor_mor(f: MFMor, g: MFMor) -> MFMor:
     """(f x g)(m x n) = (-1)^{|g||m|} f(m) x g(n)."""
-    M, N = f.source, g.source
-    Mp, Np = f.target, g.target
-    src = external_tensor(M, N)
-    tgt = external_tensor(Mp, Np)
-    ring = src.ring
+    src = external_tensor(f.source, g.source)
+    tgt = external_tensor(f.target, g.target)
+    return MFMor(src, tgt, (f.parity + g.parity) % 2, *tensor_mor_blocks(f, g))
+
+
+def tensor_mor_blocks(f: MFMor, g: MFMor) -> tuple:
+    """The blocks (f0, f1) of external_tensor_mor(f, g)."""
+    ring = join_rings(f.source.ring, g.source.ring)
     parity = (f.parity + g.parity) % 2
-    src_bases = tensor_basis(M, N)
-    tgt_bases = tensor_basis(Mp, Np)
+    src_bases = tensor_basis(f.source, g.source)
+    tgt_bases = tensor_basis(f.target, g.target)
     tgt_index = [
         {t: k for k, t in enumerate(tgt_bases[0])},
         {t: k for k, t in enumerate(tgt_bases[1])},
@@ -649,7 +669,7 @@ def external_tensor_mor(f: MFMor, g: MFMor) -> MFMor:
                         val = -val
                     entries[row][col] = entries[row][col] + val
         blocks.append(tuple(tuple(r) for r in entries))
-    return MFMor(src, tgt, parity, blocks[0], blocks[1])
+    return tuple(blocks)
 
 
 def _basis_permutation_mor(src: MF, tgt: MF, src_bases, tgt_bases, mapping) -> MFMor:

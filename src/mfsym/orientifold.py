@@ -13,7 +13,7 @@ elements, and the Knoerrer functor with its explicit eta blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import Scalar
@@ -21,12 +21,12 @@ from .polys import Poly, RingSpec, RingMap, apply_ring_map, monomial_ratio
 from .mf import (
     MF, MFMor, mat_identity, mat_neg, mat_zero, mat_block, compose,
     identity_mor, scaled_identity, mor_inverse, is_closed, is_isomorphism,
-    shift, shift_mor, dual, dual_mor, external_tensor, external_tensor_mor,
-    rank_one, join_rings, lift_poly, scaled_witnesses,
+    shift, shift_mor, dual, dual_mor, external_tensor, tensor_mor_blocks,
+    rank_one, join_rings, lift_poly, scaled_witnesses, mat_apply, mf_key,
 )
 from .groups import (
     GroupSpec, ActionSpec, Cocycle2, CONTRAVARIANT,
-    validate_action, universal_sign_cocycle, twist_mf, twist_mor,
+    validate_action, universal_sign_cocycle, twist_mf,
 )
 
 PLAIN = "plain"
@@ -35,17 +35,27 @@ SHIFTED = "shifted"
 
 @dataclass(frozen=True)
 class ContraRep:
-    """A contravariant group action on MF(R, w) with coherence data."""
+    """A contravariant group action on MF(R, w) with coherence data.
+
+    Each rep keeps the objects built from it: rho(i)(M) under
+    (i, mf_key(M)) and the Knoerrer tensor M x K under
+    (mf_key(M), mf_key(K)).  A key holds the full content of its
+    inputs, so a hit is exactly what a fresh build would give.
+    """
 
     group: GroupSpec
     action: ActionSpec
     w: Poly
     variant: str = PLAIN
     twist: Cocycle2 | None = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        assert self.variant in (PLAIN, SHIFTED)
-        assert self.action.setting == CONTRAVARIANT
+        if self.variant not in (PLAIN, SHIFTED):
+            raise ValueError(f"variant must be {PLAIN!r} or {SHIFTED!r}, got {self.variant!r}")
+        if self.action.setting != CONTRAVARIANT:
+            raise ValueError(f"ContraRep needs a {CONTRAVARIANT} action, "
+                             f"got {self.action.setting!r}")
 
     def twist_value(self, i: int, j: int) -> Scalar:
         if self.twist is None:
@@ -56,25 +66,49 @@ class ContraRep:
         return validate_action(self.action, self.w)
 
 
+def _cached(rep: ContraRep, key: tuple, build):
+    """The object rep has built under key, building it on first use."""
+    out = rep._cache.get(key)
+    if out is None:
+        out = rep._cache[key] = build()
+    return out
+
+
 def rep_apply(rep: ContraRep, i: int, M: MF) -> MF:
     """The action of element i on objects: twist for even elements, twist
     of the dual (plain) or of the shifted dual (shifted) for odd ones."""
-    rm = rep.action.map_of(i)
-    if rep.group.grading[i] == 1:
-        return twist_mf(rm, M)
-    if rep.variant == PLAIN:
-        return twist_mf(rm, dual(M))
-    return twist_mf(rm, dual(shift(M)))
+    def build():
+        rm = rep.action.map_of(i)
+        if rep.group.grading[i] == 1:
+            return twist_mf(rm, M)
+        if rep.variant == PLAIN:
+            return twist_mf(rm, dual(M))
+        return twist_mf(rm, dual(shift(M)))
+
+    return _cached(rep, (i, mf_key(M)), build)
 
 
 def rep_apply_mor(rep: ContraRep, i: int, f: MFMor) -> MFMor:
-    """The action on morphisms; contravariant for odd elements."""
+    """The action on morphisms; contravariant for odd elements.  The
+    endpoints come from rep_apply, so only the blocks are twisted here."""
+    src, tgt = f.source, f.target
+    if rep.group.grading[i] == -1:
+        f = dual_mor(f if rep.variant == PLAIN else shift_mor(f))
+        src, tgt = tgt, src
     rm = rep.action.map_of(i)
-    if rep.group.grading[i] == 1:
-        return twist_mor(rm, f)
-    if rep.variant == PLAIN:
-        return twist_mor(rm, dual_mor(f))
-    return twist_mor(rm, dual_mor(shift_mor(f)))
+    return MFMor(rep_apply(rep, i, src), rep_apply(rep, i, tgt), f.parity,
+                 mat_apply(rm, f.f0), mat_apply(rm, f.f1))
+
+
+def _tensor(rep: ContraRep, M: MF, K: MF) -> MF:
+    """external_tensor(M, K), built once per rep."""
+    return _cached(rep, (mf_key(M), mf_key(K)), lambda: external_tensor(M, K))
+
+
+def _tensor_mor(rep: ContraRep, f: MFMor, K: MF) -> MFMor:
+    """external_tensor_mor(f, id_K), with both endpoints from _tensor."""
+    src, tgt = _tensor(rep, f.source, K), _tensor(rep, f.target, K)
+    return MFMor(src, tgt, f.parity, *tensor_mor_blocks(f, identity_mor(K)))
 
 
 def theta_component(rep: ContraRep, i2: int, i1: int, M: MF) -> MFMor:
@@ -241,7 +275,8 @@ def fixed_point_duality(rep: ContraRep, sigma: int, s: ContraRealStruct):
     element: the induced structure on the dualized object, the double
     dual comparison map, and the three exact checks."""
     g = rep.group
-    assert g.grading[sigma] == -1
+    if g.grading[sigma] != -1:
+        raise ValueError(f"fixed point duality needs an odd element, got {g.labels[sigma]}")
     C = s.base
     P = rep_apply(rep, sigma, C)
     v = _induced_structure(rep, sigma, C, s.u)
@@ -293,7 +328,9 @@ def duality_comparison(rep: ContraRep, s1: int, s2: int, s: ContraRealStruct):
     """The comparison between the dualities of two odd elements, with the
     fixed point morphism check and the form-functor coherence check."""
     g = rep.group
-    assert g.grading[s1] == -1 and g.grading[s2] == -1
+    even = [g.labels[i] for i in (s1, s2) if g.grading[i] != -1]
+    if even:
+        raise ValueError(f"duality comparison needs two odd elements, got even {even}")
     C = s.base
     full = dict(s.u)
     sub = {i: full[i] for i in g.kernel()}
@@ -411,8 +448,8 @@ def eta_component(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, i: int, M: MF) 
     """The component at M of the Knoerrer equivariance data: identity on
     even elements, the signed swap blocks on odd ones."""
     A = rep_apply(src_rep, i, M)
-    src = external_tensor(A, K)
-    tgt = rep_apply(tgt_rep, i, external_tensor(M, K))
+    src = _tensor(src_rep, A, K)
+    tgt = rep_apply(tgt_rep, i, _tensor(src_rep, M, K))
     ring = src.ring
     if src_rep.group.grading[i] == 1:
         return MFMor(src, tgt, 0,
@@ -433,7 +470,6 @@ def eta_coherence_check(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, M: MF) ->
     """The equivariant functor coherence for the Knoerrer data on all
     element pairs at M."""
     g = src_rep.group
-    idK = identity_mor(K)
     for i2 in g.elements():
         for i1 in g.elements():
             X = rep_apply(src_rep, i1, M)
@@ -442,10 +478,10 @@ def eta_coherence_check(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, M: MF) ->
             if g.grading[i2] == -1:
                 inner = mor_inverse(inner)
             term2 = rep_apply_mor(tgt_rep, i2, inner)
-            term3 = theta_component(tgt_rep, i2, i1, external_tensor(M, K))
+            term3 = theta_component(tgt_rep, i2, i1, _tensor(src_rep, M, K))
             lhs = compose(term3, compose(term2, term1))
             rhs = compose(eta_component(src_rep, tgt_rep, K, g.mul(i2, i1), M),
-                          external_tensor_mor(theta_component(src_rep, i2, i1, M), idK))
+                          _tensor_mor(src_rep, theta_component(src_rep, i2, i1, M), K))
             if not lhs == rhs:
                 return False
     return True
@@ -467,12 +503,11 @@ def orientifold_knorrer(s: ContraRealStruct):
     new_rep, ext = _extend_rep(rep, uname, vname)
     fresh = RingSpec((uname, vname), conductor=rep.action.ring.conductor)
     K = rank_one(Poly.variable(fresh, uname), Poly.variable(fresh, vname))
-    new_base = external_tensor(s.base, K)
-    idK = identity_mor(K)
+    new_base = _tensor(rep, s.base, K)
     u = {}
     for i in s.u.keys():
         u[i] = compose(eta_component(rep, new_rep, K, i, s.base),
-                       external_tensor_mor(s.u[i], idK))
+                       _tensor_mor(rep, s.u[i], K))
     out = ContraRealStruct(new_base, new_rep, u)
     ok = eta_coherence_check(rep, new_rep, K, s.base)
     return out, ok

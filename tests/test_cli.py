@@ -192,6 +192,7 @@ def test_bad_rank_one_task_reports_error_and_later_tasks_run(tmp_path, op, optim
     out = tmp_path / "report.json"
     run = _cli(["run", str(p), "--json", str(out)], optimize)
     assert "Traceback" not in run.stdout + run.stderr
+    assert run.returncode == 2
     tasks = json.loads(out.read_text())["tasks"]
     assert not tasks[0]["ok"] and "error" in tasks[0]["detail"]
     assert tasks[1]["ok"]

@@ -1,12 +1,17 @@
 """Orientifold (contravariant equivariant) structures, dualities on fixed
 points, and the contravariant Knoerrer step."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.groups import (
-    cyclic_group, product_group, ActionSpec, CONTRAVARIANT,
+    cyclic_group, product_group, ActionSpec, ANTILINEAR, CONTRAVARIANT,
     universal_sign_cocycle,
 )
 from mfsym.mf import rank_one, identity_mor, compose, is_closed
@@ -170,3 +175,46 @@ def test_rank_one_contra_condition_rejects_three_variables():
                                         RingMap((-u, v, Poly.variable(ring, "t")), False)))
     with pytest.raises(ValueError):
         rank_one_contra_condition(ContraRep(g, act, u * v, SHIFTED))
+
+
+def test_contra_rep_rejects_bad_variant_and_setting():
+    rep = c2_shifted_rep()
+    with pytest.raises(ValueError):
+        ContraRep(rep.group, rep.action, W, "twisted")
+    anti = ActionSpec(rep.group, ANTILINEAR, (
+        RingMap.identity(RING), RingMap((-U, V), True)))
+    with pytest.raises(ValueError):
+        ContraRep(rep.group, anti, W, SHIFTED)
+
+
+def test_contra_rep_rejects_bad_variant_under_optimize():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "from mfsym.polys import RingSpec, RingMap\n"
+        "from mfsym.groups import cyclic_group, ActionSpec, CONTRAVARIANT\n"
+        "from mfsym.orientifold import ContraRep\n"
+        "ring = RingSpec(('u', 'v'))\n"
+        "g = cyclic_group(2, graded=True)\n"
+        "act = ActionSpec(g, CONTRAVARIANT, (RingMap.identity(ring),) * 2)\n"
+        "try:\n"
+        "    ContraRep(g, act, act.maps[0].images[0], 'twisted')\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert run.stdout.strip() == "rejected", run.stderr
+
+
+def test_dualities_reject_even_elements():
+    rep = c4_plain_rep()
+    s = witness(rep)
+    even = [i for i in rep.group.kernel() if i != rep.group.identity][0]
+    odd = rep.group.odd_elements()[0]
+    sub = ContraRealStruct(s.base, rep, {i: s.u[i] for i in rep.group.kernel()})
+    with pytest.raises(ValueError):
+        fixed_point_duality(rep, even, sub)
+    with pytest.raises(ValueError):
+        duality_comparison(rep, odd, even, s)
+    with pytest.raises(ValueError):
+        duality_comparison(rep, even, odd, s)

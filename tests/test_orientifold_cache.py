@@ -1,0 +1,170 @@
+"""The contravariant action's cached fast path against the slow path.
+
+rep_apply and rep_apply_mor reuse what a rep has already built; here they
+are compared with the twist_mf / twist_mor expressions written out, on the
+bundled test reps and their Knoerrer extensions.  MFMor equality ignores
+endpoints, so those are compared as MFs as well.
+"""
+
+import copy
+
+from hypothesis import given, settings, strategies as st
+
+from mfsym.scalars import Scalar
+from mfsym.polys import Poly, RingSpec, RingMap
+from mfsym.mf import (
+    compose, diff_mor, dual, dual_mor, external_tensor, external_tensor_mor,
+    identity_mor, mf_key, mor_from_coordinates, rank_one, shift, shift_mor,
+    window_monomials, window_slots,
+)
+from mfsym.groups import ActionSpec, CONTRAVARIANT, cyclic_group, twist_mf, twist_mor
+import mfsym.groups as groups
+import mfsym.orientifold as orientifold
+from mfsym.orientifold import (
+    PLAIN, SHIFTED, ContraRep, rep_apply, rep_apply_mor, eta_component,
+    orientifold_knorrer, double_knorrer, _extend_rep,
+)
+
+from test_orientifold import (
+    RING, U, V, W, c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep, witness,
+)
+
+REPS = (c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep)
+YZ = RingSpec(("y", "z"), conductor=4)
+K = rank_one(Poly.variable(YZ, "y"), Poly.variable(YZ, "z"))
+BASE = rank_one(U, V)
+BASE_X_K = external_tensor(BASE, K)
+
+
+def _cases():
+    """Fresh (rep, object) pairs: each test rep on the rank-one base, and
+    its extension on the base tensored with K."""
+    out = []
+    for make in REPS:
+        rep = make()
+        out.append((rep, BASE))
+        out.append((_extend_rep(rep, "y", "z")[0], BASE_X_K))
+    return out
+
+
+def _slow_obj(rep, i, M):
+    rm = rep.action.map_of(i)
+    if rep.group.grading[i] == 1:
+        return twist_mf(rm, M)
+    if rep.variant == PLAIN:
+        return twist_mf(rm, dual(M))
+    return twist_mf(rm, dual(shift(M)))
+
+
+def _slow_mor(rep, i, f):
+    rm = rep.action.map_of(i)
+    if rep.group.grading[i] == 1:
+        return twist_mor(rm, f)
+    if rep.variant == PLAIN:
+        return twist_mor(rm, dual_mor(f))
+    return twist_mor(rm, dual_mor(shift_mor(f)))
+
+
+def _same_mor(f, g):
+    return f == g and f.source == g.source and f.target == g.target
+
+
+def test_rep_apply_matches_twist_cold_and_warm():
+    for rep, M in _cases():
+        for N in (M, shift(M)):
+            for i in rep.group.elements():
+                want = _slow_obj(rep, i, N)
+                assert rep_apply(rep, i, N) == want
+                assert rep_apply(rep, i, N) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rep_apply_mor_matches_twist_mor(data):
+    rep, M = data.draw(st.sampled_from(_cases()))
+    N = data.draw(st.sampled_from((M, shift(M))))
+    parity = data.draw(st.integers(0, 1))
+    slots = window_slots(M, N, parity, window_monomials(M.ring.nvars, 1))
+    coeff = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda ab: Scalar.from_rational(ab[0]) + Scalar.i() * ab[1])
+    picks = data.draw(st.lists(st.tuples(st.sampled_from(slots), coeff),
+                               min_size=1, max_size=5))
+    f = mor_from_coordinates(M, N, parity,
+                             {slot[:4]: c for slot, c in picks if not c.is_zero()})
+    for g in (f, identity_mor(M), diff_mor(M)):
+        for i in rep.group.elements():
+            assert _same_mor(rep_apply_mor(rep, i, g), _slow_mor(rep, i, g))
+
+
+def test_equal_copy_gives_equal_result():
+    for rep, M in _cases():
+        twin = copy.deepcopy(M)
+        assert twin is not M and twin.d0[0][0] is not M.d0[0][0]
+        assert mf_key(twin) == mf_key(M)
+        for i in rep.group.elements():
+            assert rep_apply(rep, i, twin) == rep_apply(rep, i, M) == _slow_obj(rep, i, M)
+
+
+def test_keys_separate_what_builds_differently():
+    other_conductor = RingSpec(("u", "v"), conductor=8)
+    moved = rank_one(Poly.variable(other_conductor, "u"), Poly.variable(other_conductor, "v"))
+    assert moved == BASE and mf_key(moved) != mf_key(BASE)
+    assert mf_key(shift(BASE)) != mf_key(BASE)
+
+
+def test_reps_with_different_actions_share_no_entries():
+    g = cyclic_group(2, graded=True)
+    flip_u = ContraRep(g, ActionSpec(g, CONTRAVARIANT, (
+        RingMap.identity(RING), RingMap((-U, V), False))), W, SHIFTED)
+    flip_v = ContraRep(g, ActionSpec(g, CONTRAVARIANT, (
+        RingMap.identity(RING), RingMap((U, -V), False))), W, SHIFTED)
+    a = rep_apply(flip_u, 1, BASE)
+    b = rep_apply(flip_v, 1, BASE)
+    assert a == _slow_obj(flip_u, 1, BASE)
+    assert b == _slow_obj(flip_v, 1, BASE)
+    assert not a == b
+
+
+def test_cache_is_not_part_of_equality_or_repr():
+    used, fresh = c4_plain_rep(), c4_plain_rep()
+    witness(used)
+    assert used == fresh
+    assert repr(used) == repr(fresh)
+
+
+def test_eta_and_knorrer_maps_match_direct_tensors():
+    for make in REPS:
+        rep = make()
+        s = witness(rep)
+        ext, _ = _extend_rep(rep, "y", "z")
+        for i in rep.group.elements():
+            eta = eta_component(rep, ext, K, i, s.base)
+            assert eta.source == external_tensor(_slow_obj(rep, i, s.base), K)
+            assert eta.target == _slow_obj(ext, i, external_tensor(s.base, K))
+
+        out, _ = orientifold_knorrer(s)
+        ring = RingSpec(("u1", "v1"), conductor=4)
+        K1 = rank_one(Poly.variable(ring, "u1"), Poly.variable(ring, "v1"))
+        assert out.base == external_tensor(s.base, K1)
+        fresh = make()
+        fresh_ext, _ = _extend_rep(fresh, "u1", "v1")
+        for i, u in s.u.items():
+            want = compose(eta_component(fresh, fresh_ext, K1, i, s.base),
+                           external_tensor_mor(u, identity_mor(K1)))
+            assert _same_mor(out.u[i], want)
+
+
+def test_double_knorrer_twists_each_object_about_once(monkeypatch):
+    """Twisting anew at every use takes 432 twists on this witness."""
+    s = witness(c4_plain_rep())
+    calls = []
+
+    def counted(rm, M):
+        calls.append(1)
+        return twist_mf(rm, M)
+
+    monkeypatch.setattr(orientifold, "twist_mf", counted)
+    monkeypatch.setattr(groups, "twist_mf", counted)
+    _, coherent = double_knorrer(s)
+    assert coherent
+    assert len(calls) <= 64, len(calls)
