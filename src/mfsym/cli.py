@@ -130,6 +130,8 @@ class _ExprParser:
             else:
                 if not q.is_constant():
                     raise ScenarioError(f"division by a non-constant in {self.text!r}")
+                if q.is_zero():
+                    raise ScenarioError(f"division by zero in {self.text!r}")
                 p = p * Poly.constant(self.ring, q.constant_coeff().inverse())
         return p
 
@@ -168,6 +170,8 @@ class _ExprParser:
                     raise ScenarioError(f"zeta power must be an integer in {self.text!r}")
                 k = int(kk)
             self.expect(")")
+            if int(m) < 1:
+                raise ScenarioError(f"zeta needs a positive order in {self.text!r}")
             return Poly.constant(self.ring, Scalar.zeta(int(m), k))
         if t in self.ring.variables:
             return Poly.variable(self.ring, t)
@@ -234,6 +238,8 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path}: a scenario must be a JSON object")
     if raw.get("schema") != SCHEMA:
         raise ScenarioError(f"{path}: schema must be {SCHEMA!r}")
     ring_spec = raw.get("ring")
@@ -242,7 +248,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         ring = RingSpec(tuple(ring_spec["variables"]),
                         conductor=int(ring_spec.get("conductor", 4)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}")
     potential = parse_poly(raw.get("potential", "0"), ring)
     group = action = None

@@ -277,14 +277,15 @@ class MF:
 
 def mf_key(M: MF) -> tuple:
     """A hashable key of M's content: the ring and every term of w, d0
-    and d1 as (exponent, conductor, coeffs), in storage order, with an
-    entry's own ring where it differs from M's.  Equal keys mean the two
-    factorizations are identical field by field, so whatever is built
-    from one is exactly what would be built from the other."""
+    and d1 as (exponent, conductor, numerators, denominator), in storage
+    order, with an entry's own ring where it differs from M's.  Equal keys
+    mean the two factorizations are identical field by field, so whatever
+    is built from one is exactly what would be built from the other."""
     ring = M.ring
 
     def poly(p: Poly) -> tuple:
-        terms = tuple((e, c.conductor, c.coeffs) for e, c in p.terms.items())
+        terms = tuple((e, c.conductor, c.numerators, c.denominator)
+                      for e, c in p.terms.items())
         return terms if p.ring == ring else (p.ring, terms)
 
     return (ring, poly(M.w),

@@ -24,6 +24,8 @@ class RingSpec:
     truncation: int = 0
 
     def __post_init__(self):
+        if self.conductor < 1:
+            raise ValueError(f"conductor must be a positive integer, got {self.conductor}")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variable names in {self.variables}")
         if self.weights is not None:

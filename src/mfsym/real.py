@@ -268,9 +268,13 @@ def closed_dimension(space: FixedMorSpace) -> int:
 def _rational_coordinates(tag, image: dict, L: int) -> dict:
     """image's coefficients over the power basis of Q(zeta_L), keyed
     (tag, *key, t)."""
-    return {(tag, *k, t): q
-            for k, v in image.items()
-            for t, q in enumerate(v.promote(L).coeffs) if q}
+    out = {}
+    for k, v in image.items():
+        v = v.promote(L)
+        for t, n in enumerate(v.numerators):
+            if n:
+                out[(tag, *k, t)] = Fraction(n, v.denominator)
+    return out
 
 
 def _field_conductor(*structs) -> int:

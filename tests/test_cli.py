@@ -208,3 +208,29 @@ def test_validate_rejects_duplicate_variables(tmp_path, optimize):
     assert "Traceback" not in run.stderr
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+BAD_SCENARIOS = {
+    "zeta-order-zero": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                        "potential": "zeta(0)*u*v"},
+    "division-by-zero": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                         "potential": "u/0"},
+    "conductor-zero": {"schema": SCHEMA, "ring": {"variables": ["u", "v"], "conductor": 0},
+                       "potential": "u*v"},
+    "conductor-null": {"schema": SCHEMA, "ring": {"variables": ["u", "v"], "conductor": None},
+                       "potential": "u*v"},
+    "top-level-list": [{"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                        "potential": "u*v"}],
+}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@pytest.mark.parametrize("probe", sorted(BAD_SCENARIOS))
+def test_bad_scenario_gives_one_error_line(tmp_path, probe, optimize):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(BAD_SCENARIOS[probe]))
+    run = _cli(["run", str(p)], optimize)
+    assert run.returncode == 2, run.stdout + run.stderr
+    assert "Traceback" not in run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -2,10 +2,11 @@
 
 import pytest
 
+from mfsym import scalars
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec
 from mfsym.mf import (
-    rank_one, mf_new, identity_mor, MFMor, hom_diff, diff_mor,
+    rank_one, mf_new, identity_mor, MFMor, hom_diff, diff_mor, external_tensor,
 )
 from mfsym.cohomology import (
     hom_cohomology, null_homotopy, default_cutoff, knorrer_hom_preservation,
@@ -108,6 +109,32 @@ def test_knorrer_preserves_hom_dims():
                 left, right, same = knorrer_hom_preservation(M, N, K, cutoff)
                 assert same, (n, k, j)
                 assert left.stable and right.stable
+
+
+def test_rational_elimination_makes_no_cyclotomic_reduction(monkeypatch):
+    """Hom from (x, x^2) to (x^2, x), both tensored with (y, z), over
+    conductor-1 rings: every scalar is rational, so no product is reduced
+    modulo a cyclotomic polynomial (the Fraction-coefficient scalars did
+    about 57k such reductions here)."""
+    rx = RingSpec(("x",), conductor=1)
+    x = Poly.variable(rx, "x")
+    ryz = RingSpec(("y", "z"), conductor=1)
+    K = rank_one(Poly.variable(ryz, "y"), Poly.variable(ryz, "z"))
+    M = external_tensor(rank_one(x, x ** 2), K)
+    N = external_tensor(rank_one(x ** 2, x), K)
+    calls = 0
+    reduce = scalars._reduce
+
+    def counting_reduce(raw, m):
+        nonlocal calls
+        calls += 1
+        return reduce(raw, m)
+
+    monkeypatch.setattr(scalars, "_reduce", counting_reduce)
+    rep = hom_cohomology(M, N, default_cutoff(x ** 3))
+    monkeypatch.undo()
+    assert rep.dims == (1, 1) and rep.stable
+    assert calls == 0
 
 
 def test_hom_cohomology_rejects_differing_potentials():

@@ -1,8 +1,15 @@
 """Exact cyclotomic scalar arithmetic."""
 
+import copy
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from mfsym.scalars import Scalar, euler_phi, cyclotomic_poly
@@ -92,3 +99,164 @@ def test_rational_detection():
     assert (z * z).is_rational()
     with pytest.raises(ValueError):
         z.as_fraction()
+
+
+def test_bad_construction_raises_without_asserts():
+    code = ("import sys; sys.path[:0] = sys.argv[1:]\n"
+            "from mfsym.scalars import Scalar\n"
+            "for bad in (lambda: Scalar(4, (1,)), lambda: Scalar.i().promote(6)):\n"
+            "    try:\n"
+            "        bad()\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    sys.exit(1)\n")
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run([sys.executable, "-O", "-c", code, str(src_dir)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_bad_conductors_raise_value_error():
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            Scalar.zeta(m)
+        with pytest.raises(ValueError):
+            Scalar(m, ())
+    with pytest.raises(ValueError):
+        Scalar.one().promote(0)
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle: every conductor drawn below divides N, so each value
+# is a polynomial in zeta_N reduced modulo sympy's N-th cyclotomic polynomial
+
+CONDUCTORS = (1, 2, 3, 4, 5, 8, 12)
+N = 120
+X = sympy.Symbol("x")
+
+
+def _phi(m):
+    return sympy.Poly(sympy.cyclotomic_poly(m, X), X, domain="QQ")
+
+
+PHI_N = _phi(N)
+
+
+def _oracle(coeffs, m, L=N, sign=1):
+    """sum coeffs[k] * zeta_m^(sign*k) as a polynomial in zeta_L, reduced."""
+    step = L // m
+    terms = {}
+    for k, c in enumerate(coeffs):
+        e = (sign * k * step % L,)
+        terms[e] = terms.get(e, 0) + sympy.Rational(c.numerator, c.denominator)
+    return sympy.Poly.from_dict(terms, X, domain="QQ").rem(_phi(L))
+
+
+def _coeffs_of(poly, m):
+    """The power-basis coefficients of a reduced polynomial in zeta_m."""
+    out = [Fraction(0)] * euler_phi(m)
+    for (e,), c in poly.as_dict().items():
+        out[e] = Fraction(int(c.p), int(c.q))
+    return tuple(out)
+
+
+def _value(s):
+    return _oracle(s.coeffs, s.conductor)
+
+
+def _canonical(s, conductor):
+    """s lives at `conductor` and is stored in lowest terms."""
+    num, den = s.numerators, s.denominator
+    assert s.conductor == conductor
+    assert len(num) == euler_phi(conductor)
+    assert all(type(n) is int for n in num) and type(den) is int
+    assert den > 0 and gcd(den, *num) == 1
+    assert s.is_rational() == (not any(num[1:]))
+    assert s.coeffs == tuple(Fraction(n, den) for n in num)
+
+
+def cyclotomic(conductor=None):
+    m = st.sampled_from(CONDUCTORS) if conductor is None else st.just(conductor)
+    return m.flatmap(lambda m: st.lists(rationals, min_size=euler_phi(m),
+                                        max_size=euler_phi(m)).map(lambda c: Scalar(m, c)))
+
+
+multiples = st.sampled_from([(m, L) for L in CONDUCTORS for m in CONDUCTORS if L % m == 0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclotomic(), cyclotomic())
+def test_ring_operations_match_sympy(a, b):
+    L = lcm(a.conductor, b.conductor)
+    va, vb = _value(a), _value(b)
+    for got, want in ((a + b, va + vb), (a - b, va - vb), (a * b, (va * vb).rem(PHI_N))):
+        _canonical(got, L)
+        assert _value(got) == want
+    _canonical(-a, a.conductor)
+    assert _value(-a) == -va
+    assert (a == b) == (va == vb)
+    for s in (a, b):
+        for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert twin == s and hash(twin) == hash(s)
+            assert ((twin.conductor, twin.numerators, twin.denominator)
+                    == (s.conductor, s.numerators, s.denominator))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic())
+def test_inverse_and_conjugate_match_sympy(a):
+    va = _value(a)
+    bar = a.conjugate()
+    _canonical(bar, a.conductor)
+    assert _value(bar) == _oracle(a.coeffs, a.conductor, sign=-1)
+    if va.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    inv = a.inverse()
+    _canonical(inv, a.conductor)
+    assert _value(inv) == va.invert(PHI_N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_promote_matches_sympy_and_keeps_value(data):
+    m, L = data.draw(multiples)
+    a = data.draw(cyclotomic(m))
+    up = a.promote(L)
+    _canonical(up, L)
+    assert up.coeffs == _coeffs_of(_oracle(a.coeffs, m, L), L)
+    assert up == a and a == up and hash(up) == hash(a)
+    if a.is_rational():
+        q = a.as_fraction()
+        assert up == q and hash(up) == hash(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rational_operands_match_sympy(data):
+    """A rational operand given at conductor 1, promoted to the other
+    operand's conductor L, or as a bare Fraction."""
+    q = Scalar.from_rational(data.draw(rationals))
+    b = data.draw(cyclotomic())
+    L = b.conductor
+    vq, vb = _value(q), _value(b)
+    for r in (q, q.promote(L), q.as_fraction()):
+        for got, want in ((r * b, (vq * vb).rem(PHI_N)), (b * r, (vq * vb).rem(PHI_N)),
+                          (r + b, vq + vb), (b - r, vb - vq), (r - b, vq - vb)):
+            _canonical(got, L)
+            assert _value(got) == want
+    p = data.draw(cyclotomic(1)).promote(data.draw(st.sampled_from(CONDUCTORS)))
+    for got, want in ((q.promote(L) * p, (vq * _value(p)).rem(PHI_N)),
+                      (q.promote(L) + p, vq + _value(p))):
+        _canonical(got, lcm(L, p.conductor))
+        assert _value(got) == want
+    qL = q.promote(L)
+    _canonical(qL.conjugate(), L)
+    assert qL.conjugate() == qL
+    if q.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            qL.inverse()
+    else:
+        _canonical(qL.inverse(), L)
+        assert _value(qL.inverse()) == vq.invert(PHI_N)
