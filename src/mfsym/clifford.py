@@ -43,13 +43,6 @@ class QuadForm:
     def value(self, i: int, j: int) -> Scalar:
         return self.bilinear[i][j]
 
-    def apply(self, v: tuple[Scalar, ...]) -> Scalar:
-        out = Scalar.zero()
-        for i, a in enumerate(v):
-            for j, b in enumerate(v):
-                out = out + a * self.value(i, j) * b
-        return out
-
     def validate(self) -> None:
         n = self.dimension
         for i in range(n):
@@ -503,22 +496,6 @@ def real_clifford_fixed(r: int, s: int):
             if not element_eq(prod, want):
                 ok = False
     return target, ok
-
-
-def conjugation_fixes_generators(r: int, s: int) -> bool:
-    """The chosen generators are fixed by coefficient conjugation composed
-    with negation of the last s ambient basis vectors."""
-    n = r + s
-    amb = CliffAlg(QuadForm.diagonal([1] * n))
-    ivec = Scalar.i()
-    for j in range(n):
-        g = amb.generator(j) if j < r else element_scale(ivec, amb.generator(j))
-        conj = {sub: c.conjugate() for sub, c in g.items()}
-        sign = Scalar.one() if j < r else -Scalar.one()
-        fixed = element_scale(sign, conj)
-        if not element_eq(fixed, g):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

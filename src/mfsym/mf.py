@@ -105,111 +105,50 @@ def mat_apply(rm: RingMap, a: Matrix) -> Matrix:
     return tuple(tuple(apply_ring_map(rm, x) for x in r) for r in a)
 
 
-def _scalar_det(rows) -> "Scalar":
-    """Determinant of a list-of-lists Scalar matrix by elimination."""
-    from .scalars import Scalar
-
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = Scalar.one()
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            return Scalar.zero()
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = rows[col][col].inverse()
-        for r in range(col + 1, n):
-            c = rows[r][col] * inv
-            if c.is_zero():
-                continue
-            rows[r] = [x - c * y for x, y in zip(rows[r], rows[col])]
-    return det
-
-
-def mat_det(a: Matrix) -> Poly:
+def _gauss_jordan(a: Matrix) -> tuple:
+    """(det, inverse) of a square matrix with constant entries by one
+    Gauss-Jordan elimination on [A | I]; inverse is None when det is 0."""
     n, m = mat_shape(a)
-    assert n == m
-    if n == 0:
-        raise MFError("determinant of empty matrix")
-    if n == 1:
-        return a[0][0]
-    if all(x.is_constant() for row in a for x in row):
-        ring = a[0][0].ring
-        det = _scalar_det([[x.constant_coeff() for x in row] for row in a])
-        return Poly.constant(ring, det)
-    acc = None
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in a[1:])
-        term = a[0][j] * mat_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    """Inverse of a square polynomial matrix whose determinant is a nonzero
-    scalar (the only case arising from the catalog's structure maps)."""
-    n, m = mat_shape(a)
-    assert n == m
-    if n > 1 and all(x.is_constant() for row in a for x in row):
-        return _scalar_inverse(a)
-    det = mat_det(a)
-    if not det.is_constant():
-        raise MFError("matrix determinant is not a unit scalar")
-    c = det.constant_coeff()
-    if c.is_zero():
-        raise MFError("matrix is singular")
-    cinv = c.inverse()
-    if n == 1:
-        ring = a[0][0].ring
-        return ((Poly.constant(ring, cinv),),)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(a[r][s] for s in range(n) if s != i)
-                for r in range(n) if r != j
-            )
-            cof = mat_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof * cinv)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _scalar_inverse(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse for a square matrix with constant entries."""
-    from .scalars import Scalar
-
-    n = len(a)
-    ring = a[0][0].ring
-    rows = [[x.constant_coeff() for x in row] for row in a]
-    aug = [rows[r] + [Scalar.one() if c == r else Scalar.zero() for c in range(n)]
-           for r in range(n)]
+    if n == 0 or n != m:
+        raise MFError(f"structure map must be a nonempty square matrix, got shape {(n, m)}")
+    if not all(x.is_constant() for row in a for x in row):
+        raise MFError("structure map has non-constant entries")
+    one, zero = Scalar.one(), Scalar.zero()
+    aug = [[x.constant_coeff() for x in row] + [one if c == r else zero for c in range(n)]
+           for r, row in enumerate(a)]
+    det = one
     for col in range(n):
         pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
         if pivot is None:
-            raise MFError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
+            return zero, None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det = det * aug[col][col]
         inv = aug[col][col].inverse()
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
-            if r == col:
-                continue
             c = aug[r][col]
-            if c.is_zero():
-                continue
-            aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return tuple(
-        tuple(Poly.constant(ring, aug[r][n + c]) for c in range(n))
-        for r in range(n)
-    )
+            if r != col and not c.is_zero():
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    ring = a[0][0].ring
+    return det, tuple(tuple(Poly.constant(ring, x) for x in row[n:]) for row in aug)
+
+
+def mat_det(a: Matrix) -> Poly:
+    """Determinant of a square constant matrix, by the one Gauss-Jordan
+    for constant structure maps."""
+    det, _ = _gauss_jordan(a)
+    return Poly.constant(a[0][0].ring, det)
+
+
+def mat_inverse(a: Matrix) -> Matrix:
+    """Inverse of a square constant matrix, by the one Gauss-Jordan for
+    constant structure maps; MFError when it is singular."""
+    _, inverse = _gauss_jordan(a)
+    if inverse is None:
+        raise MFError("matrix is singular")
+    return inverse
 
 
 def mat_kron(a: Matrix, b: Matrix) -> Matrix:
@@ -411,12 +350,6 @@ def scaled_witnesses(base: MF, targets, identity: int, units):
     yield from itertools.product(*options)
 
 
-def zero_mor(M: MF, N: MF, parity: int) -> MFMor:
-    if parity == 0:
-        return MFMor(M, N, 0, mat_zero(M.ring, N.r0, M.r0), mat_zero(M.ring, N.r1, M.r1))
-    return MFMor(M, N, 1, mat_zero(M.ring, N.r1, M.r0), mat_zero(M.ring, N.r0, M.r1))
-
-
 def compose(f: MFMor, g: MFMor) -> MFMor:
     """f after g."""
     parity = (f.parity + g.parity) % 2
@@ -530,18 +463,16 @@ def is_closed(f: MFMor) -> bool:
 
 
 def mor_inverse(f: MFMor) -> MFMor:
-    assert f.parity == 0, "only even morphisms are inverted here"
+    if f.parity != 0:
+        raise MFError("only even morphisms are inverted")
     return MFMor(f.target, f.source, 0, mat_inverse(f.f0), mat_inverse(f.f1))
 
 
 def is_isomorphism(f: MFMor) -> bool:
-    if f.parity != 0:
-        return False
-    try:
-        mor_inverse(f)
-    except MFError:
-        return False
-    return True
+    """f is even with constant square blocks of nonzero determinant; blocks
+    that are not constant or not square raise MFError."""
+    return (f.parity == 0 and not mat_det(f.f0).is_zero()
+            and not mat_det(f.f1).is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -766,10 +697,6 @@ def knorrer_apply(M: MF, K: MF) -> MF:
     if K.ranks != (1, 1):
         raise MFError("Knoerrer kernel must have ranks (1,1)")
     return external_tensor(M, K)
-
-
-def knorrer_apply_mor(f: MFMor, K: MF) -> MFMor:
-    return external_tensor_mor(f, identity_mor(K))
 
 
 def shift_tensor_iso_left(M: MF, N: MF) -> MFMor:

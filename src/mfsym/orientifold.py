@@ -381,19 +381,6 @@ def verify_duality(objects, p_obj, p_mor, theta) -> bool:
     return True
 
 
-def verify_form_functor(objects, t_obj, t_mor, phi, src, tgt) -> bool:
-    """Q(phi_C) ∘ Xi_{T(C)} = phi_{P(C)} ∘ T(Theta_C) for each object; src
-    and tgt are (p_obj, p_mor, theta) triples for the two dualities."""
-    p_obj, _, theta_src = src
-    _, q_mor, theta_tgt = tgt
-    for C in objects:
-        lhs = compose(q_mor(phi(C)), theta_tgt(t_obj(C)))
-        rhs = compose(phi(p_obj(C)), t_mor(theta_src(C)))
-        if not lhs == rhs:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the Knoerrer functor in the contravariant setting
 

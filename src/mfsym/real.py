@@ -15,12 +15,12 @@ from .polys import Poly, RingSpec, RingMap, jacobi_basis, monomial_ratio
 from .mf import (
     MF, MFMor, rank_one, identity_mor, scaled_identity, compose, diff_mor,
     is_closed, is_isomorphism, external_tensor, external_tensor_mor, lift_poly,
-    join_rings, mor_coordinates, mor_from_coordinates, window_monomials,
-    window_operator, window_slots,
+    join_rings, mat_apply, mor_coordinates, mor_from_coordinates,
+    window_monomials, window_operator, window_slots,
 )
 from .groups import (
     ActionSpec, Char1, Cocycle2, GroupSpec, ANTILINEAR, diagonal_action,
-    twist_mf, twist_mor, validate_action,
+    twist_mf, validate_action,
 )
 from .linalg import sparse_nullspace, sparse_rank, sparse_transpose
 
@@ -62,21 +62,29 @@ def verify_real_structure(s: RealStruct) -> RealReport:
         problems.append(f"action fails invariance: {rep.invariance}")
     if not (s.u[g.identity] == identity_mor(s.base)):
         problems.append("u_e is not the identity")
+    targets = [twist_mf(act.map_of(i), s.base) for i in g.elements()]
     for i in g.elements():
         ui = s.u[i]
         if ui.parity != 0:
             problems.append(f"u_{g.labels[i]} is not even")
             continue
-        target = twist_mf(act.map_of(i), s.base)
-        check = MFMor(s.base, target, 0, ui.f0, ui.f1)
+        check = MFMor(s.base, targets[i], 0, ui.f0, ui.f1)
         if not is_closed(check):
             problems.append(f"u_{g.labels[i]} does not commute with the differentials")
         if not is_isomorphism(check):
             problems.append(f"u_{g.labels[i]} is not invertible")
     for i in g.elements():
+        rm = act.map_of(i)
         for j in g.elements():
-            lhs = s.u[g.mul(i, j)]
-            rhs = compose(twist_mor(act.map_of(i), s.u[j]), s.u[i]).scale(s.twist_value(i, j))
+            ij = g.mul(i, j)
+            # (u_j)^{sigma_i}: only its blocks are twisted, since sigma_i
+            # carries base^{sigma_j} to base^{sigma_i sigma_j} under a
+            # homomorphic action
+            uj = s.u[j]
+            twisted = MFMor(targets[i], targets[ij], uj.parity,
+                            mat_apply(rm, uj.f0), mat_apply(rm, uj.f1))
+            lhs = s.u[ij]
+            rhs = compose(twisted, s.u[i]).scale(s.twist_value(i, j))
             if not (lhs == rhs):
                 problems.append(
                     f"cocycle law fails at ({g.labels[i]},{g.labels[j]})"

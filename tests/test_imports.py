@@ -40,7 +40,7 @@ def test_no_unused_module_level_imports():
 
 
 # Asserts left in src/mfsym; python -O strips them, so none may guard input.
-ASSERT_CEILING = 24
+ASSERT_CEILING = 21
 
 
 def test_assert_count_does_not_grow():

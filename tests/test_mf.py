@@ -3,16 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec
 from mfsym.mf import (
-    MF, MFMor, MFError, mf_new, rank_one, identity_mor, zero_mor, compose,
+    MF, MFMor, MFError, mf_new, rank_one, identity_mor, compose,
     diff_mor, hom_diff, is_closed, is_isomorphism, mor_inverse, shift,
     shift_mor, dual, dual_mor, double_dual_iso, grading_iso, external_tensor,
     external_tensor_mor, swap_iso, shift_tensor_iso_left,
     shift_tensor_iso_right, tensor_dual_pairing, knorrer_apply,
-    mat_mul, mat_identity, mat_det, mat_inverse, mat_eq, join_rings, lift_poly,
+    mat_mul, mat_identity, mat_zero, mat_det, mat_inverse, mat_eq, join_rings,
+    lift_poly,
 )
 import mfsym.catalog as catalog
 
@@ -169,3 +171,91 @@ def test_matrix_det_and_inverse_constant():
     assert det == Poly.constant(ring, 2)
     inv = mat_inverse(rows)
     assert mat_eq(mat_mul(rows, inv), mat_identity(ring, 2))
+
+
+def _laplace_det(rows):
+    """Determinant by cofactor expansion along the first row: the oracle
+    for the one Gauss-Jordan elimination."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = Scalar.zero()
+    for j, x in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = x * _laplace_det(minor)
+        acc = acc - term if j % 2 else acc + term
+    return acc
+
+
+@st.composite
+def constant_matrices(draw, min_size=1):
+    """(ring, scalar rows) of a square matrix over Q(zeta_m), m in {1, 3, 4}."""
+    m = draw(st.sampled_from((1, 3, 4)))
+    n = draw(st.integers(min_size, 4))
+    degree = {1: 1, 3: 2, 4: 2}[m]
+    entry = st.lists(st.integers(-3, 3), min_size=degree, max_size=degree).map(
+        lambda cs: sum((Scalar.from_rational(c) * Scalar.zeta(m, k)
+                        for k, c in enumerate(cs)), Scalar.zero()))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return RingSpec(("x",), conductor=m), rows
+
+
+def _as_matrix(ring, rows):
+    return tuple(tuple(Poly.constant(ring, x) for x in row) for row in rows)
+
+
+def _square_mor(ring, f0):
+    """The even endomorphism with blocks f0 and the identity of the
+    rank-(n, n) factorization of 0 with zero differential."""
+    n = len(f0)
+    zero = mat_zero(ring, n, n)
+    M = mf_new(ring, Poly.zero(ring), zero, zero)
+    return MFMor(M, M, 0, f0, mat_identity(ring, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(constant_matrices())
+def test_gauss_jordan_matches_laplace_and_inverts(drawn):
+    ring, rows = drawn
+    a = _as_matrix(ring, rows)
+    det = mat_det(a)
+    assert det == Poly.constant(ring, _laplace_det(rows))
+    assert is_isomorphism(_square_mor(ring, a)) == (not det.is_zero())
+    if det.is_zero():
+        with pytest.raises(MFError):
+            mat_inverse(a)
+        return
+    inv = mat_inverse(a)
+    eye = mat_identity(ring, len(a))
+    assert mat_eq(mat_mul(a, inv), eye) and mat_eq(mat_mul(inv, a), eye)
+
+
+@settings(max_examples=40, deadline=None)
+@given(constant_matrices(min_size=2), st.data())
+def test_gauss_jordan_singular_matrix(drawn, data):
+    ring, rows = drawn
+    n = len(rows)
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    c = data.draw(st.sampled_from((Scalar.one(), -Scalar.zeta(ring.conductor), Scalar.zero())))
+    rows[j] = [c * x for x in rows[i]]
+    a = _as_matrix(ring, rows)
+    assert mat_det(a).is_zero()
+    with pytest.raises(MFError):
+        mat_inverse(a)
+    assert not is_isomorphism(_square_mor(ring, a))
+
+
+def test_gauss_jordan_rejects_polynomial_and_non_square_input():
+    ring = RingSpec(("x",), conductor=4)
+    one, x = Poly.constant(ring, 1), Poly.variable(ring, "x")
+    polynomial = ((one, x), (Poly.zero(ring), one))
+    for bad in (polynomial, ((one, one),), ()):
+        with pytest.raises(MFError):
+            mat_det(bad)
+        with pytest.raises(MFError):
+            mat_inverse(bad)
+    with pytest.raises(MFError):
+        is_isomorphism(_square_mor(ring, polynomial))
+    odd = diff_mor(rank_one(x, x))
+    assert not is_isomorphism(odd)
+    with pytest.raises(MFError):
+        mor_inverse(odd)

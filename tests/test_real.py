@@ -113,3 +113,23 @@ def test_rank_one_condition_rejects_three_variables():
     act = catalog.conjugation_action(RingSpec(("u", "v", "t"), conductor=4))
     with pytest.raises(ValueError):
         rank_one_real_condition(act)
+
+
+def test_verify_twists_the_base_once_per_element(monkeypatch):
+    """Re-twisting both endpoints of u_j for every pair (i, j) takes
+    |G| + 2|G|^2 twists."""
+    import mfsym.groups as groups
+    import mfsym.real as real
+
+    s = dict(catalog.real_catalog())["dihedral-cubic-line"]
+    calls = []
+    twist_mf = groups.twist_mf
+
+    def counted(rm, M):
+        calls.append(1)
+        return twist_mf(rm, M)
+
+    monkeypatch.setattr(real, "twist_mf", counted)
+    monkeypatch.setattr(groups, "twist_mf", counted)
+    assert verify_real_structure(s).ok
+    assert len(calls) == s.group.order
