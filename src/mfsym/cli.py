@@ -179,7 +179,12 @@ class _ExprParser:
 
 
 def parse_poly(text: str, ring: RingSpec) -> Poly:
-    return _ExprParser(str(text), ring).parse()
+    text = str(text)
+    try:
+        return _ExprParser(text, ring).parse()
+    except RecursionError:
+        raise ScenarioError(f"expression of {len(text)} characters nests too deeply "
+                            f"to parse") from None
 
 
 # ---------------------------------------------------------------------------

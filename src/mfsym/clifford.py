@@ -105,9 +105,6 @@ class CliffAlg:
             raise ValueError(f"generator index {j} out of range")
         return {(j,): Scalar.one()}
 
-    def parity(self, subset: tuple[int, ...]) -> int:
-        return len(subset) % 2
-
 
 def _elem_add(acc: dict, subset, c: Scalar) -> None:
     cur = acc.get(subset)
@@ -540,12 +537,15 @@ def graded_tensor(a: CliffAlg, b: CliffAlg):
     ok = True
     two = _to_scalar(2)
     for x in range(n + m):
-        for y in range(n + m):
+        for y in range(x, n + m):
+            # the left side is symmetric in x, y, so it is formed once per
+            # pair and compared with both orders of the form
             prod = element_add(tensor.mul(images[x], images[y]),
                                tensor.mul(images[y], images[x]))
-            c = two * total.quad.value(x, y)
-            if prod != ({((), ()): c} if not c.is_zero() else {}):
-                ok = False
+            for p, q in {(x, y), (y, x)}:
+                c = two * total.quad.value(p, q)
+                if prod != ({((), ()): c} if not c.is_zero() else {}):
+                    ok = False
     # basis check: images of sorted monomials are single pair-basis terms
     seen = set()
     for subset in total.basis():

@@ -16,11 +16,14 @@ from itertools import product as iproduct
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap, apply_ring_map
-from .mf import MF, MFMor, mat_apply
+from .mf import MF, MFMor, join_rings, lift_poly, mat_apply
 
 
 ANTILINEAR = "antilinear"
 CONTRAVARIANT = "contravariant"
+
+# Variable stems of the rank-one kernel u*v added by a Knoerrer step.
+KERNEL_STEMS = ("u", "v")
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,8 @@ def cyclic_group(n: int, graded: bool = False) -> GroupSpec:
     labels = tuple(f"g{k}" for k in range(n))
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     if graded:
-        assert n % 2 == 0, "graded cyclic group needs even order"
+        if n % 2:
+            raise ValueError(f"graded cyclic group needs even order, got {n}")
         grading = tuple(-1 if k % 2 else 1 for k in range(n))
     else:
         grading = (1,) * n
@@ -134,8 +138,12 @@ class ActionSpec:
     maps: tuple[RingMap, ...]  # one generalized automorphism per element
 
     def __post_init__(self):
-        assert self.setting in (ANTILINEAR, CONTRAVARIANT)
-        assert len(self.maps) == self.group.order
+        if self.setting not in (ANTILINEAR, CONTRAVARIANT):
+            raise ValueError(f"setting must be {ANTILINEAR!r} or {CONTRAVARIANT!r}, "
+                             f"got {self.setting!r}")
+        if len(self.maps) != self.group.order:
+            raise ValueError(f"an action needs one map per group element: "
+                             f"{len(self.maps)} maps for order {self.group.order}")
 
     def map_of(self, i: int) -> RingMap:
         return self.maps[i]
@@ -183,6 +191,31 @@ def diagonal_action(group: GroupSpec, ring: RingSpec, setting: str,
         anti = (setting == ANTILINEAR and group.grading[i] == -1)
         maps.append(RingMap(images, anti))
     return ActionSpec(group, setting, tuple(maps))
+
+
+def join_actions(a: ActionSpec, b: ActionSpec) -> ActionSpec:
+    """Combine actions of the same group and setting on disjoint variable
+    sets: each element acts on the joined ring by both of its maps."""
+    if a.group != b.group or a.setting != b.setting:
+        raise ValueError("joined actions need the same group and setting")
+    ring = join_rings(a.ring, b.ring)
+    maps = []
+    for i, ma, mb in zip(a.group.elements(), a.maps, b.maps):
+        if ma.antilinear != mb.antilinear:
+            raise ValueError(f"joined actions disagree on antilinearity at {a.group.labels[i]}")
+        maps.append(RingMap(tuple(lift_poly(p, ring) for p in ma.images + mb.images),
+                            ma.antilinear))
+    return ActionSpec(a.group, a.setting, tuple(maps))
+
+
+def fresh_variable_pair(taken) -> tuple[str, str]:
+    """KERNEL_STEMS, or the first of (u1, v1), (u2, v2), ... with neither
+    name in taken."""
+    names, k = KERNEL_STEMS, 0
+    while names[0] in taken or names[1] in taken:
+        k += 1
+        names = tuple(f"{stem}{k}" for stem in KERNEL_STEMS)
+    return names
 
 
 @dataclass

@@ -151,21 +151,6 @@ def mat_inverse(a: Matrix) -> Matrix:
     return inverse
 
 
-def mat_kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product with the first factor's index major."""
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    out = []
-    for i in range(ra):
-        for k in range(rb):
-            row = []
-            for j in range(ca):
-                for l in range(cb):
-                    row.append(a[i][j] * b[k][l])
-            out.append(tuple(row))
-    return tuple(out)
-
-
 def mat_block(blocks) -> Matrix:
     """Assemble a 2x2 (or general) grid of matrices."""
     out = []
@@ -302,10 +287,6 @@ class MFMor:
         assert self.parity == other.parity
         return MFMor(self.source, self.target, self.parity,
                      mat_sub(self.f0, other.f0), mat_sub(self.f1, other.f1))
-
-    def __neg__(self) -> "MFMor":
-        return MFMor(self.source, self.target, self.parity,
-                     mat_neg(self.f0), mat_neg(self.f1))
 
     def scale(self, c) -> "MFMor":
         return MFMor(self.source, self.target, self.parity,
@@ -537,22 +518,62 @@ def tensor_basis(M: MF, N: MF):
     return even, odd
 
 
+def _tensor_blocks(ring: RingSpec, terms, parity: int, tgt_bases, place=None) -> tuple:
+    """The blocks, out of source parts 0 and 1, of the map of the given
+    parity into the tensor product with ordered bases tgt_bases that is the
+    sum of f x g over the pairs (f, g) in terms, all from one source:
+
+        (f x g)(m x n) = (-1)^{|g||m|} f(m) x g(n),
+
+    the one place this Koszul sign is applied.  The image f(m) x g(n) is
+    filled in at the target basis element m' x n' of each of its terms, or
+    at place(m' x n') = (element, negate) when place is given."""
+    f, g = terms[0]
+    src_bases = tensor_basis(f.source, g.source)
+    index = [{t: k for k, t in enumerate(b)} for b in tgt_bases]
+
+    def columns(h: MFMor) -> list:
+        """Per source part: column -> [(target part, row, lifted entry)]."""
+        out = []
+        for p in (0, 1):
+            cols: dict = {}
+            for r, row in enumerate(h.block(p)):
+                for c, x in enumerate(row):
+                    if x.terms:
+                        cols.setdefault(c, []).append(((p + h.parity) % 2, r, lift_poly(x, ring)))
+            out.append(cols)
+        return out
+
+    lifted = [(columns(f), columns(g), g.parity) for f, g in terms]
+    zero = Poly.zero(ring)
+    blocks = []
+    for p in (0, 1):
+        rows = index[(p + parity) % 2]
+        entries = [[zero] * len(src_bases[p]) for _ in rows]
+        for col, (pM, iM, pN, iN) in enumerate(src_bases[p]):
+            for fcols, gcols, g_parity in lifted:
+                koszul = bool(g_parity and pM)
+                for qM, rM, fv in fcols[pM].get(iM, ()):
+                    for qN, rN, gv in gcols[pN].get(iN, ()):
+                        elem, negate = (qM, rM, qN, rN), koszul
+                        if place is not None:
+                            elem, sign = place(elem)
+                            negate = negate != sign
+                        val = fv * gv
+                        if negate:
+                            val = -val
+                        row = rows[elem]
+                        acc = entries[row][col]
+                        entries[row][col] = acc + val if acc.terms else val
+        blocks.append(tuple(tuple(r) for r in entries))
+    return tuple(blocks)
+
+
 def external_tensor(M: MF, N: MF) -> MF:
+    """M x N with d = d_M x 1 + 1 x d_N."""
     ring = join_rings(M.ring, N.ring)
-    dM0, dM1 = lift_mat(M.d0, ring), lift_mat(M.d1, ring)
-    dN0, dN1 = lift_mat(N.d0, ring), lift_mat(N.d1, ring)
-    i_m0 = mat_identity(ring, M.r0)
-    i_m1 = mat_identity(ring, M.r1)
-    i_n0 = mat_identity(ring, N.r0)
-    i_n1 = mat_identity(ring, N.r1)
-    d0 = mat_block([
-        [mat_kron(dM0, i_n0), mat_neg(mat_kron(i_m1, dN1))],
-        [mat_kron(i_m0, dN0), mat_kron(dM1, i_n1)],
-    ])
-    d1 = mat_block([
-        [mat_kron(dM1, i_n0), mat_kron(i_m0, dN1)],
-        [mat_neg(mat_kron(i_m1, dN0)), mat_kron(dM0, i_n1)],
-    ])
+    d0, d1 = _tensor_blocks(ring, [(diff_mor(M), identity_mor(N)),
+                                   (identity_mor(M), diff_mor(N))], 1, tensor_basis(M, N))
     w = lift_poly(M.w, ring) + lift_poly(N.w, ring)
     return mf_new(ring, w, d0, d1)
 
@@ -567,62 +588,21 @@ def external_tensor_mor(f: MFMor, g: MFMor) -> MFMor:
 def tensor_mor_blocks(f: MFMor, g: MFMor) -> tuple:
     """The blocks (f0, f1) of external_tensor_mor(f, g)."""
     ring = join_rings(f.source.ring, g.source.ring)
-    parity = (f.parity + g.parity) % 2
-    src_bases = tensor_basis(f.source, g.source)
-    tgt_bases = tensor_basis(f.target, g.target)
-    tgt_index = [
-        {t: k for k, t in enumerate(tgt_bases[0])},
-        {t: k for k, t in enumerate(tgt_bases[1])},
-    ]
-    blocks = []
-    for psrc in (0, 1):
-        src_list = src_bases[psrc]
-        ptgt = (psrc + parity) % 2
-        rows = len(tgt_bases[ptgt])
-        cols = len(src_list)
-        entries = [[Poly.zero(ring) for _ in range(cols)] for _ in range(rows)]
-        for col, (pM, iM, pN, iN) in enumerate(src_list):
-            fb = lift_mat(f.block(pM), ring)
-            gb = lift_mat(g.block(pN), ring)
-            sign = -1 if (g.parity and pM % 2) else 1
-            pM2 = (pM + f.parity) % 2
-            pN2 = (pN + g.parity) % 2
-            for rM in range(len(fb)):
-                fv = fb[rM][iM]
-                if fv.is_zero():
-                    continue
-                for rN in range(len(gb)):
-                    gv = gb[rN][iN]
-                    if gv.is_zero():
-                        continue
-                    row = tgt_index[ptgt][(pM2, rM, pN2, rN)]
-                    val = fv * gv
-                    if sign < 0:
-                        val = -val
-                    entries[row][col] = entries[row][col] + val
-        blocks.append(tuple(tuple(r) for r in entries))
-    return tuple(blocks)
+    return _tensor_blocks(ring, [(f, g)], (f.parity + g.parity) % 2,
+                          tensor_basis(f.target, g.target))
 
 
-def _basis_permutation_mor(src: MF, tgt: MF, src_bases, tgt_bases, mapping) -> MFMor:
-    """Degree-0 morphism sending each source basis element to a signed target
-    basis element; mapping: (pM,iM,pN,iN) -> ((..target tuple..), sign)."""
-    ring = src.ring
-    tgt_index = [
-        {t: k for k, t in enumerate(tgt_bases[0])},
-        {t: k for k, t in enumerate(tgt_bases[1])},
-    ]
-    blocks = []
-    for p in (0, 1):
-        src_list = src_bases[p]
-        rows = len(tgt_bases[p])
-        entries = [[Poly.zero(ring) for _ in range(len(src_list))] for _ in range(rows)]
-        for col, elem in enumerate(src_list):
-            timage, sign = mapping(elem)
-            row = tgt_index[p][timage]
-            entries[row][col] = Poly.constant(ring, sign)
-        blocks.append(tuple(tuple(r) for r in entries))
-    return MFMor(src, tgt, 0, blocks[0], blocks[1])
+def _basis_permutation_mor(src: MF, tgt: MF, f: MFMor, g: MFMor, tgt_bases,
+                           place=None) -> MFMor:
+    """The degree-0 morphism src -> tgt with the blocks of f x g, where f and
+    g are identities or odd shift identities and place relabels."""
+    return MFMor(src, tgt, 0, *_tensor_blocks(src.ring, [(f, g)], 0, tgt_bases, place))
+
+
+def _shift_identity(M: MF) -> MFMor:
+    """The odd map Sigma M -> M that is the identity on the underlying
+    module: part p of Sigma M is part 1-p of M."""
+    return MFMor(shift(M), M, 1, mat_identity(M.ring, M.r1), mat_identity(M.ring, M.r0))
 
 
 def transport_mf(M: MF, ring: RingSpec) -> MF:
@@ -636,15 +616,13 @@ def swap_iso(M: MF, N: MF) -> MFMor:
     src = external_tensor(M, N)
     nm = external_tensor(N, M)
     tgt = transport_mf(nm, src.ring)
-    src_bases = tensor_basis(M, N)
-    tgt_bases = tensor_basis(N, M)
 
-    def mapping(elem):
+    def place(elem):
         pM, iM, pN, iN = elem
-        sign = -1 if (pM and pN) else 1
-        return (pN, iN, pM, iM), sign
+        return (pN, iN, pM, iM), bool(pM and pN)
 
-    return _basis_permutation_mor(src, tgt, src_bases, tgt_bases, mapping)
+    return _basis_permutation_mor(src, tgt, identity_mor(M), identity_mor(N),
+                                  tensor_basis(N, M), place)
 
 
 # ---------------------------------------------------------------------------
@@ -683,14 +661,14 @@ def tensor_dual_pairing(M: MF, N: MF) -> MFMor:
     Nd, Md = dual(N), dual(M)
     src_raw = external_tensor(Nd, Md)
     src = transport_mf(src_raw, mxn.ring)
-    src_bases = tensor_basis(Nd, Md)
-    tgt_bases = tensor_basis(M, N)  # dual parts share the primal basis labels
 
-    def mapping(elem):
+    def place(elem):
         pN, iN, pM, iM = elem
-        return (pM, iM, pN, iN), 1
+        return (pM, iM, pN, iN), False
 
-    return _basis_permutation_mor(src, tgt, src_bases, tgt_bases, mapping)
+    # the parts of a dual share the labels of the primal basis
+    return _basis_permutation_mor(src, tgt, identity_mor(Nd), identity_mor(Md),
+                                  tensor_basis(M, N), place)
 
 
 def knorrer_apply(M: MF, K: MF) -> MF:
@@ -703,16 +681,9 @@ def shift_tensor_iso_left(M: MF, N: MF) -> MFMor:
     """Canonical closed iso (Sigma M) x N -> Sigma(M x N)."""
     src = external_tensor(shift(M), N)
     tgt = shift(external_tensor(M, N))
-    src_bases = tensor_basis(shift(M), N)
     mn_bases = tensor_basis(M, N)
-    tgt_bases = (mn_bases[1], mn_bases[0])
-
-    def mapping(elem):
-        pSM, iM, pN, iN = elem
-        # part p of Sigma M is part 1-p of M
-        return ((1 - pSM) % 2, iM, pN, iN), 1
-
-    return _basis_permutation_mor(src, tgt, src_bases, tgt_bases, mapping)
+    return _basis_permutation_mor(src, tgt, _shift_identity(M), identity_mor(N),
+                                  (mn_bases[1], mn_bases[0]))
 
 
 def shift_tensor_iso_right(M: MF, N: MF) -> MFMor:
@@ -720,13 +691,6 @@ def shift_tensor_iso_right(M: MF, N: MF) -> MFMor:
     (-1)^{|m|} on the m x n basis element."""
     src = external_tensor(M, shift(N))
     tgt = shift(external_tensor(M, N))
-    src_bases = tensor_basis(M, shift(N))
     mn_bases = tensor_basis(M, N)
-    tgt_bases = (mn_bases[1], mn_bases[0])
-
-    def mapping(elem):
-        pM, iM, pSN, iN = elem
-        sign = -1 if pM else 1
-        return (pM, iM, (1 - pSN) % 2, iN), sign
-
-    return _basis_permutation_mor(src, tgt, src_bases, tgt_bases, mapping)
+    return _basis_permutation_mor(src, tgt, identity_mor(M), _shift_identity(N),
+                                  (mn_bases[1], mn_bases[0]))

@@ -22,11 +22,11 @@ from .mf import (
     MF, MFMor, mat_identity, mat_neg, mat_zero, mat_block, compose,
     identity_mor, scaled_identity, mor_inverse, is_closed, is_isomorphism,
     shift, shift_mor, dual, dual_mor, external_tensor, tensor_mor_blocks,
-    rank_one, join_rings, lift_poly, scaled_witnesses, mat_apply, mf_key,
+    rank_one, lift_poly, scaled_witnesses, mat_apply, mf_key,
 )
 from .groups import (
-    GroupSpec, ActionSpec, Cocycle2, CONTRAVARIANT,
-    validate_action, universal_sign_cocycle, twist_mf,
+    GroupSpec, ActionSpec, Cocycle2, CONTRAVARIANT, diagonal_action,
+    fresh_variable_pair, join_actions, universal_sign_cocycle, twist_mf,
 )
 
 PLAIN = "plain"
@@ -61,9 +61,6 @@ class ContraRep:
         if self.twist is None:
             return Scalar.one()
         return self.twist.value(i, j)
-
-    def validate(self):
-        return validate_action(self.action, self.w)
 
 
 def _cached(rep: ContraRep, key: tuple, build):
@@ -410,25 +407,18 @@ def _toggle(variant: str) -> str:
     return SHIFTED if variant == PLAIN else PLAIN
 
 
-def _extend_rep(rep: ContraRep, uname: str, vname: str) -> tuple[ContraRep, RingSpec]:
-    """Extend the action to two fresh variables by sigma(u) = pi(sigma) u,
-    sigma(v) = v; toggle the variant and twist by the universal sign."""
-    ring = rep.action.ring
-    fresh = RingSpec((uname, vname), conductor=ring.conductor)
-    ext = join_rings(ring, fresh)
-    up = Poly.variable(ext, uname)
-    vp = Poly.variable(ext, vname)
-    maps = []
-    for i in rep.group.elements():
-        rm = rep.action.map_of(i)
-        images = tuple(lift_poly(p, ext) for p in rm.images)
-        uimg = up if rep.group.grading[i] == 1 else -up
-        maps.append(RingMap(images + (uimg, vp), False))
-    action = ActionSpec(rep.group, CONTRAVARIANT, tuple(maps))
-    cheat = universal_sign_cocycle(rep.group, CONTRAVARIANT)
+def _extend_rep(rep: ContraRep, K: MF) -> ContraRep:
+    """Extend the action to the two variables u, v of K = u*v by
+    sigma(u) = pi(sigma) u, sigma(v) = v; toggle the variant and twist by
+    the universal sign."""
+    g = rep.group
+    kernel = diagonal_action(g, K.ring, CONTRAVARIANT, {
+        i: (Scalar.from_rational(g.grading[i]), Scalar.one()) for i in g.elements()})
+    action = join_actions(rep.action, kernel)
+    cheat = universal_sign_cocycle(g, CONTRAVARIANT)
     twist = cheat if rep.twist is None else rep.twist.multiply(cheat)
-    new_w = lift_poly(rep.w, ext) + up * vp
-    return ContraRep(rep.group, action, new_w, _toggle(rep.variant), twist), ext
+    new_w = lift_poly(rep.w, action.ring) + lift_poly(K.w, action.ring)
+    return ContraRep(g, action, new_w, _toggle(rep.variant), twist)
 
 
 def eta_component(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, i: int, M: MF) -> MFMor:
@@ -474,22 +464,15 @@ def eta_coherence_check(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, M: MF) ->
     return True
 
 
-def _fresh_pair(taken, k: int) -> tuple[str, str]:
-    n = k
-    while f"u{n}" in taken or f"v{n}" in taken:
-        n += 1
-    return f"u{n}", f"v{n}"
-
-
 def orientifold_knorrer(s: ContraRealStruct):
     """Tensors a fixed point structure with the rank-one factorization of
     u*v on fresh variables; returns the structure for the toggled-variant,
     sign-twisted action together with the eta coherence verdict."""
     rep = s.rep
-    uname, vname = _fresh_pair(set(rep.action.ring.variables), 1)
-    new_rep, ext = _extend_rep(rep, uname, vname)
-    fresh = RingSpec((uname, vname), conductor=rep.action.ring.conductor)
-    K = rank_one(Poly.variable(fresh, uname), Poly.variable(fresh, vname))
+    fresh = RingSpec(fresh_variable_pair(set(rep.action.ring.variables)),
+                     conductor=rep.action.ring.conductor)
+    K = rank_one(*(Poly.variable(fresh, name) for name in fresh.variables))
+    new_rep = _extend_rep(rep, K)
     new_base = _tensor(rep, s.base, K)
     u = {}
     for i in s.u.keys():

@@ -11,16 +11,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Scalar, euler_phi
-from .polys import Poly, RingSpec, RingMap, jacobi_basis, monomial_ratio
+from .polys import Poly, RingSpec, jacobi_basis, monomial_ratio
 from .mf import (
     MF, MFMor, rank_one, identity_mor, scaled_identity, compose, diff_mor,
-    is_closed, is_isomorphism, external_tensor, external_tensor_mor, lift_poly,
-    join_rings, mat_apply, mor_coordinates, mor_from_coordinates,
-    window_monomials, window_operator, window_slots,
+    is_closed, is_isomorphism, external_tensor, tensor_mor_blocks, mat_apply,
+    mor_coordinates, mor_from_coordinates, window_monomials, window_operator,
+    window_slots,
 )
 from .groups import (
     ActionSpec, Char1, Cocycle2, GroupSpec, ANTILINEAR, diagonal_action,
-    twist_mf, validate_action,
+    fresh_variable_pair, join_actions, twist_mf, validate_action,
 )
 from .linalg import sparse_nullspace, sparse_rank, sparse_transpose
 
@@ -123,30 +123,15 @@ def rank_one_real_condition(act: ActionSpec):
     return chi, struct
 
 
-def join_actions(a: ActionSpec, b: ActionSpec) -> ActionSpec:
-    """Combine actions of the same group on disjoint variable sets."""
-    assert a.group == b.group and a.setting == b.setting
-    ring = join_rings(a.ring, b.ring)
-    maps = []
-    for i in a.group.elements():
-        ma, mb = a.map_of(i), b.map_of(i)
-        assert ma.antilinear == mb.antilinear
-        images = tuple(lift_poly(p, ring) for p in ma.images) + tuple(
-            lift_poly(p, ring) for p in mb.images
-        )
-        maps.append(RingMap(images, ma.antilinear))
-    return ActionSpec(a.group, a.setting, tuple(maps))
-
-
 def tensor_real_structure(sM: RealStruct, sN: RealStruct) -> RealStruct:
     """The induced structure on the external tensor, components u x u'."""
     act = join_actions(sM.action, sN.action)
     base = external_tensor(sM.base, sN.base)
     comps = []
     for i in act.group.elements():
-        t = external_tensor_mor(sM.u[i], sN.u[i])
         # the tensor of the twists equals the twist of the tensor on the nose
-        comps.append(MFMor(base, twist_mf(act.map_of(i), base), 0, t.f0, t.f1))
+        comps.append(MFMor(base, twist_mf(act.map_of(i), base), 0,
+                           *tensor_mor_blocks(sM.u[i], sN.u[i])))
     twist = None
     if sM.twist is not None or sN.twist is not None:
         ta = sM.twist or Cocycle2.trivial(act.group, ANTILINEAR)
@@ -155,17 +140,6 @@ def tensor_real_structure(sM: RealStruct, sN: RealStruct) -> RealStruct:
         if twist.is_trivial():
             twist = None
     return RealStruct(base, act, tuple(comps), twist)
-
-
-def fresh_variable_pair(taken, stems=("y", "z")) -> tuple[str, str]:
-    if stems[0] not in taken and stems[1] not in taken:
-        return stems
-    k = 1
-    while True:
-        cand = (f"{stems[0]}{k}", f"{stems[1]}{k}")
-        if cand[0] not in taken and cand[1] not in taken:
-            return cand
-        k += 1
 
 
 def knorrer_action(group: GroupSpec, ring: RingSpec, chi: Char1 | None,
@@ -186,7 +160,7 @@ def real_knorrer(sM: RealStruct, chi: Char1 | None = None) -> RealStruct:
     action extended so odd elements negate (and chi scales) the first new
     variable; returns the induced verified structure."""
     g = sM.group
-    names = fresh_variable_pair(set(sM.base.ring.variables), ("u", "v"))
+    names = fresh_variable_pair(set(sM.base.ring.variables))
     kring = RingSpec(names, sM.base.ring.conductor)
     kact = knorrer_action(g, kring, chi)
     found = rank_one_real_condition(kact)
@@ -210,10 +184,6 @@ class FixedMorSpace:
     parity: int
     cutoff: int
     basis: list  # of MFMor
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
 
 def default_chain_cutoff(w: Poly) -> int:

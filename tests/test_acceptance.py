@@ -227,7 +227,7 @@ def test_criterion_06_orientifold_eta_and_double_knorrer():
         found = rank_one_contra_condition(rep)
         assert found is not None
         s = found[1]
-        ext, _ = _extend_rep(rep, "y", "z")
+        ext = _extend_rep(rep, K)
         sigma = rep.group.odd_elements()[0]
         eta = eta_component(rep, ext, K, sigma, s.base)
         r = eta.source.ring

@@ -221,6 +221,8 @@ BAD_SCENARIOS = {
                        "potential": "u*v"},
     "top-level-list": [{"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
                         "potential": "u*v"}],
+    "deep-parentheses": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                         "potential": "(" * 3000 + "u*v" + ")" * 3000},
 }
 
 

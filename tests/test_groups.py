@@ -1,5 +1,9 @@
 """Graded groups, actions, characters, and cocycles."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mfsym.scalars import Scalar
@@ -7,7 +11,8 @@ from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.groups import (
     cyclic_group, dihedral_group, product_group, ActionSpec, validate_action,
     Char1, Cocycle2, cocycle_check, universal_sign_cocycle,
-    ANTILINEAR, CONTRAVARIANT, twist_mf, twist_mor,
+    ANTILINEAR, CONTRAVARIANT, twist_mf, twist_mor, diagonal_action,
+    fresh_variable_pair, join_actions,
 )
 from mfsym.mf import rank_one, identity_mor
 import mfsym.catalog as catalog
@@ -106,3 +111,61 @@ def test_twist_mf_and_mor():
     assert T.w == u * v
     f = twist_mor(rm, identity_mor(M))
     assert f.f0[0][0] == Poly.constant(ring, 1)
+
+
+def test_join_actions_acts_by_both_maps():
+    g = cyclic_group(2, graded=True)
+    uv, yz = RingSpec(("u", "v"), conductor=4), RingSpec(("y", "z"), conductor=4)
+    one, minus = Scalar.one(), -Scalar.one()
+    a = diagonal_action(g, uv, CONTRAVARIANT, {0: (one, one), 1: (minus, one)})
+    b = diagonal_action(g, yz, CONTRAVARIANT, {0: (one, one), 1: (one, minus)})
+    joined = join_actions(a, b)
+    ring = joined.ring
+    assert ring.variables == ("u", "v", "y", "z")
+    u, v, y, z = (Poly.variable(ring, name) for name in ring.variables)
+    assert joined.map_of(1).images == (-u, v, y, -z)
+    assert validate_action(joined, u * v - y * z).ok
+
+
+def test_fresh_variable_pair():
+    assert fresh_variable_pair({"x"}) == ("u", "v")
+    assert fresh_variable_pair({"u", "v"}) == ("u1", "v1")
+    assert fresh_variable_pair({"v"}) == ("u1", "v1")
+    assert fresh_variable_pair({"u", "v", "u1", "v1"}) == ("u2", "v2")
+
+
+_BAD_INPUT = """
+import sys
+sys.path[:0] = sys.argv[1:]
+from mfsym.polys import RingSpec, RingMap
+from mfsym.groups import ActionSpec, cyclic_group, join_actions, ANTILINEAR, CONTRAVARIANT
+g = cyclic_group(2, graded=True)
+uv, yz = RingSpec(("u", "v")), RingSpec(("y", "z"))
+ident = RingMap.identity(uv)
+linear = ActionSpec(g, CONTRAVARIANT, (RingMap.identity(yz),) * 2)
+flagged = ActionSpec(g, CONTRAVARIANT, (ident, RingMap(ident.images, True)))
+bad = {
+    "setting": lambda: ActionSpec(g, "covariant", (ident, ident)),
+    "map count": lambda: ActionSpec(g, ANTILINEAR, (ident,)),
+    "odd graded cyclic": lambda: cyclic_group(3, graded=True),
+    "join groups": lambda: join_actions(
+        ActionSpec(cyclic_group(4), CONTRAVARIANT, (ident,) * 4), linear),
+    "join settings": lambda: join_actions(ActionSpec(g, ANTILINEAR, (ident, ident)), linear),
+    "join flags": lambda: join_actions(flagged, linear),
+}
+for name, build in bad.items():
+    try:
+        build()
+    except ValueError:
+        continue
+    sys.exit(f"no ValueError for {name}")
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_bad_input_raises_value_error_without_asserts(optimize):
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    flags = ["-O"] if optimize else []
+    run = subprocess.run([sys.executable, *flags, "-c", _BAD_INPUT, str(src_dir)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

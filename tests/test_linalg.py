@@ -1,0 +1,94 @@
+"""The one sparse elimination against sympy over Q, and by substitution
+over Q(zeta_m): rank, kernel and solvability on drawn matrices whose
+kernels are not spanned by unit vectors."""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from mfsym.scalars import Scalar
+from mfsym.linalg import sparse_nullspace, sparse_rank, sparse_solve
+
+
+@st.composite
+def sparse_rows(draw, entry, zero):
+    """(width, rows) of a sparse matrix with up to 6 columns and 5 rows,
+    plus a dense right-hand side column."""
+    width = draw(st.integers(1, 6))
+    nrows = draw(st.integers(0, 5))
+    dense = [[draw(entry) for _ in range(width + 1)] for _ in range(nrows)]
+    rows = [{j: x for j, x in enumerate(row) if not x == zero} for row in dense]
+    return width, rows
+
+
+fractions = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+def _sympy(width, rows, cols):
+    return sympy.Matrix(len(rows), cols,
+                        lambda r, c: sympy.Rational(rows[r].get(c, 0)) if rows else 0)
+
+
+def _without(rows, col):
+    return [{k: v for k, v in row.items() if k != col} for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rows(fractions, Fraction(0)))
+def test_fraction_elimination_matches_sympy(drawn):
+    width, rows = drawn
+    a = _sympy(width, rows, width)
+    coeffs = _without(rows, width)
+    assert sparse_rank(coeffs) == a.rank()
+    kernel = sparse_nullspace(coeffs, width, Fraction(0), Fraction(1))
+    assert [[sympy.Rational(x) for x in v] for v in kernel] == \
+        [list(v) for v in a.nullspace()]
+    # row . (x, 1) = 0, so the system is a x = -b
+    solution = sparse_solve(rows, width, width, Fraction(0))
+    augmented = _sympy(width, rows, width + 1)
+    assert (solution is not None) == (augmented.rank() == a.rank())
+    if solution is not None:
+        x = sympy.Matrix([sympy.Rational(v) for v in solution] + [1])
+        assert augmented * x == sympy.zeros(len(rows), 1)
+
+
+def _scalars(m):
+    degree = {1: 1, 3: 2, 4: 2}[m]
+    return st.lists(st.integers(-2, 2), min_size=degree, max_size=degree).map(
+        lambda cs: sum((Scalar.from_rational(c) * Scalar.zeta(m, k)
+                        for k, c in enumerate(cs)), Scalar.zero()))
+
+
+def _apply(row, vec):
+    return sum((c * vec[j] for j, c in row.items()), Scalar.zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((1, 3, 4)).flatmap(
+    lambda m: st.tuples(sparse_rows(_scalars(m), Scalar.zero()),
+                        st.lists(_scalars(m), min_size=6, max_size=6))))
+def test_scalar_elimination_by_substitution(drawn):
+    (width, rows), x0 = drawn
+    zero, one = Scalar.zero(), Scalar.one()
+    coeffs = _without(rows, width)
+    kernel = sparse_nullspace(coeffs, width, zero, one)
+    assert sparse_rank(coeffs) + len(kernel) == width
+    for vec in kernel:
+        assert all(_apply(row, vec).is_zero() for row in coeffs)
+    # a right-hand side with the known solution x0 is solvable, and the
+    # solution found satisfies every row
+    consistent = []
+    for row in coeffs:
+        b = -_apply(row, x0)
+        consistent.append(row if b.is_zero() else {**row, width: b})
+    solution = sparse_solve(consistent, width, width, zero)
+    assert solution is not None
+    for row in consistent:
+        assert _apply(row, solution + [one]).is_zero()
+    # the drawn right-hand side is solvable exactly when it adds no rank
+    solution = sparse_solve(rows, width, width, zero)
+    assert (solution is not None) == (sparse_rank(rows) == sparse_rank(coeffs))
+    if solution is not None:
+        assert all(_apply(row, solution + [one]).is_zero() for row in rows)

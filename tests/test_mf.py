@@ -1,5 +1,6 @@
 """Matrix factorizations, sign conventions, and structural isomorphisms."""
 
+import itertools
 import random
 
 import pytest
@@ -13,8 +14,8 @@ from mfsym.mf import (
     shift_mor, dual, dual_mor, double_dual_iso, grading_iso, external_tensor,
     external_tensor_mor, swap_iso, shift_tensor_iso_left,
     shift_tensor_iso_right, tensor_dual_pairing, knorrer_apply,
-    mat_mul, mat_identity, mat_zero, mat_det, mat_inverse, mat_eq, join_rings,
-    lift_poly,
+    mat_mul, mat_identity, mat_zero, mat_det, mat_inverse, mat_eq, mat_neg,
+    mat_block, join_rings, lift_poly, lift_mat,
 )
 import mfsym.catalog as catalog
 
@@ -128,16 +129,76 @@ def test_external_tensor_potentials_add():
     assert T.ranks == (2, 2)
 
 
+def _renamed(M, suffix):
+    """M over a copy of its ring whose variable names carry the suffix."""
+    ring = RingSpec(tuple(v + suffix for v in M.ring.variables), M.ring.conductor,
+                    M.ring.weights, M.ring.truncation)
+
+    def move(a):
+        return tuple(tuple(Poly(ring, dict(p.terms)) for p in row) for row in a)
+
+    return MF(ring, Poly(ring, dict(M.w.terms)), move(M.d0), move(M.d1))
+
+
+def _catalog_pairs(max_rank):
+    """(M, N) over the small catalog factorizations, N's variables renamed
+    apart from M's."""
+    small = [M for _, M in catalog.mf_catalog() if max(M.ranks) <= max_rank]
+    return [(M, _renamed(N, "_n")) for M in small for N in small]
+
+
+def _kron(a, b):
+    return tuple(tuple(a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0])))
+                 for i in range(len(a)) for k in range(len(b)))
+
+
+def test_external_tensor_matches_kronecker_block_formula():
+    """The differential of M x N entry for entry against the Kronecker block
+    formula, written out here as the reference."""
+    pairs = _catalog_pairs(2)
+    assert len(pairs) >= 100
+    for M, N in pairs:
+        ring = join_rings(M.ring, N.ring)
+        dM0, dM1 = lift_mat(M.d0, ring), lift_mat(M.d1, ring)
+        dN0, dN1 = lift_mat(N.d0, ring), lift_mat(N.d1, ring)
+        i_m0, i_m1 = mat_identity(ring, M.r0), mat_identity(ring, M.r1)
+        i_n0, i_n1 = mat_identity(ring, N.r0), mat_identity(ring, N.r1)
+        d0 = mat_block([[_kron(dM0, i_n0), mat_neg(_kron(i_m1, dN1))],
+                        [_kron(i_m0, dN0), _kron(dM1, i_n1)]])
+        d1 = mat_block([[_kron(dM1, i_n0), _kron(i_m0, dN1)],
+                        [mat_neg(_kron(i_m1, dN0)), _kron(dM0, i_n1)]])
+        T = external_tensor(M, N)
+        assert T.d0 == d0 and T.d1 == d1
+
+
 def test_external_tensor_mor_functorial():
+    """(f x g)(f' x g') = (-1)^{|g||f'|} (f f') x (g g'), all parities."""
     Ruv = RingSpec(("u", "v"))
     Ryz = RingSpec(("y", "z"))
     A = rank_one(Poly.variable(Ruv, "u"), Poly.variable(Ruv, "v"))
     B = rank_one(Poly.variable(Ryz, "y"), Poly.variable(Ryz, "z"))
-    f = random_mor(A, A, 0)
-    g = random_mor(B, B, 0)
-    lhs = external_tensor_mor(compose(f, f), compose(g, g))
-    rhs = compose(external_tensor_mor(f, g), external_tensor_mor(f, g))
-    assert lhs == rhs
+    pairs = [(A, B)] + _catalog_pairs(2)[::43]
+    for M, N in pairs:
+        for pf, pf2, pg, pg2 in itertools.product((0, 1), repeat=4):
+            f, f2 = random_mor(M, M, pf), random_mor(M, M, pf2)
+            g, g2 = random_mor(N, N, pg), random_mor(N, N, pg2)
+            lhs = compose(external_tensor_mor(f, g), external_tensor_mor(f2, g2))
+            rhs = external_tensor_mor(compose(f, f2), compose(g, g2))
+            if pg * pf2:
+                rhs = rhs.scale(-Scalar.one())
+            assert lhs == rhs
+
+
+def test_external_tensor_mor_leibniz():
+    """D(f x g) = D(f) x g + (-1)^{|f|} f x D(g), both parities."""
+    for M, N in _catalog_pairs(2)[::13]:
+        for pf, pg in itertools.product((0, 1), repeat=2):
+            f, g = random_mor(M, M, pf), random_mor(N, N, pg)
+            lhs = hom_diff(external_tensor_mor(f, g))
+            right = external_tensor_mor(f, hom_diff(g))
+            if pf:
+                right = right.scale(-Scalar.one())
+            assert lhs == external_tensor_mor(hom_diff(f), g) + right
 
 
 def test_tensor_structure_isos():

@@ -122,10 +122,10 @@ def test_generic_duality_on_catalog():
 def test_eta_display_rank_one():
     rep = c2_shifted_rep()
     s = witness(rep)
-    ext, _ = _extend_rep(rep, "y", "z")
     from mfsym.mf import external_tensor
     yz = RingSpec(("y", "z"), conductor=4)
     K = rank_one(Poly.variable(yz, "y"), Poly.variable(yz, "z"))
+    ext = _extend_rep(rep, K)
     sigma = rep.group.odd_elements()[0]
     eta = eta_component(rep, ext, K, sigma, s.base)
     ring = eta.source.ring

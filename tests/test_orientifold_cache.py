@@ -43,7 +43,7 @@ def _cases():
     for make in REPS:
         rep = make()
         out.append((rep, BASE))
-        out.append((_extend_rep(rep, "y", "z")[0], BASE_X_K))
+        out.append((_extend_rep(rep, K), BASE_X_K))
     return out
 
 
@@ -136,7 +136,7 @@ def test_eta_and_knorrer_maps_match_direct_tensors():
     for make in REPS:
         rep = make()
         s = witness(rep)
-        ext, _ = _extend_rep(rep, "y", "z")
+        ext = _extend_rep(rep, K)
         for i in rep.group.elements():
             eta = eta_component(rep, ext, K, i, s.base)
             assert eta.source == external_tensor(_slow_obj(rep, i, s.base), K)
@@ -147,7 +147,7 @@ def test_eta_and_knorrer_maps_match_direct_tensors():
         K1 = rank_one(Poly.variable(ring, "u1"), Poly.variable(ring, "v1"))
         assert out.base == external_tensor(s.base, K1)
         fresh = make()
-        fresh_ext, _ = _extend_rep(fresh, "u1", "v1")
+        fresh_ext = _extend_rep(fresh, K1)
         for i, u in s.u.items():
             want = compose(eta_component(fresh, fresh_ext, K1, i, s.base),
                            external_tensor_mor(u, identity_mor(K1)))

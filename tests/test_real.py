@@ -7,7 +7,7 @@ import pytest
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.groups import cyclic_group, product_group, ActionSpec, ANTILINEAR
-from mfsym.mf import rank_one, identity_mor
+from mfsym.mf import MFMor, rank_one, identity_mor
 from mfsym.real import (
     RealStruct, verify_real_structure, rank_one_real_condition, real_knorrer,
     tensor_real_structure, fixed_hom, closed_dimension,
@@ -133,3 +133,40 @@ def test_verify_twists_the_base_once_per_element(monkeypatch):
     monkeypatch.setattr(groups, "twist_mf", counted)
     assert verify_real_structure(s).ok
     assert len(calls) == s.group.order
+
+
+def _replace(s, i, f):
+    return RealStruct(s.base, s.action, s.u[:i] + (f,) + s.u[i + 1:], s.twist)
+
+
+def _retarget(s, i, parity, c0, c1):
+    """u_i replaced by constant blocks c0, c1 of the given parity."""
+    one = Poly.constant(s.base.ring, 1)
+    return _replace(s, i, MFMor(s.base, s.u[i].target, parity,
+                                ((one * c0,),), ((one * c1,),)))
+
+
+BROKEN_REAL = {
+    "u_e scaled by -1": ("conjugation-spinor",
+                         lambda s: _replace(s, 0, s.u[0].scale(-Scalar.one())),
+                         "u_e is not the identity"),
+    "odd component": ("conjugation-spinor", lambda s: _retarget(s, 1, 1, 1, 1),
+                      "u_g1 is not even"),
+    "not closed": ("conjugation-spinor", lambda s: _retarget(s, 1, 0, 1, 2),
+                   "u_g1 does not commute with the differentials"),
+    "singular": ("conjugation-spinor", lambda s: _retarget(s, 1, 0, 0, 0),
+                 "u_g1 is not invertible"),
+    "one component negated": ("dihedral-cubic-line",
+                              lambda s: _replace(s, 1, s.u[1].scale(-Scalar.one())),
+                              "cocycle law fails at (r1,r2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_REAL))
+def test_verify_real_structure_names_each_problem(case):
+    name, break_it, problem = BROKEN_REAL[case]
+    s = dict(catalog.real_catalog())[name]
+    assert verify_real_structure(s).ok
+    report = verify_real_structure(break_it(s))
+    assert not report.ok
+    assert problem in report.problems, report.problems
