@@ -75,11 +75,9 @@ def mf_catalog():
     return out
 
 
-def an_rank_one(n: int, ring: RingSpec | None = None) -> MF:
+def an_rank_one(n: int) -> MF:
     """The rank-one factorization {x, x^n} of the A-series potential."""
-    if ring is None:
-        ring = _ring(("x",))
-    x = Poly.variable(ring, ring.variables[0])
+    x = Poly.variable(_ring(("x",)), "x")
     return rank_one(x, x ** n)
 
 

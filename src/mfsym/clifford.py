@@ -401,17 +401,14 @@ def module_hom_dim(m: CliffMod, mp: CliffMod) -> int:
     return a0 * b0 + a1 * b1 - sparse_rank(rows)
 
 
-def beh_hom_compare(m: CliffMod, mp: CliffMod, ring: RingSpec,
-                    cutoff: int | None = None):
+def beh_hom_compare(m: CliffMod, mp: CliffMod, ring: RingSpec):
     """(dim of graded module homs, dim H0 Hom of the bridge images, report)."""
     from .cohomology import hom_cohomology, default_cutoff
 
     left = module_hom_dim(m, mp)
     M = beh_phi(m, ring)
     N = beh_phi(mp, ring)
-    if cutoff is None:
-        cutoff = default_cutoff(M.w, entry_degree=1)
-    report = hom_cohomology(M, N, cutoff)
+    report = hom_cohomology(M, N, default_cutoff(M.w, entry_degree=1))
     return left, report.dims[0], report
 
 
@@ -546,12 +543,14 @@ def graded_tensor(a: CliffAlg, b: CliffAlg):
                 c = two * total.quad.value(p, q)
                 if prod != ({((), ()): c} if not c.is_zero() else {}):
                     ok = False
-    # basis check: images of sorted monomials are single pair-basis terms
+    # basis check: images of sorted monomials are single pair-basis terms;
+    # the basis lists each prefix first, so one product extends its image
+    image_of = {(): tensor.unit()}
     seen = set()
     for subset in total.basis():
-        img = tensor.unit()
-        for j in subset:
-            img = tensor.mul(img, images[j])
+        if subset:
+            image_of[subset] = tensor.mul(image_of[subset[:-1]], images[subset[-1]])
+        img = image_of[subset]
         if len(img) != 1:
             ok = False
             continue

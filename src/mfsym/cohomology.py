@@ -3,15 +3,15 @@
 Dimensions are computed on bounded-degree windows of the polynomial Hom
 space.  The Hom differential D is built once, by mf.window_operator, on
 the window of degree <= cutoff + 1; its columns are restricted to the
-unknowns of degree <= c for c = cutoff and cutoff + 1.  D has
-untruncated polynomial images, so there is no target window: at each c,
-dim H = kernel of D on the window minus the part of the other parity's
-image that stays in degree <= c, which is that image's rank minus the
-rank of its projection onto degree > c.  The stabilization flag compares
-the dimensions at cutoff and cutoff + 1.  Null homotopies are solved
-over the truncated quotient ring k[x]/(monomials of degree > cutoff),
-where the twisted-differential identity survives truncation; there the
-image coordinates above the truncation are dropped.
+unknowns of degree <= c for c = cutoff and cutoff + 1.  Images under D
+are kept whole, so there is no target window: at each c, dim H = kernel
+of D on the window minus the part of the other parity's image that
+stays in degree <= c, which is that image's rank minus the rank of its
+projection onto degree > c.  The stabilization flag compares the
+dimensions at cutoff and cutoff + 1.  A null homotopy h of f is solved
+on the window of degree <= cutoff, with D(h) = f in degrees <= cutoff.
+Cutting by degree is a ring homomorphism onto k[x]/(monomials of degree
+> cutoff), so this is D(h) = f over that quotient.
 """
 
 from __future__ import annotations
@@ -34,18 +34,9 @@ class CohoReport:
     stable: bool
 
 
-def truncate_mf(M: MF, cutoff: int) -> MF:
-    ring = M.ring.with_truncation(cutoff)
-
-    def tr(mat):
-        return tuple(tuple(Poly(ring, p.terms) for p in row) for row in mat)
-
-    return MF(ring, Poly(ring, M.w.terms), tr(M.d0), tr(M.d1))
-
-
 def hom_cohomology(M: MF, N: MF, cutoff: int) -> CohoReport:
-    """(dim H0, dim H1) of the truncated Hom complex, with a flag recording
-    agreement between cutoff and cutoff + 1."""
+    """(dim H0, dim H1) of the Hom complex on the window of degree <= cutoff,
+    with a flag recording agreement between cutoff and cutoff + 1."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     if not M.w == N.w:
@@ -71,7 +62,8 @@ def hom_cohomology(M: MF, N: MF, cutoff: int) -> CohoReport:
 
 
 def null_homotopy(f: MFMor, cutoff: int) -> MFMor | None:
-    """A morphism h with D(h) = f over the truncated ring, if one exists."""
+    """A morphism h with entries of degree <= cutoff and D(h) = f in degrees
+    <= cutoff, if one exists."""
     parity = (f.parity + 1) % 2
     monomials = window_monomials(f.source.ring.nvars, cutoff)
     slots = window_slots(f.source, f.target, parity, monomials)
@@ -85,8 +77,7 @@ def null_homotopy(f: MFMor, cutoff: int) -> MFMor | None:
     if sol is None:
         return None
     coords = {slot[:4]: v for slot, v in zip(slots, sol) if not v.is_zero()}
-    return mor_from_coordinates(truncate_mf(f.source, cutoff),
-                                truncate_mf(f.target, cutoff), parity, coords)
+    return mor_from_coordinates(f.source, f.target, parity, coords)
 
 
 def default_cutoff(w: Poly, entry_degree: int | None = None) -> int:
@@ -95,7 +86,7 @@ def default_cutoff(w: Poly, entry_degree: int | None = None) -> int:
     _, socle = jacobi_basis(w)
     if entry_degree is None:
         entry_degree = max(1, w.total_degree() - 1)
-    return 2 * int(socle) + entry_degree + 2
+    return 2 * socle + entry_degree + 2
 
 
 def knorrer_hom_preservation(M: MF, N: MF, K: MF, cutoff: int):

@@ -58,6 +58,8 @@ class GroupSpec:
     def validate(self) -> None:
         n = self.order
         e = self.identity
+        if not 0 <= e < n:
+            raise ValueError(f"identity {e} is not an element index")
         for i in range(n):
             if self.mul(e, i) != i or self.mul(i, e) != i:
                 raise ValueError(f"identity fails at {self.labels[i]}")
@@ -310,7 +312,8 @@ class Cocycle2:
         return Cocycle2(group, setting, tuple((one,) * group.order for _ in range(group.order)))
 
     def multiply(self, other: "Cocycle2") -> "Cocycle2":
-        assert self.group is other.group or self.group == other.group
+        if self.group is not other.group and self.group != other.group:
+            raise ValueError("cocycles over different groups")
         vals = tuple(
             tuple(self.values[i][j] * other.values[i][j] for j in self.group.elements())
             for i in self.group.elements()

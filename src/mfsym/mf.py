@@ -10,11 +10,10 @@ live here.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .polys import (
-    Poly, RingSpec, RingMap, apply_ring_map, _monomials_of_weighted_degree_upto,
-)
+from .polys import Poly, RingSpec, RingMap, apply_ring_map, _monomials_by_degree
 from .scalars import Scalar
 
 Matrix = tuple  # rows of tuples of Poly
@@ -257,8 +256,9 @@ class MFMor:
 
     def __post_init__(self):
         want0, want1 = _block_shapes(self.source, self.target, self.parity)
-        assert mat_shape(self.f0) == want0, f"f0 shape {mat_shape(self.f0)} != {want0}"
-        assert mat_shape(self.f1) == want1, f"f1 shape {mat_shape(self.f1)} != {want1}"
+        if mat_shape(self.f0) != want0 or mat_shape(self.f1) != want1:
+            raise MFError(f"block shapes {mat_shape(self.f0)}, {mat_shape(self.f1)}"
+                          f" != {want0}, {want1}")
 
     def block(self, p: int) -> Matrix:
         """The block out of source part p."""
@@ -279,12 +279,14 @@ class MFMor:
     __hash__ = None
 
     def __add__(self, other: "MFMor") -> "MFMor":
-        assert self.parity == other.parity
+        if self.parity != other.parity:
+            raise MFError("parities differ")
         return MFMor(self.source, self.target, self.parity,
                      mat_add(self.f0, other.f0), mat_add(self.f1, other.f1))
 
     def __sub__(self, other: "MFMor") -> "MFMor":
-        assert self.parity == other.parity
+        if self.parity != other.parity:
+            raise MFError("parities differ")
         return MFMor(self.source, self.target, self.parity,
                      mat_sub(self.f0, other.f0), mat_sub(self.f1, other.f1))
 
@@ -358,8 +360,7 @@ def hom_diff(f: MFMor) -> MFMor:
 
 def window_monomials(nvars: int, cutoff: int) -> list:
     """Exponent tuples of total degree <= cutoff, in order of degree."""
-    buckets = _monomials_of_weighted_degree_upto((1,) * nvars, cutoff)
-    return [m for d in sorted(buckets) for m in buckets[d]]
+    return [m for bucket in _monomials_by_degree(nvars, cutoff) for m in bucket]
 
 
 def window_slots(M: MF, N: MF, parity: int, monomials, size: int = 1) -> list:
@@ -482,15 +483,7 @@ def join_rings(r1: RingSpec, r2: RingSpec) -> RingSpec:
     clash = set(r1.variables) & set(r2.variables)
     if clash:
         raise MFError(f"variable name collision: {sorted(clash)}")
-    from math import gcd
-    conductor = r1.conductor * r2.conductor // gcd(r1.conductor, r2.conductor)
-    weights = None
-    if r1.weights is not None and r2.weights is not None:
-        weights = r1.weights + r2.weights
-    trunc = 0
-    if r1.truncation and r2.truncation:
-        trunc = max(r1.truncation, r2.truncation)
-    return RingSpec(r1.variables + r2.variables, conductor, weights, trunc)
+    return RingSpec(r1.variables + r2.variables, math.lcm(r1.conductor, r2.conductor))
 
 
 def lift_poly(p: Poly, ring: RingSpec) -> Poly:

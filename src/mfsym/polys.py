@@ -1,10 +1,10 @@
 """Multivariate polynomials over cyclotomic scalars.
 
 Terms are stored sparsely as a map from exponent tuples to nonzero
-scalars.  A RingSpec fixes the variable list, a default coefficient
-conductor, optional positive weights, and an optional truncation order
-(0 means untruncated); when truncation is set, every operation drops
-terms of total degree above it.
+scalars.  A RingSpec is the variable list and a default coefficient
+conductor.  Degrees are total degrees: every bounded window of the
+program is cut by total degree, and the Jacobi basis is taken for a
+homogeneous potential.
 """
 
 from __future__ import annotations
@@ -20,27 +20,16 @@ from .linalg import sparse_echelon
 class RingSpec:
     variables: tuple[str, ...]
     conductor: int = 4
-    weights: tuple[Fraction, ...] | None = None
-    truncation: int = 0
 
     def __post_init__(self):
         if self.conductor < 1:
             raise ValueError(f"conductor must be a positive integer, got {self.conductor}")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variable names in {self.variables}")
-        if self.weights is not None:
-            if len(self.weights) != len(self.variables):
-                raise ValueError(f"{len(self.weights)} weights for "
-                                 f"{len(self.variables)} variables")
-            if not all(w > 0 for w in self.weights):
-                raise ValueError(f"weights must be positive, got {self.weights}")
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
-
-    def with_truncation(self, order: int) -> "RingSpec":
-        return RingSpec(self.variables, self.conductor, self.weights, order)
 
     def var_index(self, name: str) -> int:
         return self.variables.index(name)
@@ -54,8 +43,6 @@ def _normalize(ring: RingSpec, terms: dict) -> dict:
         if c.is_zero():
             continue
         assert len(exp) == ring.nvars
-        if ring.truncation and sum(exp) > ring.truncation:
-            continue
         out[tuple(exp)] = c
     return out
 
@@ -140,8 +127,6 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if self.ring.truncation and sum(e) > self.ring.truncation:
-                    continue
                 prod = c1 * c2
                 terms[e] = terms.get(e, Scalar.zero()) + prod
         return Poly(self.ring, terms)
@@ -167,10 +152,6 @@ class Poly:
             e2[idx] -= 1
             terms[tuple(e2)] = terms.get(tuple(e2), Scalar.zero()) + c * e[idx]
         return Poly(self.ring, terms)
-
-    def weighted_degrees(self) -> set:
-        weights = self.ring.weights or (Fraction(1),) * self.ring.nvars
-        return {sum(w * k for w, k in zip(weights, e)) for e in self.terms}
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -243,68 +224,45 @@ def monomial_ratio(p: Poly, q: Poly):
     return cp * cq.inverse()
 
 
-def graded_component(p: Poly, d) -> Poly:
-    if p.ring.weights is None:
-        raise ValueError("ring has no weights")
-    d = Fraction(d)
-    weights = p.ring.weights
-    terms = {
-        e: c
-        for e, c in p.terms.items()
-        if sum(w * k for w, k in zip(weights, e)) == d
-    }
-    return Poly(p.ring, terms)
+def _monomials_by_degree(nvars: int, bound: int) -> list:
+    """buckets[d] lists the exponent tuples in nvars variables of total
+    degree d, for 0 <= d <= bound, each bucket in lexicographic order."""
+    buckets = [[] for _ in range(bound + 1)]
 
-
-def _monomials_of_weighted_degree_upto(weights, bound):
-    """All exponent tuples of weighted degree <= bound, grouped by degree."""
-    n = len(weights)
-    buckets: dict = {}
-
-    def walk(idx, exp, deg):
-        if idx == n:
-            buckets.setdefault(deg, []).append(tuple(exp))
+    def walk(prefix, room):
+        if len(prefix) == nvars:
+            buckets[bound - room].append(prefix)
             return
-        k = 0
-        while deg + weights[idx] * k <= bound:
-            exp.append(k)
-            walk(idx + 1, exp, deg + weights[idx] * k)
-            exp.pop()
-            k += 1
+        for k in range(room + 1):
+            walk(prefix + (k,), room - k)
 
-    walk(0, [], Fraction(0))
+    if bound >= 0:
+        walk((), bound)
     return buckets
 
 
 def jacobi_basis(w: Poly):
     """Monomial basis of the quotient by all partials of w, plus socle degree.
 
-    Requires w quasi-homogeneous for the ring weights (all-ones default) with
-    a finite-dimensional quotient; per-degree rational linear algebra.
+    Requires w homogeneous with a finite-dimensional quotient; per-degree
+    rational linear algebra.
     """
     ring = w.ring
-    weights = ring.weights or (Fraction(1),) * ring.nvars
-    degs = w.weighted_degrees()
+    degs = {sum(e) for e in w.terms}
     if len(degs) != 1:
-        raise ValueError("potential is not quasi-homogeneous for the ring weights")
+        raise ValueError("potential is not homogeneous")
     D = degs.pop()
     partials = [w.partial(i) for i in range(ring.nvars)]
     partials = [p for p in partials if not p.is_zero()]
-    socle_bound = sum(D - 2 * wi for wi in weights)
-    if socle_bound < 0:
-        socle_bound = Fraction(0)
-    ceiling = socle_bound + max(weights) + D
-    buckets = _monomials_of_weighted_degree_upto(weights, ceiling)
+    socle_bound = max(0, ring.nvars * (D - 2))
+    buckets = _monomials_by_degree(ring.nvars, socle_bound + 1 + D)
     basis = []
-    socle = Fraction(0)
-    for d in sorted(buckets):
-        monos = sorted(buckets[d])
+    socle = 0
+    for d, monos in enumerate(buckets):
         index = {m: j for j, m in enumerate(monos)}
         rows = []
         for p in partials:
-            pdeg = next(iter(p.weighted_degrees()))
-            shift = d - pdeg
-            for m in buckets.get(shift, []):
+            for m in buckets[d - (D - 1)] if d >= D - 1 else []:
                 row = {}
                 hit = True
                 for e, c in p.terms.items():
@@ -321,6 +279,5 @@ def jacobi_basis(w: Poly):
             if d > socle_bound:
                 raise ValueError("quotient by the partials is not finite-dimensional")
             basis.extend(free)
-            socle = max(socle, d)
+            socle = d
     return basis, socle
-

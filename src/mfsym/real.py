@@ -142,8 +142,7 @@ def tensor_real_structure(sM: RealStruct, sN: RealStruct) -> RealStruct:
     return RealStruct(base, act, tuple(comps), twist)
 
 
-def knorrer_action(group: GroupSpec, ring: RingSpec, chi: Char1 | None,
-                   setting: str = ANTILINEAR) -> ActionSpec:
+def knorrer_action(group: GroupSpec, ring: RingSpec, chi: Char1 | None) -> ActionSpec:
     """Extend a group action to the hyperbolic kernel variables: sigma scales
     the first variable by pi(sigma)*chi(sigma) and the second by the inverse."""
     eigen = {}
@@ -152,7 +151,7 @@ def knorrer_action(group: GroupSpec, ring: RingSpec, chi: Char1 | None,
         if chi is not None:
             c = c * chi.value(i)
         eigen[i] = (c, c.inverse())
-    return diagonal_action(group, ring, setting, eigen)
+    return diagonal_action(group, ring, ANTILINEAR, eigen)
 
 
 def real_knorrer(sM: RealStruct, chi: Char1 | None = None) -> RealStruct:
@@ -189,7 +188,7 @@ class FixedMorSpace:
 def default_chain_cutoff(w: Poly) -> int:
     """Entry-degree bound for chain-level searches: socle degree + 1."""
     _, socle = jacobi_basis(w)
-    return int(socle) + 1
+    return socle + 1
 
 
 def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int | None = None) -> FixedMorSpace:

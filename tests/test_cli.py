@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec
@@ -223,6 +224,16 @@ BAD_SCENARIOS = {
                         "potential": "u*v"}],
     "deep-parentheses": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
                          "potential": "(" * 3000 + "u*v" + ")" * 3000},
+    "empty-group": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]}, "potential": "u*v",
+                    "group": "C(0)", "setting": "contravariant", "action": [],
+                    "tasks": [{"op": "validate-action"}]},
+    # given as text, since json.dumps cannot nest this deep; the group
+    # probe fails in JSON parsing or in group building, whichever recursion
+    # limit the interpreter reaches first
+    "deep-json": f'{{"schema": "{SCHEMA}", "ring": {{"variables": ["u"]}}, "x": '
+                 + "[" * 100000 + "]" * 100000 + "}",
+    "deep-group-product": f'{{"schema": "{SCHEMA}", "ring": {{"variables": ["u"]}}, "group": '
+                          + '{"product": [' * 700 + '"C(2)"' + "]}" * 700 + "}",
 }
 
 
@@ -230,9 +241,89 @@ BAD_SCENARIOS = {
 @pytest.mark.parametrize("probe", sorted(BAD_SCENARIOS))
 def test_bad_scenario_gives_one_error_line(tmp_path, probe, optimize):
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps(BAD_SCENARIOS[probe]))
+    spec = BAD_SCENARIOS[probe]
+    p.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     run = _cli(["run", str(p)], optimize)
     assert run.returncode == 2, run.stdout + run.stderr
     assert "Traceback" not in run.stderr
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# Fuzzing.  Digits come as separate small tokens and drawn group orders
+# stay small: the grammar bounds no exponent or order, and large ones cost
+# time, not correctness.
+_EXPR_TOKENS = ["u", "v", "i", "w", "zeta", "(", ")", "[", "]", "+", "-", "*", "**",
+                "/", "^", ",", " 0 ", " 1 ", " 2 ", " 3 ", "$", ".", " "]
+
+
+def _nest(depth_open, core, depth_close, brackets):
+    opening, closing = brackets
+    return opening * depth_open + core + closing * depth_close
+
+
+_expressions = st.one_of(
+    st.lists(st.sampled_from(_EXPR_TOKENS), max_size=16).map("".join),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12),
+    st.builds(_nest, st.integers(0, 4000), st.sampled_from(["u", "u*v", "", "2"]),
+              st.integers(0, 4000), st.sampled_from(["()", "[]", ")("])),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_expressions)
+def test_parse_poly_returns_or_raises_scenario_error(text):
+    try:
+        parse_poly(text, RING)
+    except ScenarioError:
+        pass
+
+
+_junk = st.one_of(st.none(), st.booleans(), st.integers(-2, 6), st.text(max_size=4),
+                  st.lists(st.integers(0, 2), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+_groups = st.recursive(
+    st.one_of(
+        st.sampled_from(["C(1)", "C(2)", "C(3)", "C(4)", "C(0)", "D(4)", "D(6)", "D(3)",
+                         "D(0)", "Q(8)"]),
+        st.fixed_dictionaries({"preset": st.sampled_from(["C(2)", "C(4)", "D(4)"]) | _junk},
+                              optional={"graded": _junk}),
+        st.fixed_dictionaries({"labels": _junk | st.just(["e", "g"]),
+                               "table": _junk | st.just([[0, 1], [1, 0]]),
+                               "identity": _junk, "grading": _junk | st.just([1, -1])}),
+        _junk,
+    ),
+    lambda inner: st.fixed_dictionaries({"product": st.lists(inner, max_size=2) | _junk}),
+    max_leaves=3)
+_scenarios = st.fixed_dictionaries(
+    {"schema": st.just(SCHEMA) | _junk,
+     "ring": st.fixed_dictionaries(
+         {"variables": st.lists(st.sampled_from(["u", "v", "x", "i"]), max_size=3) | _junk},
+         optional={"conductor": _junk}) | _junk},
+    optional={"potential": _expressions | _junk,
+              "setting": st.sampled_from(["antilinear", "contravariant"]) | _junk,
+              "variant": st.sampled_from(["plain", "shifted"]) | _junk,
+              "group": _groups,
+              "action": st.lists(st.lists(_expressions, max_size=3) | _junk, max_size=4) | _junk,
+              "twist": st.sampled_from(["trivial", "universal-sign"]) | _junk,
+              "tasks": st.lists(st.fixed_dictionaries(
+                  {"op": st.sampled_from(["hom-cohomology", "nope"]) | _junk}) | _junk,
+                  max_size=2) | _junk,
+              "name": _junk})
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    _scenarios.map(json.dumps),
+    st.builds(lambda depth, core: f'{{"schema": "{SCHEMA}", "group": '
+                                   + "[" * depth + core + "]" * depth + "}",
+              st.integers(0, 4000), st.sampled_from(['"C(2)"', "", "{"])),
+    st.text(max_size=12),
+))
+def test_load_scenario_returns_or_raises_scenario_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-scenario.json"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    try:
+        load_scenario(str(path))
+    except ScenarioError:
+        pass

@@ -13,7 +13,7 @@ from mfsym.clifford import (
     QuadForm, CliffAlg, CliffMod, CliffModMor, clifford_mul, element_eq,
     module_validate, module_act, beh_phi, beh_phi_mor, module_hom_dim,
     beh_hom_compare, module_twist, beh_twist_intertwined, parity_shift,
-    cl_rs, real_clifford_fixed, graded_tensor, signature, smat,
+    cl_rs, real_clifford_fixed, graded_tensor, GradedTensorAlg, signature, smat,
     mf_to_clifford_module,
 )
 import mfsym.catalog as catalog
@@ -140,12 +140,24 @@ def test_signature_algebras_over_q():
             assert relations_ok, (r, s)
 
 
-def test_graded_tensor_tower():
+def test_graded_tensor_tower(monkeypatch):
+    calls = 0
+    mul = GradedTensorAlg.mul
+
+    def counting_mul(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(GradedTensorAlg, "mul", counting_mul)
     acc = cl_rs(1, 1)
     for _ in range(3):
         acc, iso = graded_tensor(acc, cl_rs(1, 1))
         assert iso
     assert signature(acc.quad) == (4, 4)
+    # per step of k generators: k(k+1) for the relations and 2^k - 1 for
+    # the basis, k = 4, 6, 8
+    assert calls == sum(k * (k + 1) + 2 ** k - 1 for k in (4, 6, 8))
 
 
 def test_twist_intertwines_bridge():

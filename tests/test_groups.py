@@ -138,7 +138,9 @@ _BAD_INPUT = """
 import sys
 sys.path[:0] = sys.argv[1:]
 from mfsym.polys import RingSpec, RingMap
-from mfsym.groups import ActionSpec, cyclic_group, join_actions, ANTILINEAR, CONTRAVARIANT
+from mfsym.groups import (
+    ActionSpec, Cocycle2, cyclic_group, join_actions, ANTILINEAR, CONTRAVARIANT,
+)
 g = cyclic_group(2, graded=True)
 uv, yz = RingSpec(("u", "v")), RingSpec(("y", "z"))
 ident = RingMap.identity(uv)
@@ -152,6 +154,8 @@ bad = {
         ActionSpec(cyclic_group(4), CONTRAVARIANT, (ident,) * 4), linear),
     "join settings": lambda: join_actions(ActionSpec(g, ANTILINEAR, (ident, ident)), linear),
     "join flags": lambda: join_actions(flagged, linear),
+    "cocycle groups": lambda: Cocycle2.trivial(g, ANTILINEAR).multiply(
+        Cocycle2.trivial(cyclic_group(4), ANTILINEAR)),
 }
 for name, build in bad.items():
     try:

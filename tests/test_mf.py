@@ -2,6 +2,9 @@
 
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,8 +134,7 @@ def test_external_tensor_potentials_add():
 
 def _renamed(M, suffix):
     """M over a copy of its ring whose variable names carry the suffix."""
-    ring = RingSpec(tuple(v + suffix for v in M.ring.variables), M.ring.conductor,
-                    M.ring.weights, M.ring.truncation)
+    ring = RingSpec(tuple(v + suffix for v in M.ring.variables), M.ring.conductor)
 
     def move(a):
         return tuple(tuple(Poly(ring, dict(p.terms)) for p in row) for row in a)
@@ -320,3 +322,34 @@ def test_gauss_jordan_rejects_polynomial_and_non_square_input():
     assert not is_isomorphism(odd)
     with pytest.raises(MFError):
         mor_inverse(odd)
+
+
+_BAD_MOR = """
+import sys
+sys.path[:0] = sys.argv[1:]
+from mfsym.catalog import an_rank_one
+from mfsym.mf import MFError, MFMor, diff_mor, identity_mor
+M = an_rank_one(2)
+ident, d = identity_mor(M), diff_mor(M)
+bad = {
+    "f0 shape": lambda: MFMor(M, M, 0, (), ident.f1),
+    "f1 shape": lambda: MFMor(M, M, 0, ident.f0, ()),
+    "sum of parities": lambda: ident + d,
+    "difference of parities": lambda: ident - d,
+}
+for name, build in bad.items():
+    try:
+        build()
+    except MFError:
+        continue
+    sys.exit(f"no MFError for {name}")
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_bad_morphism_raises_mf_error_without_asserts(optimize):
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    flags = ["-O"] if optimize else []
+    run = subprocess.run([sys.executable, *flags, "-c", _BAD_MOR, str(src_dir)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -4,7 +4,7 @@ import pytest
 
 from mfsym.scalars import Scalar
 from mfsym.polys import (
-    Poly, RingSpec, RingMap, apply_ring_map, graded_component, jacobi_basis,
+    Poly, RingSpec, RingMap, apply_ring_map, jacobi_basis,
 )
 
 
@@ -58,16 +58,6 @@ def test_antilinear_composition_conjugates():
     rm = RingMap((X * Scalar.i(), Y), False)
     both = c.compose(rm)
     assert apply_ring_map(both, X) == X * (-Scalar.i())
-
-
-def test_graded_component():
-    ring = RingSpec(("x", "y"), conductor=4, weights=(1, 1))
-    x = Poly.variable(ring, "x")
-    y = Poly.variable(ring, "y")
-    p = x ** 3 + x * y + y
-    assert graded_component(p, 2) == x * y
-    assert graded_component(p, 1) == y
-    assert graded_component(p, 5).is_zero()
 
 
 def test_jacobi_basis_a_series():
