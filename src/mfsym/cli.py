@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
@@ -63,10 +64,18 @@ class ScenarioError(ValueError):
     pass
 
 
+# Size bounds on what a scenario may ask for; past them, reading and
+# checking it takes seconds to hours.
+MAX_GROUP_ORDER = 64
+MAX_POWER_MONOMIALS = 500  # monomials of a power's degree or lower; bounds its exponent too
+MAX_CONDUCTOR = 360  # of the ring and of the zeta orders of one expression
+
+
 # ---------------------------------------------------------------------------
 # expression grammar
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[()+\-*/^,])")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\s*(\d+|{_NAME.pattern}|\*\*|[()+\-*/^,])")
 
 
 def _tokenize(text: str):
@@ -88,6 +97,7 @@ class _ExprParser:
         self.k = 0
         self.ring = ring
         self.text = text
+        self.conductor = 1  # lcm of the orders of i and zeta read so far
 
     def peek(self):
         return self.tokens[self.k]
@@ -142,8 +152,26 @@ class _ExprParser:
             e = self.next()
             if not (isinstance(e, str) and e.isdigit()):
                 raise ScenarioError(f"exponent must be a literal integer in {self.text!r}")
-            p = p ** int(e)
+            n = self.integer(e)
+            nvars = self.ring.nvars
+            if max(n, math.comb(nvars + p.total_degree() * n, nvars)) > MAX_POWER_MONOMIALS:
+                raise ScenarioError(f"power ^{n} in {self.text!r} exceeds "
+                                    f"{MAX_POWER_MONOMIALS} monomials of its degree or lower")
+            p = p ** n
         return p
+
+    def integer(self, t: str) -> int:
+        try:
+            return int(t)
+        except ValueError:  # past the interpreter's digit limit
+            raise ScenarioError(f"integer of {len(t)} digits in {self.text!r}") from None
+
+    def root_of_unity(self, m: int, k: int) -> Poly:
+        self.conductor = math.lcm(self.conductor, m)
+        if self.conductor > MAX_CONDUCTOR:
+            raise ScenarioError(f"the roots of unity in {self.text!r} need conductor "
+                                f"{self.conductor}, more than {MAX_CONDUCTOR}")
+        return Poly.constant(self.ring, Scalar.zeta(m, k))
 
     def atom(self) -> Poly:
         t = self.next()
@@ -154,9 +182,9 @@ class _ExprParser:
         if t is None:
             raise ScenarioError(f"unexpected end of input in {self.text!r}")
         if t.isdigit():
-            return Poly.constant(self.ring, int(t))
+            return Poly.constant(self.ring, self.integer(t))
         if t == "i":
-            return Poly.constant(self.ring, Scalar.i())
+            return self.root_of_unity(4, 1)
         if t == "zeta":
             self.expect("(")
             m = self.next()
@@ -168,11 +196,12 @@ class _ExprParser:
                 kk = self.next()
                 if not (isinstance(kk, str) and kk.isdigit()):
                     raise ScenarioError(f"zeta power must be an integer in {self.text!r}")
-                k = int(kk)
+                k = self.integer(kk)
             self.expect(")")
-            if int(m) < 1:
+            order = self.integer(m)
+            if order < 1:
                 raise ScenarioError(f"zeta needs a positive order in {self.text!r}")
-            return Poly.constant(self.ring, Scalar.zeta(int(m), k))
+            return self.root_of_unity(order, k)
         if t in self.ring.variables:
             return Poly.variable(self.ring, t)
         raise ScenarioError(f"unknown name {t!r} in {self.text!r}")
@@ -198,11 +227,13 @@ def group_from_spec(obj) -> GroupSpec:
         parts = [group_from_spec(p) for p in obj["product"]]
         if not parts:
             raise ScenarioError("empty group product")
+        _check_group_order(math.prod(p.order for p in parts))
         g = parts[0]
         for p in parts[1:]:
             g = product_group(g, p)
         return g
     if isinstance(obj, dict) and "table" in obj:
+        _check_group_order(len(obj["table"]))
         g = GroupSpec(tuple(obj["labels"]), tuple(tuple(r) for r in obj["table"]),
                       int(obj["identity"]), tuple(obj["grading"]))
         g.validate()
@@ -216,11 +247,17 @@ def group_from_spec(obj) -> GroupSpec:
     if m is None:
         raise ScenarioError(f"unknown group spec {obj!r}")
     kind, n = m.group(1), int(m.group(2))
+    _check_group_order(n)
     if kind == "C":
         return cyclic_group(n, graded=graded and n % 2 == 0)
     if n % 2:
         raise ScenarioError("dihedral preset D(2m) needs an even order")
     return dihedral_group(n // 2)
+
+
+def _check_group_order(n: int) -> None:
+    if n > MAX_GROUP_ORDER:
+        raise ScenarioError(f"group of order {n}, more than {MAX_GROUP_ORDER}")
 
 
 @dataclass
@@ -252,11 +289,18 @@ def load_scenario(path: str) -> Scenario:
     ring_spec = raw.get("ring")
     if not isinstance(ring_spec, dict) or "variables" not in ring_spec:
         raise ScenarioError(f"{path}: missing ring.variables")
+    names = ring_spec["variables"]
+    if not (isinstance(names, list) and all(
+            isinstance(v, str) and _NAME.fullmatch(v) and v not in ("i", "zeta")
+            for v in names)):
+        raise ScenarioError(f"{path}: ring.variables must be a list of names other than "
+                            f"i and zeta, got {names!r}")
     try:
-        ring = RingSpec(tuple(ring_spec["variables"]),
-                        conductor=int(ring_spec.get("conductor", 4)))
+        ring = RingSpec(tuple(names), conductor=int(ring_spec.get("conductor", 4)))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}")
+    if ring.conductor > MAX_CONDUCTOR:
+        raise ScenarioError(f"{path}: ring conductor {ring.conductor}, more than {MAX_CONDUCTOR}")
     potential = parse_poly(raw.get("potential", "0"), ring)
     group = action = None
     setting = raw.get("setting")

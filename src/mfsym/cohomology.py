@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import Scalar
 from .polys import Poly, jacobi_basis
 from .mf import (
     MF, MFError, MFMor, diff_mor, external_tensor, mor_coordinates,
@@ -73,7 +72,7 @@ def null_homotopy(f: MFMor, cutoff: int) -> MFMor | None:
     rows = sparse_transpose(
         [{k: v for k, v in col.items() if sum(k[3]) <= cutoff}
          for col in columns + [target]])
-    sol = sparse_solve(rows, len(slots), len(slots), Scalar.zero())
+    sol = sparse_solve(rows, len(slots), len(slots))
     if sol is None:
         return None
     coords = {slot[:4]: v for slot, v in zip(slots, sol) if not v.is_zero()}

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .polys import Poly, RingSpec, RingMap, apply_ring_map, _monomials_by_degree
+from .linalg import _back_substitute, _echelon
 from .scalars import Scalar
 
 Matrix = tuple  # rows of tuples of Poly
@@ -48,7 +49,8 @@ def mat_shape(m: Matrix) -> tuple[int, int]:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ra, ca = mat_shape(a)
     rb, cb = mat_shape(b)
-    assert ca == rb, f"shape mismatch {mat_shape(a)} x {mat_shape(b)}"
+    if ca != rb:
+        raise MFError(f"shape mismatch {mat_shape(a)} x {mat_shape(b)}")
     ring = a[0][0].ring if ra and ca else b[0][0].ring
     zero = Poly.zero(ring)
     out = []
@@ -104,50 +106,51 @@ def mat_apply(rm: RingMap, a: Matrix) -> Matrix:
     return tuple(tuple(apply_ring_map(rm, x) for x in r) for r in a)
 
 
-def _gauss_jordan(a: Matrix) -> tuple:
-    """(det, inverse) of a square matrix with constant entries by one
-    Gauss-Jordan elimination on [A | I]; inverse is None when det is 0."""
+def _identity_echelon(a: Matrix) -> tuple[int, dict]:
+    """n and the forward echelon of the rows of [A | I], A a nonempty square
+    matrix with constant entries; A is singular exactly when a pivot falls
+    in the I columns n, ..., 2n - 1."""
     n, m = mat_shape(a)
     if n == 0 or n != m:
         raise MFError(f"structure map must be a nonempty square matrix, got shape {(n, m)}")
     if not all(x.is_constant() for row in a for x in row):
         raise MFError("structure map has non-constant entries")
-    one, zero = Scalar.one(), Scalar.zero()
-    aug = [[x.constant_coeff() for x in row] + [one if c == r else zero for c in range(n)]
-           for r, row in enumerate(a)]
-    det = one
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            return zero, None
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det = det * aug[col][col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            c = aug[r][col]
-            if r != col and not c.is_zero():
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    ring = a[0][0].ring
-    return det, tuple(tuple(Poly.constant(ring, x) for x in row[n:]) for row in aug)
+    one = Scalar.one()
+    rows = [{**{c: x.constant_coeff() for c, x in enumerate(row) if x.terms}, n + r: one}
+            for r, row in enumerate(a)]
+    return n, _echelon(rows)
 
 
 def mat_det(a: Matrix) -> Poly:
-    """Determinant of a square constant matrix, by the one Gauss-Jordan
-    for constant structure maps."""
-    det, _ = _gauss_jordan(a)
-    return Poly.constant(a[0][0].ring, det)
+    """Determinant of a square constant matrix, from the forward echelon of
+    [A | I]: the product of the rows' leads, signed by the order in which
+    the rows found their lead columns."""
+    n, pivots = _identity_echelon(a)
+    ring = a[0][0].ring
+    leads = list(pivots)  # in row order: row r found leads[r]
+    if max(leads) >= n:
+        return Poly.zero(ring)
+    # row r is reduced only by earlier rows, so its pivot row holds
+    # 1 / lead_r at column n + r and nothing beyond it
+    scale = Scalar.one()
+    for r, lead in enumerate(leads):
+        scale = scale * pivots[lead][n + r]
+    det = scale.inverse()
+    inversions = sum(leads[j] > leads[r] for r in range(n) for j in range(r))
+    return Poly.constant(ring, -det if inversions % 2 else det)
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    """Inverse of a square constant matrix, by the one Gauss-Jordan for
-    constant structure maps; MFError when it is singular."""
-    _, inverse = _gauss_jordan(a)
-    if inverse is None:
+    """Inverse of a square constant matrix, read off the reduced echelon
+    form [I | A^-1] of [A | I]; MFError when it is singular."""
+    n, pivots = _identity_echelon(a)
+    if max(pivots) >= n:
         raise MFError("matrix is singular")
-    return inverse
+    _back_substitute(pivots)
+    ring = a[0][0].ring
+    zero = Scalar.zero()
+    return tuple(tuple(Poly.constant(ring, pivots[r].get(n + c, zero)) for c in range(n))
+                 for r in range(n))
 
 
 def mat_block(blocks) -> Matrix:

@@ -42,9 +42,16 @@ def _normalize(ring: RingSpec, terms: dict) -> dict:
             c = Scalar.from_rational(c)
         if c.is_zero():
             continue
-        assert len(exp) == ring.nvars
+        if len(exp) != ring.nvars:
+            raise ValueError(f"exponent {tuple(exp)} does not fit the variables {ring.variables}")
         out[tuple(exp)] = c
     return out
+
+
+def _check_same_variables(p: "Poly", q: "Poly") -> None:
+    if p.ring is not q.ring and p.ring.variables != q.ring.variables:
+        raise ValueError(f"polynomials over different variables "
+                         f"{p.ring.variables} and {q.ring.variables}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +108,7 @@ class Poly:
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction, Scalar)):
             other = Poly.constant(self.ring, Scalar.one() * other)
+        _check_same_variables(self, other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, Scalar.zero()) + c
@@ -122,7 +130,7 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction, Scalar)):
             return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
-        assert self.ring.variables == other.ring.variables
+        _check_same_variables(self, other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -134,7 +142,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"negative power {n} of a polynomial")
         result = Poly.constant(self.ring, 1)
         for _ in range(n):
             result = result * self

@@ -211,12 +211,12 @@ def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int | None = N
                                  s.action.map_of(i), basis)
         for col, image in zip(columns, images):
             col.update(_rational_coordinates(i, image, L))
-    vecs = sparse_nullspace(sparse_transpose(columns), len(slots), Fraction(0), Fraction(1))
+    vecs = sparse_nullspace(sparse_transpose(columns), len(slots))
     space = []
     for vec in vecs:
         coords = {}
         for (b, r, c, m, t), v in zip(slots, vec):
-            if v:
+            if not v.is_zero():
                 key = (b, r, c, m)
                 coords[key] = coords.get(key, Scalar.zero()) + basis[t] * v
         space.append(mor_from_coordinates(M, N, parity, coords))
@@ -246,11 +246,15 @@ def _rational_coordinates(tag, image: dict, L: int) -> dict:
     """image's coefficients over the power basis of Q(zeta_L), keyed
     (tag, *key, t)."""
     out = {}
+    shared = {}  # one Scalar per (numerator, denominator): fewer objects, lower peak memory
     for k, v in image.items():
         v = v.promote(L)
         for t, n in enumerate(v.numerators):
             if n:
-                out[(tag, *k, t)] = Fraction(n, v.denominator)
+                q = (n, v.denominator)
+                if q not in shared:
+                    shared[q] = Scalar.from_rational(Fraction(*q))
+                out[(tag, *k, t)] = shared[q]
     return out
 
 

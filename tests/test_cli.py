@@ -234,6 +234,35 @@ BAD_SCENARIOS = {
                  + "[" * 100000 + "]" * 100000 + "}",
     "deep-group-product": f'{{"schema": "{SCHEMA}", "ring": {{"variables": ["u"]}}, "group": '
                           + '{"product": [' * 700 + '"C(2)"' + "]}" * 700 + "}",
+    # ring.variables must be a list of distinct names the grammar can read
+    "variables-string": {"schema": SCHEMA, "ring": {"variables": "uv"}, "potential": "u*v"},
+    "variables-numbers": {"schema": SCHEMA, "ring": {"variables": [1, 2]}},
+    "variables-not-names": {"schema": SCHEMA, "ring": {"variables": ["u v", "2w"]}},
+    "variable-i": {"schema": SCHEMA, "ring": {"variables": ["i", "v"]}, "potential": "i*v"},
+    "variable-zeta": {"schema": SCHEMA, "ring": {"variables": ["zeta", "v"]}},
+    # size bounds
+    "group-order-preset": {"schema": SCHEMA, "ring": {"variables": ["u"]}, "group": "C(128)"},
+    "group-order-table": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                          "group": {"labels": [f"g{k}" for k in range(65)],
+                                    "table": [[(j + k) % 65 for k in range(65)]
+                                              for j in range(65)],
+                                    "identity": 0, "grading": [1] * 65}},
+    "group-order-product": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                            "group": {"product": ["D(16)", "C(8)"]}},
+    "power-monomials": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                        "potential": "(u+v+1)^64"},
+    "chained-power": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                      "potential": "(u+v)^20^20"},
+    "constant-power": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                       "potential": "2^1000000*u"},
+    "zeta-order": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                   "potential": "u/(zeta(720) + 1)"},
+    "zeta-orders-together": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                             "potential": "i*zeta(359)*u"},
+    "ring-conductor": {"schema": SCHEMA, "ring": {"variables": ["u"], "conductor": 10 ** 9},
+                       "potential": "u"},
+    "long-integer": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                     "potential": "9" * 5000 + "*u"},
 }
 
 
@@ -250,9 +279,27 @@ def test_bad_scenario_gives_one_error_line(tmp_path, probe, optimize):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_size_bounds_at_their_limits():
+    assert group_from_spec("C(64)").order == 64
+    assert group_from_spec({"product": ["D(8)", "C(8)"]}).order == 64
+    with pytest.raises(ScenarioError):
+        group_from_spec("D(66)")
+    # 496 monomials of degree <= 30 in two variables, 528 of degree <= 31
+    assert len(parse_poly("(u+v+1)^30", RING).terms) == 496
+    with pytest.raises(ScenarioError):
+        parse_poly("(u+v+1)^31", RING)
+    assert parse_poly("2^500", RING) == Poly.constant(RING, 2 ** 500)
+    with pytest.raises(ScenarioError):
+        parse_poly("2^501", RING)
+    assert parse_poly("i*zeta(360) - zeta(8)", RING).terms
+    for text in ("zeta(361)", "zeta(8)*zeta(5, 2)*zeta(9)*zeta(7)"):
+        with pytest.raises(ScenarioError):
+            parse_poly(text, RING)
+
+
 # Fuzzing.  Digits come as separate small tokens and drawn group orders
-# stay small: the grammar bounds no exponent or order, and large ones cost
-# time, not correctness.
+# stay small: within the size bounds an input can still take seconds,
+# and 500 drawn scenarios should not.
 _EXPR_TOKENS = ["u", "v", "i", "w", "zeta", "(", ")", "[", "]", "+", "-", "*", "**",
                 "/", "^", ",", " 0 ", " 1 ", " 2 ", " 3 ", "$", ".", " "]
 

@@ -22,13 +22,14 @@ def sparse_rows(draw, entry, zero):
     return width, rows
 
 
-fractions = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
-                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+                      ).map(Scalar.from_rational)
 
 
 def _sympy(width, rows, cols):
-    return sympy.Matrix(len(rows), cols,
-                        lambda r, c: sympy.Rational(rows[r].get(c, 0)) if rows else 0)
+    return sympy.Matrix(len(rows), cols, lambda r, c: sympy.Rational(
+        rows[r][c].as_fraction()) if rows and c in rows[r] else 0)
 
 
 def _without(rows, col):
@@ -36,21 +37,21 @@ def _without(rows, col):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_rows(fractions, Fraction(0)))
+@given(sparse_rows(rationals, Scalar.zero()))
 def test_fraction_elimination_matches_sympy(drawn):
     width, rows = drawn
     a = _sympy(width, rows, width)
     coeffs = _without(rows, width)
     assert sparse_rank(coeffs) == a.rank()
-    kernel = sparse_nullspace(coeffs, width, Fraction(0), Fraction(1))
-    assert [[sympy.Rational(x) for x in v] for v in kernel] == \
+    kernel = sparse_nullspace(coeffs, width)
+    assert [[sympy.Rational(x.as_fraction()) for x in v] for v in kernel] == \
         [list(v) for v in a.nullspace()]
     # row . (x, 1) = 0, so the system is a x = -b
-    solution = sparse_solve(rows, width, width, Fraction(0))
+    solution = sparse_solve(rows, width, width)
     augmented = _sympy(width, rows, width + 1)
     assert (solution is not None) == (augmented.rank() == a.rank())
     if solution is not None:
-        x = sympy.Matrix([sympy.Rational(v) for v in solution] + [1])
+        x = sympy.Matrix([sympy.Rational(v.as_fraction()) for v in solution] + [1])
         assert augmented * x == sympy.zeros(len(rows), 1)
 
 
@@ -71,9 +72,9 @@ def _apply(row, vec):
                         st.lists(_scalars(m), min_size=6, max_size=6))))
 def test_scalar_elimination_by_substitution(drawn):
     (width, rows), x0 = drawn
-    zero, one = Scalar.zero(), Scalar.one()
+    one = Scalar.one()
     coeffs = _without(rows, width)
-    kernel = sparse_nullspace(coeffs, width, zero, one)
+    kernel = sparse_nullspace(coeffs, width)
     assert sparse_rank(coeffs) + len(kernel) == width
     for vec in kernel:
         assert all(_apply(row, vec).is_zero() for row in coeffs)
@@ -83,12 +84,12 @@ def test_scalar_elimination_by_substitution(drawn):
     for row in coeffs:
         b = -_apply(row, x0)
         consistent.append(row if b.is_zero() else {**row, width: b})
-    solution = sparse_solve(consistent, width, width, zero)
+    solution = sparse_solve(consistent, width, width)
     assert solution is not None
     for row in consistent:
         assert _apply(row, solution + [one]).is_zero()
     # the drawn right-hand side is solvable exactly when it adds no rank
-    solution = sparse_solve(rows, width, width, zero)
+    solution = sparse_solve(rows, width, width)
     assert (solution is not None) == (sparse_rank(rows) == sparse_rank(coeffs))
     if solution is not None:
         assert all(_apply(row, solution + [one]).is_zero() for row in rows)

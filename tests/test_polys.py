@@ -1,5 +1,9 @@
 """Sparse polynomial arithmetic and ring maps."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mfsym.scalars import Scalar
@@ -73,3 +77,36 @@ def test_mismatched_rings_rejected():
     other = RingSpec(("z",))
     with pytest.raises((ValueError, AssertionError, KeyError)):
         X + Poly.variable(other, "z")
+
+
+_BAD_ARITHMETIC = """
+import sys
+sys.path[:0] = sys.argv[1:]
+from mfsym.polys import Poly, RingSpec
+x = Poly.variable(RingSpec(("x",)), "x")
+y = Poly.variable(RingSpec(("y",)), "y")
+bad = {
+    "x + y": lambda: x + y,
+    "x - y": lambda: x - y,
+    "x * y": lambda: x * y,
+    "negative power": lambda: x ** -1,
+    "exponent length": lambda: Poly(x.ring, {(1, 0): 1}),
+}
+for name, build in bad.items():
+    try:
+        build()
+    except ValueError:
+        continue
+    sys.exit(f"no ValueError for {name}")
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_bad_arithmetic_raises_value_error_without_asserts(optimize):
+    """Before these checks, x + y gave 2x, x - y gave 0 and, under -O,
+    x * y gave x^2 for x and y over different rings."""
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    flags = ["-O"] if optimize else []
+    run = subprocess.run([sys.executable, *flags, "-c", _BAD_ARITHMETIC, str(src_dir)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
