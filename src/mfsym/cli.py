@@ -67,7 +67,8 @@ class ScenarioError(ValueError):
 # Size bounds on what a scenario may ask for; past them, reading and
 # checking it takes seconds to hours.
 MAX_GROUP_ORDER = 64
-MAX_POWER_MONOMIALS = 500  # monomials of a power's degree or lower; bounds its exponent too
+# monomials of a power's or a product's degree or lower; bounds an exponent too
+MAX_POWER_MONOMIALS = 500
 MAX_CONDUCTOR = 360  # of the ring and of the zeta orders of one expression
 
 
@@ -136,6 +137,11 @@ class _ExprParser:
             op = self.next()
             q = self.power()
             if op == "*":
+                nvars = self.ring.nvars
+                if math.comb(nvars + p.total_degree() + q.total_degree(),
+                             nvars) > MAX_POWER_MONOMIALS:
+                    raise ScenarioError(f"product in {self.text!r} exceeds "
+                                        f"{MAX_POWER_MONOMIALS} monomials of its degree or lower")
                 p = p * q
             else:
                 if not q.is_constant():

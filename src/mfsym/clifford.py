@@ -274,7 +274,9 @@ def module_act(m: CliffMod, elem: dict, parity: int):
 # the bridge functor to matrix factorizations
 
 def _scalar_to_poly_mat(ring: RingSpec, a):
-    return tuple(tuple(Poly.constant(ring, c) for c in row) for row in a)
+    zero = Poly.zero(ring)
+    return tuple(tuple(zero if c.is_zero() else Poly.constant(ring, c) for c in row)
+                 for row in a)
 
 
 def beh_phi(m: CliffMod, ring: RingSpec) -> MF:

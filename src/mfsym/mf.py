@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .polys import Poly, RingSpec, RingMap, apply_ring_map, _monomials_by_degree
 from .linalg import _back_substitute, _echelon
@@ -200,23 +201,33 @@ class MF:
 
     __hash__ = None
 
+    @cached_property
+    def _key(self) -> tuple:
+        """mf_key(self), built on first use and then stored in the instance
+        __dict__, which cached_property writes past the frozen __setattr__."""
+        ring = self.ring
+
+        def poly(p: Poly) -> tuple:
+            terms = tuple((e, c.conductor, c.numerators, c.denominator)
+                          for e, c in p.terms.items())
+            return terms if p.ring == ring else (p.ring, terms)
+
+        return (ring, poly(self.w),
+                tuple(tuple(poly(p) for p in row) for row in self.d0),
+                tuple(tuple(poly(p) for p in row) for row in self.d1))
+
 
 def mf_key(M: MF) -> tuple:
     """A hashable key of M's content: the ring and every term of w, d0
     and d1 as (exponent, conductor, numerators, denominator), in storage
     order, with an entry's own ring where it differs from M's.  Equal keys
     mean the two factorizations are identical field by field, so whatever
-    is built from one is exactly what would be built from the other."""
-    ring = M.ring
+    is built from one is exactly what would be built from the other.
 
-    def poly(p: Poly) -> tuple:
-        terms = tuple((e, c.conductor, c.numerators, c.denominator)
-                      for e, c in p.terms.items())
-        return terms if p.ring == ring else (p.ring, terms)
-
-    return (ring, poly(M.w),
-            tuple(tuple(poly(p) for p in row) for row in M.d0),
-            tuple(tuple(poly(p) for p in row) for row in M.d1))
+    The key is computed once per MF and kept on it (MF._key).  That rests
+    on MF being frozen and on no Poly's terms dict being mutated after the
+    Poly is built."""
+    return M._key
 
 
 def mf_new(ring: RingSpec, w: Poly, d0, d1) -> MF:
@@ -434,12 +445,15 @@ def mor_coordinates(f: MFMor) -> dict:
 
 
 def mor_from_coordinates(M: MF, N: MF, parity: int, coords: dict) -> MFMor:
-    """The morphism M -> N with the given mor_coordinates."""
+    """The morphism M -> N with the given mor_coordinates: Scalar values at
+    exponents of M's ring; zero values are dropped."""
     terms = [[[{} for _ in range(cols)] for _ in range(rows)]
              for rows, cols in _block_shapes(M, N, parity)]
     for (b, r, c, e), v in coords.items():
-        terms[b][r][c][e] = v
-    f0, f1 = (tuple(tuple(Poly(M.ring, t) for t in row) for row in blk) for blk in terms)
+        if not v.is_zero():
+            terms[b][r][c][e] = v
+    f0, f1 = (tuple(tuple(Poly._trusted(M.ring, t) for t in row) for row in blk)
+              for blk in terms)
     return MFMor(M, N, parity, f0, f1)
 
 
@@ -566,12 +580,14 @@ def _tensor_blocks(ring: RingSpec, terms, parity: int, tgt_bases, place=None) ->
 
 
 def external_tensor(M: MF, N: MF) -> MF:
-    """M x N with d = d_M x 1 + 1 x d_N."""
+    """M x N with d = d_M x 1 + 1 x d_N.  d^2 = w_M + w_N holds by
+    construction when M and N are factorizations, so it is not checked
+    again (mf_new checks each input where it is built)."""
     ring = join_rings(M.ring, N.ring)
     d0, d1 = _tensor_blocks(ring, [(diff_mor(M), identity_mor(N)),
                                    (identity_mor(M), diff_mor(N))], 1, tensor_basis(M, N))
     w = lift_poly(M.w, ring) + lift_poly(N.w, ring)
-    return mf_new(ring, w, d0, d1)
+    return MF(ring, w, d0, d1)
 
 
 def external_tensor_mor(f: MFMor, g: MFMor) -> MFMor:

@@ -40,7 +40,9 @@ class ContraRep:
     Each rep keeps the objects built from it: rho(i)(M) under
     (i, mf_key(M)) and the Knoerrer tensor M x K under
     (mf_key(M), mf_key(K)).  A key holds the full content of its
-    inputs, so a hit is exactly what a fresh build would give.
+    inputs, so a hit is exactly what a fresh build would give.  The key
+    is built once per MF and kept on it, so a lookup on an object seen
+    before hashes the stored key instead of building it again.
     """
 
     group: GroupSpec

@@ -5,6 +5,11 @@ scalars.  A RingSpec is the variable list and a default coefficient
 conductor.  Degrees are total degrees: every bounded window of the
 program is cut by total degree, and the Jacobi basis is taken for a
 homogeneous potential.
+
+Public Poly(...) normalizes its terms; arithmetic results, whose terms
+are already nonzero Scalars at the ring's exponent length, are built by
+Poly._trusted without that pass.  No terms dict is mutated once it
+belongs to a Poly: the keys and caches built on polynomials rely on it.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ def _normalize(ring: RingSpec, terms: dict) -> dict:
     return out
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
 def _check_same_variables(p: "Poly", q: "Poly") -> None:
     if p.ring is not q.ring and p.ring.variables != q.ring.variables:
         raise ValueError(f"polynomials over different variables "
@@ -63,8 +71,17 @@ class Poly:
         object.__setattr__(self, "terms", _normalize(self.ring, self.terms))
 
     @staticmethod
+    def _trusted(ring: RingSpec, terms: dict) -> "Poly":
+        """The Poly with exactly these terms, which must already be nonzero
+        Scalars at exponents of the ring's length; no check, no copy."""
+        p = _new(Poly)
+        _set(p, "ring", ring)  # past the frozen __setattr__, as __post_init__ does
+        _set(p, "terms", terms)
+        return p
+
+    @staticmethod
     def zero(ring: RingSpec) -> "Poly":
-        return Poly(ring, {})
+        return Poly._trusted(ring, {})
 
     @staticmethod
     def constant(ring: RingSpec, c) -> "Poly":
@@ -111,13 +128,18 @@ class Poly:
         _check_same_variables(self, other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Scalar.zero()) + c
-        return Poly(self.ring, terms)
+            if e in terms:
+                c = terms[e] + c
+                if c.is_zero():
+                    del terms[e]
+                    continue
+            terms[e] = c
+        return Poly._trusted(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction, Scalar)):
@@ -128,16 +150,21 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction, Scalar)):
-            return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
+        if isinstance(other, (int, Fraction)):
+            other = Scalar.from_rational(other)
+        if isinstance(other, Scalar):
+            if other.is_zero():
+                return Poly.zero(self.ring)
+            return Poly._trusted(self.ring, {e: c * other for e, c in self.terms.items()})
         _check_same_variables(self, other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 prod = c1 * c2
-                terms[e] = terms.get(e, Scalar.zero()) + prod
-        return Poly(self.ring, terms)
+                old = terms.get(e)
+                terms[e] = prod if old is None else old + prod
+        return Poly._trusted(self.ring, {e: c for e, c in terms.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
@@ -150,7 +177,7 @@ class Poly:
         return result
 
     def conjugate_coeffs(self) -> "Poly":
-        return Poly(self.ring, {e: c.conjugate() for e, c in self.terms.items()})
+        return Poly._trusted(self.ring, {e: c.conjugate() for e, c in self.terms.items()})
 
     def partial(self, idx: int) -> "Poly":
         terms = {}
@@ -181,10 +208,16 @@ class Poly:
 @dataclass(frozen=True)
 class RingMap:
     """A generalized ring endomorphism: one image per variable, and an
-    antilinearity flag meaning coefficients are conjugated first."""
+    antilinearity flag meaning coefficients are conjugated first.
+
+    Each map keeps the image of every monomial it has substituted into,
+    exponent -> Poly, in _monomial_images; that memo is derived from the
+    images alone and is no part of equality or repr."""
 
     images: tuple[Poly, ...]
     antilinear: bool = False
+    _monomial_images: dict = field(default_factory=dict, init=False, repr=False,
+                                   compare=False)
 
     def compose(self, other: "RingMap") -> "RingMap":
         """self after other (apply other first)."""
@@ -205,20 +238,42 @@ class RingMap:
     __hash__ = None
 
 
+def _monomial_image(rm: RingMap, e: tuple) -> Poly:
+    """prod_v images[v] ** e[v], from rm's memo, which gains the image of
+    every exponent passed on the way down from e to a known one: each step
+    lowers e's last nonzero exponent by one, so the factors multiply in
+    variable order."""
+    memo = rm._monomial_images
+    chain = []
+    while e not in memo:
+        k = max(v for v, a in enumerate(e) if a)
+        chain.append((e, k))
+        e = e[:k] + (e[k] - 1,) + e[k + 1:]
+    image = memo[e]
+    for e, k in reversed(chain):
+        image = memo[e] = image * rm.images[k]
+    return image
+
+
 def apply_ring_map(rm: RingMap, p: Poly) -> Poly:
+    """p with every variable replaced by its image under rm, coefficients
+    conjugated first when rm is antilinear.  Monomial images come from rm's
+    memo (see _monomial_image); the conjugation is applied to p's
+    coefficients only, so the memo is the same for both flags."""
     if len(rm.images) != p.ring.nvars:
         raise ValueError("variable count mismatch between map and polynomial")
     ring = rm.images[0].ring if rm.images else p.ring
-    if rm.antilinear:
-        p = p.conjugate_coeffs()
-    result = Poly.zero(ring)
+    if not rm._monomial_images:
+        rm._monomial_images[(0,) * p.ring.nvars] = Poly.constant(ring, 1)
+    terms: dict = {}
     for e, c in p.terms.items():
-        term = Poly.constant(ring, c)
-        for img, k in zip(rm.images, e):
-            if k:
-                term = term * img ** k
-        result = result + term
-    return result
+        if rm.antilinear:
+            c = c.conjugate()
+        for e2, c2 in _monomial_image(rm, e).terms.items():
+            prod = c * c2
+            old = terms.get(e2)
+            terms[e2] = prod if old is None else old + prod
+    return Poly._trusted(ring, {e: c for e, c in terms.items() if not c.is_zero()})
 
 
 def monomial_ratio(p: Poly, q: Poly):

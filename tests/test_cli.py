@@ -253,6 +253,8 @@ BAD_SCENARIOS = {
                         "potential": "(u+v+1)^64"},
     "chained-power": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
                       "potential": "(u+v)^20^20"},
+    "product-monomials": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                          "potential": "(u+v+1)^30*(u+v+1)^30*(u+v+1)^30"},
     "constant-power": {"schema": SCHEMA, "ring": {"variables": ["u"]},
                        "potential": "2^1000000*u"},
     "zeta-order": {"schema": SCHEMA, "ring": {"variables": ["u"]},
@@ -288,6 +290,10 @@ def test_size_bounds_at_their_limits():
     assert len(parse_poly("(u+v+1)^30", RING).terms) == 496
     with pytest.raises(ScenarioError):
         parse_poly("(u+v+1)^31", RING)
+    # a product is bounded by the degree it reaches, as a power is
+    assert len(parse_poly("(u+v+1)^15*(u+v+1)^15", RING).terms) == 496
+    with pytest.raises(ScenarioError):
+        parse_poly("(u+v+1)^15*(u+v+1)^16", RING)
     assert parse_poly("2^500", RING) == Poly.constant(RING, 2 ** 500)
     with pytest.raises(ScenarioError):
         parse_poly("2^501", RING)

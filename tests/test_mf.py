@@ -173,6 +173,32 @@ def test_external_tensor_matches_kronecker_block_formula():
         assert T.d0 == d0 and T.d1 == d1
 
 
+def _rank_one_draws(names):
+    """Rank-one factorizations (a, b) of a*b over a fresh ring, with a and
+    b drawn nonzero with a few terms c0 + c1*i."""
+    ring = RingSpec(names, conductor=4)
+    coeff = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda ab: Scalar.from_rational(ab[0]) + Scalar.i() * ab[1])
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(names)), coeff,
+                           min_size=1, max_size=3).map(lambda t: Poly(ring, t))
+    nonzero = poly.filter(lambda p: not p.is_zero())
+    return st.tuples(nonzero, nonzero).map(lambda ab: rank_one(*ab))
+
+
+_SMALL_CATALOG = [M for _, M in catalog.mf_catalog() if max(M.ranks) <= 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SMALL_CATALOG), _rank_one_draws(("p1", "q1")),
+       _rank_one_draws(("p2", "q2")))
+def test_external_tensor_of_factorizations_passes_mf_new(M, A, B):
+    """external_tensor does not check d^2 = w again; mf_new's check accepts
+    every tensor of checked factorizations, also of a tensor."""
+    for T in (external_tensor(M, A), external_tensor(A, M),
+              external_tensor(external_tensor(M, A), B)):
+        assert mf_new(T.ring, T.w, T.d0, T.d1) == T
+
+
 def test_external_tensor_mor_functorial():
     """(f x g)(f' x g') = (-1)^{|g||f'|} (f f') x (g g'), all parities."""
     Ruv = RingSpec(("u", "v"))

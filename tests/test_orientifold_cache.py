@@ -105,6 +105,14 @@ def test_equal_copy_gives_equal_result():
             assert rep_apply(rep, i, twin) == rep_apply(rep, i, M) == _slow_obj(rep, i, M)
 
 
+def test_key_is_built_once_per_object():
+    for _, M in _cases():
+        assert mf_key(M) is mf_key(M)
+    keyed, fresh = rank_one(U, V), rank_one(U, V)
+    mf_key(keyed)
+    assert keyed == fresh and repr(keyed) == repr(fresh)
+
+
 def test_keys_separate_what_builds_differently():
     other_conductor = RingSpec(("u", "v"), conductor=8)
     moved = rank_one(Poly.variable(other_conductor, "u"), Poly.variable(other_conductor, "v"))
