@@ -29,7 +29,7 @@ from .mf import (
     MF, MFMor, mf_new, rank_one, identity_mor, scaled_identity, hom_diff, shift,
     double_dual_iso, grading_iso, swap_iso, tensor_dual_pairing,
     shift_tensor_iso_left, shift_tensor_iso_right, is_closed, is_isomorphism,
-    diff_mor,
+    diff_mor, Verdict,
 )
 from .groups import (
     GroupSpec, ActionSpec, ANTILINEAR, CONTRAVARIANT, cyclic_group,
@@ -386,7 +386,7 @@ def task_rank_one_real(sc: Scenario, params: dict):
     if found is None:
         return False, {"found": False}
     chi, struct = found
-    return verify_real_structure(struct).ok, {
+    return verify_real_structure(struct), {
         "chi": [repr(c) for c in chi.values]
     }
 
@@ -396,7 +396,7 @@ def task_real_knorrer(sc: Scenario, params: dict):
     if found is None:
         return False, {"found": False}
     out = real_knorrer(found[1])
-    return verify_real_structure(out).ok, {"ranks": list(out.base.ranks)}
+    return verify_real_structure(out), {"ranks": list(out.base.ranks)}
 
 
 def task_rank_one_orientifold(sc: Scenario, params: dict):
@@ -408,7 +408,7 @@ def task_rank_one_orientifold(sc: Scenario, params: dict):
     if found is None:
         return False, {"found": False}
     chi, struct = found
-    return verify_contra_structure(struct).ok, {
+    return verify_contra_structure(struct), {
         "chi": [repr(c) for c in chi]
     }
 
@@ -421,35 +421,28 @@ def task_theta_cocycle(sc: Scenario, params: dict):
 def task_orientifold_knorrer(sc: Scenario, params: dict):
     s = _contra_witness(sc)
     out, coherent = orientifold_knorrer(s)
-    ok = coherent and verify_contra_structure(out).ok
-    return ok, {"coherent": coherent, "variant": out.rep.variant}
+    ok = coherent and verify_contra_structure(out)
+    return ok, {"coherent": bool(coherent), "variant": out.rep.variant}
 
 
 def task_double_knorrer(sc: Scenario, params: dict):
     s = _contra_witness(sc)
     out, coherent = double_knorrer(s)
-    ok = (coherent and verify_contra_structure(out).ok
+    ok = (coherent and verify_contra_structure(out)
           and out.rep.variant == s.rep.variant)
-    return ok, {"coherent": coherent, "ranks": list(out.base.ranks)}
+    return ok, {"coherent": bool(coherent), "ranks": list(out.base.ranks)}
 
 
 def task_duality_suite(sc: Scenario, params: dict):
     s = _contra_witness(sc)
     g = s.rep.group
     odd = g.odd_elements()
-    results = {}
-    ok = True
-    for sigma in odd:
-        sub = ContraRealStruct(s.base, s.rep, {i: s.u[i] for i in g.kernel()})
-        _, rep = fixed_point_duality(s.rep, sigma, sub)
-        results[g.labels[sigma]] = bool(rep)
-        ok = ok and bool(rep)
+    sub = ContraRealStruct(s.base, s.rep, {i: s.u[i] for i in g.kernel()})
+    verdicts = {g.labels[sigma]: fixed_point_duality(s.rep, sigma, sub)[1] for sigma in odd}
     if len(odd) >= 2:
-        _, form = duality_comparison(s.rep, odd[0], odd[1], s)
-        results["comparison"] = bool(form)
-        results["torsor"] = comparison_torsor_check(s.rep, s)
-        ok = ok and bool(form) and results["torsor"]
-    return ok, results
+        verdicts["comparison"] = duality_comparison(s.rep, odd[0], odd[1], s)
+        verdicts["torsor"] = comparison_torsor_check(s.rep, s)
+    return _first_failure(verdicts.values()), {k: bool(v) for k, v in verdicts.items()}
 
 
 def task_hyperbolic_transport(sc: Scenario, params: dict):
@@ -569,6 +562,22 @@ class TaskResult:
     seconds: float = 0.0
 
 
+def _task(index: int, name: str, ok, detail: dict | None = None) -> TaskResult:
+    """The result of a task whose ok is a bool or a Verdict; a failing
+    Verdict is recorded in detail["failed"]: the identity, the elements
+    and one term [block, row, col, exponent, coefficient] of lhs - rhs."""
+    detail = dict(detail or {})
+    if isinstance(ok, Verdict) and not ok:
+        term = None if ok.term is None else [*ok.term[:3], list(ok.term[3]), repr(ok.term[4])]
+        detail["failed"] = {"identity": ok.identity, "at": list(ok.at), "term": term}
+    return TaskResult(index, name, bool(ok), detail)
+
+
+def _first_failure(verdicts):
+    """The first failing verdict, or True when every one holds."""
+    return next((v for v in verdicts if not v), True)
+
+
 @dataclass
 class Report:
     schema: str
@@ -610,7 +619,7 @@ def run_scenario(path: str) -> Report:
                 ok, detail = TASKS[task["op"]](sc, task)
             except ValueError as exc:
                 ok, detail = False, {"error": str(exc)}
-            yield TaskResult(idx, task["op"], bool(ok), detail)
+            yield _task(idx, task["op"], ok, detail)
 
     return Report(REPORT_SCHEMA, sc.name, _timed(tasks()))
 
@@ -674,18 +683,12 @@ def _suite_signs(rng: random.Random) -> Iterator[TaskResult]:
 
 
 def _suite_real() -> Iterator[TaskResult]:
-    ok = True
-    names = []
-    for name, s in catalog.real_catalog():
-        good = verify_real_structure(s).ok
-        ok = ok and good
-        names.append(name)
-    yield TaskResult(0, "catalog-structures-verify", ok, {"entries": names})
-    ok_k = True
-    for name, s in catalog.real_catalog():
-        t = real_knorrer(s)
-        ok_k = ok_k and verify_real_structure(t).ok
-    yield TaskResult(1, "knorrer-images-verify", ok_k)
+    entries = catalog.real_catalog()
+    yield _task(0, "catalog-structures-verify",
+                _first_failure(verify_real_structure(s) for _, s in entries),
+                {"entries": [name for name, _ in entries]})
+    yield _task(1, "knorrer-images-verify",
+                _first_failure(verify_real_structure(real_knorrer(s)) for _, s in entries))
 
 
 def _suite_orientifold() -> Iterator[TaskResult]:
@@ -708,25 +711,23 @@ def _suite_orientifold() -> Iterator[TaskResult]:
     yield TaskResult(1, "order-four-plain-witness", found4 is not None)
     if found2 and found4:
         s2, s4 = found2[1], found4[1]
-        yield TaskResult(2, "theta-cocycle",
-                         theta_cocycle_check(rep2, s2.base)
-                         and theta_cocycle_check(rep4, s4.base))
+        yield _task(2, "theta-cocycle",
+                    theta_cocycle_check(rep2, s2.base)
+                    and theta_cocycle_check(rep4, s4.base))
         k2, c2 = orientifold_knorrer(s2)
         k4, c4 = orientifold_knorrer(s4)
-        yield TaskResult(3, "knorrer-coherence-and-verify",
-                         c2 and c4 and verify_contra_structure(k2).ok
-                         and verify_contra_structure(k4).ok)
+        yield _task(3, "knorrer-coherence-and-verify",
+                    c2 and c4 and verify_contra_structure(k2)
+                    and verify_contra_structure(k4))
         d4, cd = double_knorrer(s4)
-        yield TaskResult(4, "double-knorrer-roundtrip",
-                         cd and verify_contra_structure(d4).ok
-                         and d4.rep.variant == PLAIN)
+        yield _task(4, "double-knorrer-roundtrip",
+                    cd and verify_contra_structure(d4) and d4.rep.variant == PLAIN)
         sub = ContraRealStruct(s4.base, rep4, {i: s4.u[i] for i in g4.kernel()})
-        _, dr = fixed_point_duality(rep4, 1, sub)
-        _, fr = duality_comparison(rep4, 1, 3, s4)
-        yield TaskResult(5, "duality-and-comparison",
-                         bool(dr) and bool(fr)
-                         and comparison_torsor_check(rep4, s4))
-    yield TaskResult(6, "hyperbolic-transport", hyperbolic_transport_check())
+        yield _task(5, "duality-and-comparison",
+                    fixed_point_duality(rep4, 1, sub)[1]
+                    and duality_comparison(rep4, 1, 3, s4)
+                    and comparison_torsor_check(rep4, s4))
+    yield _task(6, "hyperbolic-transport", hyperbolic_transport_check())
 
 
 def _suite_clifford() -> Iterator[TaskResult]:

@@ -16,7 +16,7 @@ from itertools import product as iproduct
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap, apply_ring_map
-from .mf import MF, MFMor, join_rings, lift_poly, mat_apply
+from .mf import MF, MFMor, Verdict, join_rings, lift_poly, mat_apply
 
 
 ANTILINEAR = "antilinear"
@@ -327,25 +327,26 @@ class Cocycle2:
         )
 
 
-def cocycle_check(mu: Cocycle2) -> bool:
-    """Normalization on pairs containing the identity, plus the twisted
-    2-cocycle identity with the graded unit action."""
+def cocycle_check(mu: Cocycle2) -> Verdict:
+    """Normalization on pairs containing the identity, nonzero values, and
+    the twisted 2-cocycle identity with the graded unit action."""
     g = mu.group
     e = g.identity
     for i in g.elements():
-        if not (mu.value(e, i) == 1 and mu.value(i, e) == 1):
-            return False
+        for pair in ((e, i), (i, e)):
+            if not (mu.value(*pair) == 1):
+                return Verdict(False, "cocycle normalization", tuple(g.labels[k] for k in pair),
+                               (0, 0, 0, (), mu.value(*pair) - 1))
         for j in g.elements():
             if mu.value(i, j).is_zero():
-                return False
-    for i in g.elements():
-        for j in g.elements():
-            for k in g.elements():
-                lhs = _graded_act(mu.setting, g.grading[i], mu.value(j, k)) * mu.value(i, g.mul(j, k))
-                rhs = mu.value(g.mul(i, j), k) * mu.value(i, j)
-                if not (lhs == rhs):
-                    return False
-    return True
+                return Verdict(False, "not invertible", (g.labels[i], g.labels[j]))
+    for i, j, k in iproduct(g.elements(), repeat=3):
+        lhs = _graded_act(mu.setting, g.grading[i], mu.value(j, k)) * mu.value(i, g.mul(j, k))
+        rhs = mu.value(g.mul(i, j), k) * mu.value(i, j)
+        if not (lhs == rhs):
+            return Verdict(False, "2-cocycle", (g.labels[i], g.labels[j], g.labels[k]),
+                           (0, 0, 0, (), lhs - rhs))
+    return Verdict(True)
 
 
 def universal_sign_cocycle(group: GroupSpec, setting: str = CONTRAVARIANT) -> Cocycle2:

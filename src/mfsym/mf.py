@@ -475,6 +475,37 @@ def is_isomorphism(f: MFMor) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# verdicts
+
+@dataclass(frozen=True)
+class Verdict:
+    """The outcome of an exact check, true exactly when ok.
+
+    A failing verdict names the first identity that failed, the labels of
+    the group elements (or the place) where it failed, and, when that
+    identity is an equation, one nonzero term (block, row, col, exponent,
+    coefficient) of lhs - rhs.  A scalar equation reads as block, row and
+    col 0 with the empty exponent.
+    """
+
+    ok: bool
+    identity: str = ""
+    at: tuple = ()
+    term: tuple | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def equation(identity: str, at: tuple, lhs: MFMor, rhs: MFMor) -> Verdict:
+    """Whether lhs == rhs, failing with the first nonzero term of lhs - rhs."""
+    if lhs == rhs:
+        return Verdict(True)
+    key, value = min(mor_coordinates(lhs - rhs).items())
+    return Verdict(False, identity, at, (*key, value))
+
+
+# ---------------------------------------------------------------------------
 # shift
 
 def shift(M: MF) -> MF:

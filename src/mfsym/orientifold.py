@@ -13,7 +13,7 @@ elements, and the Knoerrer functor with its explicit eta blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .scalars import Scalar
@@ -22,7 +22,7 @@ from .mf import (
     MF, MFMor, mat_identity, mat_neg, mat_zero, mat_block, compose,
     identity_mor, scaled_identity, mor_inverse, is_closed, is_isomorphism,
     shift, shift_mor, dual, dual_mor, external_tensor, tensor_mor_blocks,
-    rank_one, lift_poly, scaled_witnesses, mat_apply, mf_key,
+    rank_one, lift_poly, scaled_witnesses, mat_apply, mf_key, Verdict, equation,
 )
 from .groups import (
     GroupSpec, ActionSpec, Cocycle2, CONTRAVARIANT, diagonal_action,
@@ -131,7 +131,7 @@ def theta_component(rep: ContraRep, i2: int, i1: int, M: MF) -> MFMor:
     return scaled_identity(src, tgt, c, c)
 
 
-def theta_cocycle_check(rep: ContraRep, M: MF) -> bool:
+def theta_cocycle_check(rep: ContraRep, M: MF) -> Verdict:
     """The contravariant 2-cocycle identity for theta on all element
     triples at M, componentwise."""
     g = rep.group
@@ -146,9 +146,10 @@ def theta_cocycle_check(rep: ContraRep, M: MF) -> bool:
                     inner = mor_inverse(inner)
                 rhs = compose(theta_component(rep, i3, g.mul(i2, i1), M),
                               rep_apply_mor(rep, i3, inner))
-                if not lhs == rhs:
-                    return False
-    return True
+                at = (g.labels[i3], g.labels[i2], g.labels[i1])
+                if not (v := equation("theta cocycle", at, lhs, rhs)):
+                    return v
+    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------
@@ -164,38 +165,31 @@ class ContraRealStruct:
     u: dict  # element index -> MFMor from base to rep_apply(element, base)
 
 
-@dataclass
-class ContraReport:
-    ok: bool
-    not_closed: list
-    not_isomorphism: list
-    pair_failures: list
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_contra_structure(s: ContraRealStruct) -> ContraReport:
-    """Exact check of the fixed point law u_{s2 s1} = theta ∘ rho(s2)(u_{s1}^{pi(s2)}) ∘ u_{s2}
-    over every pair of elements carried by the structure."""
+def verify_contra_structure(s: ContraRealStruct) -> Verdict:
+    """Each component closed and invertible, then the fixed point law
+    u_{s2 s1} = theta ∘ rho(s2)(u_{s1}^{pi(s2)}) ∘ u_{s2} over every pair
+    of elements carried by the structure, stopping at the first failure."""
     g = s.rep.group
-    not_closed = [i for i in s.u if not is_closed(s.u[i])]
-    not_iso = [i for i in s.u if not is_isomorphism(s.u[i])]
-    pair_failures = []
+    for i, f in s.u.items():
+        if not is_closed(f):
+            return Verdict(False, "not closed", (g.labels[i],))
+        if not is_isomorphism(f):
+            return Verdict(False, "not invertible", (g.labels[i],))
+    # odd elements act through u^{-1}: each component is inverted once
+    odd = any(g.grading[i] == -1 for i in s.u)
+    inverse = {i: mor_inverse(f) for i, f in s.u.items()} if odd else {}
     for i2 in s.u:
         for i1 in s.u:
             prod = g.mul(i2, i1)
             if prod not in s.u:
                 continue
-            inner = s.u[i1]
-            if g.grading[i2] == -1:
-                inner = mor_inverse(inner)
+            inner = inverse[i1] if g.grading[i2] == -1 else s.u[i1]
             rhs = compose(theta_component(s.rep, i2, i1, s.base),
                           compose(rep_apply_mor(s.rep, i2, inner), s.u[i2]))
-            if not s.u[prod] == rhs:
-                pair_failures.append((i2, i1))
-    ok = not (not_closed or not_iso or pair_failures)
-    return ContraReport(ok, not_closed, not_iso, pair_failures)
+            if not (v := equation("fixed point law", (g.labels[i2], g.labels[i1]),
+                                  s.u[prod], rhs)):
+                return v
+    return Verdict(True)
 
 
 def rank_one_contra_condition(rep: ContraRep):
@@ -239,22 +233,9 @@ def rank_one_contra_condition(rep: ContraRep):
 
 @dataclass
 class DualityData:
-    rep: ContraRep
-    sigma: int
-    base: MF       # the underlying fixed point object C
-    dual_object: MF  # rho(sigma)(C)
+    dual_object: MF  # rho(sigma)(C) for the fixed point object C
     v: dict        # induced even-subgroup structure on rho(sigma)(C)
     big_theta: MFMor  # C -> rho(sigma)^2(C)
-
-
-@dataclass
-class DualityReport:
-    object_law: bool
-    morphism_law: bool
-    coherence: bool
-
-    def __bool__(self):
-        return self.object_law and self.morphism_law and self.coherence
 
 
 def _induced_structure(rep: ContraRep, sigma: int, base: MF, u: dict) -> dict:
@@ -272,48 +253,32 @@ def _induced_structure(rep: ContraRep, sigma: int, base: MF, u: dict) -> dict:
 def fixed_point_duality(rep: ContraRep, sigma: int, s: ContraRealStruct):
     """The duality induced on an even-subgroup fixed point by an odd
     element: the induced structure on the dualized object, the double
-    dual comparison map, and the three exact checks."""
+    dual comparison map, and the verdict of the three exact checks."""
     g = rep.group
     if g.grading[sigma] != -1:
         raise ValueError(f"fixed point duality needs an odd element, got {g.labels[sigma]}")
     C = s.base
     P = rep_apply(rep, sigma, C)
     v = _induced_structure(rep, sigma, C, s.u)
-
-    object_law = verify_contra_structure(ContraRealStruct(P, rep, v)).ok
-
     sq = g.mul(sigma, sigma)
     big_theta = compose(mor_inverse(theta_component(rep, sigma, sigma, C)), s.u[sq])
+    data = DualityData(P, v, big_theta)
+
+    law = verify_contra_structure(ContraRealStruct(P, rep, v))
+    if not law:
+        return data, replace(law, identity=f"duality object law: {law.identity}")
 
     w = _induced_structure(rep, sigma, P, v)
-    morphism_law = all(
-        compose(w[gg], big_theta) == compose(rep_apply_mor(rep, gg, big_theta), s.u[gg])
-        for gg in g.kernel()
-    )
+    for gg in g.kernel():
+        if not (morphism := equation("duality morphism law", (g.labels[sigma], g.labels[gg]),
+                                     compose(w[gg], big_theta),
+                                     compose(rep_apply_mor(rep, gg, big_theta), s.u[gg]))):
+            return data, morphism
 
     big_theta_P = compose(mor_inverse(theta_component(rep, sigma, sigma, P)), v[sq])
-    coherence = compose(rep_apply_mor(rep, sigma, big_theta), big_theta_P) == identity_mor(P)
-
-    data = DualityData(rep, sigma, C, P, v, big_theta)
-    return data, DualityReport(object_law, morphism_law, coherence)
-
-
-@dataclass
-class FormData:
-    rep: ContraRep
-    s1: int
-    s2: int
-    base: MF
-    phi: MFMor  # rho(s1)(C) -> rho(s2)(C)
-
-
-@dataclass
-class FormReport:
-    fixed_morphism: bool
-    coherence: bool
-
-    def __bool__(self):
-        return self.fixed_morphism and self.coherence
+    return data, equation("duality coherence", (g.labels[sigma],),
+                          compose(rep_apply_mor(rep, sigma, big_theta), big_theta_P),
+                          identity_mor(P))
 
 
 def _comparison_map(rep: ContraRep, s1: int, s2: int, obj: MF, u: dict) -> MFMor:
@@ -324,34 +289,33 @@ def _comparison_map(rep: ContraRep, s1: int, s2: int, obj: MF, u: dict) -> MFMor
 
 
 def duality_comparison(rep: ContraRep, s1: int, s2: int, s: ContraRealStruct):
-    """The comparison between the dualities of two odd elements, with the
-    fixed point morphism check and the form-functor coherence check."""
+    """The verdict on the comparison between the dualities of two odd
+    elements: the fixed point morphism check, then form-functor coherence."""
     g = rep.group
     even = [g.labels[i] for i in (s1, s2) if g.grading[i] != -1]
     if even:
         raise ValueError(f"duality comparison needs two odd elements, got even {even}")
     C = s.base
-    full = dict(s.u)
-    sub = {i: full[i] for i in g.kernel()}
+    sub = {i: s.u[i] for i in g.kernel()}
     phi = _comparison_map(rep, s1, s2, C, sub)
 
     d1, _ = fixed_point_duality(rep, s1, ContraRealStruct(C, rep, sub))
     d2, _ = fixed_point_duality(rep, s2, ContraRealStruct(C, rep, sub))
 
-    fixed_morphism = all(
-        compose(d2.v[gg], phi) == compose(rep_apply_mor(rep, gg, phi), d1.v[gg])
-        for gg in g.kernel()
-    )
+    at = (g.labels[s1], g.labels[s2])
+    for gg in g.kernel():
+        if not (v := equation("form fixed morphism", (*at, g.labels[gg]),
+                              compose(d2.v[gg], phi),
+                              compose(rep_apply_mor(rep, gg, phi), d1.v[gg]))):
+            return v
 
     phi_at_dual = _comparison_map(rep, s1, s2, d1.dual_object, d1.v)
-    coherence = (
-        compose(rep_apply_mor(rep, s2, phi), d2.big_theta)
-        == compose(phi_at_dual, d1.big_theta)
-    )
-    return FormData(rep, s1, s2, C, phi), FormReport(fixed_morphism, coherence)
+    return equation("form coherence", at,
+                    compose(rep_apply_mor(rep, s2, phi), d2.big_theta),
+                    compose(phi_at_dual, d1.big_theta))
 
 
-def comparison_torsor_check(rep: ContraRep, s: ContraRealStruct) -> bool:
+def comparison_torsor_check(rep: ContraRep, s: ContraRealStruct) -> Verdict:
     """phi^{s1,s3} = phi^{s2,s3} ∘ phi^{s1,s2} over all odd triples."""
     g = rep.group
     sub = {i: s.u[i] for i in g.kernel()}
@@ -362,32 +326,35 @@ def comparison_torsor_check(rep: ContraRep, s: ContraRealStruct) -> bool:
                 lhs = _comparison_map(rep, s1, s3, s.base, sub)
                 rhs = compose(_comparison_map(rep, s2, s3, s.base, sub),
                               _comparison_map(rep, s1, s2, s.base, sub))
-                if not lhs == rhs:
-                    return False
-    return True
+                at = (g.labels[s1], g.labels[s2], g.labels[s3])
+                if not (v := equation("comparison torsor", at, lhs, rhs)):
+                    return v
+    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------
 # generic duality and form functor checks
 
-def verify_duality(objects, p_obj, p_mor, theta) -> bool:
+def verify_duality(objects, p_obj, p_mor, theta) -> Verdict:
     """P(Theta_C) ∘ Theta_{P(C)} = id for each object in the list; p_obj
-    and p_mor give the contravariant functor, theta the comparison maps."""
-    for C in objects:
+    and p_mor give the contravariant functor, theta the comparison maps.
+    A failure is placed at the object's position in the list."""
+    for k, C in enumerate(objects):
         PC = p_obj(C)
-        if not compose(p_mor(theta(C)), theta(PC)) == identity_mor(PC):
-            return False
-    return True
+        if not (v := equation("duality", (f"objects[{k}]",),
+                              compose(p_mor(theta(C)), theta(PC)), identity_mor(PC))):
+            return v
+    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------
 # the Knoerrer functor in the contravariant setting
 
-def hyperbolic_transport_check() -> bool:
+def hyperbolic_transport_check() -> Verdict:
     """The involution fixing w = y^2 + z^2 up to sign, sigma(y) = -i z and
     sigma(z) = i y, transported through the hyperbolic coordinates
     u = y + i z and v = y - i z, equals sigma(u) = -u, sigma(v) = v as an
-    identity of ring maps."""
+    identity of ring maps; the images of y and z are columns 0 and 1."""
     ring = RingSpec(("u", "v"), conductor=4)
     u = Poly.variable(ring, "u")
     v = Poly.variable(ring, "v")
@@ -400,9 +367,12 @@ def hyperbolic_transport_check() -> bool:
     # sigma in the quadric coordinates, written on the (u, v) ring
     sy = -ii * z
     sz = ii * y
-    lhs_y = apply_ring_map(sigma_uv, y)
-    lhs_z = apply_ring_map(sigma_uv, z)
-    return lhs_y == sy and lhs_z == sz
+    for col, (x, sx) in enumerate(((y, sy), (z, sz))):
+        diff = apply_ring_map(sigma_uv, x) - sx
+        if not diff.is_zero():
+            e, c = min(diff.terms.items())
+            return Verdict(False, "hyperbolic transport", ("sigma",), (0, 0, col, e, c))
+    return Verdict(True)
 
 
 def _toggle(variant: str) -> str:
@@ -445,7 +415,7 @@ def eta_component(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, i: int, M: MF) 
     return MFMor(src, tgt, 0, f0, f1)
 
 
-def eta_coherence_check(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, M: MF) -> bool:
+def eta_coherence_check(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, M: MF) -> Verdict:
     """The equivariant functor coherence for the Knoerrer data on all
     element pairs at M."""
     g = src_rep.group
@@ -461,9 +431,9 @@ def eta_coherence_check(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, M: MF) ->
             lhs = compose(term3, compose(term2, term1))
             rhs = compose(eta_component(src_rep, tgt_rep, K, g.mul(i2, i1), M),
                           _tensor_mor(src_rep, theta_component(src_rep, i2, i1, M), K))
-            if not lhs == rhs:
-                return False
-    return True
+            if not (v := equation("eta coherence", (g.labels[i2], g.labels[i1]), lhs, rhs)):
+                return v
+    return Verdict(True)
 
 
 def orientifold_knorrer(s: ContraRealStruct):
@@ -491,8 +461,10 @@ def double_knorrer(s: ContraRealStruct):
     once, ok1 = orientifold_knorrer(s)
     twice, ok2 = orientifold_knorrer(once)
     rep = twice.rep
-    assert rep.variant == s.rep.variant
+    if rep.variant != s.rep.variant:
+        raise ValueError(f"two Knoerrer steps give the {rep.variant} variant "
+                         f"from the {s.rep.variant} one")
     if s.rep.twist is None and rep.twist is not None and rep.twist.is_trivial():
         rep = ContraRep(rep.group, rep.action, rep.w, rep.variant, None)
         twice = ContraRealStruct(twice.base, rep, twice.u)
-    return twice, ok1 and ok2
+    return twice, ok1 and ok2  # the first failing verdict

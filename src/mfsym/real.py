@@ -7,14 +7,15 @@ twisted) law u_{ts} = mu([t|s]) * (u_s)^t . u_t, with u_e the identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Scalar, euler_phi
 from .polys import Poly, RingSpec, jacobi_basis, monomial_ratio
 from .mf import (
-    MF, MFMor, rank_one, identity_mor, scaled_identity, compose, diff_mor,
-    is_closed, is_isomorphism, external_tensor, tensor_mor_blocks, mat_apply,
+    MF, MFMor, Verdict, equation, rank_one, identity_mor, scaled_identity, compose,
+    diff_mor, is_closed, is_isomorphism, external_tensor, tensor_mor_blocks, mat_apply,
     mor_coordinates, mor_from_coordinates, window_monomials, window_operator,
     window_slots,
 )
@@ -42,37 +43,32 @@ class RealStruct:
         return self.twist.value(i, j)
 
 
-@dataclass
-class RealReport:
-    ok: bool
-    problems: list
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_real_structure(s: RealStruct) -> RealReport:
-    problems = []
+def verify_real_structure(s: RealStruct) -> Verdict:
+    """The setting, the action, u_e = id, each u_sigma even, closed and
+    invertible, then the Real cocycle law; stops at the first failure."""
     g = s.group
     act = s.action
     if act.setting != ANTILINEAR:
-        problems.append("action is not in the antilinear setting")
+        return Verdict(False, "antilinear setting")
     rep = validate_action(act, s.base.w)
     if not rep.ok:
-        problems.append(f"action fails invariance: {rep.invariance}")
-    if not (s.u[g.identity] == identity_mor(s.base)):
-        problems.append("u_e is not the identity")
+        bad = next(i for i in g.elements()
+                   if i in (rep.flag_failure, rep.nonlinear_element) or not rep.invariance[i])
+        return Verdict(False, "action invariance", (g.labels[bad],))
+    e = g.identity
+    if not (v := equation("u_e = id", (g.labels[e],), s.u[e], identity_mor(s.base))):
+        return v
     targets = [twist_mf(act.map_of(i), s.base) for i in g.elements()]
     for i in g.elements():
         ui = s.u[i]
+        at = (g.labels[i],)
         if ui.parity != 0:
-            problems.append(f"u_{g.labels[i]} is not even")
-            continue
+            return Verdict(False, "not even", at)
         check = MFMor(s.base, targets[i], 0, ui.f0, ui.f1)
         if not is_closed(check):
-            problems.append(f"u_{g.labels[i]} does not commute with the differentials")
+            return Verdict(False, "not closed", at)
         if not is_isomorphism(check):
-            problems.append(f"u_{g.labels[i]} is not invertible")
+            return Verdict(False, "not invertible", at)
     for i in g.elements():
         rm = act.map_of(i)
         for j in g.elements():
@@ -83,13 +79,10 @@ def verify_real_structure(s: RealStruct) -> RealReport:
             uj = s.u[j]
             twisted = MFMor(targets[i], targets[ij], uj.parity,
                             mat_apply(rm, uj.f0), mat_apply(rm, uj.f1))
-            lhs = s.u[ij]
             rhs = compose(twisted, s.u[i]).scale(s.twist_value(i, j))
-            if not (lhs == rhs):
-                problems.append(
-                    f"cocycle law fails at ({g.labels[i]},{g.labels[j]})"
-                )
-    return RealReport(not problems, problems)
+            if not (v := equation("Real cocycle", (g.labels[i], g.labels[j]), s.u[ij], rhs)):
+                return v
+    return Verdict(True)
 
 
 def rank_one_real_condition(act: ActionSpec):
@@ -118,8 +111,9 @@ def rank_one_real_condition(act: ActionSpec):
         scaled_identity(base, twist_mf(act.map_of(i), base), 1, chi.value(i))
         for i in g.elements()
     ))
-    report = verify_real_structure(struct)
-    assert report.ok, report.problems
+    verdict = verify_real_structure(struct)
+    if not verdict:
+        raise ValueError(f"rank-one Real witness fails verification: {verdict}")
     return chi, struct
 
 
@@ -167,9 +161,9 @@ def real_knorrer(sM: RealStruct, chi: Char1 | None = None) -> RealStruct:
         raise ValueError("extended action does not satisfy the rank-one condition")
     _, skernel = found
     result = tensor_real_structure(sM, skernel)
-    report = verify_real_structure(result)
-    if not report.ok:
-        raise ValueError(f"induced structure failed verification: {report.problems}")
+    verdict = verify_real_structure(result)
+    if not verdict:
+        raise ValueError(f"induced structure failed verification: {verdict}")
     return result
 
 
@@ -259,18 +253,16 @@ def _rational_coordinates(tag, image: dict, L: int) -> dict:
 
 
 def _field_conductor(*structs) -> int:
-    from math import gcd
     L = 1
     for s in structs:
         for i in s.group.elements():
             for img in s.action.map_of(i).images:
                 for c in img.terms.values():
-                    L = L * c.conductor // gcd(L, c.conductor)
+                    L = math.lcm(L, c.conductor)
             for blk in (s.u[i].f0, s.u[i].f1):
                 for row in blk:
                     for p in row:
                         for c in p.terms.values():
-                            L = L * c.conductor // gcd(L, c.conductor)
-        L = L * s.base.ring.conductor // gcd(L, s.base.ring.conductor)
+                            L = math.lcm(L, c.conductor)
+        L = math.lcm(L, s.base.ring.conductor)
     return L
-

@@ -204,8 +204,8 @@ def test_criterion_05_real_knorrer_catalog():
     assert {2, 6} <= group_kinds
     for name, s in entries:
         out = real_knorrer(s)
-        rep = verify_real_structure(out)
-        assert rep.ok, (name, rep.problems)
+        verdict = verify_real_structure(out)
+        assert verdict.ok, (name, verdict)
 
 
 def test_criterion_06_orientifold_eta_and_double_knorrer():
@@ -270,13 +270,12 @@ def test_criterion_07_fixed_point_duality_suite():
                                    {i: struct.u[i] for i in g.kernel()})
             for sigma in g.odd_elements():
                 _, drep = fixed_point_duality(r, sigma, sub)
-                assert drep.object_law and drep.morphism_law
-                assert drep.coherence
+                assert drep.ok, drep
             odd = g.odd_elements()
             for s1 in odd:
                 for s2 in odd:
-                    _, form = duality_comparison(r, s1, s2, struct)
-                    assert form.fixed_morphism and form.coherence
+                    form = duality_comparison(r, s1, s2, struct)
+                    assert form.ok, form
             assert comparison_torsor_check(r, struct)
     assert time.monotonic() - t0 < 30.0
 

@@ -380,3 +380,20 @@ def test_load_scenario_returns_or_raises_scenario_error(tmp_path_factory, text):
         load_scenario(str(path))
     except ScenarioError:
         pass
+
+
+def test_failing_verdict_is_recorded_in_detail(tmp_path, monkeypatch):
+    import mfsym.cli as cli
+    from mfsym.mf import Verdict
+
+    broken = Verdict(False, "theta cocycle", ("g1", "g1", "g1"),
+                     (0, 0, 0, (0, 0), Scalar.from_rational(3)))
+    monkeypatch.setattr(cli, "theta_cocycle_check", lambda rep, M: broken)
+    out = tmp_path / "report.json"
+    path = os.path.join(SCENARIO_DIR, "orientifold-shifted-c2.json")
+    assert main(["run", path, "--json", str(out)]) == 1
+    tasks = json.loads(out.read_text())["tasks"]
+    assert all(type(t["ok"]) is bool for t in tasks)
+    assert [t["name"] for t in tasks if not t["ok"]] == ["theta-cocycle"]
+    assert tasks[2]["detail"] == {"failed": {
+        "identity": "theta cocycle", "at": ["g1", "g1", "g1"], "term": [0, 0, 0, [0, 0], "3"]}}

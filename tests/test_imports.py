@@ -1,6 +1,7 @@
 """No module of the package imports a name at module level that it never
 uses, no public top-level name goes unused, no function assigns a name it
-never reads, and validation does not drift back onto assert statements."""
+never reads, validation does not drift back onto assert statements, and
+checks return verdicts rather than bare bools."""
 
 import ast
 from collections import Counter
@@ -88,7 +89,7 @@ def test_no_function_assigns_a_name_it_never_reads():
 
 
 # Asserts left in src/mfsym; python -O strips them, so none may guard input.
-ASSERT_CEILING = 7
+ASSERT_CEILING = 5
 
 
 def test_assert_count_does_not_grow():
@@ -96,3 +97,21 @@ def test_assert_count_does_not_grow():
                 for path in SOURCES
                 for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
     assert count <= ASSERT_CEILING, count
+
+
+def _bare_bool_checks(tree: ast.Module) -> list[str]:
+    """Module-level functions named verify_* or *_check that return a
+    literal True or False instead of a Verdict."""
+    return [f"{fn.name} (line {node.lineno})"
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)
+            and (fn.name.startswith("verify_") or fn.name.endswith("_check"))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, bool)]
+
+
+def test_checks_return_verdicts_not_bare_bools():
+    bare = {path.name: names for path in SOURCES
+            if (names := _bare_bool_checks(ast.parse(path.read_text(), filename=str(path))))}
+    assert not bare, bare

@@ -12,7 +12,7 @@ from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.groups import (
     cyclic_group, product_group, ActionSpec, ANTILINEAR, CONTRAVARIANT,
-    universal_sign_cocycle,
+    Cocycle2, cocycle_check, universal_sign_cocycle,
 )
 from mfsym.mf import rank_one, identity_mor, compose, is_closed
 from mfsym.orientifold import (
@@ -20,7 +20,7 @@ from mfsym.orientifold import (
     verify_contra_structure, theta_component, theta_cocycle_check,
     fixed_point_duality, duality_comparison, comparison_torsor_check,
     verify_duality, orientifold_knorrer, double_knorrer,
-    hyperbolic_transport_check, eta_component, _extend_rep,
+    hyperbolic_transport_check, eta_component, eta_coherence_check, _extend_rep,
 )
 from mfsym.mf import dual, dual_mor, double_dual_iso
 import mfsym.catalog as catalog
@@ -102,15 +102,12 @@ def test_duality_laws_both_groups_both_ranks():
                                    {i: struct.u[i] for i in g.kernel()})
             for sigma in g.odd_elements():
                 _, rep_out = fixed_point_duality(r, sigma, sub)
-                assert rep_out.object_law
-                assert rep_out.morphism_law
-                assert rep_out.coherence
+                assert rep_out.ok, rep_out
             odd = g.odd_elements()
             for s1 in odd:
                 for s2 in odd:
-                    _, form = duality_comparison(r, s1, s2, struct)
-                    assert form.fixed_morphism
-                    assert form.coherence
+                    form = duality_comparison(r, s1, s2, struct)
+                    assert form.ok, form
             assert comparison_torsor_check(r, struct)
 
 
@@ -218,3 +215,92 @@ def test_dualities_reject_even_elements():
         duality_comparison(rep, odd, even, s)
     with pytest.raises(ValueError):
         duality_comparison(rep, even, odd, s)
+
+
+def _scaled(s, i, c):
+    """s with u_i scaled by c."""
+    return ContraRealStruct(s.base, s.rep, {**s.u, i: s.u[i].scale(c)})
+
+
+def _kernel_part(s):
+    return ContraRealStruct(s.base, s.rep, {i: s.u[i] for i in s.rep.group.kernel()})
+
+
+def _non_cocycle_twist():
+    """The C2 shifted action twisted by mu with mu(g1, g1) = 2: not a
+    2-cocycle, since inversion by g1 needs mu(g1, g1)^2 = 1."""
+    rep = c2_shifted_rep()
+    one, two = Scalar.one(), Scalar.from_rational(2)
+    return ContraRep(rep.group, rep.action, W, SHIFTED,
+                     Cocycle2(rep.group, CONTRAVARIANT, ((one, one), (one, two))))
+
+
+def _eta_without_sign_twist():
+    rep = c4_plain_rep()
+    yz = RingSpec(("y", "z"), conductor=4)
+    K = rank_one(Poly.variable(yz, "y"), Poly.variable(yz, "z"))
+    ext = _extend_rep(rep, K)
+    untwisted = ContraRep(ext.group, ext.action, ext.w, ext.variant, None)
+    return eta_coherence_check(rep, untwisted, K, witness(rep).base)
+
+
+# One mutation per identity family: each check returns a verdict that names
+# the identity, the elements where it first fails and a nonzero term of
+# lhs - rhs.  The C4 plain witness has u_g2 scaled by i or u_g1 negated.
+MUTATIONS = {
+    "fixed point law": (
+        lambda: verify_contra_structure(_scaled(witness(c4_plain_rep()), 1, -Scalar.one())),
+        ("g1", "g2")),
+    "2-cocycle": (lambda: cocycle_check(_non_cocycle_twist().twist), ("g1", "g1", "g1")),
+    "theta cocycle": (lambda: theta_cocycle_check(_non_cocycle_twist(), rank_one(U, V)),
+                      ("g1", "g1", "g1")),
+    "eta coherence": (_eta_without_sign_twist, ("g1", "g1")),
+    "duality object law: fixed point law": (
+        lambda: fixed_point_duality(c4_plain_rep(), 1, _kernel_part(
+            _scaled(witness(c4_plain_rep()), 2, Scalar.i())))[1],
+        ("g2", "g2")),
+    "duality": (lambda: verify_duality(
+        [M for _, M in catalog.mf_catalog()], dual, dual_mor,
+        lambda M: double_dual_iso(M).scale(Scalar.from_rational(2))), ("objects[0]",)),
+    "form coherence": (
+        lambda: duality_comparison(c4_plain_rep(), 1, 3,
+                                   _scaled(witness(c4_plain_rep()), 2, Scalar.i())),
+        ("g1", "g3")),
+    "comparison torsor": (
+        lambda: comparison_torsor_check(c4_plain_rep(),
+                                        _scaled(witness(c4_plain_rep()), 2, Scalar.i())),
+        ("g1", "g3", "g1")),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(MUTATIONS))
+def test_failing_check_names_identity_elements_and_term(identity):
+    check, at = MUTATIONS[identity]
+    verdict = check()
+    assert not verdict
+    assert (verdict.identity, verdict.at) == (identity, at), verdict
+    assert not verdict.term[4].is_zero()
+
+
+def test_singular_component_fails_instead_of_raising():
+    s = witness(c4_plain_rep())
+    verdict = verify_contra_structure(_scaled(s, 1, Scalar.zero()))
+    assert (verdict.ok, verdict.identity, verdict.at, verdict.term) == (
+        False, "not invertible", ("g1",), None)
+
+
+def test_contra_verification_inverts_each_component_once(monkeypatch):
+    """Inverting u_{i1} for every odd i2 took |odd| * |G| inversions."""
+    import mfsym.orientifold as orientifold
+
+    s = witness(c4_plain_rep())
+    calls = []
+    mor_inverse = orientifold.mor_inverse
+
+    def counted(f):
+        calls.append(1)
+        return mor_inverse(f)
+
+    monkeypatch.setattr(orientifold, "mor_inverse", counted)
+    assert verify_contra_structure(s).ok
+    assert len(calls) == len(s.u)

@@ -19,8 +19,8 @@ def test_real_catalog_verifies():
     entries = catalog.real_catalog()
     assert len(entries) >= 5
     for name, s in entries:
-        rep = verify_real_structure(s)
-        assert rep.ok, (name, rep.problems)
+        verdict = verify_real_structure(s)
+        assert verdict.ok, (name, verdict)
 
 
 def test_rank_one_condition_conjugation():
@@ -146,27 +146,33 @@ def _retarget(s, i, parity, c0, c1):
                                 ((one * c0,),), ((one * c1,),)))
 
 
+# case -> (catalog entry, mutation, (identity, at) of the first failure,
+# whether that identity is an equation and so reports a term of lhs - rhs)
 BROKEN_REAL = {
     "u_e scaled by -1": ("conjugation-spinor",
                          lambda s: _replace(s, 0, s.u[0].scale(-Scalar.one())),
-                         "u_e is not the identity"),
+                         ("u_e = id", ("g0",)), True),
     "odd component": ("conjugation-spinor", lambda s: _retarget(s, 1, 1, 1, 1),
-                      "u_g1 is not even"),
+                      ("not even", ("g1",)), False),
     "not closed": ("conjugation-spinor", lambda s: _retarget(s, 1, 0, 1, 2),
-                   "u_g1 does not commute with the differentials"),
+                   ("not closed", ("g1",)), False),
     "singular": ("conjugation-spinor", lambda s: _retarget(s, 1, 0, 0, 0),
-                 "u_g1 is not invertible"),
+                 ("not invertible", ("g1",)), False),
     "one component negated": ("dihedral-cubic-line",
                               lambda s: _replace(s, 1, s.u[1].scale(-Scalar.one())),
-                              "cocycle law fails at (r1,r2)"),
+                              ("Real cocycle", ("r1", "r2")), True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_REAL))
 def test_verify_real_structure_names_each_problem(case):
-    name, break_it, problem = BROKEN_REAL[case]
+    name, break_it, (identity, at), is_equation = BROKEN_REAL[case]
     s = dict(catalog.real_catalog())[name]
     assert verify_real_structure(s).ok
-    report = verify_real_structure(break_it(s))
-    assert not report.ok
-    assert problem in report.problems, report.problems
+    verdict = verify_real_structure(break_it(s))
+    assert not verdict.ok
+    assert (verdict.identity, verdict.at) == (identity, at), verdict
+    if is_equation:
+        assert not verdict.term[4].is_zero()
+    else:
+        assert verdict.term is None
