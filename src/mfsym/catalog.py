@@ -148,7 +148,8 @@ def real_catalog():
     Ruv = _ring(("u", "v"))
     act_uv = conjugation_action(Ruv, signs=(-1, -1))
     found = rank_one_real_condition(act_uv)
-    assert found is not None
+    if found is None:
+        raise ValueError("no Real structure on the hyperbolic rank-one factorization")
     out.append(("conjugation-hyperbolic", found[1]))
 
     out.append(("conjugation-knorrer-spinor", real_knorrer(s_spin)))
@@ -159,7 +160,8 @@ def real_catalog():
     xx, yy = Poly.variable(Rxy, "x"), Poly.variable(Rxy, "y")
     base_d = rank_one(xx + yy, xx * xx - xx * yy + yy * yy)
     s_d = search_scaled_structure(act_d, base_d)
-    assert s_d is not None
+    if s_d is None:
+        raise ValueError("no scaled Real structure on the dihedral cubic line")
     out.append(("dihedral-cubic-line", s_d))
     out.append(("dihedral-knorrer", real_knorrer(s_d)))
 
@@ -206,7 +208,8 @@ def clifford_module_catalog():
         ("pauli-double", double_pauli_module()),
     ]
     for name, m in entries:
-        assert not module_validate(m), name
+        if module_validate(m):
+            raise ValueError(f"catalog module {name} fails its relations")
     return entries
 
 

@@ -277,7 +277,6 @@ class Scenario:
     variant: str | None
     twist: Cocycle2 | None
     tasks: list
-    raw: dict
 
 
 def load_scenario(path: str) -> Scenario:
@@ -351,7 +350,7 @@ def load_scenario(path: str) -> Scenario:
         if t["op"] not in TASKS:
             raise ScenarioError(f"{path}: unknown task op {t['op']!r}")
     return Scenario(raw.get("name", path), ring, potential, group, action,
-                    setting, variant, twist, tasks, raw)
+                    setting, variant, twist, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +437,7 @@ def task_duality_suite(sc: Scenario, params: dict):
     g = s.rep.group
     odd = g.odd_elements()
     sub = ContraRealStruct(s.base, s.rep, {i: s.u[i] for i in g.kernel()})
-    verdicts = {g.labels[sigma]: fixed_point_duality(s.rep, sigma, sub)[1] for sigma in odd}
+    verdicts = {g.labels[sigma]: fixed_point_duality(s.rep, sigma, sub) for sigma in odd}
     if len(odd) >= 2:
         verdicts["comparison"] = duality_comparison(s.rep, odd[0], odd[1], s)
         verdicts["torsor"] = comparison_torsor_check(s.rep, s)
@@ -724,7 +723,7 @@ def _suite_orientifold() -> Iterator[TaskResult]:
                     cd and verify_contra_structure(d4) and d4.rep.variant == PLAIN)
         sub = ContraRealStruct(s4.base, rep4, {i: s4.u[i] for i in g4.kernel()})
         yield _task(5, "duality-and-comparison",
-                    fixed_point_duality(rep4, 1, sub)[1]
+                    fixed_point_duality(rep4, 1, sub)
                     and duality_comparison(rep4, 1, 3, s4)
                     and comparison_torsor_check(rep4, s4))
     yield _task(6, "hyperbolic-transport", hyperbolic_transport_check())

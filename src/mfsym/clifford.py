@@ -19,8 +19,8 @@ from itertools import product as iproduct
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec
-from .mf import MF, MFMor, mf_new, diff_mor, window_operator
-from .linalg import sparse_rank, sparse_transpose
+from .mf import MF, MFMor, mf_new
+from .linalg import sparse_rank
 
 
 def _to_scalar(c) -> Scalar:
@@ -380,25 +380,24 @@ def beh_phi_mor(f: CliffModMor, ring: RingSpec) -> MFMor:
                  _scalar_to_poly_mat(ring, f.f1))
 
 
-def _constant_mf(gamma) -> MF:
-    """A generator's blocks (g0, g1) as the differential of an object over
-    the ring with no variables; no factorization identity is checked."""
-    ring = RingSpec(())
-    return MF(ring, Poly.zero(ring),
-              _scalar_to_poly_mat(ring, gamma[0]), _scalar_to_poly_mat(ring, gamma[1]))
-
-
 def module_hom_dim(m: CliffMod, mp: CliffMod) -> int:
     """Dimension over the scalar field of the space of degree-zero module
-    maps m -> mp: the common kernel over the generators j of the Hom
-    differential with d = gamma_j on the constant window, since
-    f1 g0 = h0 f0 and f0 g1 = h1 f1 say exactly that D(f) = 0."""
+    maps f: m -> mp, the solutions of h_p f_p = f_{1-p} g_p (p = 0, 1) for
+    every generator pair (g, h).  Entry (i, j) of an equation is one sparse
+    row on the unknowns (p, r, c) = entry (r, c) of f_p; the keys of its
+    h side and its g side differ in p, so they never collide."""
     if m.alg != mp.alg:
         raise ValueError("modules over different Clifford algebras")
     rows = []
-    for g, h in zip(m.gammas, mp.gammas):
-        rows += sparse_transpose(
-            window_operator(diff_mor(_constant_mf(h)), diff_mor(_constant_mf(g)), 0, [()]))
+    for g, h in zip(_sparse_gammas(m), _sparse_gammas(mp)):
+        for p in (0, 1):
+            minus_g_cols = [{c: -row[j] for c, row in enumerate(g[p]) if j in row}
+                            for j in range(m.dims[p])]
+            for i, hrow in enumerate(h[p]):
+                for j, col in enumerate(minus_g_cols):
+                    eq = {(p, r, j): x for r, x in hrow.items()}
+                    eq.update({(1 - p, i, c): x for c, x in col.items()})
+                    rows.append(eq)
     (a0, a1), (b0, b1) = m.dims, mp.dims
     return a0 * b0 + a1 * b1 - sparse_rank(rows)
 

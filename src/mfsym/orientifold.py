@@ -231,54 +231,52 @@ def rank_one_contra_condition(rep: ContraRep):
 # ---------------------------------------------------------------------------
 # duality on fixed points
 
-@dataclass
-class DualityData:
-    dual_object: MF  # rho(sigma)(C) for the fixed point object C
-    v: dict        # induced even-subgroup structure on rho(sigma)(C)
-    big_theta: MFMor  # C -> rho(sigma)^2(C)
+def _inverses(rep: ContraRep, u: dict):
+    """The inverse of each component of u, or the verdict naming the first
+    one that is not invertible."""
+    for i, f in u.items():
+        if not is_isomorphism(f):
+            return Verdict(False, "not invertible", (rep.group.labels[i],))
+    return {i: mor_inverse(f) for i, f in u.items()}
 
 
-def _induced_structure(rep: ContraRep, sigma: int, base: MF, u: dict) -> dict:
-    """The even-subgroup structure v on rho(sigma)(base) built from u."""
+def _duality_data(rep: ContraRep, sigma: int, C: MF, u: dict, inverse: dict):
+    """(rho(sigma)(C), the even-subgroup structure v that u induces on it,
+    big theta: C -> rho(sigma)^2(C)), given the inverses of u's components."""
     g = rep.group
     v = {}
     for gg in g.kernel():
         h = g.mul(g.mul(g.inv(sigma), gg), sigma)
-        step = rep_apply_mor(rep, sigma, mor_inverse(u[h]))
-        step = compose(theta_component(rep, sigma, h, base), step)
-        v[gg] = compose(mor_inverse(theta_component(rep, gg, sigma, base)), step)
-    return v
+        step = compose(theta_component(rep, sigma, h, C), rep_apply_mor(rep, sigma, inverse[h]))
+        v[gg] = compose(mor_inverse(theta_component(rep, gg, sigma, C)), step)
+    big_theta = compose(mor_inverse(theta_component(rep, sigma, sigma, C)), u[g.mul(sigma, sigma)])
+    return rep_apply(rep, sigma, C), v, big_theta
 
 
-def fixed_point_duality(rep: ContraRep, sigma: int, s: ContraRealStruct):
-    """The duality induced on an even-subgroup fixed point by an odd
-    element: the induced structure on the dualized object, the double
-    dual comparison map, and the verdict of the three exact checks."""
+def fixed_point_duality(rep: ContraRep, sigma: int, s: ContraRealStruct) -> Verdict:
+    """The verdict on the duality that an odd element induces on an
+    even-subgroup fixed point: the object law, the morphism law of the
+    double dual comparison map big theta, and its coherence."""
     g = rep.group
     if g.grading[sigma] != -1:
         raise ValueError(f"fixed point duality needs an odd element, got {g.labels[sigma]}")
-    C = s.base
-    P = rep_apply(rep, sigma, C)
-    v = _induced_structure(rep, sigma, C, s.u)
-    sq = g.mul(sigma, sigma)
-    big_theta = compose(mor_inverse(theta_component(rep, sigma, sigma, C)), s.u[sq])
-    data = DualityData(P, v, big_theta)
-
+    if isinstance(inverse := _inverses(rep, s.u), Verdict):
+        return inverse
+    P, v, big_theta = _duality_data(rep, sigma, s.base, s.u, inverse)
     law = verify_contra_structure(ContraRealStruct(P, rep, v))
     if not law:
-        return data, replace(law, identity=f"duality object law: {law.identity}")
+        return replace(law, identity=f"duality object law: {law.identity}")
 
-    w = _induced_structure(rep, sigma, P, v)
+    # the object law has found every component of v invertible
+    _, w, big_theta_P = _duality_data(rep, sigma, P, v, {i: mor_inverse(f) for i, f in v.items()})
     for gg in g.kernel():
         if not (morphism := equation("duality morphism law", (g.labels[sigma], g.labels[gg]),
                                      compose(w[gg], big_theta),
                                      compose(rep_apply_mor(rep, gg, big_theta), s.u[gg]))):
-            return data, morphism
-
-    big_theta_P = compose(mor_inverse(theta_component(rep, sigma, sigma, P)), v[sq])
-    return data, equation("duality coherence", (g.labels[sigma],),
-                          compose(rep_apply_mor(rep, sigma, big_theta), big_theta_P),
-                          identity_mor(P))
+            return morphism
+    return equation("duality coherence", (g.labels[sigma],),
+                    compose(rep_apply_mor(rep, sigma, big_theta), big_theta_P),
+                    identity_mor(P))
 
 
 def _comparison_map(rep: ContraRep, s1: int, s2: int, obj: MF, u: dict) -> MFMor:
@@ -288,31 +286,31 @@ def _comparison_map(rep: ContraRep, s1: int, s2: int, obj: MF, u: dict) -> MFMor
                    mor_inverse(theta_component(rep, s2, h, obj)))
 
 
-def duality_comparison(rep: ContraRep, s1: int, s2: int, s: ContraRealStruct):
+def duality_comparison(rep: ContraRep, s1: int, s2: int, s: ContraRealStruct) -> Verdict:
     """The verdict on the comparison between the dualities of two odd
-    elements: the fixed point morphism check, then form-functor coherence."""
+    elements: the fixed point morphism check, then form-functor coherence.
+    The laws of each duality are fixed_point_duality's to check."""
     g = rep.group
     even = [g.labels[i] for i in (s1, s2) if g.grading[i] != -1]
     if even:
         raise ValueError(f"duality comparison needs two odd elements, got even {even}")
     C = s.base
     sub = {i: s.u[i] for i in g.kernel()}
+    if isinstance(inverse := _inverses(rep, sub), Verdict):
+        return inverse
+    P1, v1, big_theta1 = _duality_data(rep, s1, C, sub, inverse)
+    _, v2, big_theta2 = _duality_data(rep, s2, C, sub, inverse)
     phi = _comparison_map(rep, s1, s2, C, sub)
-
-    d1, _ = fixed_point_duality(rep, s1, ContraRealStruct(C, rep, sub))
-    d2, _ = fixed_point_duality(rep, s2, ContraRealStruct(C, rep, sub))
 
     at = (g.labels[s1], g.labels[s2])
     for gg in g.kernel():
         if not (v := equation("form fixed morphism", (*at, g.labels[gg]),
-                              compose(d2.v[gg], phi),
-                              compose(rep_apply_mor(rep, gg, phi), d1.v[gg]))):
+                              compose(v2[gg], phi), compose(rep_apply_mor(rep, gg, phi), v1[gg]))):
             return v
 
-    phi_at_dual = _comparison_map(rep, s1, s2, d1.dual_object, d1.v)
     return equation("form coherence", at,
-                    compose(rep_apply_mor(rep, s2, phi), d2.big_theta),
-                    compose(phi_at_dual, d1.big_theta))
+                    compose(rep_apply_mor(rep, s2, phi), big_theta2),
+                    compose(_comparison_map(rep, s1, s2, P1, v1), big_theta1))
 
 
 def comparison_torsor_check(rep: ContraRep, s: ContraRealStruct) -> Verdict:

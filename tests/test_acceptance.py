@@ -269,7 +269,7 @@ def test_criterion_07_fixed_point_duality_suite():
             sub = ContraRealStruct(struct.base, r,
                                    {i: struct.u[i] for i in g.kernel()})
             for sigma in g.odd_elements():
-                _, drep = fixed_point_duality(r, sigma, sub)
+                drep = fixed_point_duality(r, sigma, sub)
                 assert drep.ok, drep
             odd = g.odd_elements()
             for s1 in odd:

@@ -13,10 +13,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from mfsym import catalog
+import mfsym.clifford as clifford
+import mfsym.mf as mf
 from mfsym.clifford import (
-    CliffAlg, CliffMod, CliffModMor, QuadForm, module_act, module_validate,
-    mf_to_clifford_module, smat,
+    CliffAlg, CliffMod, CliffModMor, QuadForm, module_act, module_hom_dim,
+    module_validate, mf_to_clifford_module, smat,
 )
+from mfsym.polys import Poly
 from mfsym.real import real_knorrer
 from mfsym.scalars import Scalar
 
@@ -145,3 +148,67 @@ def test_module_validate_multiplies_nonzeros_only(monkeypatch):
     assert module_validate(m) == []
     monkeypatch.undo()
     assert 0 < calls <= 8 * nnz
+
+
+def _hom_nullity(m, mp):
+    """Nullity of H0_j F0 = F1 G0_j, H1_j F1 = F0 G1_j over every generator
+    pair (G_j, H_j), in sympy unknowns F0: b0 x a0 and F1: b1 x a1."""
+    (a0, a1), (b0, b1) = m.dims, mp.dims
+    F0 = sympy.Matrix(b0, a0, lambda r, c: sympy.Symbol(f"f0_{r}_{c}"))
+    F1 = sympy.Matrix(b1, a1, lambda r, c: sympy.Symbol(f"f1_{r}_{c}"))
+    unknowns = list(F0) + list(F1)
+    eqs = []
+    for (g0, g1), (h0, h1) in zip(m.gammas, mp.gammas):
+        G0, G1 = _sym_of_block(g0, a1, a0), _sym_of_block(g1, a0, a1)
+        H0, H1 = _sym_of_block(h0, b1, b0), _sym_of_block(h1, b0, b1)
+        eqs += list(H0 * F0 - F1 * G0) + list(H1 * F1 - F0 * G1)
+    if not (unknowns and eqs):
+        return len(unknowns)
+    return len(unknowns) - sympy.linear_eq_to_matrix(eqs, unknowns)[0].rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_module_hom_dim_matches_sympy(data):
+    """Drawn block ranks run from 0, so zero-rank blocks on either side are
+    drawn; the relations are not required to hold."""
+    m, _, raw = _draw_module(data)
+    if data.draw(st.booleans()):
+        mp = m
+    else:
+        drawn, _, _ = _draw_module(data, len(raw))
+        mp = CliffMod(m.alg, drawn.dims, drawn.gammas)
+    assert module_hom_dim(m, mp) == _hom_nullity(m, mp)
+
+
+def test_module_hom_dim_on_zero_rank_blocks():
+    """A one-dimensional even space against the spinor module: on the
+    spinor side h0 = 1 forces f0 = 0 in both directions."""
+    alg = CliffAlg(QuadForm.diagonal([1]))
+    even = CliffMod(alg, (1, 0), (((), ((),)),))
+    spinor = CliffMod(alg, (1, 1), ((smat([[1]]), smat([[1]])),))
+    assert module_hom_dim(even, even) == 1
+    assert module_hom_dim(even, spinor) == 0
+    assert module_hom_dim(spinor, even) == 0
+    assert all(_hom_nullity(a, b) == 0 for a, b in ((even, spinor), (spinor, even)))
+
+
+def test_module_hom_dim_builds_no_polynomials(monkeypatch):
+    """The module equations are read off the sparse generator rows: no
+    constant polynomial is built and no polynomial window is linearized."""
+    m = _tower_module_8()
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Poly, "constant", staticmethod(counted("constant", Poly.constant)))
+    for module in (mf, clifford):
+        if hasattr(module, "window_operator"):
+            monkeypatch.setattr(module, "window_operator",
+                                counted("window", module.window_operator))
+    assert module_hom_dim(m, m) == 1
+    assert calls == []

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfsym.scalars import Scalar
-from mfsym.polys import Poly, RingSpec
+from mfsym.polys import Poly, RingMap, RingSpec
+from mfsym.groups import twist_mf
 from mfsym.mf import (
     MF, MFMor, MFError, mf_new, rank_one, identity_mor, compose,
     diff_mor, hom_diff, is_closed, is_isomorphism, mor_inverse, shift,
@@ -18,7 +19,7 @@ from mfsym.mf import (
     external_tensor_mor, swap_iso, shift_tensor_iso_left,
     shift_tensor_iso_right, tensor_dual_pairing, knorrer_apply,
     mat_mul, mat_identity, mat_zero, mat_det, mat_inverse, mat_eq, mat_neg,
-    mat_block, join_rings, lift_poly, lift_mat,
+    mat_block, join_rings, lift_poly, lift_mat, negate_mf,
 )
 import mfsym.catalog as catalog
 
@@ -188,14 +189,23 @@ def _rank_one_draws(names):
 _SMALL_CATALOG = [M for _, M in catalog.mf_catalog() if max(M.ranks) <= 2]
 
 
+_DIAGONAL_SCALES = st.lists(
+    st.sampled_from([Scalar.one(), -Scalar.one(), Scalar.from_rational(2),
+                     Scalar.i(), Scalar.one() + Scalar.i()]), min_size=6, max_size=6)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_SMALL_CATALOG), _rank_one_draws(("p1", "q1")),
-       _rank_one_draws(("p2", "q2")))
-def test_external_tensor_of_factorizations_passes_mf_new(M, A, B):
-    """external_tensor does not check d^2 = w again; mf_new's check accepts
-    every tensor of checked factorizations, also of a tensor."""
-    for T in (external_tensor(M, A), external_tensor(A, M),
-              external_tensor(external_tensor(M, A), B)):
+       _rank_one_draws(("p2", "q2")), _DIAGONAL_SCALES, st.booleans())
+def test_external_tensor_of_factorizations_passes_mf_new(M, A, B, scales, antilinear):
+    """external_tensor, shift, dual, negate_mf and twist_mf do not check
+    d^2 = w again; mf_new's check accepts each of them applied to checked
+    factorizations, also to a tensor.  The twist scales each variable."""
+    MA = external_tensor(M, A)
+    diagonal = RingMap(tuple(Poly.variable(MA.ring, v) * c
+                             for v, c in zip(MA.ring.variables, scales)), antilinear)
+    for T in (MA, external_tensor(A, M), external_tensor(MA, B), shift(MA), dual(MA),
+              negate_mf(MA), twist_mf(diagonal, MA)):
         assert mf_new(T.ring, T.w, T.d0, T.d1) == T
 
 

@@ -101,7 +101,7 @@ def test_duality_laws_both_groups_both_ranks():
             sub = ContraRealStruct(struct.base, r,
                                    {i: struct.u[i] for i in g.kernel()})
             for sigma in g.odd_elements():
-                _, rep_out = fixed_point_duality(r, sigma, sub)
+                rep_out = fixed_point_duality(r, sigma, sub)
                 assert rep_out.ok, rep_out
             odd = g.odd_elements()
             for s1 in odd:
@@ -257,7 +257,7 @@ MUTATIONS = {
     "eta coherence": (_eta_without_sign_twist, ("g1", "g1")),
     "duality object law: fixed point law": (
         lambda: fixed_point_duality(c4_plain_rep(), 1, _kernel_part(
-            _scaled(witness(c4_plain_rep()), 2, Scalar.i())))[1],
+            _scaled(witness(c4_plain_rep()), 2, Scalar.i()))),
         ("g2", "g2")),
     "duality": (lambda: verify_duality(
         [M for _, M in catalog.mf_catalog()], dual, dual_mor,
@@ -287,6 +287,34 @@ def test_singular_component_fails_instead_of_raising():
     verdict = verify_contra_structure(_scaled(s, 1, Scalar.zero()))
     assert (verdict.ok, verdict.identity, verdict.at, verdict.term) == (
         False, "not invertible", ("g1",), None)
+
+
+def test_singular_kernel_component_fails_the_dualities_instead_of_raising():
+    """Building the induced structure inverted u_g2 before any check ran."""
+    s = _scaled(witness(c4_plain_rep()), 2, Scalar.zero())
+    rep = s.rep
+    for verdict in (fixed_point_duality(rep, 1, _kernel_part(s)),
+                    duality_comparison(rep, 1, 3, s)):
+        assert (verdict.ok, verdict.identity, verdict.at, verdict.term) == (
+            False, "not invertible", ("g2",), None)
+
+
+def test_duality_comparison_does_not_rerun_the_dualities(monkeypatch):
+    """The comparison builds both dualities' data; checking their laws is
+    fixed_point_duality's, which it used to call twice."""
+    import mfsym.orientifold as orientifold
+
+    s = witness(c4_plain_rep())
+    calls = []
+    duality = orientifold.fixed_point_duality
+
+    def counted(*args):
+        calls.append(1)
+        return duality(*args)
+
+    monkeypatch.setattr(orientifold, "fixed_point_duality", counted)
+    assert duality_comparison(s.rep, 1, 3, s).ok
+    assert calls == []
 
 
 def test_contra_verification_inverts_each_component_once(monkeypatch):
