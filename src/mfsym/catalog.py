@@ -11,18 +11,12 @@ from __future__ import annotations
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec
-from .mf import (
-    MF, rank_one, external_tensor, knorrer_apply, identity_mor, scaled_identity,
-    scaled_witnesses,
-)
+from .mf import MF, rank_one, external_tensor, knorrer_apply, identity_mor, scaled_identity
 from .groups import (
-    GroupSpec, ActionSpec, ANTILINEAR, cyclic_group, dihedral_group,
-    diagonal_action, twist_mf,
+    GroupSpec, ActionSpec, ANTILINEAR, ContraRep, cyclic_group, dihedral_group,
+    diagonal_action, scaled_fixed_point, twist_mf,
 )
-from .real import (
-    RealStruct, verify_real_structure, rank_one_real_condition,
-    tensor_real_structure, real_knorrer,
-)
+from .real import RealStruct, rank_one_real_condition, tensor_real_structure, real_knorrer
 from .clifford import (
     QuadForm, CliffAlg, CliffMod, smat, beh_phi, parity_shift, module_validate,
 )
@@ -103,17 +97,13 @@ def conjugation_action(ring: RingSpec, signs=None) -> ActionSpec:
 
 def search_scaled_structure(act: ActionSpec, base: MF):
     """The first Real structure whose components are scalar multiples of
-    the identity blocks (mf.scaled_witnesses over the units zeta_L^k,
-    L = max(conductor, 4)) that passes the cocycle law; None if none does."""
+    the identity blocks (groups.scaled_fixed_point over the units zeta_L^k,
+    L = max(conductor, 4)) that passes the cocycle law; None if none does.
+    The action itself is verify_real_structure's to check."""
     L = max(act.ring.conductor, 4)
-    units = [Scalar.zeta(L, k) for k in range(L)]
-    g = act.group
-    targets = [twist_mf(act.map_of(i), base) for i in g.elements()]
-    for u in scaled_witnesses(base, targets, g.identity, units):
-        s = RealStruct(base, act, u)
-        if verify_real_structure(s).ok:
-            return s
-    return None
+    u = scaled_fixed_point(ContraRep(act.group, act, base.w), base,
+                           [Scalar.zeta(L, k) for k in range(L)])
+    return None if u is None else RealStruct(base, act, tuple(u.values()))
 
 
 def dihedral_cubic_action(m: int = 3) -> ActionSpec:

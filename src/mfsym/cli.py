@@ -32,8 +32,8 @@ from .mf import (
     diff_mor, Verdict,
 )
 from .groups import (
-    GroupSpec, ActionSpec, ANTILINEAR, CONTRAVARIANT, cyclic_group,
-    dihedral_group, product_group, Cocycle2, universal_sign_cocycle,
+    GroupSpec, ActionSpec, ANTILINEAR, CONTRAVARIANT, PLAIN, SHIFTED, ContraRep,
+    cyclic_group, dihedral_group, product_group, Cocycle2, universal_sign_cocycle,
     validate_action, twist_mf,
 )
 from .real import (
@@ -41,10 +41,9 @@ from .real import (
     fixed_hom, closed_dimension,
 )
 from .orientifold import (
-    PLAIN, SHIFTED, ContraRep, rank_one_contra_condition,
-    verify_contra_structure, theta_cocycle_check, fixed_point_duality,
-    duality_comparison, comparison_torsor_check, orientifold_knorrer,
-    double_knorrer, hyperbolic_transport_check, ContraRealStruct,
+    rank_one_contra_condition, verify_contra_structure, theta_cocycle_check,
+    fixed_point_duality, duality_comparison, comparison_torsor_check,
+    orientifold_knorrer, double_knorrer, hyperbolic_transport_check, ContraRealStruct,
 )
 from .clifford import (
     beh_hom_compare, real_clifford_fixed, graded_tensor, cl_rs, signature,
@@ -67,6 +66,7 @@ class ScenarioError(ValueError):
 # Size bounds on what a scenario may ask for; past them, reading and
 # checking it takes seconds to hours.
 MAX_GROUP_ORDER = 64
+MAX_ITERATIONS = 5  # of eightfold-consistency; each costs about 20x the one before
 # monomials of a power's or a product's degree or lower; bounds an exponent too
 MAX_POWER_MONOMIALS = 500
 MAX_CONDUCTOR = 360  # of the ring and of the zeta orders of one expression
@@ -356,10 +356,24 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # tasks
 
+def _action(sc: Scenario, setting: str | None = None) -> ActionSpec:
+    """The scenario's action, in the given setting if one is given."""
+    if sc.action is None or setting not in (None, sc.setting):
+        raise ScenarioError(f"task needs an action{f' in the {setting} setting' if setting else ''}")
+    return sc.action
+
+
+def _count(params: dict, key: str, default, most: int | None = None):
+    """params[key], a positive integer up to most (if given); default if absent."""
+    value = params.get(key, default)
+    if key in params and (type(value) is not int or value < 1 or most and value > most):
+        raise ScenarioError(f"{key} must be a positive integer{f' up to {most}' if most else ''}"
+                            f", got {value!r}")
+    return value
+
+
 def _contra_rep(sc: Scenario) -> ContraRep:
-    if sc.action is None or sc.setting != CONTRAVARIANT:
-        raise ScenarioError("task needs a contravariant action")
-    return ContraRep(sc.group, sc.action, sc.potential,
+    return ContraRep(sc.group, _action(sc, CONTRAVARIANT), sc.potential,
                      sc.variant or PLAIN, sc.twist)
 
 
@@ -371,27 +385,28 @@ def _contra_witness(sc: Scenario) -> ContraRealStruct:
 
 
 def task_validate_action(sc: Scenario, params: dict):
-    report = validate_action(sc.action, sc.potential)
+    report = validate_action(_action(sc), sc.potential)
     return report.ok, {"invariance": report.invariance}
 
 
-def task_rank_one_real(sc: Scenario, params: dict):
-    if sc.setting != ANTILINEAR:
-        raise ScenarioError("rank-one-real needs the antilinear setting")
-    found = rank_one_real_condition(sc.action)
-    want = params.get("expect", "exists")
-    if want == "none":
+def _rank_one(params: dict, found, verify):
+    """Whether found, (chi values, witness) or None, is as params' expect says
+    ("exists" or "none"), and the verdict on a witness that should exist."""
+    if params.get("expect", "exists") == "none":
         return found is None, {"found": found is not None}
     if found is None:
         return False, {"found": False}
     chi, struct = found
-    return verify_real_structure(struct), {
-        "chi": [repr(c) for c in chi.values]
-    }
+    return verify(struct), {"chi": [repr(c) for c in chi]}
+
+
+def task_rank_one_real(sc: Scenario, params: dict):
+    found = rank_one_real_condition(_action(sc, ANTILINEAR))
+    return _rank_one(params, found and (found[0].values, found[1]), verify_real_structure)
 
 
 def task_real_knorrer(sc: Scenario, params: dict):
-    found = rank_one_real_condition(sc.action)
+    found = rank_one_real_condition(_action(sc, ANTILINEAR))
     if found is None:
         return False, {"found": False}
     out = real_knorrer(found[1])
@@ -399,17 +414,7 @@ def task_real_knorrer(sc: Scenario, params: dict):
 
 
 def task_rank_one_orientifold(sc: Scenario, params: dict):
-    rep = _contra_rep(sc)
-    found = rank_one_contra_condition(rep)
-    want = params.get("expect", "exists")
-    if want == "none":
-        return found is None, {"found": found is not None}
-    if found is None:
-        return False, {"found": False}
-    chi, struct = found
-    return verify_contra_structure(struct), {
-        "chi": [repr(c) for c in chi]
-    }
+    return _rank_one(params, rank_one_contra_condition(_contra_rep(sc)), verify_contra_structure)
 
 
 def task_theta_cocycle(sc: Scenario, params: dict):
@@ -451,12 +456,14 @@ def task_hyperbolic_transport(sc: Scenario, params: dict):
 def task_hom_cohomology(sc: Scenario, params: dict):
     M = _mf_from_params(sc, params)
     N = _mf_from_params(sc, params, key_prefix="other_") if "other_d0" in params else M
-    cutoff = params.get("cutoff") or default_cutoff(M.w)
+    cutoff = _count(params, "cutoff", None) or default_cutoff(M.w)
+    if not isinstance(expect := params.get("expect", []), list):
+        raise ScenarioError(f"expect must be a list of dimensions, got {expect!r}")
     report = hom_cohomology(M, N, cutoff)
     detail = {"dims": list(report.dims), "cutoff": report.cutoff,
               "stable": report.stable}
     if "expect" in params:
-        return list(report.dims) == list(params["expect"]) and report.stable, detail
+        return list(report.dims) == expect and report.stable, detail
     return report.stable, detail
 
 
@@ -471,18 +478,17 @@ def _potential_null_homotopy(M: MF) -> bool:
 
 
 def _mf_from_params(sc: Scenario, params: dict, key_prefix: str = "") -> MF:
-    d0 = params.get(key_prefix + "d0")
-    d1 = params.get(key_prefix + "d1")
-    if d0 is None or d1 is None:
-        raise ScenarioError("task needs d0 and d1 matrices of expressions")
-    mat0 = tuple(tuple(parse_poly(s, sc.ring) for s in row) for row in d0)
-    mat1 = tuple(tuple(parse_poly(s, sc.ring) for s in row) for row in d1)
-    return mf_new(sc.ring, sc.potential, mat0, mat1)
+    mats = [params.get(key_prefix + "d0"), params.get(key_prefix + "d1")]
+    if not all(isinstance(m, list) and all(isinstance(row, list) and len(row) == len(m[0])
+                                           for row in m) for m in mats):
+        raise ScenarioError("task needs d0 and d1 matrices of expressions: lists of rows "
+                            "of one length")
+    return mf_new(sc.ring, sc.potential,
+                  *(tuple(tuple(parse_poly(s, sc.ring) for s in row) for row in m) for m in mats))
 
 
 def task_eightfold(sc: Scenario, params: dict):
-    iters = int(params.get("iterations", 4))
-    detail, ok = _eightfold_consistency(iters)
+    detail, ok = _eightfold_consistency(_count(params, "iterations", 4, MAX_ITERATIONS))
     return ok, detail
 
 

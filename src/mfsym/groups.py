@@ -1,4 +1,5 @@
-"""C2-graded finite groups, ring actions, characters, 2-cocycles, twists.
+"""C2-graded finite groups, ring actions, characters, 2-cocycles, twists,
+and the action on MF(R, w) with its one homotopy fixed point law.
 
 Groups are explicit multiplication tables with a grading homomorphism to
 {+1,-1}.  Actions assign one generalized ring automorphism per element;
@@ -11,16 +12,24 @@ elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .scalars import Scalar
-from .polys import Poly, RingSpec, RingMap, apply_ring_map
-from .mf import MF, MFMor, Verdict, join_rings, lift_poly, mat_apply
+from .polys import Poly, RingSpec, RingMap, apply_ring_map, monomial_ratio
+from .mf import (
+    MF, MFMor, Verdict, equation, identity_mor, scaled_identity, scaled_witnesses,
+    is_closed, is_isomorphism, mor_inverse, join_rings, lift_poly, mat_apply, mat_mul,
+    mat_scale, mat_transpose, mf_key, dual, dual_mor, shift, shift_mor,
+)
 
 
 ANTILINEAR = "antilinear"
 CONTRAVARIANT = "contravariant"
+
+# odd elements of a contravariant action act through the dual, or the shifted dual
+PLAIN = "plain"
+SHIFTED = "shifted"
 
 # Variable stems of the rank-one kernel u*v added by a Knoerrer step.
 KERNEL_STEMS = ("u", "v")
@@ -149,6 +158,10 @@ class ActionSpec:
 
     def map_of(self, i: int) -> RingMap:
         return self.maps[i]
+
+    def flips(self, i: int) -> bool:
+        """Whether element i acts contravariantly on MF(R, w)."""
+        return self.setting == CONTRAVARIANT and self.group.grading[i] == -1
 
     @property
     def ring(self) -> RingSpec:
@@ -374,3 +387,167 @@ def twist_mf(rm: RingMap, M: MF) -> MF:
 def twist_mor(rm: RingMap, f: MFMor) -> MFMor:
     return MFMor(twist_mf(rm, f.source), twist_mf(rm, f.target), f.parity,
                  mat_apply(rm, f.f0), mat_apply(rm, f.f1))
+
+
+# ---------------------------------------------------------------------------
+# the action on matrix factorizations
+
+@dataclass(frozen=True)
+class ContraRep:
+    """A group action on MF(R, w) with coherence data, in either setting.
+    Odd elements of a contravariant action flip: they act contravariantly.
+    Every other element acts by the twist functor, so an antilinear rep
+    has theta_{g,h} = mu(g,h) * id and keeps the plain variant.
+
+    Each rep keeps the objects built from it: rho(i)(M) under
+    (i, mf_key(M)) and whatever a caller builds through cached().  A key
+    holds the full content of its inputs, so a hit is exactly what a
+    fresh build would give.  The key is built once per MF and kept on it,
+    so a lookup on an object seen before hashes the stored key instead of
+    building it again.
+    """
+
+    group: GroupSpec
+    action: ActionSpec
+    w: Poly
+    variant: str = PLAIN
+    twist: Cocycle2 | None = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        variants = (PLAIN, SHIFTED) if self.action.setting == CONTRAVARIANT else (PLAIN,)
+        if self.variant not in variants:
+            raise ValueError(f"variant {self.variant!r} is not one of {variants} in the "
+                             f"{self.action.setting} setting")
+
+    def cached(self, key: tuple, build):
+        """The object this rep has built under key, building it on first use."""
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = build()
+        return out
+
+
+def rep_apply(rep: ContraRep, i: int, M: MF) -> MF:
+    """The action of element i on objects: the twist, of the dual (plain)
+    or of the shifted dual (shifted) where i acts contravariantly."""
+    def build():
+        rm = rep.action.map_of(i)
+        if not rep.action.flips(i):
+            return twist_mf(rm, M)
+        if rep.variant == PLAIN:
+            return twist_mf(rm, dual(M))
+        return twist_mf(rm, dual(shift(M)))
+
+    return rep.cached((i, mf_key(M)), build)
+
+
+def rep_apply_mor(rep: ContraRep, i: int, f: MFMor) -> MFMor:
+    """The action on morphisms; contravariant where i flips.  The
+    endpoints come from rep_apply, so only the blocks are twisted here."""
+    src, tgt = f.source, f.target
+    if rep.action.flips(i):
+        f = dual_mor(f if rep.variant == PLAIN else shift_mor(f))
+        src, tgt = tgt, src
+    rm = rep.action.map_of(i)
+    return MFMor(rep_apply(rep, i, src), rep_apply(rep, i, tgt), f.parity,
+                 mat_apply(rm, f.f0), mat_apply(rm, f.f1))
+
+
+def theta_scalars(rep: ContraRep, i2: int, i1: int) -> tuple[Scalar, Scalar]:
+    """theta_component's scalars (c0, c1) on the two blocks."""
+    c = Scalar.one() if rep.twist is None else rep.twist.value(i2, i1)
+    return c, (-c if rep.action.flips(i2) and rep.action.flips(i1) and rep.variant == PLAIN else c)
+
+
+def theta_component(rep: ContraRep, i2: int, i1: int, M: MF) -> MFMor:
+    """theta_{i2,i1} at M, from rho(i2)(rho(i1)(M)) to rho(i2*i1)(M).
+
+    With strict twist composition the two objects agree except when both
+    elements act contravariantly.  There the plain variant passes through
+    the double dual, contributing the grading blocks (1, -1).  In the
+    shifted variant the two shifts cancel against the double dual on the
+    nose and the component is the plain identity; the residual sign of
+    moving a shift past the dual is carried by the universal sign cocycle
+    in the twist, not by the component itself.  A 2-cocycle twist scales
+    every component.
+    """
+    src = rep_apply(rep, i2, rep_apply(rep, i1, M))
+    tgt = rep_apply(rep, rep.group.mul(i2, i1), M)
+    return scaled_identity(src, tgt, *theta_scalars(rep, i2, i1))
+
+
+def verify_fixed_point(rep: ContraRep, base: MF, u: dict,
+                       law: str = "fixed point law") -> Verdict:
+    """Checks components u (element -> map base -> rep_apply(element, base))
+    up to the first failure: u_e = id; each component even, closed and
+    invertible; then the law u_{gh} = theta_{g,h} ∘ rho(g)(u_h^{pi(g)}) ∘ u_g
+    (pi(g) = -1 where g flips) on carried pairs with carried product.  Only
+    theta's scalars and rho(g)'s blocks enter, so no theta morphism and no
+    twist of a twist is built."""
+    g = rep.group
+    if not (v := equation("u_e = id", (g.labels[g.identity],), u[g.identity], identity_mor(base))):
+        return v
+    targets = {i: rep_apply(rep, i, base) for i in u}
+    for i, f in u.items():
+        at = (g.labels[i],)
+        if f.parity != 0:
+            return Verdict(False, "not even", at)
+        f = MFMor(base, targets[i], 0, f.f0, f.f1)
+        if not is_closed(f):
+            return Verdict(False, "not closed", at)
+        if not is_isomorphism(f):
+            return Verdict(False, "not invertible", at)
+    # where g flips, rho(g) twists the blocks of the dual of u_h^{-1} (of
+    # its shift, shifted); each component is inverted once
+    flipped = {}
+    if any(rep.action.flips(i) for i in u):
+        for i, f in u.items():
+            inv = mor_inverse(f)
+            b = (mat_transpose(inv.f0), mat_transpose(inv.f1))
+            flipped[i] = b if rep.variant == PLAIN else b[::-1]
+    for i2 in u:
+        rm = rep.action.map_of(i2)
+        for i1 in u:
+            prod = g.mul(i2, i1)
+            if prod not in u:
+                continue
+            a0, a1 = flipped[i1] if rep.action.flips(i2) else (u[i1].f0, u[i1].f1)
+            c0, c1 = theta_scalars(rep, i2, i1)
+            rhs = MFMor(base, targets[prod], 0,
+                        mat_scale(c0, mat_mul(mat_apply(rm, a0), u[i2].f0)),
+                        mat_scale(c1, mat_mul(mat_apply(rm, a1), u[i2].f1)))
+            if not (v := equation(law, (g.labels[i2], g.labels[i1]), u[prod], rhs)):
+                return v
+    return Verdict(True)
+
+
+def scaled_fixed_point(rep: ContraRep, base: MF, units) -> dict | None:
+    """The first family of mf.scaled_witnesses over units that passes
+    verify_fixed_point, as a dict element -> component; None if none does."""
+    targets = [rep_apply(rep, i, base) for i in rep.group.elements()]
+    for family in scaled_witnesses(base, targets, rep.group.identity, units):
+        if verify_fixed_point(rep, base, u := dict(enumerate(family))):
+            return u
+    return None
+
+
+def rank_one_character(action: ActionSpec, variant: str = PLAIN):
+    """(u, v, chi) for an action on the two variables u, v: chi holds the
+    scalar chi(sigma) of each element that sends u to pi(sigma) chi(sigma) u
+    and v to v / chi(sigma), and is None if some element does not; where
+    sigma flips, pi(sigma) = -1 and in the plain variant u and v trade."""
+    ring = action.ring
+    if ring.nvars != 2:
+        raise ValueError(f"rank-one structures need two variables, got {ring.nvars}")
+    u, v = (Poly.variable(ring, name) for name in ring.variables)
+    chi = []
+    for i in action.group.elements():
+        iu, iv = action.map_of(i).images
+        swap = action.flips(i) and variant == PLAIN
+        cu = monomial_ratio(iu, v if swap else u)
+        cv = monomial_ratio(iv, u if swap else v)
+        if cu is None or cv is None or not ((c := -cu if action.flips(i) else cu) * cv == 1):
+            return u, v, None
+        chi.append(c)
+    return u, v, tuple(chi)

@@ -3,132 +3,43 @@
 A C2-graded group acts on the ring by k-linear automorphisms leaving the
 potential semi-invariant: sigma(w) = pi(sigma) w.  Even elements act by
 the twist functor; odd elements act through the dual (plain variant) or
-the shifted dual (shifted variant).  The coherence data theta is
-materialized as explicit signed identity matrices per object, so all
-categorical identities become finite matrix checks: the 2-cocycle
-identity for theta, the homotopy fixed point law, the induced duality on
-fixed points with its coherence, form-functor comparisons between odd
-elements, and the Knoerrer functor with its explicit eta blocks.
+the shifted dual (shifted variant).  The action, its theta components and
+the homotopy fixed point law are groups.ContraRep's, shared with Real
+structures.  The coherence data theta is materialized as explicit signed
+identity matrices per object, so all categorical identities become finite
+matrix checks: the 2-cocycle identity for theta, the homotopy fixed point
+law, the induced duality on fixed points with its coherence, form-functor
+comparisons between odd elements, and the Knoerrer functor with its
+explicit eta blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .scalars import Scalar
-from .polys import Poly, RingSpec, RingMap, apply_ring_map, monomial_ratio
+from .polys import Poly, RingSpec, RingMap, apply_ring_map
 from .mf import (
-    MF, MFMor, mat_identity, mat_neg, mat_zero, mat_block, compose,
-    identity_mor, scaled_identity, mor_inverse, is_closed, is_isomorphism,
-    shift, shift_mor, dual, dual_mor, external_tensor, tensor_mor_blocks,
-    rank_one, lift_poly, scaled_witnesses, mat_apply, mf_key, Verdict, equation,
+    MF, MFMor, mat_identity, mat_neg, mat_zero, mat_block, compose, identity_mor,
+    mor_inverse, is_isomorphism, external_tensor, tensor_mor_blocks, rank_one,
+    lift_poly, mf_key, Verdict, equation,
 )
 from .groups import (
-    GroupSpec, ActionSpec, Cocycle2, CONTRAVARIANT, diagonal_action,
-    fresh_variable_pair, join_actions, universal_sign_cocycle, twist_mf,
+    CONTRAVARIANT, PLAIN, SHIFTED, ContraRep, diagonal_action, fresh_variable_pair,
+    join_actions, rank_one_character, rep_apply, rep_apply_mor, scaled_fixed_point,
+    theta_component, universal_sign_cocycle, verify_fixed_point,
 )
-
-PLAIN = "plain"
-SHIFTED = "shifted"
-
-
-@dataclass(frozen=True)
-class ContraRep:
-    """A contravariant group action on MF(R, w) with coherence data.
-
-    Each rep keeps the objects built from it: rho(i)(M) under
-    (i, mf_key(M)) and the Knoerrer tensor M x K under
-    (mf_key(M), mf_key(K)).  A key holds the full content of its
-    inputs, so a hit is exactly what a fresh build would give.  The key
-    is built once per MF and kept on it, so a lookup on an object seen
-    before hashes the stored key instead of building it again.
-    """
-
-    group: GroupSpec
-    action: ActionSpec
-    w: Poly
-    variant: str = PLAIN
-    twist: Cocycle2 | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.variant not in (PLAIN, SHIFTED):
-            raise ValueError(f"variant must be {PLAIN!r} or {SHIFTED!r}, got {self.variant!r}")
-        if self.action.setting != CONTRAVARIANT:
-            raise ValueError(f"ContraRep needs a {CONTRAVARIANT} action, "
-                             f"got {self.action.setting!r}")
-
-    def twist_value(self, i: int, j: int) -> Scalar:
-        if self.twist is None:
-            return Scalar.one()
-        return self.twist.value(i, j)
-
-
-def _cached(rep: ContraRep, key: tuple, build):
-    """The object rep has built under key, building it on first use."""
-    out = rep._cache.get(key)
-    if out is None:
-        out = rep._cache[key] = build()
-    return out
-
-
-def rep_apply(rep: ContraRep, i: int, M: MF) -> MF:
-    """The action of element i on objects: twist for even elements, twist
-    of the dual (plain) or of the shifted dual (shifted) for odd ones."""
-    def build():
-        rm = rep.action.map_of(i)
-        if rep.group.grading[i] == 1:
-            return twist_mf(rm, M)
-        if rep.variant == PLAIN:
-            return twist_mf(rm, dual(M))
-        return twist_mf(rm, dual(shift(M)))
-
-    return _cached(rep, (i, mf_key(M)), build)
-
-
-def rep_apply_mor(rep: ContraRep, i: int, f: MFMor) -> MFMor:
-    """The action on morphisms; contravariant for odd elements.  The
-    endpoints come from rep_apply, so only the blocks are twisted here."""
-    src, tgt = f.source, f.target
-    if rep.group.grading[i] == -1:
-        f = dual_mor(f if rep.variant == PLAIN else shift_mor(f))
-        src, tgt = tgt, src
-    rm = rep.action.map_of(i)
-    return MFMor(rep_apply(rep, i, src), rep_apply(rep, i, tgt), f.parity,
-                 mat_apply(rm, f.f0), mat_apply(rm, f.f1))
-
 
 def _tensor(rep: ContraRep, M: MF, K: MF) -> MF:
     """external_tensor(M, K), built once per rep."""
-    return _cached(rep, (mf_key(M), mf_key(K)), lambda: external_tensor(M, K))
+    return rep.cached((mf_key(M), mf_key(K)), lambda: external_tensor(M, K))
 
 
 def _tensor_mor(rep: ContraRep, f: MFMor, K: MF) -> MFMor:
     """external_tensor_mor(f, id_K), with both endpoints from _tensor."""
     src, tgt = _tensor(rep, f.source, K), _tensor(rep, f.target, K)
     return MFMor(src, tgt, f.parity, *tensor_mor_blocks(f, identity_mor(K)))
-
-
-def theta_component(rep: ContraRep, i2: int, i1: int, M: MF) -> MFMor:
-    """theta_{i2,i1} at M, from rho(i2)(rho(i1)(M)) to rho(i2*i1)(M).
-
-    With strict twist composition the two objects agree except when both
-    elements are odd.  There the plain variant passes through the double
-    dual, contributing the grading blocks (1, -1).  In the shifted
-    variant the two shifts cancel against the double dual on the nose
-    and the component is the plain identity; the residual sign of moving
-    a shift past the dual is carried by the universal sign cocycle in
-    the twist, not by the component itself.  A 2-cocycle twist scales
-    every component.
-    """
-    src = rep_apply(rep, i2, rep_apply(rep, i1, M))
-    tgt = rep_apply(rep, rep.group.mul(i2, i1), M)
-    c = rep.twist_value(i2, i1)
-    both_odd = rep.group.grading[i2] == -1 and rep.group.grading[i1] == -1
-    if both_odd and rep.variant == PLAIN:
-        return scaled_identity(src, tgt, c, -c)
-    return scaled_identity(src, tgt, c, c)
 
 
 def theta_cocycle_check(rep: ContraRep, M: MF) -> Verdict:
@@ -166,66 +77,22 @@ class ContraRealStruct:
 
 
 def verify_contra_structure(s: ContraRealStruct) -> Verdict:
-    """Each component closed and invertible, then the fixed point law
-    u_{s2 s1} = theta ∘ rho(s2)(u_{s1}^{pi(s2)}) ∘ u_{s2} over every pair
-    of elements carried by the structure, stopping at the first failure."""
-    g = s.rep.group
-    for i, f in s.u.items():
-        if not is_closed(f):
-            return Verdict(False, "not closed", (g.labels[i],))
-        if not is_isomorphism(f):
-            return Verdict(False, "not invertible", (g.labels[i],))
-    # odd elements act through u^{-1}: each component is inverted once
-    odd = any(g.grading[i] == -1 for i in s.u)
-    inverse = {i: mor_inverse(f) for i, f in s.u.items()} if odd else {}
-    for i2 in s.u:
-        for i1 in s.u:
-            prod = g.mul(i2, i1)
-            if prod not in s.u:
-                continue
-            inner = inverse[i1] if g.grading[i2] == -1 else s.u[i1]
-            rhs = compose(theta_component(s.rep, i2, i1, s.base),
-                          compose(rep_apply_mor(s.rep, i2, inner), s.u[i2]))
-            if not (v := equation("fixed point law", (g.labels[i2], g.labels[i1]),
-                                  s.u[prod], rhs)):
-                return v
-    return Verdict(True)
+    """groups.verify_fixed_point on the structure."""
+    return verify_fixed_point(s.rep, s.base, s.u)
 
 
 def rank_one_contra_condition(rep: ContraRep):
     """For w = u*v on two variables: extracts the character chi forced by
     the action pattern of the chosen variant, brute-forces a witness
     structure on {u, v}, and returns (chi values, witness) or None."""
-    ring = rep.action.ring
-    if ring.nvars != 2:
-        raise ValueError(f"rank-one orientifold needs two variables, got {ring.nvars}")
-    uvar = Poly.variable(ring, ring.variables[0])
-    vvar = Poly.variable(ring, ring.variables[1])
+    uvar, vvar, chi = rank_one_character(rep.action, rep.variant)
     if not rep.w == uvar * vvar:
         raise ValueError(f"rank-one orientifold needs w = {uvar * vvar}, got {rep.w}")
-    g = rep.group
-    chi = []
-    for i in g.elements():
-        iu, iv = rep.action.map_of(i).images
-        odd = g.grading[i] == -1
-        # odd elements of the plain variant exchange u and v
-        swap = odd and rep.variant == PLAIN
-        cu = monomial_ratio(iu, vvar if swap else uvar)
-        cv = monomial_ratio(iv, uvar if swap else vvar)
-        if cu is None or cv is None:
-            return None
-        want = -cu if odd else cu
-        if not (want * cv == 1):
-            return None
-        chi.append(want)
+    if chi is None:
+        return None
     base = rank_one(uvar, vvar)
-    targets = [rep_apply(rep, i, base) for i in g.elements()]
-    units = (Scalar.one(), -Scalar.one(), Scalar.i(), -Scalar.i())
-    for u in scaled_witnesses(base, targets, g.identity, units):
-        s = ContraRealStruct(base, rep, dict(enumerate(u)))
-        if verify_contra_structure(s):
-            return tuple(chi), s
-    return None
+    u = scaled_fixed_point(rep, base, (Scalar.one(), -Scalar.one(), Scalar.i(), -Scalar.i()))
+    return None if u is None else (chi, ContraRealStruct(base, rep, u))
 
 
 # ---------------------------------------------------------------------------

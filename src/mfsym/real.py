@@ -2,7 +2,9 @@
 
 A Real structure is a family of closed degree-0 isomorphisms u_sigma
 from the base to its sigma-twist satisfying the (optionally cocycle
-twisted) law u_{ts} = mu([t|s]) * (u_s)^t . u_t, with u_e the identity.
+twisted) law u_{ts} = mu([t|s]) * (u_s)^t . u_t, with u_e the identity:
+the homotopy fixed point law of groups.verify_fixed_point for an
+antilinear action, where every element acts covariantly.
 """
 
 from __future__ import annotations
@@ -12,16 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Scalar, euler_phi
-from .polys import Poly, RingSpec, jacobi_basis, monomial_ratio
+from .polys import Poly, RingSpec, jacobi_basis
 from .mf import (
-    MF, MFMor, Verdict, equation, rank_one, identity_mor, scaled_identity, compose,
-    diff_mor, is_closed, is_isomorphism, external_tensor, tensor_mor_blocks, mat_apply,
-    mor_coordinates, mor_from_coordinates, window_monomials, window_operator,
-    window_slots,
+    MF, MFMor, Verdict, rank_one, scaled_identity, diff_mor, external_tensor,
+    tensor_mor_blocks, mor_coordinates, mor_from_coordinates, window_monomials,
+    window_operator, window_slots,
 )
 from .groups import (
-    ActionSpec, Char1, Cocycle2, GroupSpec, ANTILINEAR, diagonal_action,
-    fresh_variable_pair, join_actions, twist_mf, validate_action,
+    ActionSpec, Char1, Cocycle2, ContraRep, GroupSpec, ANTILINEAR, diagonal_action,
+    fresh_variable_pair, join_actions, rank_one_character, twist_mf, validate_action,
+    verify_fixed_point,
 )
 from .linalg import sparse_nullspace, sparse_rank, sparse_transpose
 
@@ -37,15 +39,11 @@ class RealStruct:
     def group(self) -> GroupSpec:
         return self.action.group
 
-    def twist_value(self, i: int, j: int) -> Scalar:
-        if self.twist is None:
-            return Scalar.one()
-        return self.twist.value(i, j)
-
 
 def verify_real_structure(s: RealStruct) -> Verdict:
-    """The setting, the action, u_e = id, each u_sigma even, closed and
-    invertible, then the Real cocycle law; stops at the first failure."""
+    """The setting, the action, then groups.verify_fixed_point on a fresh rep
+    of the action, its law named "Real cocycle": u_{ts} = mu([t|s]) *
+    (u_s)^t . u_t.  Stops at the first failure."""
     g = s.group
     act = s.action
     if act.setting != ANTILINEAR:
@@ -55,56 +53,17 @@ def verify_real_structure(s: RealStruct) -> Verdict:
         bad = next(i for i in g.elements()
                    if i in (rep.flag_failure, rep.nonlinear_element) or not rep.invariance[i])
         return Verdict(False, "action invariance", (g.labels[bad],))
-    e = g.identity
-    if not (v := equation("u_e = id", (g.labels[e],), s.u[e], identity_mor(s.base))):
-        return v
-    targets = [twist_mf(act.map_of(i), s.base) for i in g.elements()]
-    for i in g.elements():
-        ui = s.u[i]
-        at = (g.labels[i],)
-        if ui.parity != 0:
-            return Verdict(False, "not even", at)
-        check = MFMor(s.base, targets[i], 0, ui.f0, ui.f1)
-        if not is_closed(check):
-            return Verdict(False, "not closed", at)
-        if not is_isomorphism(check):
-            return Verdict(False, "not invertible", at)
-    for i in g.elements():
-        rm = act.map_of(i)
-        for j in g.elements():
-            ij = g.mul(i, j)
-            # (u_j)^{sigma_i}: only its blocks are twisted, since sigma_i
-            # carries base^{sigma_j} to base^{sigma_i sigma_j} under a
-            # homomorphic action
-            uj = s.u[j]
-            twisted = MFMor(targets[i], targets[ij], uj.parity,
-                            mat_apply(rm, uj.f0), mat_apply(rm, uj.f1))
-            rhs = compose(twisted, s.u[i]).scale(s.twist_value(i, j))
-            if not (v := equation("Real cocycle", (g.labels[i], g.labels[j]), s.u[ij], rhs)):
-                return v
-    return Verdict(True)
+    return verify_fixed_point(ContraRep(g, act, s.base.w, twist=s.twist), s.base,
+                              dict(enumerate(s.u)), "Real cocycle")
 
 
 def rank_one_real_condition(act: ActionSpec):
     """For an antilinear action on a two-variable ring with w = u*v: returns
     (chi, witness RealStruct) when every sigma scales the first variable by
     chi(sigma) and the second by its inverse, else None."""
-    ring = act.ring
-    if ring.nvars != 2:
-        raise ValueError(f"rank-one Real structures need two variables, got {ring.nvars}")
-    uvar = Poly.variable(ring, ring.variables[0])
-    vvar = Poly.variable(ring, ring.variables[1])
+    uvar, vvar, values = rank_one_character(act)
     g = act.group
-    values = []
-    for i in g.elements():
-        iu, iv = act.map_of(i).images
-        cu = monomial_ratio(iu, uvar)
-        cv = monomial_ratio(iv, vvar)
-        if cu is None or cv is None or not (cv == cu.inverse()):
-            return None
-        values.append(cu)
-    chi = Char1(g, ANTILINEAR, tuple(values))
-    if not chi.check():
+    if values is None or not (chi := Char1(g, ANTILINEAR, values)).check():
         return None
     base = rank_one(uvar, vvar)
     struct = RealStruct(base, act, tuple(

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec
+import mfsym.cli as cli
 from mfsym.cli import (
     parse_poly, group_from_spec, load_scenario, run_scenario, run_suite,
     ScenarioError, main, SCHEMA, REPORT_SCHEMA,
@@ -397,3 +398,52 @@ def test_failing_verdict_is_recorded_in_detail(tmp_path, monkeypatch):
     assert [t["name"] for t in tasks if not t["ok"]] == ["theta-cocycle"]
     assert tasks[2]["detail"] == {"failed": {
         "identity": "theta cocycle", "at": ["g1", "g1", "g1"], "term": [0, 0, 0, [0, 0], "3"]}}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@pytest.mark.parametrize("op", sorted(cli.TASKS))
+def test_every_op_on_a_bare_scenario_passes_or_names_the_problem(tmp_path, op, optimize):
+    """A scenario with no group, no action and no task parameters: each op
+    passes, or gives an error detail and exit code 2."""
+    p = tmp_path / "bare.json"
+    p.write_text(json.dumps({"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                             "potential": "u*v", "tasks": [{"op": op}]}))
+    out = tmp_path / "report.json"
+    run = _cli(["run", str(p), "--json", str(out)], optimize)
+    assert "Traceback" not in run.stdout + run.stderr
+    assert run.returncode in (0, 2), run.stdout
+    if run.returncode == 2:
+        assert "error" in json.loads(out.read_text())["tasks"][0]["detail"]
+
+
+C2_CONTRAVARIANT = {"group": "C(2)", "setting": "contravariant",
+                    "action": [["u", "v"], ["-u", "v"]]}
+HYPERBOLIC = {"d0": [["u"]], "d1": [["v"]]}
+
+# op, scenario fields, task parameters
+BAD_TASKS = {
+    "real-knorrer-contravariant": ("real-knorrer", C2_CONTRAVARIANT, {}),
+    "rank-one-real-no-action": ("rank-one-real", {"setting": "antilinear"}, {}),
+    "cutoff-string": ("hom-cohomology", {}, {**HYPERBOLIC, "cutoff": "3"}),
+    "cutoff-zero": ("hom-cohomology", {}, {**HYPERBOLIC, "cutoff": 0}),
+    "d1-number": ("hom-cohomology", {}, {"d0": [["u"]], "d1": 5}),
+    "d0-ragged": ("null-homotopy-scale", {}, {"d0": [["u"], ["v", "u"]], "d1": [["v"]]}),
+    "expect-number": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": 5}),
+    "iterations-bool": ("eightfold-consistency", {}, {"iterations": True}),
+    "iterations-float": ("eightfold-consistency", {}, {"iterations": 2.5}),
+    "iterations-zero": ("eightfold-consistency", {}, {"iterations": 0}),
+    "iterations-past-bound": ("eightfold-consistency", {},
+                              {"iterations": cli.MAX_ITERATIONS + 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TASKS))
+def test_bad_task_input_gives_an_error_detail(tmp_path, case):
+    op, fields, params = BAD_TASKS[case]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                             "potential": "u*v", **fields, "tasks": [{"op": op, **params}]}))
+    out = tmp_path / "report.json"
+    assert main(["run", str(p), "--json", str(out)]) == 2
+    task, = json.loads(out.read_text())["tasks"]
+    assert not task["ok"] and "error" in task["detail"]

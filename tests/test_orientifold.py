@@ -319,16 +319,16 @@ def test_duality_comparison_does_not_rerun_the_dualities(monkeypatch):
 
 def test_contra_verification_inverts_each_component_once(monkeypatch):
     """Inverting u_{i1} for every odd i2 took |odd| * |G| inversions."""
-    import mfsym.orientifold as orientifold
+    import mfsym.groups as groups
 
     s = witness(c4_plain_rep())
     calls = []
-    mor_inverse = orientifold.mor_inverse
+    mor_inverse = groups.mor_inverse
 
     def counted(f):
         calls.append(1)
         return mor_inverse(f)
 
-    monkeypatch.setattr(orientifold, "mor_inverse", counted)
+    monkeypatch.setattr(groups, "mor_inverse", counted)
     assert verify_contra_structure(s).ok
     assert len(calls) == len(s.u)

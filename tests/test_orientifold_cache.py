@@ -8,6 +8,7 @@ endpoints, so those are compared as MFs as well.
 
 import copy
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfsym.scalars import Scalar
@@ -21,8 +22,8 @@ from mfsym.groups import ActionSpec, CONTRAVARIANT, cyclic_group, twist_mf, twis
 import mfsym.groups as groups
 import mfsym.orientifold as orientifold
 from mfsym.orientifold import (
-    PLAIN, SHIFTED, ContraRep, rep_apply, rep_apply_mor, eta_component,
-    orientifold_knorrer, double_knorrer, _extend_rep,
+    PLAIN, SHIFTED, ContraRep, ContraRealStruct, rep_apply, rep_apply_mor, eta_component,
+    orientifold_knorrer, double_knorrer, verify_contra_structure, _extend_rep,
 )
 
 from test_orientifold import (
@@ -171,8 +172,32 @@ def test_double_knorrer_twists_each_object_about_once(monkeypatch):
         calls.append(1)
         return twist_mf(rm, M)
 
-    monkeypatch.setattr(orientifold, "twist_mf", counted)
     monkeypatch.setattr(groups, "twist_mf", counted)
     _, coherent = double_knorrer(s)
     assert coherent
     assert len(calls) <= 64, len(calls)
+
+
+@pytest.mark.parametrize("make", (c4_plain_rep, c2_shifted_rep), ids=("c4-plain", "c2-shifted"))
+def test_contra_verify_twists_the_base_once_per_element(monkeypatch, make):
+    """Building each theta morphism and rho(i2) of each u_{i1}, with its
+    twist of a twist, took 8 twists and 16 theta components on the C4
+    plain witness, 4 and 4 on the C2 shifted one."""
+    s = witness(make())
+    fresh = ContraRealStruct(s.base, make(), s.u)
+    twists, thetas = [], []
+    twist_mf, theta_component = groups.twist_mf, groups.theta_component
+
+    def counted_twist(rm, M):
+        twists.append(1)
+        return twist_mf(rm, M)
+
+    def counted_theta(*args):
+        thetas.append(1)
+        return theta_component(*args)
+
+    monkeypatch.setattr(groups, "twist_mf", counted_twist)
+    for module in (groups, orientifold):
+        monkeypatch.setattr(module, "theta_component", counted_theta)
+    assert verify_contra_structure(fresh).ok
+    assert (len(twists), len(thetas)) == (fresh.rep.group.order, 0)

@@ -6,8 +6,14 @@ import pytest
 
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec, RingMap
-from mfsym.groups import cyclic_group, product_group, ActionSpec, ANTILINEAR
-from mfsym.mf import MFMor, rank_one, identity_mor
+from mfsym.groups import (
+    cyclic_group, product_group, ActionSpec, ANTILINEAR, twist_mf, universal_sign_cocycle,
+    validate_action,
+)
+from mfsym.mf import (
+    MFMor, Verdict, compose, equation, is_closed, is_isomorphism, mat_apply, rank_one,
+    identity_mor,
+)
 from mfsym.real import (
     RealStruct, verify_real_structure, rank_one_real_condition, real_knorrer,
     tensor_real_structure, fixed_hom, closed_dimension,
@@ -176,3 +182,64 @@ def test_verify_real_structure_names_each_problem(case):
         assert not verdict.term[4].is_zero()
     else:
         assert verdict.term is None
+
+
+def _reference_verify(s):
+    """verify_real_structure as a loop of its own over the Real cocycle law,
+    written against the twist functor directly: the reference the shared
+    fixed point law is compared with."""
+    g = s.group
+    act = s.action
+    if act.setting != ANTILINEAR:
+        return Verdict(False, "antilinear setting")
+    rep = validate_action(act, s.base.w)
+    if not rep.ok:
+        bad = next(i for i in g.elements()
+                   if i in (rep.flag_failure, rep.nonlinear_element) or not rep.invariance[i])
+        return Verdict(False, "action invariance", (g.labels[bad],))
+    e = g.identity
+    if not (v := equation("u_e = id", (g.labels[e],), s.u[e], identity_mor(s.base))):
+        return v
+    targets = [twist_mf(act.map_of(i), s.base) for i in g.elements()]
+    for i in g.elements():
+        ui = s.u[i]
+        at = (g.labels[i],)
+        if ui.parity != 0:
+            return Verdict(False, "not even", at)
+        check = MFMor(s.base, targets[i], 0, ui.f0, ui.f1)
+        if not is_closed(check):
+            return Verdict(False, "not closed", at)
+        if not is_isomorphism(check):
+            return Verdict(False, "not invertible", at)
+    for i in g.elements():
+        rm = act.map_of(i)
+        for j in g.elements():
+            ij = g.mul(i, j)
+            uj = s.u[j]
+            twisted = MFMor(targets[i], targets[ij], uj.parity,
+                            mat_apply(rm, uj.f0), mat_apply(rm, uj.f1))
+            mu = Scalar.one() if s.twist is None else s.twist.value(i, j)
+            rhs = compose(twisted, s.u[i]).scale(mu)
+            if not (v := equation("Real cocycle", (g.labels[i], g.labels[j]), s.u[ij], rhs)):
+                return v
+    return Verdict(True)
+
+
+def _oracle_cases():
+    entries = dict(catalog.real_catalog())
+    cases = []
+    for name, s in entries.items():
+        cases += [(name, s), (f"{name} knorrer", real_knorrer(s))]
+    for case, (name, break_it, _, _) in sorted(BROKEN_REAL.items()):
+        cases.append((case, break_it(entries[name])))
+    spin = entries["conjugation-spinor"]
+    cases.append(("sign twisted", RealStruct(spin.base, spin.action, spin.u,
+                                             universal_sign_cocycle(spin.group, ANTILINEAR))))
+    return cases
+
+
+def test_verify_real_structure_matches_the_reference_loop():
+    for name, s in _oracle_cases():
+        got, want = verify_real_structure(s), _reference_verify(s)
+        assert (got.ok, got.identity, got.at) == (want.ok, want.identity, want.at), name
+        assert got.term == want.term, name
