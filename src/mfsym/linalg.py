@@ -41,8 +41,8 @@ def _echelon(rows):
 
 
 def sparse_echelon(rows):
-    """Forward elimination; returns {pivot_col: normalized row dict}.  Rank,
-    kernel and solve go through this public name, so perfbench's tracer
+    """Forward elimination; returns {pivot_col: normalized row dict}.  Rank
+    and solve go through this public name, so perfbench's tracer
     sees their eliminations and none of mf's."""
     return _echelon(rows)
 
@@ -69,23 +69,6 @@ def _back_substitute(pivots):
             if other_lead < lead and lead in other:
                 _sparse_axpy(other, other[lead], row)
     return pivots
-
-
-def sparse_nullspace(rows, width):
-    """Kernel basis (list of dense lists) of the sparse constraint rows."""
-    pivots = _back_substitute(sparse_echelon(rows))
-    basis = []
-    for fcol in range(width):
-        if fcol in pivots:
-            continue
-        vec = [Scalar.zero()] * width
-        vec[fcol] = Scalar.one()
-        for lead, row in pivots.items():
-            c = row.get(fcol)
-            if c is not None:
-                vec[lead] = -c
-        basis.append(vec)
-    return basis
 
 
 def sparse_solve(rows, rhs_col, width):

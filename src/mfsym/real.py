@@ -17,15 +17,14 @@ from .scalars import Scalar, euler_phi
 from .polys import Poly, RingSpec, jacobi_basis
 from .mf import (
     MF, MFMor, Verdict, rank_one, scaled_identity, diff_mor, external_tensor,
-    tensor_mor_blocks, mor_coordinates, mor_from_coordinates, window_monomials,
-    window_operator, window_slots,
+    tensor_mor_blocks, window_monomials, window_operator, window_slots,
 )
 from .groups import (
     ActionSpec, Char1, Cocycle2, ContraRep, GroupSpec, ANTILINEAR, diagonal_action,
     fresh_variable_pair, join_actions, rank_one_character, twist_mf, validate_action,
     verify_fixed_point,
 )
-from .linalg import sparse_nullspace, sparse_rank, sparse_transpose
+from .linalg import sparse_rank
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,9 @@ def verify_real_structure(s: RealStruct) -> Verdict:
 def rank_one_real_condition(act: ActionSpec):
     """For an antilinear action on a two-variable ring with w = u*v: returns
     (chi, witness RealStruct) when every sigma scales the first variable by
-    chi(sigma) and the second by its inverse, else None."""
+    chi(sigma) and the second by its inverse, else None.  The witness's
+    components are chi(sigma) times the identity, so its Real cocycle law
+    is chi's own law, which Char1.check has just verified."""
     uvar, vvar, values = rank_one_character(act)
     g = act.group
     if values is None or not (chi := Char1(g, ANTILINEAR, values)).check():
@@ -70,9 +71,6 @@ def rank_one_real_condition(act: ActionSpec):
         scaled_identity(base, twist_mf(act.map_of(i), base), 1, chi.value(i))
         for i in g.elements()
     ))
-    verdict = verify_real_structure(struct)
-    if not verdict:
-        raise ValueError(f"rank-one Real witness fails verification: {verdict}")
     return chi, struct
 
 
@@ -110,7 +108,8 @@ def knorrer_action(group: GroupSpec, ring: RingSpec, chi: Char1 | None) -> Actio
 def real_knorrer(sM: RealStruct, chi: Char1 | None = None) -> RealStruct:
     """Tensor with the rank-one hyperbolic kernel in fresh variables, with the
     action extended so odd elements negate (and chi scales) the first new
-    variable; returns the induced verified structure."""
+    variable; returns the induced structure, the tensor of sM and a
+    rank-one witness, which a caller verifies with verify_real_structure."""
     g = sM.group
     names = fresh_variable_pair(set(sM.base.ring.variables))
     kring = RingSpec(names, sM.base.ring.conductor)
@@ -118,12 +117,7 @@ def real_knorrer(sM: RealStruct, chi: Char1 | None = None) -> RealStruct:
     found = rank_one_real_condition(kact)
     if found is None:
         raise ValueError("extended action does not satisfy the rank-one condition")
-    _, skernel = found
-    result = tensor_real_structure(sM, skernel)
-    verdict = verify_real_structure(result)
-    if not verdict:
-        raise ValueError(f"induced structure failed verification: {verdict}")
-    return result
+    return tensor_real_structure(sM, found[1])
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +125,15 @@ def real_knorrer(sM: RealStruct, chi: Char1 | None = None) -> RealStruct:
 
 @dataclass
 class FixedMorSpace:
+    """The chain-level morphisms f with u'_sigma . f = f^sigma . u_sigma for
+    all sigma, entries of total degree <= cutoff, as the kernel of columns:
+    one per rational unknown, a window_slots slot times zeta_L^t, holding
+    the _rational_coordinates of every Real residual of that unknown."""
     source: RealStruct
     target: RealStruct
     parity: int
     cutoff: int
-    basis: list  # of MFMor
+    columns: list  # of dict
 
 
 def default_chain_cutoff(w: Poly) -> int:
@@ -145,8 +143,8 @@ def default_chain_cutoff(w: Poly) -> int:
 
 
 def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int | None = None) -> FixedMorSpace:
-    """Q-basis of chain-level morphisms f with u'_sigma . f = f^sigma . u_sigma
-    for all sigma, entries of total degree <= cutoff."""
+    """The fixed space of morphisms s.base -> sp.base of the given parity;
+    its dimension over Q is len(columns) minus their rank."""
     if s.group != sp.group:
         raise ValueError("Real structures over different groups")
     M, N = s.base, sp.base
@@ -155,8 +153,7 @@ def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int | None = N
     L = _field_conductor(s, sp)
     basis = [Scalar.zeta(L, t) for t in range(euler_phi(L))]
     monomials = window_monomials(M.ring.nvars, cutoff)
-    slots = window_slots(M, N, parity, monomials, len(basis))
-    columns = [{} for _ in slots]
+    columns = [{} for _ in window_slots(M, N, parity, monomials, len(basis))]
     for i in s.group.elements():
         if i == s.group.identity:
             continue
@@ -164,35 +161,23 @@ def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int | None = N
                                  s.action.map_of(i), basis)
         for col, image in zip(columns, images):
             col.update(_rational_coordinates(i, image, L))
-    vecs = sparse_nullspace(sparse_transpose(columns), len(slots))
-    space = []
-    for vec in vecs:
-        coords = {}
-        for (b, r, c, m, t), v in zip(slots, vec):
-            if not v.is_zero():
-                key = (b, r, c, m)
-                coords[key] = coords.get(key, Scalar.zero()) + basis[t] * v
-        space.append(mor_from_coordinates(M, N, parity, coords))
-    return FixedMorSpace(s, sp, parity, cutoff, space)
+    return FixedMorSpace(s, sp, parity, cutoff, columns)
 
 
 def closed_dimension(space: FixedMorSpace) -> int:
-    """Dimension over Q of the closed morphisms inside the fixed space,
-    computed as the kernel of D restricted to the returned basis."""
+    """Dimension over Q of the closed morphisms inside the fixed space: the
+    unknowns minus the rank of the Real residuals stacked on D, which is
+    Q(zeta_L)-linear, so its columns are those of one window_operator call
+    over the power basis, tagged -1 where no group element tags."""
     M, N = space.source.base, space.target.base
     L = _field_conductor(space.source, space.target)
+    basis = [Scalar.zeta(L, t) for t in range(euler_phi(L))]
     monomials = window_monomials(M.ring.nvars, space.cutoff)
-    slots = window_slots(M, N, space.parity, monomials)
-    columns = window_operator(diff_mor(N), diff_mor(M), space.parity, monomials)
-    column_of = {slot[:4]: col for slot, col in zip(slots, columns)}
-    images = []
-    for f in space.basis:
-        image = {}
-        for key, c in mor_coordinates(f).items():
-            for k, v in column_of[key].items():
-                image[k] = image.get(k, Scalar.zero()) + c * v
-        images.append(_rational_coordinates(0, image, L))
-    return len(space.basis) - sparse_rank(images)
+    images = window_operator(diff_mor(N), diff_mor(M), space.parity, monomials,
+                             basis=basis)
+    return len(space.columns) - sparse_rank([
+        {**col, **_rational_coordinates(-1, image, L)}
+        for col, image in zip(space.columns, images)])
 
 
 def _rational_coordinates(tag, image: dict, L: int) -> dict:

@@ -109,9 +109,25 @@ def test_run_orientifold_scenario():
 
 
 def test_suite_signs_passes():
-    # the heavier suites run through the acceptance gate and the CLI
     rep = run_suite("signs")
     assert rep.ok
+
+
+def test_suite_all_passes_every_task():
+    rep = run_suite("all")
+    assert [(r.name, r.ok) for r in rep.results] == [(name, True) for name in (
+        "signs:hom-differential-squares-to-zero", "signs:double-shift-identity",
+        "signs:double-dual-and-grading-isos", "signs:tensor-isos-closed-invertible",
+        "real:catalog-structures-verify", "real:knorrer-images-verify",
+        "orientifold:terminal-shifted-witness", "orientifold:order-four-plain-witness",
+        "orientifold:theta-cocycle", "orientifold:knorrer-coherence-and-verify",
+        "orientifold:double-knorrer-roundtrip", "orientifold:duality-and-comparison",
+        "orientifold:hyperbolic-transport", "clifford:modules-validate",
+        "clifford:bridge-hom-dims-agree", "clifford:signature-fixed-points",
+        "clifford:graded-tensor-isos", "cohomology:hyperbolic-dims",
+        "cohomology:contractible-dims", "cohomology:knorrer-preserves-dims",
+        "cohomology:potential-null-homotopy-witness",
+    )]
 
 
 def test_unknown_suite_rejected():
