@@ -397,7 +397,8 @@ def module_hom_dim(m: CliffMod, mp: CliffMod) -> int:
                 for j, col in enumerate(minus_g_cols):
                     eq = {(p, r, j): x for r, x in hrow.items()}
                     eq.update({(1 - p, i, c): x for c, x in col.items()})
-                    rows.append(eq)
+                    if eq:
+                        rows.append(eq)
     (a0, a1), (b0, b1) = m.dims, mp.dims
     return a0 * b0 + a1 * b1 - sparse_rank(rows)
 

@@ -18,7 +18,7 @@ from itertools import product as iproduct
 from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap, apply_ring_map, monomial_ratio
 from .mf import (
-    MF, MFMor, Verdict, equation, identity_mor, scaled_identity, scaled_witnesses,
+    MF, MFMor, Verdict, equation, identity_mor, scaled_witnesses,
     is_closed, is_isomorphism, mor_inverse, join_rings, lift_poly, mat_apply, mat_mul,
     mat_scale, mat_transpose, mf_key, dual, dual_mor, shift, shift_mor,
 )
@@ -396,8 +396,9 @@ def twist_mor(rm: RingMap, f: MFMor) -> MFMor:
 class ContraRep:
     """A group action on MF(R, w) with coherence data, in either setting.
     Odd elements of a contravariant action flip: they act contravariantly.
-    Every other element acts by the twist functor, so an antilinear rep
-    has theta_{g,h} = mu(g,h) * id and keeps the plain variant.
+    Every other element acts by the twist functor.  The coherence data
+    theta_{g,h} is two block scalars, theta_scalars, at every object; an
+    antilinear rep has mu(g,h) on both blocks and keeps the plain variant.
 
     Each rep keeps the objects built from it: rho(i)(M) under
     (i, mf_key(M)) and whatever a caller builds through cached().  A key
@@ -455,26 +456,14 @@ def rep_apply_mor(rep: ContraRep, i: int, f: MFMor) -> MFMor:
 
 
 def theta_scalars(rep: ContraRep, i2: int, i1: int) -> tuple[Scalar, Scalar]:
-    """theta_component's scalars (c0, c1) on the two blocks."""
+    """theta_{i2,i1}: rho(i2)(rho(i1)(M)) -> rho(i2*i1)(M) as its scalars
+    (c0, c1) on the two blocks, the same at every M: the twist's mu(i2, i1),
+    times the double dual's grading blocks (1, -1) where both elements flip
+    in the plain variant.  In the shifted variant the two shifts cancel the
+    double dual; the sign of moving a shift past the dual is carried by the
+    universal sign cocycle in the twist."""
     c = Scalar.one() if rep.twist is None else rep.twist.value(i2, i1)
     return c, (-c if rep.action.flips(i2) and rep.action.flips(i1) and rep.variant == PLAIN else c)
-
-
-def theta_component(rep: ContraRep, i2: int, i1: int, M: MF) -> MFMor:
-    """theta_{i2,i1} at M, from rho(i2)(rho(i1)(M)) to rho(i2*i1)(M).
-
-    With strict twist composition the two objects agree except when both
-    elements act contravariantly.  There the plain variant passes through
-    the double dual, contributing the grading blocks (1, -1).  In the
-    shifted variant the two shifts cancel against the double dual on the
-    nose and the component is the plain identity; the residual sign of
-    moving a shift past the dual is carried by the universal sign cocycle
-    in the twist, not by the component itself.  A 2-cocycle twist scales
-    every component.
-    """
-    src = rep_apply(rep, i2, rep_apply(rep, i1, M))
-    tgt = rep_apply(rep, rep.group.mul(i2, i1), M)
-    return scaled_identity(src, tgt, *theta_scalars(rep, i2, i1))
 
 
 def verify_fixed_point(rep: ContraRep, base: MF, u: dict,

@@ -3,32 +3,33 @@
 A C2-graded group acts on the ring by k-linear automorphisms leaving the
 potential semi-invariant: sigma(w) = pi(sigma) w.  Even elements act by
 the twist functor; odd elements act through the dual (plain variant) or
-the shifted dual (shifted variant).  The action, its theta components and
-the homotopy fixed point law are groups.ContraRep's, shared with Real
-structures.  The coherence data theta is materialized as explicit signed
-identity matrices per object, so all categorical identities become finite
-matrix checks: the 2-cocycle identity for theta, the homotopy fixed point
-law, the induced duality on fixed points with its coherence, form-functor
-comparisons between odd elements, and the Knoerrer functor with its
-explicit eta blocks.
+the shifted dual (shifted variant).  The action, its theta and the
+homotopy fixed point law are groups.ContraRep's, shared with Real
+structures.  Theta is two block scalars at every object, so its 2-cocycle
+identity is one of scalars, and the other categorical identities are
+finite matrix checks in which theta scales blocks: the homotopy fixed
+point law, the induced duality on fixed points with its coherence,
+form-functor comparisons between odd elements, and the Knoerrer functor
+with its explicit eta blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap, apply_ring_map
 from .mf import (
-    MF, MFMor, mat_identity, mat_neg, mat_zero, mat_block, compose, identity_mor,
-    mor_inverse, is_isomorphism, external_tensor, tensor_mor_blocks, rank_one,
+    MF, MFMor, mat_identity, mat_neg, mat_scale, mat_zero, mat_block, compose, identity_mor,
+    mor_inverse, is_isomorphism, external_tensor, tensor_basis, tensor_mor_blocks, rank_one,
     lift_poly, mf_key, Verdict, equation,
 )
 from .groups import (
     CONTRAVARIANT, PLAIN, SHIFTED, ContraRep, diagonal_action, fresh_variable_pair,
     join_actions, rank_one_character, rep_apply, rep_apply_mor, scaled_fixed_point,
-    theta_component, universal_sign_cocycle, verify_fixed_point,
+    theta_scalars, universal_sign_cocycle, verify_fixed_point, _graded_act,
 )
 
 def _tensor(rep: ContraRep, M: MF, K: MF) -> MF:
@@ -42,24 +43,29 @@ def _tensor_mor(rep: ContraRep, f: MFMor, K: MF) -> MFMor:
     return MFMor(src, tgt, f.parity, *tensor_mor_blocks(f, identity_mor(K)))
 
 
+def _scale_blocks(f: MFMor, source: MF, target: MF, c) -> MFMor:
+    """f composed with a theta given as its block scalars c = (c0, c1)."""
+    return MFMor(source, target, 0, mat_scale(c[0], f.f0), mat_scale(c[1], f.f1))
+
+
 def theta_cocycle_check(rep: ContraRep, M: MF) -> Verdict:
-    """The contravariant 2-cocycle identity for theta on all element
-    triples at M, componentwise."""
+    """theta_{i3 i2, i1} ∘ theta_{i3, i2} = theta_{i3, i2 i1} ∘ rho(i3)(theta_{i2, i1}^{pi(i3)})
+    on all element triples, on theta's block scalars, the same at every M:
+    rho(i3) acts on them as on units (groups._graded_act) and swaps the
+    blocks where it flips in the shifted variant, as rep_apply_mor does."""
     g = rep.group
-    for i3 in g.elements():
-        for i2 in g.elements():
-            for i1 in g.elements():
-                X = rep_apply(rep, i1, M)
-                lhs = compose(theta_component(rep, g.mul(i3, i2), i1, M),
-                              theta_component(rep, i3, i2, X))
-                inner = theta_component(rep, i2, i1, M)
-                if g.grading[i3] == -1:
-                    inner = mor_inverse(inner)
-                rhs = compose(theta_component(rep, i3, g.mul(i2, i1), M),
-                              rep_apply_mor(rep, i3, inner))
-                at = (g.labels[i3], g.labels[i2], g.labels[i1])
-                if not (v := equation("theta cocycle", at, lhs, rhs)):
-                    return v
+    for i3, i2, i1 in product(g.elements(), repeat=3):
+        inner = theta_scalars(rep, i2, i1)
+        if rep.action.flips(i3) and rep.variant == SHIFTED:
+            inner = inner[::-1]
+        lhs = [a * b for a, b in zip(theta_scalars(rep, g.mul(i3, i2), i1),
+                                     theta_scalars(rep, i3, i2))]
+        rhs = [a * _graded_act(rep.action.setting, g.grading[i3], b)
+               for a, b in zip(theta_scalars(rep, i3, g.mul(i2, i1)), inner)]
+        for block in (0, 1):
+            if not (lhs[block] == rhs[block]):
+                return Verdict(False, "theta cocycle", (g.labels[i3], g.labels[i2], g.labels[i1]),
+                               (block, 0, 0, (), lhs[block] - rhs[block]))
     return Verdict(True)
 
 
@@ -108,16 +114,18 @@ def _inverses(rep: ContraRep, u: dict):
 
 
 def _duality_data(rep: ContraRep, sigma: int, C: MF, u: dict, inverse: dict):
-    """(rho(sigma)(C), the even-subgroup structure v that u induces on it,
-    big theta: C -> rho(sigma)^2(C)), given the inverses of u's components."""
+    """(P = rho(sigma)(C), the even-subgroup structure v that u induces on
+    P, big theta: C -> rho(sigma)(P)), given the inverses of u's components."""
     g = rep.group
+    P = rep_apply(rep, sigma, C)
     v = {}
     for gg in g.kernel():
         h = g.mul(g.mul(g.inv(sigma), gg), sigma)
-        step = compose(theta_component(rep, sigma, h, C), rep_apply_mor(rep, sigma, inverse[h]))
-        v[gg] = compose(mor_inverse(theta_component(rep, gg, sigma, C)), step)
-    big_theta = compose(mor_inverse(theta_component(rep, sigma, sigma, C)), u[g.mul(sigma, sigma)])
-    return rep_apply(rep, sigma, C), v, big_theta
+        scale = [c / d for c, d in zip(theta_scalars(rep, sigma, h), theta_scalars(rep, gg, sigma))]
+        v[gg] = _scale_blocks(rep_apply_mor(rep, sigma, inverse[h]), P, rep_apply(rep, gg, P), scale)
+    big_theta = _scale_blocks(u[g.mul(sigma, sigma)], C, rep_apply(rep, sigma, P),
+                              [c.inverse() for c in theta_scalars(rep, sigma, sigma)])
+    return P, v, big_theta
 
 
 def fixed_point_duality(rep: ContraRep, sigma: int, s: ContraRealStruct) -> Verdict:
@@ -149,8 +157,9 @@ def fixed_point_duality(rep: ContraRep, sigma: int, s: ContraRealStruct) -> Verd
 def _comparison_map(rep: ContraRep, s1: int, s2: int, obj: MF, u: dict) -> MFMor:
     g = rep.group
     h = g.mul(g.inv(s2), s1)
-    return compose(rep_apply_mor(rep, s2, u[h]),
-                   mor_inverse(theta_component(rep, s2, h, obj)))
+    f = rep_apply_mor(rep, s2, u[h])
+    return _scale_blocks(f, rep_apply(rep, s1, obj), f.target,
+                         [c.inverse() for c in theta_scalars(rep, s2, h)])
 
 
 def duality_comparison(rep: ContraRep, s1: int, s2: int, s: ContraRealStruct) -> Verdict:
@@ -185,15 +194,11 @@ def comparison_torsor_check(rep: ContraRep, s: ContraRealStruct) -> Verdict:
     g = rep.group
     sub = {i: s.u[i] for i in g.kernel()}
     odd = g.odd_elements()
-    for s1 in odd:
-        for s2 in odd:
-            for s3 in odd:
-                lhs = _comparison_map(rep, s1, s3, s.base, sub)
-                rhs = compose(_comparison_map(rep, s2, s3, s.base, sub),
-                              _comparison_map(rep, s1, s2, s.base, sub))
-                at = (g.labels[s1], g.labels[s2], g.labels[s3])
-                if not (v := equation("comparison torsor", at, lhs, rhs)):
-                    return v
+    phi = {(s1, s2): _comparison_map(rep, s1, s2, s.base, sub) for s1, s2 in product(odd, repeat=2)}
+    for s1, s2, s3 in product(odd, repeat=3):
+        if not (v := equation("comparison torsor", (g.labels[s1], g.labels[s2], g.labels[s3]),
+                              phi[s1, s3], compose(phi[s2, s3], phi[s1, s2]))):
+            return v
     return Verdict(True)
 
 
@@ -282,22 +287,25 @@ def eta_component(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, i: int, M: MF) 
 
 def eta_coherence_check(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, M: MF) -> Verdict:
     """The equivariant functor coherence for the Knoerrer data on all
-    element pairs at M."""
+    element pairs at M.  tgt_rep's theta scales the blocks of the left
+    side; theta x id_K scales each basis element m x n by theta's scalar
+    on the part of m."""
     g = src_rep.group
-    for i2 in g.elements():
-        for i1 in g.elements():
-            X = rep_apply(src_rep, i1, M)
-            term1 = eta_component(src_rep, tgt_rep, K, i2, X)
-            inner = eta_component(src_rep, tgt_rep, K, i1, M)
-            if g.grading[i2] == -1:
-                inner = mor_inverse(inner)
-            term2 = rep_apply_mor(tgt_rep, i2, inner)
-            term3 = theta_component(tgt_rep, i2, i1, _tensor(src_rep, M, K))
-            lhs = compose(term3, compose(term2, term1))
-            rhs = compose(eta_component(src_rep, tgt_rep, K, g.mul(i2, i1), M),
-                          _tensor_mor(src_rep, theta_component(src_rep, i2, i1, M), K))
-            if not (v := equation("eta coherence", (g.labels[i2], g.labels[i1]), lhs, rhs)):
-                return v
+    for i2, i1 in product(g.elements(), repeat=2):
+        term1 = eta_component(src_rep, tgt_rep, K, i2, rep_apply(src_rep, i1, M))
+        inner = eta_component(src_rep, tgt_rep, K, i1, M)
+        if g.grading[i2] == -1:
+            inner = mor_inverse(inner)
+        path = compose(rep_apply_mor(tgt_rep, i2, inner), term1)
+        eta = eta_component(src_rep, tgt_rep, K, g.mul(i2, i1), M)
+        lhs = _scale_blocks(path, path.source, eta.target, theta_scalars(tgt_rep, i2, i1))
+        c = theta_scalars(src_rep, i2, i1)
+        bases = tensor_basis(rep_apply(src_rep, g.mul(i2, i1), M), K)
+        rhs = MFMor(path.source, eta.target, 0, *(
+            tuple(tuple(x * c[m[0]] for x, m in zip(row, basis)) for row in eta.block(p))
+            for p, basis in enumerate(bases)))
+        if not (v := equation("eta coherence", (g.labels[i2], g.labels[i1]), lhs, rhs)):
+            return v
     return Verdict(True)
 
 

@@ -130,6 +130,19 @@ def test_suite_all_passes_every_task():
     )]
 
 
+def test_orientifold_suite_without_a_witness_names_the_group_and_variant(monkeypatch):
+    """Without its sign twist the C2 shifted action has no rank-one
+    structure, so the witness task fails and the tasks on it are skipped."""
+    monkeypatch.setattr(cli, "universal_sign_cocycle", lambda group: None)
+    results = {r.name: r for r in run_suite("orientifold").results}
+    assert list(results) == ["terminal-shifted-witness", "order-four-plain-witness",
+                             "hyperbolic-transport"]
+    missing = results["terminal-shifted-witness"]
+    assert not missing.ok and missing.detail == {
+        "failed": {"identity": "no witness", "at": ["C2", "shifted"], "term": None}}
+    assert results["order-four-plain-witness"].ok
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ScenarioError):
         run_suite("nope")

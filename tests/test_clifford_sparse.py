@@ -17,7 +17,7 @@ import mfsym.clifford as clifford
 import mfsym.mf as mf
 from mfsym.clifford import (
     CliffAlg, CliffMod, CliffModMor, QuadForm, module_act, module_hom_dim,
-    module_validate, mf_to_clifford_module, smat,
+    module_validate, mf_to_clifford_module, parity_shift, smat,
 )
 from mfsym.polys import Poly
 from mfsym.real import real_knorrer
@@ -122,9 +122,11 @@ def test_is_module_map_matches_sympy(data):
 
 
 @cache
-def _tower_module_8():
+def _tower_module(steps=3):
+    """The module of the spinor's Knoerrer tower after the given number of
+    steps, of ranks (2^steps, 2^steps)."""
     cur = dict(catalog.real_catalog())["conjugation-spinor"]
-    for _ in range(3):
+    for _ in range(steps):
         cur = real_knorrer(cur)
     return mf_to_clifford_module(cur.base)
 
@@ -133,7 +135,7 @@ def test_module_validate_multiplies_nonzeros_only(monkeypatch):
     """Products over nonzero entries only: on the rank-(8,8) tower module the
     dense product made about 107k scalar multiplies; the sparse one makes
     about five per nonzero generator entry."""
-    m = _tower_module_8()
+    m = _tower_module()
     assert m.dims == (8, 8)
     nnz = sum(not x.is_zero() for g in m.gammas for blk in g for row in blk for x in row)
     calls = 0
@@ -196,7 +198,7 @@ def test_module_hom_dim_on_zero_rank_blocks():
 def test_module_hom_dim_builds_no_polynomials(monkeypatch):
     """The module equations are read off the sparse generator rows: no
     constant polynomial is built and no polynomial window is linearized."""
-    m = _tower_module_8()
+    m = _tower_module()
     calls = []
 
     def counted(name, f):
@@ -212,3 +214,22 @@ def test_module_hom_dim_builds_no_polynomials(monkeypatch):
                                 counted("window", module.window_operator))
     assert module_hom_dim(m, m) == 1
     assert calls == []
+
+
+def test_module_hom_dim_hands_sparse_rank_no_empty_row(monkeypatch):
+    """The hyperbolic generators square to zero, so their blocks have empty
+    rows and columns: the (8,8) tower module gave 192 empty equations of
+    896, the (16,16) one 1024 of 4608."""
+    modules = [_tower_module(steps) for steps in (3, 4)]
+    ranked = []
+    sparse_rank = clifford.sparse_rank
+
+    def counted(rows):
+        ranked.append(rows)
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(clifford, "sparse_rank", counted)
+    for m, rank in zip(modules, (8, 16)):
+        assert m.dims == (rank, rank)
+        assert (module_hom_dim(m, m), module_hom_dim(m, parity_shift(m))) == (1, 1)
+    assert len(ranked) == 4 and all(row for rows in ranked for row in rows)

@@ -4,25 +4,32 @@ points, and the contravariant Knoerrer step."""
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.groups import (
     cyclic_group, product_group, ActionSpec, ANTILINEAR, CONTRAVARIANT,
-    Cocycle2, cocycle_check, universal_sign_cocycle,
+    Cocycle2, cocycle_check, universal_sign_cocycle, rep_apply, rep_apply_mor,
+    theta_scalars, _graded_act,
 )
-from mfsym.mf import rank_one, identity_mor, compose, is_closed
+from mfsym.mf import (
+    rank_one, identity_mor, compose, is_closed, mor_inverse, scaled_identity, equation,
+    external_tensor, external_tensor_mor, Verdict,
+)
 from mfsym.orientifold import (
     PLAIN, SHIFTED, ContraRep, ContraRealStruct, rank_one_contra_condition,
-    verify_contra_structure, theta_component, theta_cocycle_check,
+    verify_contra_structure, theta_cocycle_check,
     fixed_point_duality, duality_comparison, comparison_torsor_check,
     verify_duality, orientifold_knorrer, double_knorrer,
     hyperbolic_transport_check, eta_component, eta_coherence_check, _extend_rep,
 )
 from mfsym.mf import dual, dual_mor, double_dual_iso
+from mfsym.cli import load_scenario, _contra_witness
 import mfsym.catalog as catalog
 
 
@@ -30,6 +37,9 @@ RING = RingSpec(("u", "v"), conductor=4)
 U = Poly.variable(RING, "u")
 V = Poly.variable(RING, "v")
 W = U * V
+YZ = RingSpec(("y", "z"), conductor=4)
+K_YZ = rank_one(Poly.variable(YZ, "y"), Poly.variable(YZ, "z"))
+BASE_UV = rank_one(U, V)
 
 
 def c2_shifted_rep():
@@ -87,7 +97,7 @@ def test_theta_components_are_closed():
     g = rep.group
     for i in g.elements():
         for j in g.elements():
-            assert is_closed(theta_component(rep, i, j, s.base))
+            assert is_closed(_theta_mor(rep, i, j, s.base))
 
 
 def test_duality_laws_both_groups_both_ranks():
@@ -235,13 +245,17 @@ def _non_cocycle_twist():
                      Cocycle2(rep.group, CONTRAVARIANT, ((one, one), (one, two))))
 
 
-def _eta_without_sign_twist():
+def _knorrer_case(rep, M):
+    """(rep, its Knoerrer extension by K_YZ, K_YZ, M): the inputs of
+    eta_coherence_check."""
+    return rep, _extend_rep(rep, K_YZ), K_YZ, M
+
+
+def _eta_case_without_sign_twist():
     rep = c4_plain_rep()
-    yz = RingSpec(("y", "z"), conductor=4)
-    K = rank_one(Poly.variable(yz, "y"), Poly.variable(yz, "z"))
-    ext = _extend_rep(rep, K)
+    ext = _extend_rep(rep, K_YZ)
     untwisted = ContraRep(ext.group, ext.action, ext.w, ext.variant, None)
-    return eta_coherence_check(rep, untwisted, K, witness(rep).base)
+    return rep, untwisted, K_YZ, witness(rep).base
 
 
 # One mutation per identity family: each check returns a verdict that names
@@ -254,7 +268,7 @@ MUTATIONS = {
     "2-cocycle": (lambda: cocycle_check(_non_cocycle_twist().twist), ("g1", "g1", "g1")),
     "theta cocycle": (lambda: theta_cocycle_check(_non_cocycle_twist(), rank_one(U, V)),
                       ("g1", "g1", "g1")),
-    "eta coherence": (_eta_without_sign_twist, ("g1", "g1")),
+    "eta coherence": (lambda: eta_coherence_check(*_eta_case_without_sign_twist()), ("g1", "g1")),
     "duality object law: fixed point law": (
         lambda: fixed_point_duality(c4_plain_rep(), 1, _kernel_part(
             _scaled(witness(c4_plain_rep()), 2, Scalar.i()))),
@@ -332,3 +346,159 @@ def test_contra_verification_inverts_each_component_once(monkeypatch):
     monkeypatch.setattr(groups, "mor_inverse", counted)
     assert verify_contra_structure(s).ok
     assert len(calls) == len(s.u)
+
+
+# ---------------------------------------------------------------------------
+# reference: theta as morphisms
+
+def _theta_mor(rep, i2, i1, M):
+    """theta_{i2,i1} at M as the morphism rho(i2)(rho(i1)(M)) -> rho(i2*i1)(M)
+    with theta_scalars on its two blocks."""
+    src = rep_apply(rep, i2, rep_apply(rep, i1, M))
+    tgt = rep_apply(rep, rep.group.mul(i2, i1), M)
+    return scaled_identity(src, tgt, *theta_scalars(rep, i2, i1))
+
+
+def _reference_theta_cocycle(rep, M):
+    """theta_{i3 i2, i1} ∘ theta_{i3, i2} = theta_{i3, i2 i1} ∘ rho(i3)(theta_{i2, i1}^{pi(i3)})
+    composed as morphisms, with rho(i3) applied by rep_apply_mor."""
+    g = rep.group
+    for i3, i2, i1 in product(g.elements(), repeat=3):
+        lhs = compose(_theta_mor(rep, g.mul(i3, i2), i1, M),
+                      _theta_mor(rep, i3, i2, rep_apply(rep, i1, M)))
+        inner = _theta_mor(rep, i2, i1, M)
+        if rep.action.flips(i3):
+            inner = mor_inverse(inner)
+        rhs = compose(_theta_mor(rep, i3, g.mul(i2, i1), M), rep_apply_mor(rep, i3, inner))
+        at = (g.labels[i3], g.labels[i2], g.labels[i1])
+        if not (v := equation("theta cocycle", at, lhs, rhs)):
+            return v
+    return Verdict(True)
+
+
+def _reference_eta_coherence(src_rep, tgt_rep, K, M):
+    """The eta coherence identity composed as morphisms: theta' at M x K,
+    and theta x id_K as a tensor of morphisms."""
+    g = src_rep.group
+    for i2, i1 in product(g.elements(), repeat=2):
+        term1 = eta_component(src_rep, tgt_rep, K, i2, rep_apply(src_rep, i1, M))
+        inner = eta_component(src_rep, tgt_rep, K, i1, M)
+        if g.grading[i2] == -1:
+            inner = mor_inverse(inner)
+        term3 = _theta_mor(tgt_rep, i2, i1, external_tensor(M, K))
+        lhs = compose(term3, compose(rep_apply_mor(tgt_rep, i2, inner), term1))
+        rhs = compose(eta_component(src_rep, tgt_rep, K, g.mul(i2, i1), M),
+                      external_tensor_mor(_theta_mor(src_rep, i2, i1, M), identity_mor(K)))
+        if not (v := equation("eta coherence", (g.labels[i2], g.labels[i1]), lhs, rhs)):
+            return v
+    return Verdict(True)
+
+
+def _agree(scalar, reference):
+    """The scalar theta cocycle verdict is the reference's, with a scalar
+    equation's term in place of the constant term of lhs - rhs."""
+    assert (scalar.ok, scalar.identity, scalar.at) == (
+        reference.ok, reference.identity, reference.at), (scalar, reference)
+    if not reference:
+        block, row, col, exponent, value = reference.term
+        assert scalar.term == (block, row, col, (), value) and not any(exponent)
+
+
+def _scenario_case(name, steps):
+    """The Knoerrer case of a bundled scenario's witness after the given
+    number of Knoerrer steps: double_knorrer checks eta at steps 0 and 1."""
+    s = _contra_witness(load_scenario(str(Path(__file__).resolve().parent.parent
+                                          / "scenarios" / name)))
+    for _ in range(steps):
+        s, _ = orientifold_knorrer(s)
+    return _knorrer_case(s.rep, s.base)
+
+
+ORACLE_CASES = {
+    **{f"{name}-step{steps}": (lambda name=name, steps=steps: _scenario_case(f"{name}.json", steps))
+       for name in ("orientifold-plain-c4", "orientifold-shifted-c2") for steps in (0, 1)},
+    "c4-plain": lambda: _knorrer_case(c4_plain_rep(), witness(c4_plain_rep()).base),
+    "non-cocycle-twist": lambda: _knorrer_case(_non_cocycle_twist(), BASE_UV),
+    "eta-without-sign-twist": _eta_case_without_sign_twist,
+}
+
+# The case holding the rep each MUTATIONS entry acts through; "duality"
+# checks the catalog's double dual under no group action.
+MUTATION_CASES = {
+    "fixed point law": "c4-plain",
+    "2-cocycle": "non-cocycle-twist",
+    "theta cocycle": "non-cocycle-twist",
+    "eta coherence": "eta-without-sign-twist",
+    "duality object law: fixed point law": "c4-plain",
+    "form coherence": "c4-plain",
+    "comparison torsor": "c4-plain",
+}
+
+
+def test_every_mutation_with_a_rep_has_an_oracle_case():
+    assert set(MUTATION_CASES) == set(MUTATIONS) - {"duality"}
+    assert set(MUTATION_CASES.values()) <= set(ORACLE_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_scalar_theta_checks_match_the_morphism_reference(case):
+    """On the source rep at M and the Knoerrer target rep at M x K, the
+    theta cocycle verdicts agree; the eta coherence verdicts are equal."""
+    src, tgt, K, M = ORACLE_CASES[case]()
+    for rep, obj in ((src, M), (tgt, external_tensor(M, K))):
+        _agree(theta_cocycle_check(rep, obj), _reference_theta_cocycle(rep, obj))
+    assert eta_coherence_check(src, tgt, K, M) == _reference_eta_coherence(src, tgt, K, M)
+
+
+def _antilinear_rep():
+    g = cyclic_group(2, graded=True)
+    act = ActionSpec(g, ANTILINEAR, (RingMap.identity(RING), RingMap((U, V), True)))
+    return ContraRep(g, act, W)
+
+
+def _coboundary(group, setting, f):
+    """mu(g, h) = f(g) (g . f(h)) / f(gh), a 2-cocycle for any f with f(e) = 1."""
+    return Cocycle2(group, setting, tuple(
+        tuple(f[i] * _graded_act(setting, group.grading[i], f[j]) / f[group.mul(i, j)]
+              for j in group.elements()) for i in group.elements()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_theta_cocycle_matches_the_reference_on_drawn_twists(data):
+    """Twists with values in {+-1, +-i}: either any table, which mostly
+    fails, or the rep's own twist times the coboundary of a drawn unit
+    function, which holds."""
+    rep = data.draw(st.sampled_from(
+        (c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep, _antilinear_rep)))()
+    g, setting = rep.group, rep.action.setting
+    unit = st.sampled_from((Scalar.one(), -Scalar.one(), Scalar.i(), -Scalar.i()))
+    if data.draw(st.booleans()):
+        twist = Cocycle2(g, setting, tuple(tuple(data.draw(unit) for _ in g.elements())
+                                           for _ in g.elements()))
+    else:
+        f = [Scalar.one() if i == g.identity else data.draw(unit) for i in g.elements()]
+        mu = _coboundary(g, setting, f)
+        twist = mu if rep.twist is None else rep.twist.multiply(mu)
+        assert cocycle_check(twist)
+    drawn = ContraRep(g, rep.action, rep.w, rep.variant, twist)
+    _agree(theta_cocycle_check(drawn, BASE_UV), _reference_theta_cocycle(drawn, BASE_UV))
+
+
+def test_dualities_hold_under_a_coboundary_twist_with_non_unit_theta():
+    """With f(g2) = 2, theta's scalars include 2 and 1/2, which are not
+    their own inverses, so composing with theta and with its inverse give
+    different maps; the witness moved along the coboundary, u_g / f(g),
+    passes every duality check."""
+    s = witness(c4_plain_rep())
+    g = s.rep.group
+    f = [Scalar.one(), Scalar.one(), Scalar.from_rational(2), Scalar.one()]
+    rep = ContraRep(g, s.rep.action, W, PLAIN, _coboundary(g, CONTRAVARIANT, f))
+    moved = ContraRealStruct(s.base, rep, {i: u.scale(f[i].inverse()) for i, u in s.u.items()})
+    assert verify_contra_structure(moved) and theta_cocycle_check(rep, s.base)
+    odd = g.odd_elements()
+    for sigma in odd:
+        assert fixed_point_duality(rep, sigma, _kernel_part(moved))
+    for s1, s2 in product(odd, repeat=2):
+        assert duality_comparison(rep, s1, s2, moved)
+    assert comparison_torsor_check(rep, moved)

@@ -6,7 +6,9 @@ bundled test reps and their Knoerrer extensions.  MFMor equality ignores
 endpoints, so those are compared as MFs as well.
 """
 
+import collections
 import copy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,9 @@ from mfsym.mf import (
 )
 from mfsym.groups import ActionSpec, CONTRAVARIANT, cyclic_group, twist_mf, twist_mor
 import mfsym.groups as groups
+import mfsym.mf as mf
 import mfsym.orientifold as orientifold
+from mfsym.cli import run_scenario
 from mfsym.orientifold import (
     PLAIN, SHIFTED, ContraRep, ContraRealStruct, rep_apply, rep_apply_mor, eta_component,
     orientifold_knorrer, double_knorrer, verify_contra_structure, _extend_rep,
@@ -35,6 +39,7 @@ YZ = RingSpec(("y", "z"), conductor=4)
 K = rank_one(Poly.variable(YZ, "y"), Poly.variable(YZ, "z"))
 BASE = rank_one(U, V)
 BASE_X_K = external_tensor(BASE, K)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _cases():
@@ -180,24 +185,52 @@ def test_double_knorrer_twists_each_object_about_once(monkeypatch):
 
 @pytest.mark.parametrize("make", (c4_plain_rep, c2_shifted_rep), ids=("c4-plain", "c2-shifted"))
 def test_contra_verify_twists_the_base_once_per_element(monkeypatch, make):
-    """Building each theta morphism and rho(i2) of each u_{i1}, with its
-    twist of a twist, took 8 twists and 16 theta components on the C4
-    plain witness, 4 and 4 on the C2 shifted one."""
+    """Building rho(i2) of each u_{i1}, with its twist of a twist, took 8
+    twists on the C4 plain witness, 4 on the C2 shifted one.  Theta enters
+    every check as its block scalars, so no theta morphism builder is left."""
     s = witness(make())
     fresh = ContraRealStruct(s.base, make(), s.u)
-    twists, thetas = [], []
-    twist_mf, theta_component = groups.twist_mf, groups.theta_component
+    twists = []
+    twist_mf = groups.twist_mf
 
     def counted_twist(rm, M):
         twists.append(1)
         return twist_mf(rm, M)
 
-    def counted_theta(*args):
-        thetas.append(1)
-        return theta_component(*args)
-
     monkeypatch.setattr(groups, "twist_mf", counted_twist)
-    for module in (groups, orientifold):
-        monkeypatch.setattr(module, "theta_component", counted_theta)
     assert verify_contra_structure(fresh).ok
-    assert (len(twists), len(thetas)) == (fresh.rep.group.order, 0)
+    assert len(twists) == fresh.rep.group.order
+    assert not any(hasattr(module, "theta_component") for module in (groups, orientifold))
+
+
+def _counting(monkeypatch, targets):
+    """Patches each (module, name) in targets to count its calls by name."""
+    calls = collections.Counter()
+    for module, name in targets:
+        def counted(*args, _f=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_theta_cocycle_check_builds_no_morphism(monkeypatch):
+    """The morphism identity built 256 theta components on the C4 plain
+    witness, each through a twist of a twist, and composed and inverted
+    them."""
+    rep = c4_plain_rep()
+    calls = _counting(monkeypatch, [(groups, "twist_mf"), (mf, "compose"),
+                                    (orientifold, "compose"), (groups, "mor_inverse"),
+                                    (orientifold, "mor_inverse")])
+    assert orientifold.theta_cocycle_check(rep, BASE)
+    assert calls == {}
+
+
+def test_bundled_scenarios_invert_no_theta(monkeypatch):
+    """One pass over both orientifold scenarios made 166 mor_inverse calls:
+    46 in verify_fixed_point, 30 on eta, 10 on u and v components and 80
+    on thetas."""
+    calls = _counting(monkeypatch, [(groups, "mor_inverse"), (orientifold, "mor_inverse")])
+    for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
+        assert run_scenario(str(SCENARIOS / name)).ok
+    assert calls["mor_inverse"] <= 86, calls
