@@ -22,6 +22,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap
@@ -278,6 +279,15 @@ class Scenario:
     twist: Cocycle2 | None
     tasks: list
 
+    @cached_property
+    def contra_found(self):
+        """rank_one_contra_condition on the scenario's contravariant rep,
+        searched on first use: the tasks of one run share the rep and the
+        witness.  An error is raised again at every use."""
+        return rank_one_contra_condition(ContraRep(
+            self.group, _action(self, CONTRAVARIANT), self.potential,
+            self.variant or PLAIN, self.twist))
+
 
 def load_scenario(path: str) -> Scenario:
     with open(path) as fh:
@@ -322,6 +332,8 @@ def load_scenario(path: str) -> Scenario:
     if "action" in raw:
         if group is None or setting is None:
             raise ScenarioError(f"{path}: action needs group and setting")
+        if not ring.nvars:
+            raise ScenarioError(f"{path}: action needs at least one ring variable")
         maps = raw["action"]
         if not isinstance(maps, list) or len(maps) != group.order:
             raise ScenarioError(f"{path}: action needs one image list per element")
@@ -372,13 +384,8 @@ def _count(params: dict, key: str, default, most: int | None = None):
     return value
 
 
-def _contra_rep(sc: Scenario) -> ContraRep:
-    return ContraRep(sc.group, _action(sc, CONTRAVARIANT), sc.potential,
-                     sc.variant or PLAIN, sc.twist)
-
-
 def _contra_witness(sc: Scenario) -> ContraRealStruct:
-    found = rank_one_contra_condition(_contra_rep(sc))
+    found = sc.contra_found
     if found is None:
         raise ScenarioError("no rank-one structure exists for this action")
     return found[1]
@@ -414,7 +421,7 @@ def task_real_knorrer(sc: Scenario, params: dict):
 
 
 def task_rank_one_orientifold(sc: Scenario, params: dict):
-    return _rank_one(params, rank_one_contra_condition(_contra_rep(sc)), verify_contra_structure)
+    return _rank_one(params, sc.contra_found, verify_contra_structure)
 
 
 def task_theta_cocycle(sc: Scenario, params: dict):

@@ -400,12 +400,11 @@ class ContraRep:
     theta_{g,h} is two block scalars, theta_scalars, at every object; an
     antilinear rep has mu(g,h) on both blocks and keeps the plain variant.
 
-    Each rep keeps the objects built from it: rho(i)(M) under
-    (i, mf_key(M)) and whatever a caller builds through cached().  A key
-    holds the full content of its inputs, so a hit is exactly what a
-    fresh build would give.  The key is built once per MF and kept on it,
-    so a lookup on an object seen before hashes the stored key instead of
-    building it again.
+    Each rep keeps the objects rho(i)(M) built from it under
+    (i, mf_key(M)).  A key holds the full content of its inputs, so a hit
+    is exactly what a fresh build would give.  The key is built once per
+    MF and kept on it, so a lookup on an object seen before hashes the
+    stored key instead of building it again.
     """
 
     group: GroupSpec
@@ -421,26 +420,17 @@ class ContraRep:
             raise ValueError(f"variant {self.variant!r} is not one of {variants} in the "
                              f"{self.action.setting} setting")
 
-    def cached(self, key: tuple, build):
-        """The object this rep has built under key, building it on first use."""
-        out = self._cache.get(key)
-        if out is None:
-            out = self._cache[key] = build()
-        return out
-
 
 def rep_apply(rep: ContraRep, i: int, M: MF) -> MF:
     """The action of element i on objects: the twist, of the dual (plain)
     or of the shifted dual (shifted) where i acts contravariantly."""
-    def build():
-        rm = rep.action.map_of(i)
-        if not rep.action.flips(i):
-            return twist_mf(rm, M)
-        if rep.variant == PLAIN:
-            return twist_mf(rm, dual(M))
-        return twist_mf(rm, dual(shift(M)))
-
-    return rep.cached((i, mf_key(M)), build)
+    key = (i, mf_key(M))
+    out = rep._cache.get(key)
+    if out is None:
+        if rep.action.flips(i):
+            M = dual(M if rep.variant == PLAIN else shift(M))
+        out = rep._cache[key] = twist_mf(rep.action.map_of(i), M)
+    return out
 
 
 def rep_apply_mor(rep: ContraRep, i: int, f: MFMor) -> MFMor:

@@ -497,12 +497,21 @@ class Verdict:
         return self.ok
 
 
-def equation(identity: str, at: tuple, lhs: MFMor, rhs: MFMor) -> Verdict:
-    """Whether lhs == rhs, failing with the first nonzero term of lhs - rhs."""
-    if lhs == rhs:
+def equation(identity: str, at: tuple, lhs, rhs) -> Verdict:
+    """Whether lhs == rhs, two morphisms or two block pairs (f0, f1),
+    failing with the first nonzero term of lhs - rhs.  Morphisms of
+    different parities and blocks of different shapes raise MFError."""
+    if isinstance(lhs, MFMor):
+        if lhs.parity != rhs.parity:
+            raise MFError("parities differ")
+        lhs, rhs = (lhs.f0, lhs.f1), (rhs.f0, rhs.f1)
+    if (shapes := list(map(mat_shape, lhs))) != list(map(mat_shape, rhs)):
+        raise MFError(f"block shapes {shapes} != {list(map(mat_shape, rhs))}")
+    if all(map(mat_eq, lhs, rhs)):
         return Verdict(True)
-    key, value = min(mor_coordinates(lhs - rhs).items())
-    return Verdict(False, identity, at, (*key, value))
+    return Verdict(False, identity, at, min(
+        (b, r, c, e, v) for b, blk in enumerate(map(mat_sub, lhs, rhs))
+        for r, row in enumerate(blk) for c, p in enumerate(row) for e, v in p.terms.items()))
 
 
 # ---------------------------------------------------------------------------

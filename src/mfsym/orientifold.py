@@ -8,9 +8,12 @@ homotopy fixed point law are groups.ContraRep's, shared with Real
 structures.  Theta is two block scalars at every object, so its 2-cocycle
 identity is one of scalars, and the other categorical identities are
 finite matrix checks in which theta scales blocks: the homotopy fixed
-point law, the induced duality on fixed points with its coherence,
-form-functor comparisons between odd elements, and the Knoerrer functor
-with its explicit eta blocks.
+point law, the induced duality on fixed points with its coherence, and
+form-functor comparisons between odd elements.  Eta, the equivariance
+data of the Knoerrer functor, is constant blocks at every object too: the
+identity on even elements and a signed swap on odd ones, laid out by the
+ranks of rho(i)(M).  Its coherence is a check on those blocks, and the
+Knoerrer step multiplies them into u_i x id_K; no eta morphism is built.
 """
 
 from __future__ import annotations
@@ -22,25 +25,15 @@ from itertools import product
 from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap, apply_ring_map
 from .mf import (
-    MF, MFMor, mat_identity, mat_neg, mat_scale, mat_zero, mat_block, compose, identity_mor,
-    mor_inverse, is_isomorphism, external_tensor, tensor_basis, tensor_mor_blocks, rank_one,
-    lift_poly, mf_key, Verdict, equation,
+    MF, MFMor, mat_identity, mat_mul, mat_neg, mat_scale, mat_zero, mat_block, compose,
+    identity_mor, mor_inverse, is_isomorphism, external_tensor, tensor_mor_blocks, rank_one,
+    join_rings, lift_poly, Verdict, equation,
 )
 from .groups import (
     CONTRAVARIANT, PLAIN, SHIFTED, ContraRep, diagonal_action, fresh_variable_pair,
     join_actions, rank_one_character, rep_apply, rep_apply_mor, scaled_fixed_point,
     theta_scalars, universal_sign_cocycle, verify_fixed_point, _graded_act,
 )
-
-def _tensor(rep: ContraRep, M: MF, K: MF) -> MF:
-    """external_tensor(M, K), built once per rep."""
-    return rep.cached((mf_key(M), mf_key(K)), lambda: external_tensor(M, K))
-
-
-def _tensor_mor(rep: ContraRep, f: MFMor, K: MF) -> MFMor:
-    """external_tensor_mor(f, id_K), with both endpoints from _tensor."""
-    src, tgt = _tensor(rep, f.source, K), _tensor(rep, f.target, K)
-    return MFMor(src, tgt, f.parity, *tensor_mor_blocks(f, identity_mor(K)))
 
 
 def _scale_blocks(f: MFMor, source: MF, target: MF, c) -> MFMor:
@@ -245,10 +238,6 @@ def hyperbolic_transport_check() -> Verdict:
     return Verdict(True)
 
 
-def _toggle(variant: str) -> str:
-    return SHIFTED if variant == PLAIN else PLAIN
-
-
 def _extend_rep(rep: ContraRep, K: MF) -> ContraRep:
     """Extend the action to the two variables u, v of K = u*v by
     sigma(u) = pi(sigma) u, sigma(v) = v; toggle the variant and twist by
@@ -260,20 +249,21 @@ def _extend_rep(rep: ContraRep, K: MF) -> ContraRep:
     cheat = universal_sign_cocycle(g, CONTRAVARIANT)
     twist = cheat if rep.twist is None else rep.twist.multiply(cheat)
     new_w = lift_poly(rep.w, action.ring) + lift_poly(K.w, action.ring)
-    return ContraRep(g, action, new_w, _toggle(rep.variant), twist)
+    return ContraRep(g, action, new_w, SHIFTED if rep.variant == PLAIN else PLAIN, twist)
 
 
-def eta_component(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, i: int, M: MF) -> MFMor:
-    """The component at M of the Knoerrer equivariance data: identity on
-    even elements, the signed swap blocks on odd ones."""
-    A = rep_apply(src_rep, i, M)
-    src = _tensor(src_rep, A, K)
-    tgt = rep_apply(tgt_rep, i, _tensor(src_rep, M, K))
-    ring = src.ring
-    if src_rep.group.grading[i] == 1:
-        return MFMor(src, tgt, 0,
-                     mat_identity(ring, src.r0), mat_identity(ring, src.r1))
-    a0, a1 = A.ranks
+def _image_ranks(rep: ContraRep, i: int, ranks: tuple) -> tuple:
+    """The ranks of rho(i)(M) from those of M: the dual keeps them, the
+    shift of the shifted variant swaps them."""
+    return ranks[::-1] if rep.action.flips(i) and rep.variant == SHIFTED else ranks
+
+
+def eta_blocks(ring: RingSpec, odd: bool, a0: int, a1: int) -> tuple:
+    """The blocks (f0, f1) over ring of eta_i at M, the Knoerrer equivariance
+    map rho(i)(M) x K -> rho'(i)(M x K), where rho(i)(M) has ranks (a0, a1):
+    the identity on even elements, the signed swap on odd ones."""
+    if not odd:
+        return mat_identity(ring, a0 + a1), mat_identity(ring, a0 + a1)
     f0 = mat_block([
         [mat_zero(ring, a1, a0), mat_identity(ring, a1)],
         [mat_neg(mat_identity(ring, a0)), mat_zero(ring, a0, a1)],
@@ -282,28 +272,33 @@ def eta_component(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, i: int, M: MF) 
         [mat_zero(ring, a0, a1), mat_identity(ring, a0)],
         [mat_identity(ring, a1), mat_zero(ring, a1, a0)],
     ])
-    return MFMor(src, tgt, 0, f0, f1)
+    return f0, f1
 
 
 def eta_coherence_check(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, M: MF) -> Verdict:
-    """The equivariant functor coherence for the Knoerrer data on all
-    element pairs at M.  tgt_rep's theta scales the blocks of the left
-    side; theta x id_K scales each basis element m x n by theta's scalar
-    on the part of m."""
+    """theta'_{i2, i1} ∘ rho'(i2)(eta_{i1}^{pi(i2)}) ∘ eta_{i2} = eta_{i2 i1} ∘ (theta_{i2, i1} x id_K)
+    at M on all element pairs, on eta's blocks over the ring of M x K.
+    Where i2 flips, rho'(i2) takes the transposed inverse of a block pair,
+    swapped in the shifted variant; eta's blocks are signed permutations,
+    so that is the pair itself.  theta x id_K scales the column of each
+    basis element m x n by theta's scalar on the part of m."""
     g = src_rep.group
+    ring = join_rings(M.ring, K.ring)
     for i2, i1 in product(g.elements(), repeat=2):
-        term1 = eta_component(src_rep, tgt_rep, K, i2, rep_apply(src_rep, i1, M))
-        inner = eta_component(src_rep, tgt_rep, K, i1, M)
-        if g.grading[i2] == -1:
-            inner = mor_inverse(inner)
-        path = compose(rep_apply_mor(tgt_rep, i2, inner), term1)
-        eta = eta_component(src_rep, tgt_rep, K, g.mul(i2, i1), M)
-        lhs = _scale_blocks(path, path.source, eta.target, theta_scalars(tgt_rep, i2, i1))
-        c = theta_scalars(src_rep, i2, i1)
-        bases = tensor_basis(rep_apply(src_rep, g.mul(i2, i1), M), K)
-        rhs = MFMor(path.source, eta.target, 0, *(
-            tuple(tuple(x * c[m[0]] for x, m in zip(row, basis)) for row in eta.block(p))
-            for p, basis in enumerate(bases)))
+        # rho(i2)(rho(i1)(M)) has the ranks of rho(i2 i1)(M)
+        a0, a1 = _image_ranks(src_rep, g.mul(i2, i1), M.ranks)
+        inner = eta_blocks(ring, g.grading[i1] == -1, *_image_ranks(src_rep, i1, M.ranks))
+        if tgt_rep.action.flips(i2) and tgt_rep.variant == SHIFTED:
+            inner = inner[::-1]
+        c = theta_scalars(tgt_rep, i2, i1)
+        lhs = [mat_scale(c[p], mat_mul(inner[p], t))
+               for p, t in enumerate(eta_blocks(ring, g.grading[i2] == -1, a0, a1))]
+        # the even basis of rho(i2 i1)(M) x K is M0 x K0, M1 x K1, the odd one M1 x K0, M0 x K1
+        d = theta_scalars(src_rep, i2, i1)
+        scales = ([d[0]] * a0 + [d[1]] * a1, [d[1]] * a1 + [d[0]] * a0)
+        eta = eta_blocks(ring, g.grading[g.mul(i2, i1)] == -1, a0, a1)
+        rhs = [tuple(tuple(x * s for x, s in zip(row, col)) for row in blk)
+               for blk, col in zip(eta, scales)]
         if not (v := equation("eta coherence", (g.labels[i2], g.labels[i1]), lhs, rhs)):
             return v
     return Verdict(True)
@@ -318,11 +313,13 @@ def orientifold_knorrer(s: ContraRealStruct):
                      conductor=rep.action.ring.conductor)
     K = rank_one(*(Poly.variable(fresh, name) for name in fresh.variables))
     new_rep = _extend_rep(rep, K)
-    new_base = _tensor(rep, s.base, K)
+    new_base = external_tensor(s.base, K)
     u = {}
-    for i in s.u.keys():
-        u[i] = compose(eta_component(rep, new_rep, K, i, s.base),
-                       _tensor_mor(rep, s.u[i], K))
+    for i, f in s.u.items():
+        eta = eta_blocks(new_base.ring, rep.group.grading[i] == -1,
+                         *_image_ranks(rep, i, s.base.ranks))
+        u[i] = MFMor(new_base, rep_apply(new_rep, i, new_base), 0,
+                     *map(mat_mul, eta, tensor_mor_blocks(f, identity_mor(K))))
     out = ContraRealStruct(new_base, new_rep, u)
     ok = eta_coherence_check(rep, new_rep, K, s.base)
     return out, ok

@@ -28,7 +28,7 @@ from mfsym.orientifold import (
     PLAIN, SHIFTED, ContraRep, ContraRealStruct, rank_one_contra_condition,
     verify_contra_structure, verify_duality, fixed_point_duality,
     duality_comparison, comparison_torsor_check, orientifold_knorrer,
-    double_knorrer, eta_component, eta_coherence_check, _extend_rep,
+    double_knorrer, eta_blocks, eta_coherence_check, _extend_rep,
 )
 from mfsym.clifford import (
     beh_hom_compare, cl_rs, graded_tensor, signature,
@@ -229,11 +229,11 @@ def test_criterion_06_orientifold_eta_and_double_knorrer():
         s = found[1]
         ext = _extend_rep(rep, K)
         sigma = rep.group.odd_elements()[0]
-        eta = eta_component(rep, ext, K, sigma, s.base)
-        r = eta.source.ring
+        r = ext.action.ring
+        f0, f1 = eta_blocks(r, True, *s.base.ranks)
         one, zero = Poly.constant(r, 1), Poly.zero(r)
-        assert eta.f0 == ((zero, one), (-one, zero))
-        assert eta.f1 == ((zero, one), (one, zero))
+        assert f0 == ((zero, one), (-one, zero))
+        assert f1 == ((zero, one), (one, zero))
         assert eta_coherence_check(rep, ext, K, s.base)
         out, coherent = double_knorrer(s)
         assert coherent

@@ -143,6 +143,44 @@ def test_orientifold_suite_without_a_witness_names_the_group_and_variant(monkeyp
     assert results["order-four-plain-witness"].ok
 
 
+def _counted_searches(monkeypatch):
+    calls = []
+    search = cli.rank_one_contra_condition
+
+    def counted(rep):
+        calls.append(1)
+        return search(rep)
+
+    monkeypatch.setattr(cli, "rank_one_contra_condition", counted)
+    return calls
+
+
+def test_contravariant_tasks_of_a_run_share_one_witness_search(monkeypatch):
+    """Each task searched the witness again: 9 searches over both bundled
+    orientifold scenarios."""
+    calls = _counted_searches(monkeypatch)
+    for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
+        assert run_scenario(os.path.join(SCENARIO_DIR, name)).ok
+    assert len(calls) == 2
+
+
+def test_every_task_on_a_missing_witness_gives_the_same_error(tmp_path, monkeypatch):
+    """The plain C2 action u -> -u has no rank-one structure."""
+    ops = ["theta-cocycle", "orientifold-knorrer", "double-knorrer", "duality-suite"]
+    p = tmp_path / "none.json"
+    p.write_text(json.dumps({
+        "schema": SCHEMA, "ring": {"variables": ["u", "v"]}, "potential": "u*v",
+        "group": "C(2)", "setting": "contravariant", "variant": "plain",
+        "action": [["u", "v"], ["-u", "v"]],
+        "tasks": [{"op": "rank-one-orientifold", "expect": "none"}, *({"op": op} for op in ops)]}))
+    calls = _counted_searches(monkeypatch)
+    first, *rest = run_scenario(str(p)).results
+    assert first.ok and first.detail == {"found": False}
+    assert [(r.name, r.ok, r.detail) for r in rest] == [
+        (op, False, {"error": "no rank-one structure exists for this action"}) for op in ops]
+    assert len(calls) == 1
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ScenarioError):
         run_suite("nope")
@@ -254,6 +292,10 @@ BAD_SCENARIOS = {
                         "potential": "u*v"}],
     "deep-parentheses": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
                          "potential": "(" * 3000 + "u*v" + ")" * 3000},
+    # ActionSpec reads its ring off the identity's first image
+    "action-without-variables": {"schema": SCHEMA, "ring": {"variables": []},
+                                 "group": "C(2)", "setting": "contravariant",
+                                 "action": [[], []], "tasks": [{"op": "theta-cocycle"}]},
     "empty-group": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]}, "potential": "u*v",
                     "group": "C(0)", "setting": "contravariant", "action": [],
                     "tasks": [{"op": "validate-action"}]},

@@ -413,15 +413,21 @@ _BAD_MOR = """
 import sys
 sys.path[:0] = sys.argv[1:]
 from mfsym.catalog import an_rank_one
-from mfsym.mf import MFError, MFMor, diff_mor, identity_mor, mat_mul
+from mfsym.mf import MFError, MFMor, diff_mor, equation, identity_mor, mat_mul
 M = an_rank_one(2)
 ident, d = identity_mor(M), diff_mor(M)
+blocks = (ident.f0, ident.f1)
 bad = {
     "f0 shape": lambda: MFMor(M, M, 0, (), ident.f1),
     "f1 shape": lambda: MFMor(M, M, 0, ident.f0, ()),
     "sum of parities": lambda: ident + d,
     "difference of parities": lambda: ident - d,
     "matrix product shapes": lambda: mat_mul(ident.f0, ident.f0 + ident.f0),
+    "equation of parities": lambda: equation("e", (), ident, d),
+    # the rows the two sides share are equal
+    "equation of block shapes": lambda: equation("e", (), blocks,
+                                                 (ident.f0 + ident.f0, ident.f1)),
+    "equation of block counts": lambda: equation("e", (), blocks, (ident.f0,)),
 }
 for name, build in bad.items():
     try:

@@ -18,15 +18,16 @@ from mfsym.groups import (
     theta_scalars, _graded_act,
 )
 from mfsym.mf import (
-    rank_one, identity_mor, compose, is_closed, mor_inverse, scaled_identity, equation,
-    external_tensor, external_tensor_mor, Verdict,
+    MF, MFMor, rank_one, identity_mor, compose, is_closed, mor_inverse, scaled_identity,
+    equation, external_tensor, external_tensor_mor, mat_block, mat_identity, mat_neg, mat_zero,
+    Verdict,
 )
 from mfsym.orientifold import (
     PLAIN, SHIFTED, ContraRep, ContraRealStruct, rank_one_contra_condition,
     verify_contra_structure, theta_cocycle_check,
     fixed_point_duality, duality_comparison, comparison_torsor_check,
     verify_duality, orientifold_knorrer, double_knorrer,
-    hyperbolic_transport_check, eta_component, eta_coherence_check, _extend_rep,
+    hyperbolic_transport_check, eta_blocks, eta_coherence_check, _extend_rep,
 )
 from mfsym.mf import dual, dual_mor, double_dual_iso
 from mfsym.cli import load_scenario, _contra_witness
@@ -40,6 +41,8 @@ W = U * V
 YZ = RingSpec(("y", "z"), conductor=4)
 K_YZ = rank_one(Poly.variable(YZ, "y"), Poly.variable(YZ, "z"))
 BASE_UV = rank_one(U, V)
+# unequal ranks need w = 0; on them eta's swap blocks are not square
+BASE_21 = MF(RING, Poly.zero(RING), mat_zero(RING, 1, 2), mat_zero(RING, 2, 1))
 
 
 def c2_shifted_rep():
@@ -129,19 +132,15 @@ def test_generic_duality_on_catalog():
 def test_eta_display_rank_one():
     rep = c2_shifted_rep()
     s = witness(rep)
-    from mfsym.mf import external_tensor
-    yz = RingSpec(("y", "z"), conductor=4)
-    K = rank_one(Poly.variable(yz, "y"), Poly.variable(yz, "z"))
-    ext = _extend_rep(rep, K)
+    ring = external_tensor(s.base, K_YZ).ring
     sigma = rep.group.odd_elements()[0]
-    eta = eta_component(rep, ext, K, sigma, s.base)
-    ring = eta.source.ring
+    f0, f1 = eta_blocks(ring, True, *s.base.ranks)
     one = Poly.constant(ring, 1)
     zero = Poly.zero(ring)
-    assert eta.f0 == ((zero, one), (-one, zero))
-    assert eta.f1 == ((zero, one), (one, zero))
-    ident = eta_component(rep, ext, K, rep.group.identity, s.base)
-    assert ident.f0 == ((one, zero), (zero, one))
+    assert f0 == ((zero, one), (-one, zero))
+    assert f1 == ((zero, one), (one, zero))
+    ident = eta_blocks(ring, False, *s.base.ranks)
+    assert ident[0] == ((one, zero), (zero, one))
 
 
 def test_knorrer_flips_variant():
@@ -376,18 +375,40 @@ def _reference_theta_cocycle(rep, M):
     return Verdict(True)
 
 
+def _eta_mor(src_rep, tgt_rep, K, i, M):
+    """eta_i at M as the morphism rho(i)(M) x K -> rho'(i)(M x K): identity
+    on even elements, the signed swap blocks on odd ones."""
+    A = rep_apply(src_rep, i, M)
+    src = external_tensor(A, K)
+    tgt = rep_apply(tgt_rep, i, external_tensor(M, K))
+    ring = src.ring
+    if src_rep.group.grading[i] == 1:
+        return MFMor(src, tgt, 0,
+                     mat_identity(ring, src.r0), mat_identity(ring, src.r1))
+    a0, a1 = A.ranks
+    f0 = mat_block([
+        [mat_zero(ring, a1, a0), mat_identity(ring, a1)],
+        [mat_neg(mat_identity(ring, a0)), mat_zero(ring, a0, a1)],
+    ])
+    f1 = mat_block([
+        [mat_zero(ring, a0, a1), mat_identity(ring, a0)],
+        [mat_identity(ring, a1), mat_zero(ring, a1, a0)],
+    ])
+    return MFMor(src, tgt, 0, f0, f1)
+
+
 def _reference_eta_coherence(src_rep, tgt_rep, K, M):
     """The eta coherence identity composed as morphisms: theta' at M x K,
     and theta x id_K as a tensor of morphisms."""
     g = src_rep.group
     for i2, i1 in product(g.elements(), repeat=2):
-        term1 = eta_component(src_rep, tgt_rep, K, i2, rep_apply(src_rep, i1, M))
-        inner = eta_component(src_rep, tgt_rep, K, i1, M)
+        term1 = _eta_mor(src_rep, tgt_rep, K, i2, rep_apply(src_rep, i1, M))
+        inner = _eta_mor(src_rep, tgt_rep, K, i1, M)
         if g.grading[i2] == -1:
             inner = mor_inverse(inner)
         term3 = _theta_mor(tgt_rep, i2, i1, external_tensor(M, K))
         lhs = compose(term3, compose(rep_apply_mor(tgt_rep, i2, inner), term1))
-        rhs = compose(eta_component(src_rep, tgt_rep, K, g.mul(i2, i1), M),
+        rhs = compose(_eta_mor(src_rep, tgt_rep, K, g.mul(i2, i1), M),
                       external_tensor_mor(_theta_mor(src_rep, i2, i1, M), identity_mor(K)))
         if not (v := equation("eta coherence", (g.labels[i2], g.labels[i1]), lhs, rhs)):
             return v
@@ -420,6 +441,8 @@ ORACLE_CASES = {
     "c4-plain": lambda: _knorrer_case(c4_plain_rep(), witness(c4_plain_rep()).base),
     "non-cocycle-twist": lambda: _knorrer_case(_non_cocycle_twist(), BASE_UV),
     "eta-without-sign-twist": _eta_case_without_sign_twist,
+    "ranks-21-plain": lambda: _knorrer_case(c4_plain_rep(), BASE_21),
+    "ranks-21-shifted": lambda: _knorrer_case(c2_shifted_rep(), BASE_21),
 }
 
 # The case holding the rep each MUTATIONS entry acts through; "duality"
@@ -463,26 +486,46 @@ def _coboundary(group, setting, f):
               for j in group.elements()) for i in group.elements()))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_theta_cocycle_matches_the_reference_on_drawn_twists(data):
-    """Twists with values in {+-1, +-i}: either any table, which mostly
+def _drawn_twist(data, rep):
+    """A twist with values in {+-1, +-i}: either any table, which mostly
     fails, or the rep's own twist times the coboundary of a drawn unit
     function, which holds."""
-    rep = data.draw(st.sampled_from(
-        (c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep, _antilinear_rep)))()
     g, setting = rep.group, rep.action.setting
     unit = st.sampled_from((Scalar.one(), -Scalar.one(), Scalar.i(), -Scalar.i()))
     if data.draw(st.booleans()):
-        twist = Cocycle2(g, setting, tuple(tuple(data.draw(unit) for _ in g.elements())
-                                           for _ in g.elements()))
-    else:
-        f = [Scalar.one() if i == g.identity else data.draw(unit) for i in g.elements()]
-        mu = _coboundary(g, setting, f)
-        twist = mu if rep.twist is None else rep.twist.multiply(mu)
-        assert cocycle_check(twist)
-    drawn = ContraRep(g, rep.action, rep.w, rep.variant, twist)
+        return Cocycle2(g, setting, tuple(tuple(data.draw(unit) for _ in g.elements())
+                                          for _ in g.elements()))
+    f = [Scalar.one() if i == g.identity else data.draw(unit) for i in g.elements()]
+    mu = _coboundary(g, setting, f)
+    twist = mu if rep.twist is None else rep.twist.multiply(mu)
+    assert cocycle_check(twist)
+    return twist
+
+
+def _retwisted(rep, twist):
+    return ContraRep(rep.group, rep.action, rep.w, rep.variant, twist)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_theta_cocycle_matches_the_reference_on_drawn_twists(data):
+    rep = data.draw(st.sampled_from(
+        (c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep, _antilinear_rep)))()
+    drawn = _retwisted(rep, _drawn_twist(data, rep))
     _agree(theta_cocycle_check(drawn, BASE_UV), _reference_theta_cocycle(drawn, BASE_UV))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_eta_coherence_matches_the_reference_on_drawn_twists(data):
+    """The source and target twists are drawn independently, on the
+    rank-one base or the ranks-(2, 1) one."""
+    rep = data.draw(st.sampled_from((c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep)))()
+    ext = _extend_rep(rep, K_YZ)
+    src = _retwisted(rep, _drawn_twist(data, rep))
+    tgt = _retwisted(ext, _drawn_twist(data, ext))
+    M = data.draw(st.sampled_from((BASE_UV, BASE_21)))
+    assert eta_coherence_check(src, tgt, K_YZ, M) == _reference_eta_coherence(src, tgt, K_YZ, M)
 
 
 def test_dualities_hold_under_a_coboundary_twist_with_non_unit_theta():

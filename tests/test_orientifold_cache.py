@@ -26,12 +26,12 @@ import mfsym.mf as mf
 import mfsym.orientifold as orientifold
 from mfsym.cli import run_scenario
 from mfsym.orientifold import (
-    PLAIN, SHIFTED, ContraRep, ContraRealStruct, rep_apply, rep_apply_mor, eta_component,
+    PLAIN, SHIFTED, ContraRep, ContraRealStruct, rep_apply, rep_apply_mor, eta_blocks,
     orientifold_knorrer, double_knorrer, verify_contra_structure, _extend_rep,
 )
 
 from test_orientifold import (
-    RING, U, V, W, c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep, witness,
+    RING, U, V, W, c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep, witness, _eta_mor,
 )
 
 REPS = (c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep)
@@ -152,9 +152,11 @@ def test_eta_and_knorrer_maps_match_direct_tensors():
         s = witness(rep)
         ext = _extend_rep(rep, K)
         for i in rep.group.elements():
-            eta = eta_component(rep, ext, K, i, s.base)
+            eta = _eta_mor(rep, ext, K, i, s.base)
             assert eta.source == external_tensor(_slow_obj(rep, i, s.base), K)
             assert eta.target == _slow_obj(ext, i, external_tensor(s.base, K))
+            odd, ranks = rep.group.grading[i] == -1, rep_apply(rep, i, s.base).ranks
+            assert (eta.f0, eta.f1) == eta_blocks(eta.source.ring, odd, *ranks)
 
         out, _ = orientifold_knorrer(s)
         ring = RingSpec(("u1", "v1"), conductor=4)
@@ -163,13 +165,15 @@ def test_eta_and_knorrer_maps_match_direct_tensors():
         fresh = make()
         fresh_ext = _extend_rep(fresh, K1)
         for i, u in s.u.items():
-            want = compose(eta_component(fresh, fresh_ext, K1, i, s.base),
+            want = compose(_eta_mor(fresh, fresh_ext, K1, i, s.base),
                            external_tensor_mor(u, identity_mor(K1)))
             assert _same_mor(out.u[i], want)
 
 
 def test_double_knorrer_twists_each_object_about_once(monkeypatch):
-    """Twisting anew at every use takes 432 twists on this witness."""
+    """Twisting anew at every use takes 432 twists on this witness, and
+    building eta's endpoints as morphisms took 44: only the u_i of each
+    Knoerrer image, with their targets rho'(i)(M x K), need a twist."""
     s = witness(c4_plain_rep())
     calls = []
 
@@ -180,7 +184,7 @@ def test_double_knorrer_twists_each_object_about_once(monkeypatch):
     monkeypatch.setattr(groups, "twist_mf", counted)
     _, coherent = double_knorrer(s)
     assert coherent
-    assert len(calls) <= 64, len(calls)
+    assert len(calls) <= 8, len(calls)
 
 
 @pytest.mark.parametrize("make", (c4_plain_rep, c2_shifted_rep), ids=("c4-plain", "c2-shifted"))
@@ -229,8 +233,35 @@ def test_theta_cocycle_check_builds_no_morphism(monkeypatch):
 def test_bundled_scenarios_invert_no_theta(monkeypatch):
     """One pass over both orientifold scenarios made 166 mor_inverse calls:
     46 in verify_fixed_point, 30 on eta, 10 on u and v components and 80
-    on thetas."""
+    on thetas; then 86, with eta still inverted as a morphism and each
+    task verifying its own witness."""
     calls = _counting(monkeypatch, [(groups, "mor_inverse"), (orientifold, "mor_inverse")])
     for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
         assert run_scenario(str(SCENARIOS / name)).ok
-    assert calls["mor_inverse"] <= 86, calls
+    assert calls["mor_inverse"] <= 34, calls
+
+
+def test_eta_coherence_check_builds_no_morphism(monkeypatch):
+    """eta_coherence_check built three eta morphisms per element pair, each
+    through a twist of a twist and its tensor with K, and composed them."""
+    cases = [(make(), M) for make in REPS for M in (BASE, witness(make()).base)]
+    cases = [(rep, _extend_rep(rep, K), M) for rep, M in cases]
+    calls = _counting(monkeypatch, [
+        (groups, "twist_mf"), (groups, "rep_apply"), (orientifold, "rep_apply"),
+        (mf, "external_tensor"), (orientifold, "external_tensor"), (mf, "compose"),
+        (orientifold, "compose"), (mf.MFMor, "__post_init__")])
+    for src, tgt, M in cases:
+        assert orientifold.eta_coherence_check(src, tgt, K, M)
+    assert calls == {}
+
+
+def test_bundled_scenarios_build_no_eta_endpoints(monkeypatch):
+    """One pass over both orientifold scenarios made 122 twists, 15
+    external tensors and 102 compositions in orientifold, building eta as
+    morphisms."""
+    calls = _counting(monkeypatch, [(groups, "twist_mf"), (orientifold, "external_tensor"),
+                                    (orientifold, "compose")])
+    for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
+        assert run_scenario(str(SCENARIOS / name)).ok
+    assert calls["twist_mf"] <= 32 and calls["external_tensor"] <= 6, calls
+    assert calls["compose"] <= 24, calls
