@@ -30,7 +30,7 @@ from .mf import (
     MF, MFMor, mf_new, rank_one, identity_mor, scaled_identity, hom_diff, shift,
     double_dual_iso, grading_iso, swap_iso, tensor_dual_pairing,
     shift_tensor_iso_left, shift_tensor_iso_right, is_closed, is_isomorphism,
-    diff_mor, Verdict,
+    diff_mor, Verdict, window_slots,
 )
 from .groups import (
     GroupSpec, ActionSpec, ANTILINEAR, CONTRAVARIANT, PLAIN, SHIFTED, ContraRep,
@@ -71,6 +71,7 @@ MAX_ITERATIONS = 5  # of eightfold-consistency; each costs about 20x the one bef
 # monomials of a power's or a product's degree or lower; bounds an exponent too
 MAX_POWER_MONOMIALS = 500
 MAX_CONDUCTOR = 360  # of the ring and of the zeta orders of one expression
+MAX_WINDOW_UNKNOWNS = 20000  # per parity, of a hom-cohomology window at cutoff + 1
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +466,10 @@ def task_hom_cohomology(sc: Scenario, params: dict):
     cutoff = _count(params, "cutoff", None) or default_cutoff(M.w)
     if not isinstance(expect := params.get("expect", []), list):
         raise ScenarioError(f"expect must be a list of dimensions, got {expect!r}")
+    entries = max(len(window_slots(M, N, p, [()])) for p in (0, 1))  # one per block entry
+    unknowns = entries * math.comb(M.ring.nvars + cutoff + 1, M.ring.nvars)
+    if unknowns > MAX_WINDOW_UNKNOWNS:
+        raise ScenarioError(f"window of {unknowns} unknowns, more than {MAX_WINDOW_UNKNOWNS}")
     report = hom_cohomology(M, N, cutoff)
     detail = {"dims": list(report.dims), "cutoff": report.cutoff,
               "stable": report.stable}

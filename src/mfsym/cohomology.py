@@ -1,17 +1,15 @@
 """Cohomology of Hom complexes between matrix factorizations.
 
 Dimensions are computed on bounded-degree windows of the polynomial Hom
-space.  The Hom differential D is built once, by mf.window_operator, on
-the window of degree <= cutoff + 1; its columns are restricted to the
-unknowns of degree <= c for c = cutoff and cutoff + 1.  Images under D
-are kept whole, so there is no target window: at each c, dim H = kernel
-of D on the window minus the part of the other parity's image that
-stays in degree <= c, which is that image's rank minus the rank of its
-projection onto degree > c.  The stabilization flag compares the
-dimensions at cutoff and cutoff + 1.  A null homotopy h of f is solved
-on the window of degree <= cutoff, with D(h) = f in degrees <= cutoff.
-Cutting by degree is a ring homomorphism onto k[x]/(monomials of degree
-> cutoff), so this is D(h) = f over that quotient.
+space.  For each parity, D is built once, by mf.window_operator, on the
+window of degree <= cutoff + 1 and eliminated once, its unknowns in by
+ascending degree and its image coordinates numbered by descending degree,
+so that the pivots give every rank (linalg's rank profile).  Images are
+kept whole: at each c, dim H = kernel of D on the unknowns of degree <= c
+minus the part of the other parity's image in degree <= c.  The flag
+compares cutoff and cutoff + 1.  A null homotopy h of f solves D(h) = f
+in degrees <= cutoff on the window of degree <= cutoff: cutting by degree
+is a ring homomorphism onto k[x]/(monomials of degree > cutoff).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from .mf import (
     MF, MFError, MFMor, diff_mor, external_tensor, mor_coordinates,
     mor_from_coordinates, window_monomials, window_operator, window_slots,
 )
-from .linalg import sparse_rank, sparse_solve, sparse_transpose
+from .linalg import sparse_echelon, sparse_solve, sparse_transpose
 
 
 @dataclass
@@ -41,23 +39,28 @@ def hom_cohomology(M: MF, N: MF, cutoff: int) -> CohoReport:
     if not M.w == N.w:
         raise MFError("potentials differ")
     monomials = window_monomials(M.ring.nvars, cutoff + 1)
-    size, rank, high = {}, {}, {}
-    for p in (0, 1):
-        slots = window_slots(M, N, p, monomials)
-        columns = window_operator(diff_mor(N), diff_mor(M), p, monomials)
-        for c in (cutoff, cutoff + 1):
-            cols = [col for slot, col in zip(slots, columns) if sum(slot[3]) <= c]
-            size[p, c] = len(cols)
-            rank[p, c] = sparse_rank(cols)
-            high[p, c] = sparse_rank([{k: v for k, v in col.items() if sum(k[3]) > c}
-                                      for col in cols])
-
-    # the image of D that stays in degree <= c has dimension rank - high,
-    # high being the rank of its part in degree > c
-    dims = {c: tuple(size[p, c] - rank[p, c] - (rank[1 - p, c] - high[1 - p, c])
-                     for p in (0, 1))
+    counts = [_window_counts(M, N, p, monomials, cutoff) for p in (0, 1)]
+    dims = {c: tuple(counts[p][c][0] - counts[1 - p][c][1] for p in (0, 1))
             for c in (cutoff, cutoff + 1)}
     return CohoReport(dims[cutoff], cutoff, dims[cutoff] == dims[cutoff + 1])
+
+
+def _window_counts(M: MF, N: MF, parity: int, monomials, cutoff: int) -> dict:
+    """{c: (kernel of D on the unknowns of degree <= c, dimension of their
+    image that stays in degree <= c)} for c = cutoff, cutoff + 1, at once."""
+    slots = window_slots(M, N, parity, monomials)
+    columns = window_operator(diff_mor(N), diff_mor(M), parity, monomials)
+    keys = sorted({k for col in columns for k in col}, key=lambda k: -sum(k[3]))
+    index = {k: j for j, k in enumerate(keys)}
+    for j, col in enumerate(columns):  # frees each original column as it goes
+        columns[j] = {index[k]: v for k, v in col.items()}
+    pivots, counts = {}, {}
+    for c in (cutoff, cutoff + 1):
+        sparse_echelon([col for slot, col in zip(slots, columns)
+                        if max(cutoff, sum(slot[3])) == c], pivots)
+        counts[c] = (sum(1 for s in slots if sum(s[3]) <= c) - len(pivots),
+                     sum(1 for k in pivots if sum(keys[k][3]) <= c))
+    return counts
 
 
 def null_homotopy(f: MFMor, cutoff: int) -> MFMor | None:

@@ -236,7 +236,6 @@ def fresh_variable_pair(taken) -> tuple[str, str]:
 @dataclass
 class ActionReport:
     ok: bool
-    homomorphism_failure: tuple[int, int] | None
     flag_failure: int | None
     nonlinear_element: int | None
     invariance: list[bool]
@@ -266,7 +265,7 @@ def validate_action(a: ActionSpec, w: Poly) -> ActionReport:
             want = w if a.group.grading[i] == 1 else -w
             invariance.append(image == want)
     ok = flags is None and nonlin is None and all(invariance)
-    return ActionReport(ok, hom, flags, nonlin, invariance)
+    return ActionReport(ok, flags, nonlin, invariance)
 
 
 # ---------------------------------------------------------------------------

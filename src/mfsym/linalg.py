@@ -4,7 +4,9 @@ Rows (or columns) are dicts mapping a sortable key to a nonzero
 ``Scalar``.  Every elimination of the package runs on one forward
 elimination, ``_echelon``, which pivots on the smallest key of each row;
 ``mf``'s determinants and inverses call it directly, everything else
-through ``sparse_echelon``.
+through ``sparse_echelon``.  It continues on pivots handed back, and then
+the pivots on keys below k are the rank of all rows so far projected onto
+those keys (the rank profile; Dumas, Pernet and Sultan, ISSAC 2013).
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ def _sparse_axpy(row, coeff, prow):
             row[col] = new
 
 
-def _echelon(rows):
-    """Forward elimination; returns {pivot_col: normalized row dict}, each
-    row reduced by the pivot rows of the rows before it."""
-    pivots: dict = {}
+def _echelon(rows, pivots=None):
+    """Forward elimination, continued in place on pivots if given; returns
+    {pivot_col: normalized row dict}, each row reduced by the rows before."""
+    pivots = {} if pivots is None else pivots
     for row in rows:
         row = dict(row)
         while row:
@@ -40,11 +42,11 @@ def _echelon(rows):
     return pivots
 
 
-def sparse_echelon(rows):
-    """Forward elimination; returns {pivot_col: normalized row dict}.  Rank
-    and solve go through this public name, so perfbench's tracer
-    sees their eliminations and none of mf's."""
-    return _echelon(rows)
+def sparse_echelon(rows, pivots=None):
+    """_echelon, continuing pivots if given.  Rank, solve and cohomology go
+    through this public name, so perfbench's tracer sees their
+    eliminations and none of mf's."""
+    return _echelon(rows, pivots)
 
 
 def sparse_rank(rows) -> int:

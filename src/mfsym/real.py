@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .scalars import Scalar, euler_phi
 from .polys import Poly, RingSpec, jacobi_basis
@@ -166,18 +167,18 @@ def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int | None = N
 
 def closed_dimension(space: FixedMorSpace) -> int:
     """Dimension over Q of the closed morphisms inside the fixed space: the
-    unknowns minus the rank of the Real residuals stacked on D, which is
-    Q(zeta_L)-linear, so its columns are those of one window_operator call
-    over the power basis, tagged -1 where no group element tags."""
+    unknowns minus the rank of the Real residuals stacked on D, tagged -1
+    where no group element tags.  D is Q(zeta_L)-linear, so the column of
+    zeta_L^t x^m is zeta_L^t times that of x^m, from one window_operator
+    call on the plain monomials; t is innermost in the slot order."""
     M, N = space.source.base, space.target.base
     L = _field_conductor(space.source, space.target)
-    basis = [Scalar.zeta(L, t) for t in range(euler_phi(L))]
+    zetas = [Scalar.zeta(L, t) for t in range(euler_phi(L))]
     monomials = window_monomials(M.ring.nvars, space.cutoff)
-    images = window_operator(diff_mor(N), diff_mor(M), space.parity, monomials,
-                             basis=basis)
+    images = window_operator(diff_mor(N), diff_mor(M), space.parity, monomials)
     return len(space.columns) - sparse_rank([
-        {**col, **_rational_coordinates(-1, image, L)}
-        for col, image in zip(space.columns, images)])
+        {**col, **_rational_coordinates(-1, {k: z * v for k, v in image.items()}, L)}
+        for col, (image, z) in zip(space.columns, product(images, zetas))])
 
 
 def _rational_coordinates(tag, image: dict, L: int) -> dict:

@@ -497,6 +497,7 @@ BAD_TASKS = {
     "rank-one-real-no-action": ("rank-one-real", {"setting": "antilinear"}, {}),
     "cutoff-string": ("hom-cohomology", {}, {**HYPERBOLIC, "cutoff": "3"}),
     "cutoff-zero": ("hom-cohomology", {}, {**HYPERBOLIC, "cutoff": 0}),
+    "cutoff-past-bound": ("hom-cohomology", {}, {**HYPERBOLIC, "cutoff": 1000000}),
     "d1-number": ("hom-cohomology", {}, {"d0": [["u"]], "d1": 5}),
     "d0-ragged": ("null-homotopy-scale", {}, {"d0": [["u"], ["v", "u"]], "d1": [["v"]]}),
     "expect-number": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": 5}),

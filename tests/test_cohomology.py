@@ -1,12 +1,15 @@
 """Hom complex cohomology on bounded-degree windows."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mfsym import scalars
+from mfsym import cohomology, scalars
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec
+from mfsym.linalg import sparse_rank
 from mfsym.mf import (
     rank_one, mf_new, identity_mor, MFMor, hom_diff, diff_mor, external_tensor,
+    window_monomials, window_operator, window_slots,
 )
 from mfsym.cohomology import (
     hom_cohomology, null_homotopy, default_cutoff, knorrer_hom_preservation,
@@ -152,3 +155,98 @@ def test_hom_cohomology_rejects_cutoff_below_one():
     M = rank_one(x, x)
     with pytest.raises(ValueError):
         hom_cohomology(M, M, 0)
+
+
+def _reference_hom_cohomology(M, N, cutoff):
+    """(dims, stable) from four ranks per parity, each from scratch: D on
+    the unknowns of degree <= c, and its projection onto degree > c, for
+    c = cutoff and cutoff + 1; the image of D that stays in degree <= c has
+    dimension rank - high."""
+    monomials = window_monomials(M.ring.nvars, cutoff + 1)
+    size, rank, high = {}, {}, {}
+    for p in (0, 1):
+        slots = window_slots(M, N, p, monomials)
+        columns = window_operator(diff_mor(N), diff_mor(M), p, monomials)
+        for c in (cutoff, cutoff + 1):
+            cols = [col for slot, col in zip(slots, columns) if sum(slot[3]) <= c]
+            size[p, c] = len(cols)
+            rank[p, c] = sparse_rank(cols)
+            high[p, c] = sparse_rank([{k: v for k, v in col.items() if sum(k[3]) > c}
+                                      for col in cols])
+    dims = {c: tuple(size[p, c] - rank[p, c] - (rank[1 - p, c] - high[1 - p, c])
+                     for p in (0, 1))
+            for c in (cutoff, cutoff + 1)}
+    return dims[cutoff], dims[cutoff] == dims[cutoff + 1]
+
+
+def _agrees_with_reference(M, N, cutoff):
+    rep = hom_cohomology(M, N, cutoff)
+    return (rep.dims, rep.stable) == _reference_hom_cohomology(M, N, cutoff)
+
+
+def _a_series(n, k):
+    ring = RingSpec(("x",), conductor=1)
+    x = Poly.variable(ring, "x")
+    return rank_one(x ** k, x ** (n - k))
+
+
+def _hyperbolic_kernel():
+    ryz = RingSpec(("y", "z"), conductor=1)
+    return rank_one(Poly.variable(ryz, "y"), Poly.variable(ryz, "z"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n - 1), st.integers(1, n - 1), st.integers(1, 2 * n))))
+def test_one_elimination_matches_the_four_rank_reference(drawn):
+    n, k, j, cutoff = drawn
+    assert _agrees_with_reference(_a_series(n, k), _a_series(n, j), cutoff), drawn
+
+
+def test_one_elimination_matches_the_reference_on_knorrer_images():
+    """Every pair with n <= 3 tensored with (y, z), at the cutoff of the
+    Knoerrer check, default_cutoff(x^n)."""
+    K = _hyperbolic_kernel()
+    for n in (2, 3):
+        cutoff = default_cutoff(_a_series(n, 1).w)
+        for k in range(1, n):
+            for j in range(1, n):
+                M = external_tensor(_a_series(n, k), K)
+                N = external_tensor(_a_series(n, j), K)
+                assert _agrees_with_reference(M, N, cutoff), (n, k, j)
+
+
+def test_one_elimination_matches_the_reference_off_the_stable_range():
+    ring = RingSpec(("x",))
+    x = Poly.variable(ring, "x")
+    w = x ** 2
+    trivial = mf_new(ring, w, ((Poly.constant(ring, 1),),), ((w,),))
+    tensored = external_tensor(_a_series(4, 1), _hyperbolic_kernel())
+    square = _a_series(6, 2)  # (x^2, x^4)
+    cases = [(trivial, trivial, 1), (trivial, trivial, default_cutoff(w)),
+             (square, square, 1), (square, square, 2), (square, _a_series(6, 4), 1),
+             (tensored, tensored, 1)]
+    for M, N, cutoff in cases:
+        assert _agrees_with_reference(M, N, cutoff), (M.ranks, cutoff)
+    stable = [hom_cohomology(M, N, cutoff).stable for M, N, cutoff in cases]
+    assert stable == [True, True, False, False, False, False]
+
+
+def test_hom_cohomology_pushes_each_unknown_once(monkeypatch):
+    """One elimination per parity: the rows handed to sparse_echelon are
+    the unknowns of both parities at cutoff + 1, each once."""
+    M = external_tensor(_a_series(3, 1), _hyperbolic_kernel())
+    N = external_tensor(_a_series(3, 2), _hyperbolic_kernel())
+    cutoff = 4
+    pushed = []
+    echelon = cohomology.sparse_echelon
+
+    def counted(rows, pivots=None):
+        pushed.append(len(rows))
+        return echelon(rows, pivots)
+
+    monkeypatch.setattr(cohomology, "sparse_echelon", counted)
+    hom_cohomology(M, N, cutoff)
+    monomials = window_monomials(M.ring.nvars, cutoff + 1)
+    assert sum(pushed) == sum(len(window_slots(M, N, p, monomials)) for p in (0, 1))
+    assert len(pushed) == 4

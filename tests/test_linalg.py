@@ -1,6 +1,7 @@
 """The one sparse elimination against sympy over Q, and by substitution
 over Q(zeta_m): rank and solvability on drawn matrices whose
-kernels are not spanned by unit vectors."""
+kernels are not spanned by unit vectors, and the rank profile of an
+elimination continued chunk by chunk."""
 
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from mfsym.scalars import Scalar
-from mfsym.linalg import sparse_rank, sparse_solve
+from mfsym.linalg import sparse_echelon, sparse_rank, sparse_solve
 
 
 @st.composite
@@ -86,3 +87,23 @@ def test_scalar_elimination_by_substitution(drawn):
     assert (solution is not None) == (sparse_rank(rows) == sparse_rank(coeffs))
     if solution is not None:
         assert all(_apply(row, solution + [one]).is_zero() for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rows(rationals, Scalar.zero()), st.lists(st.integers(0, 3), max_size=5))
+def test_continued_elimination_reads_every_leading_rank(drawn, cuts):
+    """After each chunk, the pivots of the continued elimination count the
+    rank of the rows so far, and those on keys below k the rank of their
+    projection onto those keys, for every k: against sparse_rank and
+    against sympy."""
+    width, rows = drawn
+    pivots, pushed = {}, []
+    for size in cuts + [len(rows)]:
+        chunk = rows[len(pushed):len(pushed) + size]
+        pushed += chunk
+        assert sparse_echelon(chunk, pivots) is pivots
+        assert len(pivots) == sparse_rank(pushed) == _sympy(width, pushed, width + 1).rank()
+        for k in range(width + 2):
+            below = [{j: v for j, v in row.items() if j < k} for row in pushed]
+            want = _sympy(width, below, width + 1).rank()
+            assert sum(1 for lead in pivots if lead < k) == sparse_rank(below) == want

@@ -23,6 +23,7 @@ from mfsym.real import (
     tensor_real_structure, fixed_hom, closed_dimension, _field_conductor,
 )
 import mfsym.catalog as catalog
+import mfsym.real as real
 
 
 def test_real_catalog_verifies():
@@ -125,6 +126,24 @@ def test_closed_dimension_matches_the_reference_oracle(name):
         for cutoff in (0, 1):
             got = closed_dimension(fixed_hom(s, s, parity, cutoff))
             assert got == _reference_closed_dimension(s, parity, cutoff), (parity, cutoff)
+
+
+def test_closed_dimension_builds_d_once_on_plain_monomials(monkeypatch):
+    """D is Q(zeta_L)-linear: one window_operator call with a one-element
+    basis, though phi(L) = 4 here."""
+    s = dict(catalog.real_catalog())["dihedral-cubic-line"]
+    space = fixed_hom(s, s, 0, cutoff=1)
+    assert euler_phi(_field_conductor(s, s)) == 4
+    bases = []
+    window_operator = real.window_operator
+
+    def counted(left, right, parity, monomials, twist=None, basis=(Scalar.one(),)):
+        bases.append(len(basis))
+        return window_operator(left, right, parity, monomials, twist, basis)
+
+    monkeypatch.setattr(real, "window_operator", counted)
+    assert closed_dimension(space) == _reference_closed_dimension(s, 0, 1)
+    assert bases == [1]
 
 
 def test_knorrer_closed_dims_are_stable():
