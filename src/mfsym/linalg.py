@@ -1,44 +1,99 @@
 """Exact sparse linear algebra over the scalar field.
 
-Rows (or columns) are dicts mapping a sortable key to a nonzero
-``Scalar``.  Every elimination of the package runs on one forward
-elimination, ``_echelon``, which pivots on the smallest key of each row;
-``mf``'s determinants and inverses call it directly, everything else
-through ``sparse_echelon``.  It continues on pivots handed back, and then
-the pivots on keys below k are the rank of all rows so far projected onto
-those keys (the rank profile; Dumas, Pernet and Sultan, ISSAC 2013).
+Rows (or columns) are dicts mapping a sortable key to a ``Scalar``; zero
+values count as absent.  Every elimination of the package runs on one
+forward elimination, ``_echelon``, which pivots on the smallest key of
+each row; ``mf``'s determinants and inverses call it directly, everything
+else through ``sparse_echelon``.  It continues on pivots handed back, and
+then the pivots on keys below k are the rank of all rows so far projected
+onto those keys (the rank profile; Dumas, Pernet and Sultan, ISSAC 2013).
+Rational rows run as primitive int rows, fraction-free (Bareiss 1968), the
+rest as monic Scalar rows: a pivot row is fixed up to a factor (``_ratio``).
 """
 
 from __future__ import annotations
 
-from .scalars import Scalar
+from math import gcd, lcm
+
+from .scalars import Scalar, _rational
 
 
-def _sparse_axpy(row, coeff, prow):
-    """row -= coeff * prow, in place on a copy-free dict."""
-    for col, val in prow.items():
-        cur = row.get(col)
-        new = (cur - coeff * val) if cur is not None else -(coeff * val)
-        if new.is_zero():
-            row.pop(col, None)
+def _ratio(x, y):
+    """x / y as a Scalar, for two values of one pivot row."""
+    if x.__class__ is int:
+        return _rational(1, x, y) if y > 0 else _rational(1, -x, -y)
+    return x * y.inverse()
+
+
+def _primitive(row):
+    """row, with int values, divided in place by their gcd."""
+    if (g := gcd(*row.values())) > 1:
+        for k in row:
+            row[k] //= g
+    return row
+
+
+def _integer_row(row):
+    """The primitive integer row on the line of row, without its zeros, or
+    None if a value is not rational.  Reads each value's slots once."""
+    out, dens = {}, []
+    for k, v in row.items():
+        if not v._rat:
+            return None
+        if n := v._num[0]:
+            out[k] = n
+            dens.append(v._den)
+    if (den := lcm(*dens)) > 1:
+        for k, d in zip(out, dens):
+            out[k] *= den // d
+    return _primitive(out)
+
+
+def _clear(row, prow, lead):
+    """row <- a * row - b * prow, in place, for a and b that clear column lead:
+    on int rows the coprime pair with a > 0, then made primitive; else a = 1."""
+    b = row[lead]
+    integer = b.__class__ is int
+    if integer:
+        a = prow[lead]
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for k in row:
+                row[k] *= a
+    for k, v in prow.items():
+        new = row[k] - b * v if k in row else -(b * v)
+        if new.is_zero() if not integer else not new:
+            del row[k]
         else:
-            row[col] = new
+            row[k] = new
+    if integer:
+        _primitive(row)
 
 
 def _echelon(rows, pivots=None):
     """Forward elimination, continued in place on pivots if given; returns
-    {pivot_col: normalized row dict}, each row reduced by the rows before."""
+    {pivot_col: pivot row dict}, each row reduced by the rows before.  The
+    first non-rational row turns int pivot rows into monic Scalar rows."""
     pivots = {} if pivots is None else pivots
+    integer = all(row[lead].__class__ is int for lead, row in pivots.items())
     for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                c = row[lead].inverse()
-                row = {k: v * c for k, v in row.items()}
-                pivots[lead] = row
+        if integer and (new := _integer_row(row)) is None:
+            integer = False
+            for lead, prow in pivots.items():
+                pivots[lead] = {k: _ratio(v, prow[lead]) for k, v in prow.items()}
+        if not integer:
+            new = {k: v for k, v in row.items() if not v.is_zero()}
+        while new:
+            lead = min(new)
+            prow = pivots.get(lead)
+            if prow is None:
+                if not integer:
+                    c = new[lead].inverse()
+                    new = {k: v * c for k, v in new.items()}
+                pivots[lead] = new
                 break
-            _sparse_axpy(row, row[lead], pivots[lead])
+            _clear(new, prow, lead)
     return pivots
 
 
@@ -63,13 +118,12 @@ def sparse_transpose(columns) -> list[dict]:
 
 
 def _back_substitute(pivots):
-    """Clear each pivot column from every other pivot row, in place, so
-    forward-eliminated pivots become the reduced echelon form."""
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
+    """Clear each pivot column from every other pivot row, in place: the
+    reduced echelon form of forward-eliminated pivots, up to row factors."""
+    for lead, row in sorted(pivots.items(), reverse=True):
         for other_lead, other in pivots.items():
             if other_lead < lead and lead in other:
-                _sparse_axpy(other, other[lead], row)
+                _clear(other, row, lead)
     return pivots
 
 
@@ -82,7 +136,6 @@ def sparse_solve(rows, rhs_col, width):
         return None  # inconsistent: a pivot in the augmented column
     x = [Scalar.zero()] * width
     for lead, row in pivots.items():
-        val = row.get(rhs_col)
-        if val is not None:
-            x[lead] = -val
+        if rhs_col in row:
+            x[lead] = _ratio(-row[rhs_col], row[lead])
     return x

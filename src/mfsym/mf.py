@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .polys import Poly, RingSpec, RingMap, apply_ring_map, _monomials_by_degree
-from .linalg import _back_substitute, _echelon
+from .linalg import _back_substitute, _echelon, _ratio
 from .scalars import Scalar
 
 Matrix = tuple  # rows of tuples of Poly
@@ -116,8 +116,7 @@ def _identity_echelon(a: Matrix) -> tuple[int, dict]:
         raise MFError(f"structure map must be a nonempty square matrix, got shape {(n, m)}")
     if not all(x.is_constant() for row in a for x in row):
         raise MFError("structure map has non-constant entries")
-    one = Scalar.one()
-    rows = [{**{c: x.constant_coeff() for c, x in enumerate(row) if x.terms}, n + r: one}
+    rows = [{**{c: x.constant_coeff() for c, x in enumerate(row)}, n + r: Scalar.one()}
             for r, row in enumerate(a)]
     return n, _echelon(rows)
 
@@ -131,27 +130,25 @@ def mat_det(a: Matrix) -> Poly:
     leads = list(pivots)  # in row order: row r found leads[r]
     if max(leads) >= n:
         return Poly.zero(ring)
-    # row r is reduced only by earlier rows, so its pivot row holds
-    # 1 / lead_r at column n + r and nothing beyond it
-    scale = Scalar.one()
-    for r, lead in enumerate(leads):
-        scale = scale * pivots[lead][n + r]
-    det = scale.inverse()
+    # row r is reduced only by earlier rows: its pivot row is a multiple of
+    # a row with lead_r at its lead, 1 at column n + r and nothing beyond
+    det = _ratio(math.prod(pivots[lead][lead] for lead in leads),
+                 math.prod(pivots[lead][n + r] for r, lead in enumerate(leads)))
     inversions = sum(leads[j] > leads[r] for r in range(n) for j in range(r))
     return Poly.constant(ring, -det if inversions % 2 else det)
 
 
 def mat_inverse(a: Matrix) -> Matrix:
     """Inverse of a square constant matrix, read off the reduced echelon
-    form [I | A^-1] of [A | I]; MFError when it is singular."""
+    form [I | A^-1] of [A | I] (up to row factors); MFError if singular."""
     n, pivots = _identity_echelon(a)
     if max(pivots) >= n:
         raise MFError("matrix is singular")
     _back_substitute(pivots)
     ring = a[0][0].ring
-    zero = Scalar.zero()
-    return tuple(tuple(Poly.constant(ring, pivots[r].get(n + c, zero)) for c in range(n))
-                 for r in range(n))
+    return tuple(tuple(Poly.constant(ring, _ratio(row[n + c], row[r])) if n + c in row
+                       else Poly.zero(ring) for c in range(n))
+                 for r, row in sorted(pivots.items()))
 
 
 def mat_block(blocks) -> Matrix:

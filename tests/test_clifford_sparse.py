@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from mfsym import catalog
 import mfsym.clifford as clifford
 import mfsym.mf as mf
+import mfsym.scalars as scalars
+from mfsym.linalg import sparse_echelon
 from mfsym.clifford import (
     CliffAlg, CliffMod, CliffModMor, QuadForm, module_act, module_hom_dim,
     module_validate, mf_to_clifford_module, parity_shift, smat,
@@ -233,3 +235,25 @@ def test_module_hom_dim_hands_sparse_rank_no_empty_row(monkeypatch):
         assert m.dims == (rank, rank)
         assert (module_hom_dim(m, m), module_hom_dim(m, parity_shift(m))) == (1, 1)
     assert len(ranked) == 4 and all(row for rows in ranked for row in rows)
+
+
+def test_module_hom_rows_eliminate_on_integers(monkeypatch):
+    """The (16,16) tower module's equations are rational, so linalg
+    eliminates them on its integer lane: no Scalar product, int pivot rows."""
+    m = _tower_module(4)
+    ranked = []
+    monkeypatch.setattr(clifford, "sparse_rank", lambda rows: ranked.append(rows) or 0)
+    module_hom_dim(m, m)
+    products = 0
+    mul = scalars._mul
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(scalars, "_mul", counting_mul)
+    pivots = sparse_echelon(ranked[0])
+    monkeypatch.undo()
+    assert products == 0 and len(pivots) == 511
+    assert all(v.__class__ is int for row in pivots.values() for v in row.values())

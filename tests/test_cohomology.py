@@ -250,3 +250,31 @@ def test_hom_cohomology_pushes_each_unknown_once(monkeypatch):
     monomials = window_monomials(M.ring.nvars, cutoff + 1)
     assert sum(pushed) == sum(len(window_slots(M, N, p, monomials)) for p in (0, 1))
     assert len(pushed) == 4
+
+
+def test_a_series_windows_eliminate_on_integers(monkeypatch):
+    """An A-series pair has rational windows, so each of hom_cohomology's
+    eliminations stays on linalg's integer lane: no Scalar product, int
+    pivot rows."""
+    products = 0
+    mul = scalars._mul
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    echelon = cohomology.sparse_echelon
+    eliminated = []
+
+    def counted(rows, pivots=None):
+        monkeypatch.setattr(scalars, "_mul", counting_mul)
+        eliminated.append(echelon(rows, pivots))
+        monkeypatch.setattr(scalars, "_mul", mul)
+        return eliminated[-1]
+
+    monkeypatch.setattr(cohomology, "sparse_echelon", counted)
+    hom_cohomology(_a_series(6, 2), _a_series(6, 4), 2)
+    assert products == 0 and len(eliminated) == 4 and any(eliminated)
+    assert all(v.__class__ is int
+               for pivots in eliminated for row in pivots.values() for v in row.values())

@@ -1,7 +1,8 @@
 """The one sparse elimination against sympy over Q, and by substitution
 over Q(zeta_m): rank and solvability on drawn matrices whose
 kernels are not spanned by unit vectors, and the rank profile of an
-elimination continued chunk by chunk."""
+elimination continued chunk by chunk.  Its integer lane (rational rows)
+is checked against its Scalar lane (the same rows scaled by units)."""
 
 from fractions import Fraction
 
@@ -9,15 +10,15 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from mfsym.scalars import Scalar
-from mfsym.linalg import sparse_echelon, sparse_rank, sparse_solve
+from mfsym.linalg import _ratio, sparse_echelon, sparse_rank, sparse_solve
 
 
 @st.composite
-def sparse_rows(draw, entry, zero):
-    """(width, rows) of a sparse matrix with up to 6 columns and 5 rows,
-    plus a dense right-hand side column."""
-    width = draw(st.integers(1, 6))
-    nrows = draw(st.integers(0, 5))
+def sparse_rows(draw, entry, zero, max_width=6, max_rows=5):
+    """(width, rows) of a sparse matrix with up to max_width columns and
+    max_rows rows, plus a dense right-hand side column."""
+    width = draw(st.integers(1, max_width))
+    nrows = draw(st.integers(0, max_rows))
     dense = [[draw(entry) for _ in range(width + 1)] for _ in range(nrows)]
     rows = [{j: x for j, x in enumerate(row) if not x == zero} for row in dense]
     return width, rows
@@ -40,7 +41,11 @@ def _without(rows, col):
 @settings(max_examples=150, deadline=None)
 @given(sparse_rows(rationals, Scalar.zero()))
 def test_fraction_elimination_matches_sympy(drawn):
-    width, rows = drawn
+    _check_against_sympy(*drawn)
+
+
+def _check_against_sympy(width, rows):
+    """Rank and solvability against sympy; a solution found solves every row."""
     a = _sympy(width, rows, width)
     coeffs = _without(rows, width)
     assert sparse_rank(coeffs) == a.rank()
@@ -107,3 +112,71 @@ def test_continued_elimination_reads_every_leading_rank(drawn, cuts):
             below = [{j: v for j, v in row.items() if j < k} for row in pushed]
             want = _sympy(width, below, width + 1).rank()
             assert sum(1 for lead in pivots if lead < k) == sparse_rank(below) == want
+
+
+def test_explicit_zero_values_are_dropped():
+    """A zero value is no entry, on either lane: it neither leads a row
+    nor is inverted."""
+    zero, one, z = Scalar.zero(), Scalar.one(), Scalar.zeta(3)
+    assert sparse_rank([{0: zero, 1: one}, {1: one}]) == 1
+    assert sparse_rank([{0: zero * z, 1: z}, {1: z}]) == 1
+    assert sparse_solve([{0: zero, 1: one}], 1, 1) is None
+
+
+def _same_line(a, b):
+    """Two pivot dicts with the same keys whose rows agree up to their
+    factors, read through _ratio."""
+    return a.keys() == b.keys() and all(
+        a[lead].keys() == b[lead].keys()
+        and all(_ratio(a[lead][k], a[lead][lead]) == _ratio(b[lead][k], b[lead][lead])
+                for k in a[lead])
+        for lead in a)
+
+
+def _unit_scaled(rows, powers):
+    """Each row times zeta_3^k, a non-rational unit, which puts the rows on
+    the Scalar lane without moving their lines."""
+    return [{j: v * Scalar.zeta(3, k) for j, v in row.items()}
+            for row, k in zip(rows, powers)]
+
+
+def _on_integers(pivots):
+    return all(v.__class__ is int for row in pivots.values() for v in row.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_rows(rationals, Scalar.zero()), st.lists(st.integers(1, 2), min_size=5, max_size=5))
+def test_integer_lane_matches_the_scalar_lane(drawn, powers):
+    width, rows = drawn
+    on_ints = sparse_echelon(rows)
+    assert _on_integers(on_ints)
+    assert _same_line(on_ints, sparse_echelon(_unit_scaled(rows, powers)))
+
+
+wide_rationals = st.one_of(st.just(Fraction(0)), st.builds(
+    Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 50))).map(Scalar.from_rational)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_rows(wide_rationals, Scalar.zero(), max_width=12, max_rows=10))
+def test_wide_integer_rows_match_sympy(drawn):
+    """Numerators up to 10^6 over denominators up to 50."""
+    _check_against_sympy(*drawn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows(rationals, Scalar.zero()),
+       st.lists(st.lists(_scalars(3), min_size=7, max_size=7), max_size=3),
+       st.lists(st.integers(1, 2), min_size=5, max_size=5))
+def test_continued_elimination_leaves_the_integer_lane_once(drawn, dense, powers):
+    """A rational chunk, then a cyclotomic one: the integer pivots move to
+    the Scalar lane once and the run ends where the all-Scalar run does."""
+    width, rows = drawn
+    later = [{j: x for j, x in enumerate(row[:width + 1]) if not x.is_zero()}
+             for row in dense] + [{width: Scalar.zeta(3)}]
+    pivots = sparse_echelon(rows)
+    reference = sparse_echelon(_unit_scaled(rows, powers))
+    assert _same_line(pivots, reference)
+    assert sparse_echelon(later, pivots) is pivots
+    assert not any(v.__class__ is int for row in pivots.values() for v in row.values())
+    assert _same_line(pivots, sparse_echelon(later, reference))

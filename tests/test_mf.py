@@ -1,6 +1,7 @@
 """Matrix factorizations, sign conventions, and structural isomorphisms."""
 
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -373,6 +374,23 @@ def test_scaled_permutation_det_sign_and_inverse():
             product = Scalar.one()
             for x in scale:
                 product = product * x
+            assert mat_det(a) == Poly.constant(ring, -product if inversions % 2 else product)
+            eye = mat_identity(ring, n)
+            inv = mat_inverse(a)
+            assert mat_eq(mat_mul(a, inv), eye) and mat_eq(mat_mul(inv, a), eye)
+
+
+def test_rational_scaled_permutation_det_sign_and_inverse():
+    """The same with signed integer scales, which linalg eliminates on its
+    integer lane, where pivot rows are fixed only up to a factor."""
+    ring = RingSpec(("x",), conductor=1)
+    for n in range(1, 5):
+        for perm in itertools.permutations(range(n)):
+            scale = [(-1) ** r * (r + 2) for r in range(n)]
+            a = tuple(tuple(Poly.constant(ring, scale[r]) if c == perm[r] else Poly.zero(ring)
+                            for c in range(n)) for r in range(n))
+            inversions = sum(perm[j] > perm[r] for r in range(n) for j in range(r))
+            product = math.prod(scale)
             assert mat_det(a) == Poly.constant(ring, -product if inversions % 2 else product)
             eye = mat_identity(ring, n)
             inv = mat_inverse(a)
