@@ -19,7 +19,6 @@ import random
 import re
 import sys
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from functools import cached_property
@@ -30,12 +29,12 @@ from .mf import (
     MF, MFMor, mf_new, rank_one, identity_mor, scaled_identity, hom_diff, shift,
     double_dual_iso, grading_iso, swap_iso, tensor_dual_pairing,
     shift_tensor_iso_left, shift_tensor_iso_right, is_closed, is_isomorphism,
-    diff_mor, Verdict, window_slots,
+    diff_mor, Verdict, equation, window_slots, _block_shapes,
 )
 from .groups import (
     GroupSpec, ActionSpec, ANTILINEAR, CONTRAVARIANT, PLAIN, SHIFTED, ContraRep,
     cyclic_group, dihedral_group, product_group, Cocycle2, universal_sign_cocycle,
-    validate_action, twist_mf,
+    potential_invariance, validate_action, twist_mf,
 )
 from .real import (
     RealStruct, verify_real_structure, rank_one_real_condition, real_knorrer,
@@ -51,7 +50,7 @@ from .clifford import (
     module_validate, mf_to_clifford_module, module_hom_dim, parity_shift,
 )
 from .cohomology import (
-    hom_cohomology, default_cutoff, knorrer_hom_preservation,
+    CohoReport, hom_cohomology, default_cutoff, knorrer_hom_preservation,
 )
 from . import catalog
 
@@ -393,36 +392,40 @@ def _contra_witness(sc: Scenario) -> ContraRealStruct:
 
 
 def task_validate_action(sc: Scenario, params: dict):
-    report = validate_action(_action(sc), sc.potential)
-    return report.ok, {"invariance": report.invariance}
+    act = _action(sc)
+    return (validate_action(act, sc.potential),
+            {"invariance": potential_invariance(act, sc.potential)})
 
 
-def _rank_one(params: dict, found, verify):
-    """Whether found, (chi values, witness) or None, is as params' expect says
-    ("exists" or "none"), and the verdict on a witness that should exist."""
+def _rank_one(params: dict, found, verify, *at):
+    """The verdict that found, (chi values, witness) or None, is as params'
+    expect says ("exists" or "none"), and that a witness that should exist
+    verifies; a missing or an unexpected witness fails at at."""
     if params.get("expect", "exists") == "none":
-        return found is None, {"found": found is not None}
+        return _check(found is None, "unexpected witness", *at), {"found": found is not None}
     if found is None:
-        return False, {"found": False}
+        return Verdict(False, "no witness", at), {"found": False}
     chi, struct = found
     return verify(struct), {"chi": [repr(c) for c in chi]}
 
 
 def task_rank_one_real(sc: Scenario, params: dict):
     found = rank_one_real_condition(_action(sc, ANTILINEAR))
-    return _rank_one(params, found and (found[0].values, found[1]), verify_real_structure)
+    return _rank_one(params, found and (found[0].values, found[1]), verify_real_structure,
+                     ANTILINEAR)
 
 
 def task_real_knorrer(sc: Scenario, params: dict):
     found = rank_one_real_condition(_action(sc, ANTILINEAR))
     if found is None:
-        return False, {"found": False}
+        return Verdict(False, "no witness", (ANTILINEAR,)), {"found": False}
     out = real_knorrer(found[1])
     return verify_real_structure(out), {"ranks": list(out.base.ranks)}
 
 
 def task_rank_one_orientifold(sc: Scenario, params: dict):
-    return _rank_one(params, sc.contra_found, verify_contra_structure)
+    return _rank_one(params, sc.contra_found, verify_contra_structure,
+                     CONTRAVARIANT, sc.variant or PLAIN)
 
 
 def task_theta_cocycle(sc: Scenario, params: dict):
@@ -473,19 +476,26 @@ def task_hom_cohomology(sc: Scenario, params: dict):
     report = hom_cohomology(M, N, cutoff)
     detail = {"dims": list(report.dims), "cutoff": report.cutoff,
               "stable": report.stable}
-    if "expect" in params:
-        return list(report.dims) == expect and report.stable, detail
-    return report.stable, detail
+    return _dims_check(report, tuple(expect) if "expect" in params else None), detail
+
+
+def _dims_check(report: CohoReport, want=None, *at) -> Verdict:
+    """The verdict that report's dims are stable from its cutoff to the
+    next and, where want is given, are want; a failure is placed at at,
+    the cutoff and the dims."""
+    return _check(report.stable and want in (None, report.dims), "cohomology dims",
+                  *at, f"cutoff {report.cutoff}", f"dims {list(report.dims)}")
 
 
 def task_null_homotopy_scale(sc: Scenario, params: dict):
-    return _potential_null_homotopy(_mf_from_params(sc, params)), {}
+    M = _mf_from_params(sc, params)
+    return _potential_null_homotopy(M, f"ranks {list(M.ranks)}"), {}
 
 
-def _potential_null_homotopy(M: MF) -> bool:
-    """w * id is D(d/2): check the exact witness rather than re-solving."""
+def _potential_null_homotopy(M: MF, *at) -> Verdict:
+    """w * id = D(d/2): check the exact witness rather than re-solving."""
     h = diff_mor(M).scale(Scalar.from_rational(Fraction(1, 2)))
-    return hom_diff(h) == scaled_identity(M, M, M.w, M.w)
+    return equation("w id = D(d/2)", at, hom_diff(h), scaled_identity(M, M, M.w, M.w))
 
 
 def _mf_from_params(sc: Scenario, params: dict, key_prefix: str = "") -> MF:
@@ -499,8 +509,8 @@ def _mf_from_params(sc: Scenario, params: dict, key_prefix: str = "") -> MF:
 
 
 def task_eightfold(sc: Scenario, params: dict):
-    detail, ok = _eightfold_consistency(_count(params, "iterations", 4, MAX_ITERATIONS))
-    return ok, detail
+    detail, verdict = _eightfold_consistency(_count(params, "iterations", 4, MAX_ITERATIONS))
+    return verdict, detail
 
 
 def _eightfold_consistency(iters: int = 4):
@@ -520,7 +530,7 @@ def _eightfold_consistency(iters: int = 4):
     cur = s
     for _ in range(iters):
         cur = real_knorrer(cur)
-    ok = verify_real_structure(cur).ok
+    structure = verify_real_structure(cur)
     end_closed = tuple(
         closed_dimension(fixed_hom(cur, cur, p, cutoff=0)) for p in (0, 1)
     )
@@ -528,26 +538,29 @@ def _eightfold_consistency(iters: int = 4):
     # from the recovered graded module instead of a large polynomial window
     mod = mf_to_clifford_module(cur.base)
     end_coho = (module_hom_dim(mod, mod), module_hom_dim(mod, parity_shift(mod)))
-    # the factorization grows by rank two per step but its Hom data returns
-    # to the start after four hyperbolic extensions
-    dims_match = start_closed == end_closed
-    coho_match = start_coho == end_coho
-    tensor_ok = True
-    alg = cl_rs(1, 1)
-    acc = alg
-    for _ in range(iters - 1):
-        acc, step_ok = graded_tensor(acc, alg)
-        tensor_ok = tensor_ok and step_ok
+    alg = acc = cl_rs(1, 1)
+    steps = []
+    for k in range(1, iters):
+        acc, iso = graded_tensor(acc, alg)
+        steps.append(_check(iso, "graded tensor iso", f"Cl({k},{k})", "Cl(1,1)"))
+    tensor = _first_failure(steps)
     sig = signature(acc.quad)
     detail = {
-        "structure_verified": ok,
+        "structure_verified": structure.ok,
         "closed_fixed_dims": [list(start_closed), list(end_closed)],
         "cohomology_dims": [list(start_coho), list(end_coho)],
-        "tensor_tower_ok": tensor_ok,
+        "tensor_tower_ok": tensor.ok,
         "tensor_signature": list(sig),
     }
-    all_ok = ok and dims_match and coho_match and tensor_ok and sig == (iters, iters)
-    return detail, all_ok
+    # the factorization grows by rank two per step but its Hom data returns
+    # to the start after four hyperbolic extensions
+    ends = ("step 0", f"step {iters}")
+    return detail, _first_failure([
+        structure,
+        _check(start_closed == end_closed, "closed fixed dims", *ends),
+        _check(start_coho == end_coho, "cohomology dims", *ends),
+        tensor,
+        _check(sig == (iters, iters), "tensor signature", f"Cl({iters},{iters})")])
 
 
 TASKS = {
@@ -578,20 +591,14 @@ class TaskResult:
     seconds: float = 0.0
 
 
-def _task(index: int, name: str, ok, detail: dict | None = None) -> TaskResult:
-    """The result of a task whose ok is a bool or a Verdict; a failing
-    Verdict is recorded in detail["failed"]: the identity, the elements
-    and one term [block, row, col, exponent, coefficient] of lhs - rhs."""
-    detail = dict(detail or {})
-    if isinstance(ok, Verdict) and not ok:
-        term = None if ok.term is None else [*ok.term[:3], list(ok.term[3]), repr(ok.term[4])]
-        detail["failed"] = {"identity": ok.identity, "at": list(ok.at), "term": term}
-    return TaskResult(index, name, bool(ok), detail)
+def _check(cond, identity: str, *at) -> Verdict:
+    """Verdict(True) where cond holds, else the failure of identity at at."""
+    return Verdict(True) if cond else Verdict(False, identity, at)
 
 
-def _first_failure(verdicts):
-    """The first failing verdict, or True when every one holds."""
-    return next((v for v in verdicts if not v), True)
+def _first_failure(verdicts) -> Verdict:
+    """The first failing verdict, or Verdict(True) when every one holds."""
+    return next((v for v in verdicts if not v), Verdict(True))
 
 
 @dataclass
@@ -614,100 +621,94 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _timed(tasks: Iterator[TaskResult]) -> list[TaskResult]:
-    """Run tasks lazily, giving each result the time since the previous one."""
-    out = []
+def _run(tasks, prefix: str = "", results: list | None = None) -> list[TaskResult]:
+    """Run (name, verdict, detail) tasks lazily into results, numbered on
+    from its length, each timed from the previous result.  A failing
+    verdict is recorded in detail["failed"], unless detail holds the
+    task's "error": the identity, the elements and one term [block, row,
+    col, exponent, coefficient] of lhs - rhs."""
+    results = [] if results is None else results
     t0 = time.monotonic()
-    for r in tasks:
+    for name, verdict, detail in tasks:
+        if not verdict and "error" not in detail:
+            term = verdict.term and [*verdict.term[:3], list(verdict.term[3]),
+                                     repr(verdict.term[4])]
+            detail = {**detail, "failed": {"identity": verdict.identity,
+                                           "at": list(verdict.at), "term": term}}
         t1 = time.monotonic()
-        r.seconds = round(t1 - t0, 6)
-        out.append(r)
+        results.append(TaskResult(len(results), prefix + name, verdict.ok, detail,
+                                  round(t1 - t0, 6)))
         t0 = t1
-    return out
+    return results
 
 
 def run_scenario(path: str) -> Report:
     sc = load_scenario(path)
 
-    def tasks() -> Iterator[TaskResult]:
-        for idx, task in enumerate(sc.tasks):
+    def tasks():
+        for task in sc.tasks:
             try:
-                ok, detail = TASKS[task["op"]](sc, task)
+                verdict, detail = TASKS[task["op"]](sc, task)
             except ValueError as exc:
-                ok, detail = False, {"error": str(exc)}
-            yield _task(idx, task["op"], ok, detail)
+                verdict, detail = Verdict(False), {"error": str(exc)}
+            yield task["op"], verdict, detail
 
-    return Report(REPORT_SCHEMA, sc.name, _timed(tasks()))
+    return Report(REPORT_SCHEMA, sc.name, _run(tasks()))
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_signs(rng: random.Random) -> Iterator[TaskResult]:
+def _suite_signs(rng: random.Random):
     cat = catalog.mf_catalog()
 
+    def rand_poly(ring):
+        return Poly(ring, {tuple(rng.randrange(0, 2) for _ in range(ring.nvars)):
+                           Scalar.from_rational(rng.randrange(-3, 4)) for _ in range(2)})
+
     def rand_mor(M, N, parity):
-        ring = M.ring
-        shapes = [(N.r0, M.r0), (N.r1, M.r1)] if parity == 0 else [(N.r1, M.r0), (N.r0, M.r1)]
-        blocks = []
-        for rows, cols in shapes:
-            blk = []
-            for r in range(rows):
-                row = []
-                for c in range(cols):
-                    terms = {}
-                    for _ in range(2):
-                        e = tuple(rng.randrange(0, 2) for _ in range(ring.nvars))
-                        terms[e] = Scalar.from_rational(rng.randrange(-3, 4))
-                    row.append(Poly(ring, terms))
-                blk.append(tuple(row))
-            blocks.append(tuple(blk))
-        return MFMor(M, N, parity, blocks[0], blocks[1])
+        return MFMor(M, N, parity, *(
+            tuple(tuple(rand_poly(M.ring) for _ in range(cols)) for _ in range(rows))
+            for rows, cols in _block_shapes(M, N, parity)))
 
-    ok_dd = True
-    for _ in range(60):
-        name, M = cat[rng.randrange(len(cat))]
-        f = rand_mor(M, M, rng.randrange(2))
-        dd = hom_diff(hom_diff(f))
-        zero_ok = all(p.is_zero() for blk in (dd.f0, dd.f1) for row in blk for p in row)
-        ok_dd = ok_dd and zero_ok
-    yield TaskResult(0, "hom-differential-squares-to-zero", ok_dd)
+    def dd_zero():
+        for _ in range(60):
+            name, M = cat[rng.randrange(len(cat))]
+            dd = hom_diff(hom_diff(rand_mor(M, M, rng.randrange(2))))
+            yield _check(all(p.is_zero() for blk in (dd.f0, dd.f1) for row in blk for p in row),
+                         "D^2 = 0", name)
 
-    ok_shift = all(shift(shift(M)).d0 == M.d0 for _, M in cat)
-    yield TaskResult(1, "double-shift-identity", ok_shift)
-
-    ok_dual = True
-    for _, M in cat:
-        theta = double_dual_iso(M)
-        ok_dual = ok_dual and is_closed(theta) and is_isomorphism(theta)
-        j = grading_iso(M)
-        ok_dual = ok_dual and is_closed(j) and is_isomorphism(j)
-    yield TaskResult(2, "double-dual-and-grading-isos", ok_dual)
+    yield "hom-differential-squares-to-zero", _first_failure(dd_zero()), {}
+    yield "double-shift-identity", _first_failure(
+        _check(shift(shift(M)).d0 == M.d0, "double shift", name) for name, M in cat), {}
+    yield "double-dual-and-grading-isos", _first_failure(
+        _closed_iso(iso(M), name, label) for name, M in cat
+        for label, iso in (("double dual", double_dual_iso), ("grading", grading_iso))), {}
 
     Ruv = RingSpec(("u", "v"))
     Ryz = RingSpec(("y", "z"))
     A = rank_one(Poly.variable(Ruv, "u"), Poly.variable(Ruv, "v"))
     B = rank_one(Poly.variable(Ryz, "y"), Poly.variable(Ryz, "z"))
-    sw = swap_iso(A, B)
-    ok_swap = is_closed(sw) and is_isomorphism(sw)
-    for mk in (shift_tensor_iso_left, shift_tensor_iso_right):
-        f = mk(A, B)
-        ok_swap = ok_swap and is_closed(f) and is_isomorphism(f)
-    pairing = tensor_dual_pairing(A, B)
-    ok_swap = ok_swap and is_closed(pairing) and is_isomorphism(pairing)
-    yield TaskResult(3, "tensor-isos-closed-invertible", ok_swap)
+    yield "tensor-isos-closed-invertible", _first_failure(
+        _closed_iso(mk(A, B), label) for label, mk in (
+            ("swap", swap_iso), ("shift left", shift_tensor_iso_left),
+            ("shift right", shift_tensor_iso_right), ("dual pairing", tensor_dual_pairing))), {}
 
 
-def _suite_real() -> Iterator[TaskResult]:
+def _closed_iso(f: MFMor, *at) -> Verdict:
+    return _check(is_closed(f) and is_isomorphism(f), "closed isomorphism", *at)
+
+
+def _suite_real():
     entries = catalog.real_catalog()
-    yield _task(0, "catalog-structures-verify",
-                _first_failure(verify_real_structure(s) for _, s in entries),
-                {"entries": [name for name, _ in entries]})
-    yield _task(1, "knorrer-images-verify",
-                _first_failure(verify_real_structure(real_knorrer(s)) for _, s in entries))
+    yield ("catalog-structures-verify",
+           _first_failure(verify_real_structure(s) for _, s in entries),
+           {"entries": [name for name, _ in entries]})
+    yield ("knorrer-images-verify",
+           _first_failure(verify_real_structure(real_knorrer(s)) for _, s in entries), {})
 
 
-def _suite_orientifold() -> Iterator[TaskResult]:
+def _suite_orientifold():
     ring = RingSpec(("u", "v"), conductor=4)
     u = Poly.variable(ring, "u")
     v = Poly.variable(ring, "v")
@@ -717,96 +718,81 @@ def _suite_orientifold() -> Iterator[TaskResult]:
                       (RingMap.identity(ring), RingMap((-u, v), False)))
     rep2 = ContraRep(g2, act2, w, SHIFTED, universal_sign_cocycle(g2))
     found2 = rank_one_contra_condition(rep2)
-    yield _task(0, "terminal-shifted-witness",
-                found2 is not None or Verdict(False, "no witness", ("C2", rep2.variant)))
+    yield ("terminal-shifted-witness",
+           _check(found2 is not None, "no witness", "C2", rep2.variant), {})
     g4 = cyclic_group(4, graded=True)
     act4 = ActionSpec(g4, CONTRAVARIANT, (
         RingMap.identity(ring), RingMap((-v, u), False),
         RingMap((-u, -v), False), RingMap((v, -u), False)))
     rep4 = ContraRep(g4, act4, w, PLAIN)
     found4 = rank_one_contra_condition(rep4)
-    yield _task(1, "order-four-plain-witness",
-                found4 is not None or Verdict(False, "no witness", ("C4", rep4.variant)))
+    yield ("order-four-plain-witness",
+           _check(found4 is not None, "no witness", "C4", rep4.variant), {})
     if found2 and found4:
         s2, s4 = found2[1], found4[1]
-        yield _task(2, "theta-cocycle",
-                    theta_cocycle_check(rep2, s2.base)
-                    and theta_cocycle_check(rep4, s4.base))
+        yield ("theta-cocycle",
+               theta_cocycle_check(rep2, s2.base) and theta_cocycle_check(rep4, s4.base), {})
         k2, c2 = orientifold_knorrer(s2)
         k4, c4 = orientifold_knorrer(s4)
-        yield _task(3, "knorrer-coherence-and-verify",
-                    c2 and c4 and verify_contra_structure(k2)
-                    and verify_contra_structure(k4))
+        yield ("knorrer-coherence-and-verify",
+               c2 and c4 and verify_contra_structure(k2) and verify_contra_structure(k4), {})
         d4, cd = double_knorrer(s4)
-        yield _task(4, "double-knorrer-roundtrip",
-                    cd and verify_contra_structure(d4))
+        yield "double-knorrer-roundtrip", cd and verify_contra_structure(d4), {}
         sub = ContraRealStruct(s4.base, rep4, {i: s4.u[i] for i in g4.kernel()})
-        yield _task(5, "duality-and-comparison",
-                    fixed_point_duality(rep4, 1, sub)
-                    and duality_comparison(rep4, 1, 3, s4)
-                    and comparison_torsor_check(rep4, s4))
-    yield _task(6, "hyperbolic-transport", hyperbolic_transport_check())
+        yield ("duality-and-comparison",
+               fixed_point_duality(rep4, 1, sub) and duality_comparison(rep4, 1, 3, s4)
+               and comparison_torsor_check(rep4, s4), {})
+    yield "hyperbolic-transport", hyperbolic_transport_check(), {}
 
 
-def _suite_clifford() -> Iterator[TaskResult]:
+def _suite_clifford():
     mods = catalog.clifford_module_catalog()
-    ok_valid = all(not module_validate(m) for _, m in mods)
-    yield TaskResult(0, "modules-validate", ok_valid)
-    ok_cmp = True
-    count = 0
-    for i, (n1, m1) in enumerate(mods):
-        for n2, m2 in mods[i:]:
-            if m1.alg.quad.dimension != m2.alg.quad.dimension:
-                continue
-            ring = catalog.clifford_ring_for(m1)
-            left, right, rep = beh_hom_compare(m1, m2, ring)
-            ok_cmp = ok_cmp and left == right and rep.stable
-            count += 1
-    yield TaskResult(1, "bridge-hom-dims-agree", ok_cmp, {"pairs": count})
-    ok_fix = True
-    for r in range(5):
-        for s in range(5 - r):
-            if r + s == 0:
-                continue
-            _, rel = real_clifford_fixed(r, s)
-            ok_fix = ok_fix and rel
-    yield TaskResult(2, "signature-fixed-points", ok_fix)
-    ok_tensor = True
-    for r in range(3):
-        for s in range(3 - r):
-            if r + s == 0:
-                continue
-            _, iso = graded_tensor(cl_rs(r, s), cl_rs(1, 1))
-            ok_tensor = ok_tensor and iso
-    yield TaskResult(3, "graded-tensor-isos", ok_tensor)
+    yield "modules-validate", _first_failure(
+        _check(not module_validate(m), "module relations", name) for name, m in mods), {}
+    pairs = [(n1, m1, n2, m2) for i, (n1, m1) in enumerate(mods) for n2, m2 in mods[i:]
+             if m1.alg.quad.dimension == m2.alg.quad.dimension]
+
+    def bridge(n1, m1, n2, m2):
+        left, right, rep = beh_hom_compare(m1, m2, catalog.clifford_ring_for(m1))
+        return _check(left == right and rep.stable, "bridge hom dims", n1, n2)
+
+    yield ("bridge-hom-dims-agree", _first_failure(bridge(*pair) for pair in pairs),
+           {"pairs": len(pairs)})
+    signatures = [(r, s) for r in range(5) for s in range(5 - r) if r + s]
+    yield "signature-fixed-points", _first_failure(
+        _check(real_clifford_fixed(r, s)[1], "signature fixed points", f"Cl({r},{s})")
+        for r, s in signatures), {}
+    yield "graded-tensor-isos", _first_failure(
+        _check(graded_tensor(cl_rs(r, s), cl_rs(1, 1))[1], "graded tensor iso",
+               f"Cl({r},{s})", "Cl(1,1)")
+        for r, s in signatures if r + s < 3), {}
 
 
-def _suite_cohomology() -> Iterator[TaskResult]:
+def _suite_cohomology():
     Ruv = RingSpec(("u", "v"))
     u = Poly.variable(Ruv, "u")
     v = Poly.variable(Ruv, "v")
-    rep = hom_cohomology(rank_one(u, v), rank_one(u, v), 3)
-    yield TaskResult(0, "hyperbolic-dims", rep.dims == (1, 0) and rep.stable)
+    yield ("hyperbolic-dims",
+           _dims_check(hom_cohomology(rank_one(u, v), rank_one(u, v), 3), (1, 0), "(u, v)"), {})
     Rx = RingSpec(("x",))
     x = Poly.variable(Rx, "x")
     triv = rank_one(Poly.constant(Rx, 1), x ** 3)
-    rep = hom_cohomology(triv, triv, 4)
-    yield TaskResult(1, "contractible-dims", rep.dims == (0, 0) and rep.stable)
-    ok_k = True
+    yield ("contractible-dims",
+           _dims_check(hom_cohomology(triv, triv, 4), (0, 0), "(1, x^3)"), {})
     Ryz = RingSpec(("y", "z"))
     K = rank_one(Poly.variable(Ryz, "y"), Poly.variable(Ryz, "z"))
-    for n1 in range(1, 5):
-        for n2 in range(n1, 5):
-            M = catalog.an_rank_one(n1)
-            N = catalog.an_rank_one(n2)
-            if not M.w == N.w:
-                continue
-            cutoff = default_cutoff(M.w)
-            _, _, same = knorrer_hom_preservation(M, N, K, cutoff)
-            ok_k = ok_k and same
-    yield TaskResult(2, "knorrer-preserves-dims", ok_k)
-    ok_h = all(_potential_null_homotopy(M) for _, M in catalog.mf_catalog())
-    yield TaskResult(3, "potential-null-homotopy-witness", ok_h)
+
+    def knorrer(n):
+        # an_rank_one(n) factors x^(n + 1), so no two of them share a potential
+        M = catalog.an_rank_one(n)
+        cutoff = default_cutoff(M.w)
+        left, right, same = knorrer_hom_preservation(M, M, K, cutoff)
+        return _check(same, "knorrer preserves dims", f"an_rank_one({n})", f"cutoff {cutoff}",
+                      f"dims {list(left.dims)} -> {list(right.dims)}")
+
+    yield "knorrer-preserves-dims", _first_failure(knorrer(n) for n in range(1, 5)), {}
+    yield "potential-null-homotopy-witness", _first_failure(
+        _potential_null_homotopy(M, name) for name, M in catalog.mf_catalog()), {}
 
 
 SUITES = {
@@ -821,15 +807,13 @@ SUITES = {
 def run_suite(name: str) -> Report:
     if name == "all":
         results = []
-        for key in ("signs", "real", "orientifold", "clifford", "cohomology"):
-            for r in _timed(SUITES[key]()):
-                results.append(TaskResult(len(results), f"{key}:{r.name}",
-                                          r.ok, r.detail, r.seconds))
+        for key, suite in SUITES.items():
+            _run(suite(), f"{key}:", results)
         return Report(REPORT_SCHEMA, "all", results)
     if name not in SUITES:
         raise ScenarioError(f"unknown suite {name!r}; choose from "
                             f"{sorted(SUITES) + ['all']}")
-    return Report(REPORT_SCHEMA, name, _timed(SUITES[name]()))
+    return Report(REPORT_SCHEMA, name, _run(SUITES[name]()))
 
 
 # ---------------------------------------------------------------------------

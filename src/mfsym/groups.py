@@ -177,21 +177,6 @@ class ActionSpec:
                     return (i, j)
         return None
 
-    def check_flags(self) -> int | None:
-        for i in self.group.elements():
-            want = (self.group.grading[i] == -1) if self.setting == ANTILINEAR else False
-            if self.maps[i].antilinear != want:
-                return i
-        return None
-
-    def check_linear_images(self) -> int | None:
-        """Variable images must be homogeneous of degree 1."""
-        for i in self.group.elements():
-            for img in self.maps[i].images:
-                if img.is_zero() or any(sum(e) != 1 for e in img.terms):
-                    return i
-        return None
-
 
 def diagonal_action(group: GroupSpec, ring: RingSpec, setting: str,
                     eigenvalues: dict[int, tuple[Scalar, ...]]) -> ActionSpec:
@@ -233,39 +218,33 @@ def fresh_variable_pair(taken) -> tuple[str, str]:
     return names
 
 
-@dataclass
-class ActionReport:
-    ok: bool
-    flag_failure: int | None
-    nonlinear_element: int | None
-    invariance: list[bool]
-
-    def __bool__(self):
-        return self.ok
+def potential_invariance(a: ActionSpec, w: Poly) -> list[bool]:
+    """Per element, whether it leaves w (semi-)invariant: sigma(w) = w
+    antilinearly, sigma(w) = pi(sigma) w in the contravariant setting."""
+    return [apply_ring_map(a.maps[i], w) == (-w if a.flips(i) else w)
+            for i in a.group.elements()]
 
 
-def validate_action(a: ActionSpec, w: Poly) -> ActionReport:
-    """Checks the homomorphism property and per-element (semi-)invariance of
-    the potential: sigma(w) = w antilinearly, sigma(w) = pi(sigma) w in the
-    contravariant setting."""
-    hom = a.check_homomorphism()
-    flags = a.check_flags()
-    nonlin = a.check_linear_images()
-    if hom is not None:
-        raise ValueError(
-            f"action is not a homomorphism at pair "
-            f"({a.group.labels[hom[0]]},{a.group.labels[hom[1]]})"
-        )
-    invariance = []
-    for i in a.group.elements():
-        image = apply_ring_map(a.maps[i], w)
-        if a.setting == ANTILINEAR:
-            invariance.append(image == w)
-        else:
-            want = w if a.group.grading[i] == 1 else -w
-            invariance.append(image == want)
-    ok = flags is None and nonlin is None and all(invariance)
-    return ActionReport(ok, flags, nonlin, invariance)
+def validate_action(a: ActionSpec, w: Poly) -> Verdict:
+    """The action's verdict, element by element up to the first failure:
+    the antilinear flag the setting asks for ("action flags"), variable
+    images homogeneous of degree 1 ("linear images"), and the
+    (semi-)invariance of w ("potential invariance").  An assignment that is
+    not a homomorphism raises ValueError."""
+    g = a.group
+    if (hom := a.check_homomorphism()) is not None:
+        raise ValueError(f"action is not a homomorphism at pair "
+                         f"({g.labels[hom[0]]},{g.labels[hom[1]]})")
+    invariant = potential_invariance(a, w)
+    for i in g.elements():
+        rm, at = a.maps[i], (g.labels[i],)
+        if rm.antilinear != (a.setting == ANTILINEAR and g.grading[i] == -1):
+            return Verdict(False, "action flags", at)
+        if any(img.is_zero() or any(sum(e) != 1 for e in img.terms) for img in rm.images):
+            return Verdict(False, "linear images", at)
+        if not invariant[i]:
+            return Verdict(False, "potential invariance", at)
+    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------

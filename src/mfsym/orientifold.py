@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .scalars import Scalar
@@ -73,6 +74,14 @@ class ContraRealStruct:
     base: MF
     rep: ContraRep
     u: dict  # element index -> MFMor from base to rep_apply(element, base)
+
+    @cached_property
+    def knorrer(self):
+        """orientifold_knorrer(self), built on first use and then stored in
+        the instance __dict__, which cached_property writes past the frozen
+        __setattr__.  That rests on the structure being frozen and on no
+        component of u being replaced or mutated after it is built."""
+        return _knorrer_image(self)
 
 
 def verify_contra_structure(s: ContraRealStruct) -> Verdict:
@@ -307,7 +316,12 @@ def eta_coherence_check(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, M: MF) ->
 def orientifold_knorrer(s: ContraRealStruct):
     """Tensors a fixed point structure with the rank-one factorization of
     u*v on fresh variables; returns the structure for the toggled-variant,
-    sign-twisted action together with the eta coherence verdict."""
+    sign-twisted action together with the eta coherence verdict.  Each
+    structure builds its image once (ContraRealStruct.knorrer)."""
+    return s.knorrer
+
+
+def _knorrer_image(s: ContraRealStruct):
     rep = s.rep
     fresh = RingSpec(fresh_variable_pair(set(rep.action.ring.variables)),
                      conductor=rep.action.ring.conductor)
@@ -320,9 +334,7 @@ def orientifold_knorrer(s: ContraRealStruct):
                          *_image_ranks(rep, i, s.base.ranks))
         u[i] = MFMor(new_base, rep_apply(new_rep, i, new_base), 0,
                      *map(mat_mul, eta, tensor_mor_blocks(f, identity_mor(K))))
-    out = ContraRealStruct(new_base, new_rep, u)
-    ok = eta_coherence_check(rep, new_rep, K, s.base)
-    return out, ok
+    return ContraRealStruct(new_base, new_rep, u), eta_coherence_check(rep, new_rep, K, s.base)
 
 
 def double_knorrer(s: ContraRealStruct):

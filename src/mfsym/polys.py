@@ -324,19 +324,10 @@ def jacobi_basis(w: Poly):
     socle = 0
     for d, monos in enumerate(buckets):
         index = {m: j for j, m in enumerate(monos)}
-        rows = []
-        for p in partials:
-            for m in buckets[d - (D - 1)] if d >= D - 1 else []:
-                row = {}
-                hit = True
-                for e, c in p.terms.items():
-                    tot = tuple(a + b for a, b in zip(e, m))
-                    if tot not in index:
-                        hit = False
-                        break
-                    row[index[tot]] = c
-                if hit:
-                    rows.append(row)
+        # each partial is homogeneous of degree D - 1, so its multiples by
+        # the monomials of degree d - D + 1 lie in bucket d
+        rows = [{index[tuple(a + b for a, b in zip(e, m))]: c for e, c in p.terms.items()}
+                for p in partials for m in (buckets[d - (D - 1)] if d >= D - 1 else [])]
         pivots = sparse_echelon(rows)
         free = [monos[j] for j in range(len(monos)) if j not in pivots]
         if free:

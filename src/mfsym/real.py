@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
-from .scalars import Scalar, euler_phi
+from .scalars import Scalar, _rational, euler_phi
 from .polys import Poly, RingSpec, jacobi_basis
 from .mf import (
     MF, MFMor, Verdict, rank_one, scaled_identity, diff_mor, external_tensor,
@@ -41,18 +40,16 @@ class RealStruct:
 
 
 def verify_real_structure(s: RealStruct) -> Verdict:
-    """The setting, the action, then groups.verify_fixed_point on a fresh rep
-    of the action, its law named "Real cocycle": u_{ts} = mu([t|s]) *
-    (u_s)^t . u_t.  Stops at the first failure."""
+    """The setting, groups.validate_action's verdict on the action, then
+    groups.verify_fixed_point on a fresh rep of the action, its law named
+    "Real cocycle": u_{ts} = mu([t|s]) * (u_s)^t . u_t.  Stops at the
+    first failure."""
     g = s.group
     act = s.action
     if act.setting != ANTILINEAR:
         return Verdict(False, "antilinear setting")
-    rep = validate_action(act, s.base.w)
-    if not rep.ok:
-        bad = next(i for i in g.elements()
-                   if i in (rep.flag_failure, rep.nonlinear_element) or not rep.invariance[i])
-        return Verdict(False, "action invariance", (g.labels[bad],))
+    if not (v := validate_action(act, s.base.w)):
+        return v
     return verify_fixed_point(ContraRep(g, act, s.base.w, twist=s.twist), s.base,
                               dict(enumerate(s.u)), "Real cocycle")
 
@@ -192,7 +189,7 @@ def _rational_coordinates(tag, image: dict, L: int) -> dict:
             if n:
                 q = (n, v.denominator)
                 if q not in shared:
-                    shared[q] = Scalar.from_rational(Fraction(*q))
+                    shared[q] = _rational(1, n, v.denominator)
                 out[(tag, *k, t)] = shared[q]
     return out
 

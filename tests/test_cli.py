@@ -1,5 +1,6 @@
 """Scenario parsing, the expression grammar, and the command line verbs."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec
+from mfsym.real import RealStruct
+from mfsym.orientifold import ContraRealStruct
 import mfsym.cli as cli
 from mfsym.cli import (
     parse_poly, group_from_spec, load_scenario, run_scenario, run_suite,
@@ -137,10 +140,53 @@ def test_orientifold_suite_without_a_witness_names_the_group_and_variant(monkeyp
     results = {r.name: r for r in run_suite("orientifold").results}
     assert list(results) == ["terminal-shifted-witness", "order-four-plain-witness",
                              "hyperbolic-transport"]
+    assert [r.index for r in results.values()] == [0, 1, 2]
     missing = results["terminal-shifted-witness"]
     assert not missing.ok and missing.detail == {
         "failed": {"identity": "no witness", "at": ["C2", "shifted"], "term": None}}
     assert results["order-four-plain-witness"].ok
+
+
+def _negate_first_component(s):
+    """s with u_e scaled by -1: a Real structure that fails u_e = id."""
+    return RealStruct(s.base, s.action, (s.u[0].scale(-Scalar.one()), *s.u[1:]), s.twist)
+
+
+def _negate_knorrer_unit(step):
+    """The contravariant Knoerrer step with u_e of its image scaled by -1."""
+    def mutated(s):
+        out, coherent = step(s)
+        u = {**out.u, 0: out.u[0].scale(-Scalar.one())}
+        return ContraRealStruct(out.base, out.rep, u), coherent
+    return mutated
+
+
+# suite: (cli name, its mutation, the task that fails, its identity and place)
+SUITE_MUTATIONS = {
+    "signs": ("is_closed", lambda f: lambda mor: False, "double-dual-and-grading-isos",
+              "closed isomorphism", ["hyperbolic-uv", "double dual"]),
+    "real": ("real_knorrer", lambda f: lambda s: _negate_first_component(f(s)),
+             "knorrer-images-verify", "u_e = id", ["g0"]),
+    "orientifold": ("orientifold_knorrer", _negate_knorrer_unit,
+                    "knorrer-coherence-and-verify", "u_e = id", ["g0"]),
+    "clifford": ("module_validate", lambda f: lambda m: [(0, 0)], "modules-validate",
+                 "module relations", ["spinor"]),
+    "cohomology": ("hom_cohomology",
+                   lambda f: lambda M, N, c: dataclasses.replace(f(M, N, c), stable=False),
+                   "hyperbolic-dims", "cohomology dims", ["(u, v)", "cutoff 3", "dims [1, 0]"]),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_MUTATIONS))
+def test_a_mutated_suite_task_names_what_failed(monkeypatch, suite):
+    """A failing suite task records the identity and the place that
+    failed; before, a task of a boolean check recorded nothing."""
+    name, mutate, task, identity, at = SUITE_MUTATIONS[suite]
+    monkeypatch.setattr(cli, name, mutate(getattr(cli, name)))
+    results = {r.name: r for r in run_suite(suite).results}
+    failed = results[task].detail["failed"]
+    assert not results[task].ok and (failed["identity"], failed["at"]) == (identity, at)
+    assert all(r.detail for r in results.values() if not r.ok)
 
 
 def _counted_searches(monkeypatch):
@@ -519,3 +565,40 @@ def test_bad_task_input_gives_an_error_detail(tmp_path, case):
     assert main(["run", str(p), "--json", str(out)]) == 2
     task, = json.loads(out.read_text())["tasks"]
     assert not task["ok"] and "error" in task["detail"]
+
+
+# op: (scenario fields, task parameters, cli mutation or None, identity, place)
+OP_FAILURES = {
+    "validate-action": ({**C2_CONTRAVARIANT, "action": [["u", "v"], ["u", "v"]]}, {}, None,
+                        "potential invariance", ["g1"]),
+    "hom-cohomology": ({}, {**HYPERBOLIC, "cutoff": 3, "expect": [7, 7]}, None,
+                       "cohomology dims", ["cutoff 3", "dims [1, 0]"]),
+    "null-homotopy-scale": ({}, HYPERBOLIC,
+                            ("hom_diff", lambda f: lambda h: f(h).scale(Scalar.from_rational(2))),
+                            "w id = D(d/2)", ["ranks [1, 1]"]),
+    "eightfold-consistency": ({}, {}, ("signature", lambda f: lambda q: (0, 0)),
+                              "tensor signature", ["Cl(4,4)"]),
+    "rank-one-orientifold": ({**C2_CONTRAVARIANT, "variant": "shifted", "twist": "universal-sign"},
+                             {"expect": "none"}, None, "unexpected witness",
+                             ["contravariant", "shifted"]),
+    "real-knorrer": ({"group": "C(2)", "setting": "antilinear",
+                      "action": [["u", "v"], ["v", "u"]]}, {}, None, "no witness", ["antilinear"]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OP_FAILURES))
+def test_a_failing_scenario_op_names_what_failed(tmp_path, monkeypatch, op):
+    """Each op that gave a bare bool now fails with the identity and the
+    place in detail.failed, and the run exits 1."""
+    fields, params, mutation, identity, at = OP_FAILURES[op]
+    if mutation:
+        name, mutate = mutation
+        monkeypatch.setattr(cli, name, mutate(getattr(cli, name)))
+    p = tmp_path / "failing.json"
+    p.write_text(json.dumps({"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                             "potential": "u*v", **fields, "tasks": [{"op": op, **params}]}))
+    out = tmp_path / "report.json"
+    assert main(["run", str(p), "--json", str(out)]) == 1
+    task, = json.loads(out.read_text())["tasks"]
+    assert not task["ok"]
+    assert (task["detail"]["failed"]["identity"], task["detail"]["failed"]["at"]) == (identity, at)

@@ -10,6 +10,7 @@ from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.groups import (
     cyclic_group, dihedral_group, product_group, ActionSpec, validate_action,
+    potential_invariance,
     Char1, Cocycle2, cocycle_check, universal_sign_cocycle,
     ANTILINEAR, CONTRAVARIANT, twist_mf, twist_mor, diagonal_action,
     fresh_variable_pair, join_actions,
@@ -77,6 +78,23 @@ def test_validate_action_contravariant_semi_invariance():
     act2 = ActionSpec(g, CONTRAVARIANT,
                       (RingMap.identity(ring), RingMap((u, v), False)))
     assert not validate_action(act2, u * v).ok
+
+
+@pytest.mark.parametrize("images, antilinear, identity", [
+    (lambda u, v: (u, v), False, "action flags"),
+    (lambda u, v: (-u + v * v, v), True, "linear images"),
+    (lambda u, v: (-u, v), True, "potential invariance"),
+], ids=["flags", "nonlinear", "invariance"])
+def test_validate_action_names_the_failing_identity_and_element(images, antilinear, identity):
+    """Each antilinear C2 action is a homomorphism whose odd element fails
+    one check; the verdict names that check and the element."""
+    ring = RingSpec(("u", "v"), conductor=4)
+    u, v = Poly.variable(ring, "u"), Poly.variable(ring, "v")
+    act = ActionSpec(cyclic_group(2, graded=True), ANTILINEAR,
+                     (RingMap.identity(ring), RingMap(images(u, v), antilinear)))
+    verdict = validate_action(act, u * v)
+    assert (verdict.ok, verdict.identity, verdict.at) == (False, identity, ("g1",))
+    assert potential_invariance(act, u * v) == [True, identity == "action flags"]
 
 
 def test_char_crossed_law():

@@ -100,12 +100,12 @@ def test_assert_count_does_not_grow():
 
 
 def _bare_bool_checks(tree: ast.Module) -> list[str]:
-    """Module-level functions named verify_* or *_check that return a
-    literal True or False instead of a Verdict."""
+    """Module-level functions named verify_*, validate_* or *_check that
+    return a literal True or False instead of a Verdict."""
     return [f"{fn.name} (line {node.lineno})"
             for fn in tree.body
             if isinstance(fn, ast.FunctionDef)
-            and (fn.name.startswith("verify_") or fn.name.endswith("_check"))
+            and (fn.name.startswith(("verify_", "validate_")) or fn.name.endswith("_check"))
             for node in ast.walk(fn)
             if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
             and isinstance(node.value.value, bool)]

@@ -265,3 +265,20 @@ def test_bundled_scenarios_build_no_eta_endpoints(monkeypatch):
         assert run_scenario(str(SCENARIOS / name)).ok
     assert calls["twist_mf"] <= 32 and calls["external_tensor"] <= 6, calls
     assert calls["compose"] <= 24, calls
+
+
+def test_bundled_scenarios_build_each_knorrer_image_once(monkeypatch):
+    """The orientifold-knorrer and double-knorrer tasks each built the
+    witness's first image: 6 builds for the 4 distinct images of a pass."""
+    calls = _counting(monkeypatch, [(orientifold, "_extend_rep")])
+    for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
+        assert run_scenario(str(SCENARIOS / name)).ok
+    assert calls["_extend_rep"] == 4, calls
+
+
+def test_knorrer_image_is_kept_on_the_structure():
+    s = witness(c4_plain_rep())
+    once = orientifold_knorrer(s)
+    assert orientifold_knorrer(s) is once
+    assert double_knorrer(s)[0].base.ranks == (4, 4)
+    assert orientifold_knorrer(once[0]) is once[0].knorrer

@@ -237,11 +237,8 @@ def _reference_verify(s):
     act = s.action
     if act.setting != ANTILINEAR:
         return Verdict(False, "antilinear setting")
-    rep = validate_action(act, s.base.w)
-    if not rep.ok:
-        bad = next(i for i in g.elements()
-                   if i in (rep.flag_failure, rep.nonlinear_element) or not rep.invariance[i])
-        return Verdict(False, "action invariance", (g.labels[bad],))
+    if not (v := validate_action(act, s.base.w)):
+        return v
     e = g.identity
     if not (v := equation("u_e = id", (g.labels[e],), s.u[e], identity_mor(s.base))):
         return v
