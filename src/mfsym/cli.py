@@ -19,7 +19,7 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from functools import cached_property
 
@@ -587,8 +587,8 @@ class TaskResult:
     index: int
     name: str
     ok: bool
-    detail: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    detail: dict
+    seconds: float
 
 
 def _check(cond, identity: str, *at) -> Verdict:
