@@ -2,14 +2,17 @@
 
 Dimensions are computed on bounded-degree windows of the polynomial Hom
 space.  For each parity, D is built once, by mf.window_operator, on the
-window of degree <= cutoff + 1 and eliminated once, its unknowns in by
-ascending degree and its image coordinates numbered by descending degree,
-so that the pivots give every rank (linalg's rank profile).  Images are
-kept whole: at each c, dim H = kernel of D on the unknowns of degree <= c
-minus the part of the other parity's image in degree <= c.  The flag
-compares cutoff and cutoff + 1.  A null homotopy h of f solves D(h) = f
-in degrees <= cutoff on the window of degree <= cutoff: cutting by degree
-is a ring homomorphism onto k[x]/(monomials of degree > cutoff).
+window of degree <= cutoff + 1: the column of x^m e_rc is the column of
+e_rc with its exponents shifted by m, so its values are computed once per
+block entry, not once per monomial (a Macaulay matrix; Lazard, EUROCAL
+1983).  D is eliminated once, its unknowns in by ascending degree and its
+image coordinates numbered by descending degree, each degree read once
+per call, so that the pivots give every rank (linalg's rank profile).
+Images are kept whole: at each c, dim H = kernel of D on the unknowns of
+degree <= c minus the part of the other parity's image in degree <= c.
+The flag compares cutoff and cutoff + 1.  A null homotopy h of f solves
+D(h) = f in degrees <= cutoff on the window of degree <= cutoff: cutting
+by degree is a ring homomorphism onto k[x]/(monomials of degree > cutoff).
 """
 
 from __future__ import annotations
@@ -48,19 +51,33 @@ def hom_cohomology(M: MF, N: MF, cutoff: int) -> CohoReport:
 def _window_counts(M: MF, N: MF, parity: int, monomials, cutoff: int) -> dict:
     """{c: (kernel of D on the unknowns of degree <= c, dimension of their
     image that stays in degree <= c)} for c = cutoff, cutoff + 1, at once."""
-    slots = window_slots(M, N, parity, monomials)
-    columns = window_operator(diff_mor(N), diff_mor(M), parity, monomials)
-    keys = sorted({k for col in columns for k in col}, key=lambda k: -sum(k[3]))
-    index = {k: j for j, k in enumerate(keys)}
-    for j, col in enumerate(columns):  # frees each original column as it goes
-        columns[j] = {index[k]: v for k, v in col.items()}
-    pivots, counts = {}, {}
-    for c in (cutoff, cutoff + 1):
-        sparse_echelon([col for slot, col in zip(slots, columns)
-                        if max(cutoff, sum(slot[3])) == c], pivots)
-        counts[c] = (sum(1 for s in slots if sum(s[3]) <= c) - len(pivots),
-                     sum(1 for k in pivots if sum(keys[k][3]) <= c))
+    parts, high = _numbered_window(M, N, parity, monomials, cutoff)
+    unknowns, pivots, counts = 0, {}, {}
+    for c, part in parts.items():
+        sparse_echelon(part, pivots)
+        unknowns += len(part)
+        counts[c] = (unknowns - len(pivots), sum(1 for k in pivots if k >= high[c]))
     return counts
+
+
+def _numbered_window(M: MF, N: MF, parity: int, monomials, cutoff: int):
+    """D's columns with their image keys numbered by descending degree,
+    {c: columns of the unknowns of degree max(cutoff, that degree) = c},
+    and {c: how many keys have degree > c, numbered first}.  The keys die
+    here, before the elimination."""
+    columns = window_operator(diff_mor(N), diff_mor(M), parity, monomials)
+    # the monomial is innermost in window_slots order
+    where = [max(cutoff, sum(m)) for m in monomials] * (len(columns) // len(monomials))
+    by_degree: dict = {}  # each list in first-seen order
+    for k in {k for col in columns for k in col}:
+        by_degree.setdefault(sum(k[3]), []).append(k)
+    index = {k: j for j, k in enumerate(
+        k for d in sorted(by_degree, reverse=True) for k in by_degree[d])}
+    parts = {cutoff: [], cutoff + 1: []}
+    for j, c in enumerate(where):
+        col, columns[j] = columns[j], None  # frees each original column as it goes
+        parts[c].append({index[k]: v for k, v in col.items()})
+    return parts, {c: sum(len(keys) for d, keys in by_degree.items() if d > c) for c in parts}
 
 
 def null_homotopy(f: MFMor, cutoff: int) -> MFMor | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -395,41 +396,66 @@ def window_operator(left: MFMor, right: MFMor, parity: int, monomials,
     right = u_sigma and twist = sigma it is the Real residual
     u'_sigma . f - f^sigma . u_sigma, where an antilinear twist conjugates
     basis[t].  Column k is the image of the k-th unknown of window_slots,
-    a dict (block, row, col, exponent) -> nonzero coefficient.  It is read
-    off the entries of left and right, since multiplying an entry by a
-    monomial only shifts its exponents.
+    a dict (block, row, col, exponent) -> nonzero coefficient.
+
+    Multiplying an entry by a monomial only shifts its exponents, so the
+    values are computed once per block entry (b, r, c) and t, at the
+    entries' own exponents: the left piece basis[t] * left's entries, the
+    right piece sign * basis[t] * right's.  The column of x^m shifts the
+    left piece by m and the right piece by each exponent of twist(x^m),
+    scaled by that term's coefficient; with no twist that is m with
+    coefficient one, and nothing is multiplied.  Each shifted exponent is
+    built once per call, in a table from entry exponent to its shifts.
     """
     M, N = right.source, left.source
     q = right.parity
     sign = 1 if parity * q % 2 else -1
     anti = twist is not None and twist.antilinear
     right_coeffs = [(c.conjugate() if anti else c) * sign for c in basis]
-    one = Scalar.one()
+    # images[k]: the terms of twist(x^monomials[k]), (index into shifts, coefficient)
+    shifts = list(monomials)
     if twist is None:
-        twisted = {m: {m: one} for m in monomials}
+        images = [((k, None),) for k in range(len(monomials))]
     else:
-        twisted = {m: apply_ring_map(twist, Poly(M.ring, {m: one})).terms
-                   for m in monomials}
+        at = {m: k for k, m in enumerate(shifts)}
+        one = Scalar.one()
+        images = []
+        for m in monomials:
+            image = apply_ring_map(twist, Poly(M.ring, {m: one})).terms
+            for e in image:
+                if e not in at:
+                    at[e] = len(shifts)
+                    shifts.append(e)
+            images.append([(at[e], v) for e, v in image.items()])
+    shifted = {e: [tuple(map(operator.add, e, m)) for m in shifts]
+               for f in (left, right) for blk in (f.f0, f.f1)
+               for row in blk for p in row for e in p.terms}
     columns = []
-    for b, r, c, m, t in window_slots(M, N, parity, monomials, len(basis)):
+    for b, (rows, cols) in enumerate(_block_shapes(M, N, parity)):
         out = (b + q) % 2
-        shifted = [(e1, right_coeffs[t] * v1) for e1, v1 in twisted[m].items()]
-        terms = [((b, i, c, _exp_add(e, m)), basis[t] * v)
-                 for i, row in enumerate(left.block((b + parity) % 2))
-                 for e, v in row[r].terms.items()]
-        terms += [((out, r, j, _exp_add(e1, e2)), v1 * v2)
-                  for j, p in enumerate(right.block(out)[c])
-                  for e2, v2 in p.terms.items()
-                  for e1, v1 in shifted]
-        col: dict = {}
-        for key, val in terms:
-            col[key] = col[key] + val if key in col else val
-        columns.append({k: v for k, v in col.items() if not v.is_zero()})
+        lblock, rblock = left.block((b + parity) % 2), right.block(out)
+        for r in range(rows):
+            for c in range(cols):
+                pieces = [([([(b, i, c, x) for x in shifted[e]], z * v)
+                            for i, row in enumerate(lblock) for e, v in row[r].terms.items()],
+                           [([(out, r, j, x) for x in shifted[e]], rz * v)
+                            for j, p in enumerate(rblock[c]) for e, v in p.terms.items()])
+                          for z, rz in zip(basis, right_coeffs)]
+                for k, image in enumerate(images):
+                    for lpiece, rpiece in pieces:
+                        col = {ks[k]: v for ks, v in lpiece}
+                        summed = False
+                        for s, w in image:
+                            for ks, v in rpiece:
+                                key = ks[s]
+                                if w is not None:
+                                    v = v * w
+                                if key in col:
+                                    v, summed = col[key] + v, True
+                                col[key] = v
+                        columns.append({key: v for key, v in col.items() if not v.is_zero()}
+                                       if summed else col)
     return columns
-
-
-def _exp_add(e, m) -> tuple:
-    return tuple(x + y for x, y in zip(e, m))
 
 
 def mor_coordinates(f: MFMor) -> dict:

@@ -3,16 +3,20 @@
 For a drawn window morphism f, the operator's image of f's coordinates
 must equal the coordinates of hom_diff(f), and of the Real residual
 u'_sigma . f - f^sigma . u_sigma computed with compose and twist_mor.
+Its column lists must also equal those of a per-slot builder kept here,
+which computes every column afresh, one Scalar product per term.
 """
 
 from functools import cache
 
 from hypothesis import given, settings, strategies as st
 
+from mfsym import scalars
 from mfsym.scalars import Scalar, euler_phi
+from mfsym.polys import Poly, RingSpec, apply_ring_map
 from mfsym.mf import (
-    compose, diff_mor, hom_diff, mor_coordinates, mor_from_coordinates,
-    window_monomials, window_operator, window_slots,
+    compose, diff_mor, external_tensor, hom_diff, mor_coordinates, mor_from_coordinates,
+    rank_one, window_monomials, window_operator, window_slots,
 )
 from mfsym.groups import twist_mor
 from mfsym.real import _field_conductor
@@ -29,10 +33,60 @@ def _real_catalog():
     return catalog.real_catalog()
 
 
+def _a_series(n, k):
+    ring = RingSpec(("x",), conductor=1)
+    x = Poly.variable(ring, "x")
+    return rank_one(x ** k, x ** (n - k))
+
+
+@cache
+def _knorrer_pair(n, k, j):
+    """(A_n pair k, A_n pair j), each tensored with the hyperbolic kernel (y, z)."""
+    ryz = RingSpec(("y", "z"), conductor=1)
+    K = rank_one(Poly.variable(ryz, "y"), Poly.variable(ryz, "z"))
+    return external_tensor(_a_series(n, k), K), external_tensor(_a_series(n, j), K)
+
+
+def _slot_builder(left, right, parity, monomials, twist=None, basis=(Scalar.one(),)):
+    """window_operator as it was built before its columns were shifted:
+    each slot's column computed anew, every value multiplied per monomial."""
+    M, N = right.source, left.source
+    q = right.parity
+    sign = 1 if parity * q % 2 else -1
+    anti = twist is not None and twist.antilinear
+    right_coeffs = [(c.conjugate() if anti else c) * sign for c in basis]
+    one = Scalar.one()
+    if twist is None:
+        twisted = {m: {m: one} for m in monomials}
+    else:
+        twisted = {m: apply_ring_map(twist, Poly(M.ring, {m: one})).terms
+                   for m in monomials}
+
+    def add(e, m):
+        return tuple(x + y for x, y in zip(e, m))
+
+    columns = []
+    for b, r, c, m, t in window_slots(M, N, parity, monomials, len(basis)):
+        out = (b + q) % 2
+        shifted = [(e1, right_coeffs[t] * v1) for e1, v1 in twisted[m].items()]
+        terms = [((b, i, c, add(e, m)), basis[t] * v)
+                 for i, row in enumerate(left.block((b + parity) % 2))
+                 for e, v in row[r].terms.items()]
+        terms += [((out, r, j, add(e1, e2)), v1 * v2)
+                  for j, p in enumerate(right.block(out)[c])
+                  for e2, v2 in p.terms.items()
+                  for e1, v1 in shifted]
+        col: dict = {}
+        for key, val in terms:
+            col[key] = col[key] + val if key in col else val
+        columns.append({k: v for k, v in col.items() if not v.is_zero()})
+    return columns
+
+
 def _draw_window_mor(data, M, N, L):
     """f: M -> N with a few terms a + b*zeta_L, small a and b, on a window."""
     parity = data.draw(st.integers(0, 1))
-    monomials = window_monomials(M.ring.nvars, data.draw(st.integers(0, 2)))
+    monomials = window_monomials(M.ring.nvars, data.draw(st.integers(0, 4)))
     zeta = Scalar.zeta(L)
     coeff = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
         lambda ab: Scalar.from_rational(ab[0]) + zeta * ab[1])
@@ -44,10 +98,13 @@ def _draw_window_mor(data, M, N, L):
 
 
 def _operator_image(f, monomials, L, left, right, twist=None):
-    """The operator applied to f's coordinates over the power basis of Q(zeta_L)."""
+    """The operator applied to f's coordinates over the power basis of
+    Q(zeta_L); its column list must equal the per-slot builder's."""
     basis = [Scalar.zeta(L, t) for t in range(euler_phi(L))]
     slots = window_slots(f.source, f.target, f.parity, monomials, len(basis))
-    column = dict(zip(slots, window_operator(left, right, f.parity, monomials, twist, basis)))
+    columns = window_operator(left, right, f.parity, monomials, twist, basis)
+    assert columns == _slot_builder(left, right, f.parity, monomials, twist, basis)
+    column = dict(zip(slots, columns))
     image = {}
     for key, c in mor_coordinates(f).items():
         for t, q in enumerate(c.promote(L).coeffs):
@@ -69,6 +126,18 @@ def test_operator_matches_hom_diff(data):
     assert image == mor_coordinates(hom_diff(f))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_operator_matches_hom_diff_on_knorrer_images(data):
+    """The hom-cohomology workload's slowest shape: an A-series pair
+    tensored with (y, z), three variables, rank (2, 2)."""
+    n = data.draw(st.integers(2, 5))
+    M, N = _knorrer_pair(n, data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1)))
+    f, monomials = _draw_window_mor(data, M, N, 4)
+    image = _operator_image(f, monomials, 4, diff_mor(N), diff_mor(M))
+    assert image == mor_coordinates(hom_diff(f))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_operator_matches_real_residual(data):
@@ -80,3 +149,26 @@ def test_operator_matches_real_residual(data):
     image = _operator_image(f, monomials, L, s.u[sigma], s.u[sigma], rm)
     slow = compose(s.u[sigma], f) - compose(twist_mor(rm, f), s.u[sigma])
     assert image == mor_coordinates(slow)
+
+
+def test_untwisted_operator_multiplies_per_entry_not_per_monomial(monkeypatch):
+    """With no twist, every column is a shift of its block entry's values:
+    the Scalar products do not grow with the window."""
+    M, N = _knorrer_pair(3, 1, 2)
+    mul = scalars._mul
+
+    def count(cutoff):
+        n = 0
+
+        def counting_mul(a, b):
+            nonlocal n
+            n += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(scalars, "_mul", counting_mul)
+        window_operator(diff_mor(N), diff_mor(M), 0, window_monomials(M.ring.nvars, cutoff))
+        monkeypatch.setattr(scalars, "_mul", mul)
+        return n
+
+    products = {cutoff: count(cutoff) for cutoff in (2, 6)}
+    assert products[2] == products[6] > 0
