@@ -398,21 +398,26 @@ def window_operator(left: MFMor, right: MFMor, parity: int, monomials,
     basis[t].  Column k is the image of the k-th unknown of window_slots,
     a dict (block, row, col, exponent) -> nonzero coefficient.
 
-    Multiplying an entry by a monomial only shifts its exponents, so the
-    values are computed once per block entry (b, r, c) and t, at the
-    entries' own exponents: the left piece basis[t] * left's entries, the
-    right piece sign * basis[t] * right's.  The column of x^m shifts the
-    left piece by m and the right piece by each exponent of twist(x^m),
-    scaled by that term's coefficient; with no twist that is m with
-    coefficient one, and nothing is multiplied.  Each shifted exponent is
-    built once per call, in a table from entry exponent to its shifts.
+    Multiplying an entry by a monomial only shifts its exponents, and the
+    left piece of block entry (b, r, c), basis[t] times column r of left's
+    block, does not depend on c, nor the right piece, sign * basis[t]
+    times row c of right's block, on r.  So the values are computed once
+    per block row r or column c and t, at the entries' own exponents, and
+    only the keys are built per entry.  The column of x^m shifts the left
+    piece by m and the right piece by each exponent of twist(x^m), scaled
+    by that term's coefficient unless it is one; with no twist that is m
+    with coefficient one, and nothing is multiplied.  Each shifted exponent
+    is built once per call, in a table from entry exponent to its shifts.
     """
     M, N = right.source, left.source
     q = right.parity
     sign = 1 if parity * q % 2 else -1
     anti = twist is not None and twist.antilinear
-    right_coeffs = [(c.conjugate() if anti else c) * sign for c in basis]
-    # images[k]: the terms of twist(x^monomials[k]), (index into shifts, coefficient)
+    right_coeffs = [c.conjugate() if anti else c for c in basis]
+    if sign < 0:
+        right_coeffs = [-c for c in right_coeffs]
+    # images[k]: the terms of twist(x^monomials[k]), (index into shifts,
+    # coefficient or None for one)
     shifts = list(monomials)
     if twist is None:
         images = [((k, None),) for k in range(len(monomials))]
@@ -426,7 +431,7 @@ def window_operator(left: MFMor, right: MFMor, parity: int, monomials,
                 if e not in at:
                     at[e] = len(shifts)
                     shifts.append(e)
-            images.append([(at[e], v) for e, v in image.items()])
+            images.append([(at[e], None if v == one else v) for e, v in image.items()])
     shifted = {e: [tuple(map(operator.add, e, m)) for m in shifts]
                for f in (left, right) for blk in (f.f0, f.f1)
                for row in blk for p in row for e in p.terms}
@@ -434,13 +439,15 @@ def window_operator(left: MFMor, right: MFMor, parity: int, monomials,
     for b, (rows, cols) in enumerate(_block_shapes(M, N, parity)):
         out = (b + q) % 2
         lblock, rblock = left.block((b + parity) % 2), right.block(out)
+        rvals = [[[(j, e, rz * v) for j, p in enumerate(rblock[c]) for e, v in p.terms.items()]
+                  for rz in right_coeffs] for c in range(cols)]
         for r in range(rows):
+            lvals = [[(i, e, z * v) for i, row in enumerate(lblock) for e, v in row[r].terms.items()]
+                     for z in basis]
             for c in range(cols):
-                pieces = [([([(b, i, c, x) for x in shifted[e]], z * v)
-                            for i, row in enumerate(lblock) for e, v in row[r].terms.items()],
-                           [([(out, r, j, x) for x in shifted[e]], rz * v)
-                            for j, p in enumerate(rblock[c]) for e, v in p.terms.items()])
-                          for z, rz in zip(basis, right_coeffs)]
+                pieces = [([([(b, i, c, x) for x in shifted[e]], v) for i, e, v in lv],
+                           [([(out, r, j, x) for x in shifted[e]], v) for j, e, v in rv])
+                          for lv, rv in zip(lvals, rvals[c])]
                 for k, image in enumerate(images):
                     for lpiece, rpiece in pieces:
                         col = {ks[k]: v for ks, v in lpiece}

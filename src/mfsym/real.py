@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .scalars import Scalar, _rational, euler_phi
+from .scalars import Scalar, _rational, _reduce, euler_phi
 from .polys import Poly, RingSpec, jacobi_basis
 from .mf import (
-    MF, MFMor, Verdict, rank_one, scaled_identity, diff_mor, external_tensor,
+    MF, MFError, MFMor, Verdict, rank_one, scaled_identity, diff_mor, external_tensor,
     tensor_mor_blocks, window_monomials, window_operator, window_slots,
 )
 from .groups import (
@@ -142,10 +142,16 @@ def default_chain_cutoff(w: Poly) -> int:
 
 def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int | None = None) -> FixedMorSpace:
     """The fixed space of morphisms s.base -> sp.base of the given parity;
-    its dimension over Q is len(columns) minus their rank."""
+    its dimension over Q is len(columns) minus their rank.  Structures over
+    different groups raise ValueError, bases over different rings or
+    potentials MFError."""
     if s.group != sp.group:
         raise ValueError("Real structures over different groups")
     M, N = s.base, sp.base
+    if M.ring != N.ring:
+        raise MFError("rings differ")
+    if not M.w == N.w:
+        raise MFError("potentials differ")
     if cutoff is None:
         cutoff = default_chain_cutoff(M.w)
     L = _field_conductor(s, sp)
@@ -167,29 +173,36 @@ def closed_dimension(space: FixedMorSpace) -> int:
     unknowns minus the rank of the Real residuals stacked on D, tagged -1
     where no group element tags.  D is Q(zeta_L)-linear, so the column of
     zeta_L^t x^m is zeta_L^t times that of x^m, from one window_operator
-    call on the plain monomials; t is innermost in the slot order."""
+    call on the plain monomials; t is innermost in the slot order, and
+    _rational_coordinates reads the coordinates of each zeta_L^t multiple
+    off the values' numerators, with no Scalar product."""
     M, N = space.source.base, space.target.base
     L = _field_conductor(space.source, space.target)
-    zetas = [Scalar.zeta(L, t) for t in range(euler_phi(L))]
     monomials = window_monomials(M.ring.nvars, space.cutoff)
     images = window_operator(diff_mor(N), diff_mor(M), space.parity, monomials)
     return len(space.columns) - sparse_rank([
-        {**col, **_rational_coordinates(-1, {k: z * v for k, v in image.items()}, L)}
-        for col, (image, z) in zip(space.columns, product(images, zetas))])
+        {**col, **_rational_coordinates(-1, image, L, t)}
+        for col, (image, t) in zip(space.columns, product(images, range(euler_phi(L))))])
 
 
-def _rational_coordinates(tag, image: dict, L: int) -> dict:
-    """image's coefficients over the power basis of Q(zeta_L), keyed
-    (tag, *key, t)."""
+def _rational_coordinates(tag, image: dict, L: int, shift: int = 0) -> dict:
+    """The coefficients of zeta_L^shift times image's values over the power
+    basis of Q(zeta_L), keyed (tag, *key, t), for 0 <= shift < phi(L).  A
+    rational value n/d has the one coefficient n/d at t = shift; any other
+    value's numerators at L, shifted by shift, are reduced modulo Phi_L."""
     out = {}
     shared = {}  # one Scalar per (numerator, denominator): fewer objects, lower peak memory
     for k, v in image.items():
-        v = v.promote(L)
-        for t, n in enumerate(v.numerators):
+        den = v.denominator
+        if v.is_rational():
+            coords = ((shift, v.numerators[0]),)
+        else:
+            coords = enumerate(_reduce([0] * shift + list(v.promote(L).numerators), L))
+        for t, n in coords:
             if n:
-                q = (n, v.denominator)
+                q = (n, den)
                 if q not in shared:
-                    shared[q] = _rational(1, n, v.denominator)
+                    shared[q] = _rational(1, n, den)
                 out[(tag, *k, t)] = shared[q]
     return out
 

@@ -1,11 +1,14 @@
 """Real (antilinear equivariant) structures and the Real Knoerrer step."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from mfsym import scalars
 from mfsym.scalars import Scalar, euler_phi
 from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.groups import (
@@ -14,15 +17,16 @@ from mfsym.groups import (
 )
 from mfsym.linalg import sparse_rank
 from mfsym.mf import (
-    MFMor, Verdict, compose, equation, hom_diff, is_closed, is_isomorphism, mat_apply,
-    mor_coordinates, mor_from_coordinates, rank_one, identity_mor, window_monomials,
-    window_slots,
+    MFError, MFMor, Verdict, compose, equation, hom_diff, is_closed, is_isomorphism, mat_apply,
+    mor_coordinates, mor_from_coordinates, rank_one, identity_mor, scaled_identity,
+    window_monomials, window_slots,
 )
 from mfsym.real import (
     RealStruct, verify_real_structure, rank_one_real_condition, real_knorrer,
     tensor_real_structure, fixed_hom, closed_dimension, _field_conductor,
 )
 import mfsym.catalog as catalog
+import mfsym.mf as mf
 import mfsym.real as real
 
 
@@ -158,6 +162,137 @@ def test_fixed_hom_rejects_differing_groups():
     entries = dict(catalog.real_catalog())
     with pytest.raises(ValueError):
         fixed_hom(entries["conjugation-spinor"], entries["dihedral-cubic-line"], 0)
+
+
+def _conjugation_structure(base):
+    """base with the conjugation action on its one variable x and identity
+    components."""
+    act = catalog.conjugation_action(base.ring)
+    conj = scaled_identity(base, twist_mf(act.map_of(1), base), 1, 1)
+    return RealStruct(base, act, (identity_mor(base), conj))
+
+
+def test_fixed_hom_rejects_differing_rings_and_potentials():
+    """Same group, bases over different rings (x against u, v) or over one
+    ring with different potentials (x^2 against x^4)."""
+    entries = dict(catalog.real_catalog())
+    spinor = entries["conjugation-spinor"]
+    with pytest.raises(MFError, match="rings differ"):
+        fixed_hom(spinor, entries["conjugation-hyperbolic"], 0, cutoff=1)
+    x = Poly.variable(spinor.base.ring, "x")
+    quartic = _conjugation_structure(rank_one(x, x ** 3))
+    assert verify_real_structure(quartic).ok
+    for s, sp in ((spinor, quartic), (quartic, spinor)):
+        with pytest.raises(MFError, match="potentials differ"):
+            fixed_hom(s, sp, 0, cutoff=1)
+
+
+@cache
+def _spinor_tower(steps):
+    """The spinor (x, x) of x^2 over Q(i) after `steps` Real Knoerrer steps:
+    the start of criterion 09 and of the real-tower benchmark workload."""
+    ring = RingSpec(("x",), conductor=4)
+    x = Poly.variable(ring, "x")
+    s = _conjugation_structure(rank_one(x, x))
+    for _ in range(steps):
+        s = real_knorrer(s)
+    return s
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_closed_dimension_matches_the_oracle_on_the_tower(steps):
+    """The workload's own shapes, ranks (2, 2), (4, 4) and (8, 8), cutoff 0."""
+    s = _spinor_tower(steps)
+    assert s.base.ranks == (2 ** steps,) * 2
+    for parity in (0, 1):
+        got = closed_dimension(fixed_hom(s, s, parity, cutoff=0))
+        assert got == _reference_closed_dimension(s, parity, 0), parity
+
+
+def _count_products(monkeypatch, module, name):
+    """Count Scalar products: all of them, those made inside calls of
+    module.name, and those made inside mf.apply_ring_map."""
+    counts = {"inside": 0, "twist": 0, "all": 0}
+    where = []
+    mul, fn, apply = scalars._mul, getattr(module, name), mf.apply_ring_map
+
+    def counting_mul(a, b):
+        counts["all"] += 1
+        for key in set(where):
+            counts[key] += 1
+        return mul(a, b)
+
+    def within(key, f):
+        def wrapped(*args, **kwargs):
+            where.append(key)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                where.pop()
+        return wrapped
+
+    monkeypatch.setattr(scalars, "_mul", counting_mul)
+    monkeypatch.setattr(module, name, within("inside", fn))
+    monkeypatch.setattr(mf, "apply_ring_map", within("twist", apply))
+    return counts
+
+
+def _terms(f):
+    return sum(len(p.terms) for blk in (f.f0, f.f1) for row in blk for p in row)
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+def test_real_residual_multiplies_per_block_row_and_column(monkeypatch, steps):
+    """On the tower's (4, 4) and (8, 8) residuals every value is computed
+    once per block row or column and basis element: at most len(basis) x
+    (terms of left + terms of right) products beside the twist's, though
+    the window has rows x cols entries per block."""
+    s = _spinor_tower(steps)
+    L = _field_conductor(s, s)
+    basis = [Scalar.zeta(L, t) for t in range(euler_phi(L))]
+    monomials = window_monomials(s.base.ring.nvars, 0)
+    left = right = s.u[1]
+    counts = _count_products(monkeypatch, mf, "window_operator")
+    for parity in (0, 1):
+        counts.update(inside=0, twist=0)
+        mf.window_operator(left, right, parity, monomials, s.action.map_of(1), basis)
+        bound = len(basis) * (_terms(left) + _terms(right)) + counts["twist"]
+        assert 0 < counts["inside"] <= bound
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+def test_closed_dimension_multiplies_only_in_window_operator(monkeypatch, steps):
+    """The coordinates of zeta_L^t multiples are read off numerators."""
+    s = _spinor_tower(steps)
+    counts = _count_products(monkeypatch, real, "window_operator")
+    for parity in (0, 1):
+        space = fixed_hom(s, s, parity, cutoff=0)
+        counts.update(inside=0, all=0)
+        closed_dimension(space)
+        assert counts["all"] == counts["inside"] > 0
+
+
+def _power_coordinates(v, L):
+    return {t: Scalar.from_rational(c) for t, c in enumerate(v.promote(L).coeffs) if c}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_rational_coordinates_read_zeta_multiples_off_numerators(data):
+    """For every t < phi(L), the coordinates of zeta_L^t * v; at 12 and 15
+    shifting past phi(L) - 1 reduces modulo Phi_L nontrivially."""
+    L = data.draw(st.sampled_from([1, 3, 4, 5, 8, 12, 15]))
+    m = data.draw(st.sampled_from([d for d in range(1, L + 1) if L % d == 0]))
+    nums = data.draw(st.lists(st.integers(-6, 6), min_size=euler_phi(m),
+                              max_size=euler_phi(m)))
+    if data.draw(st.booleans()):
+        nums[1:] = [0] * (len(nums) - 1)
+    v = Scalar(m, [Fraction(n, data.draw(st.integers(1, 6))) for n in nums])
+    key = (0, 1, 0, (2,))
+    for t in range(euler_phi(L)):
+        got = real._rational_coordinates("tag", {key: v}, L, t)
+        want = _power_coordinates(Scalar.zeta(L, t) * v, L)
+        assert got == {("tag", *key, n): c for n, c in want.items()}, (L, m, v, t)
 
 
 def test_rank_one_condition_rejects_three_variables():
