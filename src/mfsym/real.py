@@ -5,15 +5,19 @@ from the base to its sigma-twist satisfying the (optionally cocycle
 twisted) law u_{ts} = mu([t|s]) * (u_s)^t . u_t, with u_e the identity:
 the homotopy fixed point law of groups.verify_fixed_point for an
 antilinear action, where every element acts covariantly.
+
+Fixed Hom spaces are counted by Galois descent: a Real structure is
+descent data for K = Q(zeta_L) over its real subfield, so the fixed
+morphisms are a Q(zeta_L)^+-form of those fixed by the linear elements
+(Speiser's lemma), and one rank over K gives their dimension over Q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
-from .scalars import Scalar, _rational, _reduce, euler_phi
+from .scalars import Scalar, euler_phi
 from .polys import Poly, RingSpec, jacobi_basis
 from .mf import (
     MF, MFError, MFMor, Verdict, rank_one, scaled_identity, diff_mor, external_tensor,
@@ -91,28 +95,25 @@ def tensor_real_structure(sM: RealStruct, sN: RealStruct) -> RealStruct:
     return RealStruct(base, act, tuple(comps), twist)
 
 
-def knorrer_action(group: GroupSpec, ring: RingSpec, chi: Char1 | None) -> ActionSpec:
+def knorrer_action(group: GroupSpec, ring: RingSpec) -> ActionSpec:
     """Extend a group action to the hyperbolic kernel variables: sigma scales
-    the first variable by pi(sigma)*chi(sigma) and the second by the inverse."""
+    both by pi(sigma) = +-1, its own inverse."""
     eigen = {}
     for i in group.elements():
         c = Scalar.from_rational(group.grading[i])
-        if chi is not None:
-            c = c * chi.value(i)
-        eigen[i] = (c, c.inverse())
+        eigen[i] = (c, c)
     return diagonal_action(group, ring, ANTILINEAR, eigen)
 
 
-def real_knorrer(sM: RealStruct, chi: Char1 | None = None) -> RealStruct:
+def real_knorrer(sM: RealStruct) -> RealStruct:
     """Tensor with the rank-one hyperbolic kernel in fresh variables, with the
-    action extended so odd elements negate (and chi scales) the first new
-    variable; returns the induced structure, the tensor of sM and a
-    rank-one witness, which a caller verifies with verify_real_structure."""
+    action extended so odd elements negate both new variables; returns the
+    induced structure, the tensor of sM and a rank-one witness, which a
+    caller verifies with verify_real_structure."""
     g = sM.group
     names = fresh_variable_pair(set(sM.base.ring.variables))
     kring = RingSpec(names, sM.base.ring.conductor)
-    kact = knorrer_action(g, kring, chi)
-    found = rank_one_real_condition(kact)
+    found = rank_one_real_condition(knorrer_action(g, kring))
     if found is None:
         raise ValueError("extended action does not satisfy the rank-one condition")
     return tensor_real_structure(sM, found[1])
@@ -124,14 +125,18 @@ def real_knorrer(sM: RealStruct, chi: Char1 | None = None) -> RealStruct:
 @dataclass
 class FixedMorSpace:
     """The chain-level morphisms f with u'_sigma . f = f^sigma . u_sigma for
-    all sigma, entries of total degree <= cutoff, as the kernel of columns:
-    one per rational unknown, a window_slots slot times zeta_L^t, holding
-    the _rational_coordinates of every Real residual of that unknown."""
+    all sigma, entries of total degree <= cutoff, by Galois descent over
+    K = Q(zeta_L): columns, one per window_slots unknown over K, hold the
+    window_operator residuals of the K-linear elements, keyed (-1 - element,
+    *key) to sort before and apart from D's keys; their kernel is the
+    K-space W they fix, and the fixed space has dimension scale * dim_K W
+    over Q (see fixed_hom)."""
     source: RealStruct
     target: RealStruct
     parity: int
     cutoff: int
     columns: list  # of dict
+    scale: int
 
 
 def default_chain_cutoff(w: Poly) -> int:
@@ -142,9 +147,19 @@ def default_chain_cutoff(w: Poly) -> int:
 
 def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int | None = None) -> FixedMorSpace:
     """The fixed space of morphisms s.base -> sp.base of the given parity;
-    its dimension over Q is len(columns) minus their rank.  Structures over
-    different groups raise ValueError, bases over different rings or
-    potentials MFError."""
+    its dimension over Q is scale * (len(columns) - their rank).
+
+    Both structures must pass verify_real_structure; this is not checked
+    here.  Then A_g(f) = u'_g^-1 f^g u_g satisfies A_t A_s = (mu'/mu)(t, s)
+    A_ts for the twists mu of s and mu' of sp.  A fixed f != 0 forces
+    mu = mu', so twists that differ literally (None is trivial) leave no
+    unknowns.  Equal twists make A a true action.  Its linear elements G_0
+    (all of G when L <= 2, where conjugation is trivial on K) cut out the
+    K-space W by K-linear residuals, and any antilinear sigma acts on W as
+    a semilinear involution: by Speiser's lemma (Hilbert 90 for GL_n) its
+    fixed part is a Q(zeta_L)^+-form of W, so scale is phi(L)/2.  With no
+    antilinear element, scale is phi(L).  Structures over different groups
+    raise ValueError, bases over different rings or potentials MFError."""
     if s.group != sp.group:
         raise ValueError("Real structures over different groups")
     M, N = s.base, sp.base
@@ -155,56 +170,31 @@ def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int | None = N
     if cutoff is None:
         cutoff = default_chain_cutoff(M.w)
     L = _field_conductor(s, sp)
-    basis = [Scalar.zeta(L, t) for t in range(euler_phi(L))]
     monomials = window_monomials(M.ring.nvars, cutoff)
-    columns = [{} for _ in window_slots(M, N, parity, monomials, len(basis))]
+    anti = L > 2 and any(s.action.map_of(i).antilinear for i in s.group.elements())
+    trivial = Cocycle2.trivial(s.group, ANTILINEAR)
+    columns = ([{} for _ in window_slots(M, N, parity, monomials)]
+               if (s.twist or trivial).values == (sp.twist or trivial).values else [])
     for i in s.group.elements():
-        if i == s.group.identity:
-            continue
-        images = window_operator(sp.u[i], s.u[i], parity, monomials,
-                                 s.action.map_of(i), basis)
-        for col, image in zip(columns, images):
-            col.update(_rational_coordinates(i, image, L))
-    return FixedMorSpace(s, sp, parity, cutoff, columns)
+        rm = s.action.map_of(i)
+        if columns and i != s.group.identity and not (anti and rm.antilinear):
+            for col, image in zip(columns, window_operator(sp.u[i], s.u[i], parity,
+                                                           monomials, rm)):
+                col.update({(-1 - i, *k): v for k, v in image.items()})
+    return FixedMorSpace(s, sp, parity, cutoff, columns,
+                         euler_phi(L) // 2 if anti else euler_phi(L))
 
 
 def closed_dimension(space: FixedMorSpace) -> int:
-    """Dimension over Q of the closed morphisms inside the fixed space: the
-    unknowns minus the rank of the Real residuals stacked on D, tagged -1
-    where no group element tags.  D is Q(zeta_L)-linear, so the column of
-    zeta_L^t x^m is zeta_L^t times that of x^m, from one window_operator
-    call on the plain monomials; t is innermost in the slot order, and
-    _rational_coordinates reads the coordinates of each zeta_L^t multiple
-    off the values' numerators, with no Scalar product."""
+    """Dimension over Q of the closed morphisms inside the fixed space: D
+    commutes with the action, so descent (Speiser's lemma) applies to W cut
+    by D as well; scale times the K-nullity of each column stacked on its
+    unknown's column of D, in one sparse_rank over K."""
     M, N = space.source.base, space.target.base
-    L = _field_conductor(space.source, space.target)
     monomials = window_monomials(M.ring.nvars, space.cutoff)
     images = window_operator(diff_mor(N), diff_mor(M), space.parity, monomials)
-    return len(space.columns) - sparse_rank([
-        {**col, **_rational_coordinates(-1, image, L, t)}
-        for col, (image, t) in zip(space.columns, product(images, range(euler_phi(L))))])
-
-
-def _rational_coordinates(tag, image: dict, L: int, shift: int = 0) -> dict:
-    """The coefficients of zeta_L^shift times image's values over the power
-    basis of Q(zeta_L), keyed (tag, *key, t), for 0 <= shift < phi(L).  A
-    rational value n/d has the one coefficient n/d at t = shift; any other
-    value's numerators at L, shifted by shift, are reduced modulo Phi_L."""
-    out = {}
-    shared = {}  # one Scalar per (numerator, denominator): fewer objects, lower peak memory
-    for k, v in image.items():
-        den = v.denominator
-        if v.is_rational():
-            coords = ((shift, v.numerators[0]),)
-        else:
-            coords = enumerate(_reduce([0] * shift + list(v.promote(L).numerators), L))
-        for t, n in coords:
-            if n:
-                q = (n, den)
-                if q not in shared:
-                    shared[q] = _rational(1, n, den)
-                out[(tag, *k, t)] = shared[q]
-    return out
+    return space.scale * (len(space.columns) - sparse_rank(
+        [image | col for col, image in zip(space.columns, images)]))
 
 
 def _field_conductor(*structs) -> int:

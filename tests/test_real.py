@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from mfsym import scalars
 from mfsym.scalars import Scalar, euler_phi
 from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.groups import (
-    cyclic_group, product_group, ActionSpec, ANTILINEAR, twist_mf, twist_mor,
+    cyclic_group, product_group, ActionSpec, ANTILINEAR, Cocycle2, twist_mf, twist_mor,
     universal_sign_cocycle, validate_action,
 )
 from mfsym.linalg import sparse_rank
@@ -26,6 +27,7 @@ from mfsym.real import (
     tensor_real_structure, fixed_hom, closed_dimension, _field_conductor,
 )
 import mfsym.catalog as catalog
+import mfsym.linalg as linalg
 import mfsym.mf as mf
 import mfsym.real as real
 
@@ -82,42 +84,59 @@ def test_tensor_real_structure():
     assert t.base.ranks == (2, 2)
 
 
+def _fixed_dimension(space):
+    """The fixed dimension over Q: closed_dimension's formula without D."""
+    return space.scale * (len(space.columns) - sparse_rank(space.columns))
+
+
 def test_fixed_hom_spinor():
+    """Over Q (L = 1) the conjugation counts as linear, and its residual
+    f - f^sigma vanishes on the two unknowns: empty columns, scale 1."""
     s = dict(catalog.real_catalog())["conjugation-spinor"]
-    even = fixed_hom(s, s, 0, cutoff=0)
-    odd = fixed_hom(s, s, 1, cutoff=0)
-    assert len(even.columns) - sparse_rank(even.columns) == 2
-    assert len(odd.columns) - sparse_rank(odd.columns) == 2
-    assert closed_dimension(even) == 1
-    assert closed_dimension(odd) == 1
+    for parity in (0, 1):
+        space = fixed_hom(s, s, parity, cutoff=0)
+        assert space.scale == 1 and space.columns == [{}, {}]
+        assert (_fixed_dimension(space), closed_dimension(space)) == (2, 1)
 
 
-def _reference_closed_dimension(s, parity, cutoff):
-    """The closed fixed dimension over Q from morphisms: each rational
-    unknown zeta_L^t x^m in one block entry is built with
-    mor_from_coordinates, its Real residuals u_sigma . f - f^sigma . u_sigma
-    with compose and twist_mor and its D with hom_diff; returns the nullity
-    of their rational coordinates, ranked by sympy."""
-    M = s.base
-    L = _field_conductor(s, s)
+def _reference_nullity(s, sp, parity, cutoff, closed):
+    """The fixed dimension over Q (closed: of the closed morphisms in it)
+    from morphisms s.base -> sp.base: each rational unknown zeta_L^t x^m in
+    one block entry is built with mor_from_coordinates, its Real residuals
+    u'_sigma . f - f^sigma . u_sigma, for every sigma, with compose and
+    twist_mor, and its D with hom_diff; returns the nullity of their
+    rational coordinates, ranked by sympy."""
+    M, N = s.base, sp.base
+    L = _field_conductor(s, sp)
     monomials = window_monomials(M.ring.nvars, cutoff)
     columns = []
-    for b, r, c, m, t in window_slots(M, M, parity, monomials, euler_phi(L)):
-        f = mor_from_coordinates(M, M, parity, {(b, r, c, m): Scalar.zeta(L, t)})
-        images = {"D": mor_coordinates(hom_diff(f))}
-        for i in s.group.elements():
-            residual = mor_coordinates(compose(s.u[i], f))
-            for k, v in mor_coordinates(
-                    compose(twist_mor(s.action.map_of(i), f), s.u[i])).items():
-                residual[k] = residual.get(k, Scalar.zero()) - v
-            images[i] = residual
-        columns.append({(tag, k, n): Fraction(x, v.promote(L).denominator)
-                        for tag, image in images.items() for k, v in image.items()
-                        for n, x in enumerate(v.promote(L).numerators) if x})
+    for slot in window_slots(M, N, parity, monomials):
+        for t in range(euler_phi(L)):
+            f = mor_from_coordinates(M, N, parity, {slot[:4]: Scalar.zeta(L, t)})
+            images = {"D": mor_coordinates(hom_diff(f))} if closed else {}
+            for i in s.group.elements():
+                residual = mor_coordinates(compose(sp.u[i], f))
+                for k, v in mor_coordinates(
+                        compose(twist_mor(s.action.map_of(i), f), s.u[i])).items():
+                    residual[k] = residual.get(k, Scalar.zero()) - v
+                images[i] = residual
+            columns.append({(tag, k, n): Fraction(x, v.promote(L).denominator)
+                            for tag, image in images.items() for k, v in image.items()
+                            for n, x in enumerate(v.promote(L).numerators) if x})
     keys = list({key for col in columns for key in col})
+    if not keys:
+        return len(columns)
     matrix = DomainMatrix([[QQ(columns[j].get(key, 0)) for j in range(len(columns))]
                            for key in keys], (len(keys), len(columns)), QQ)
     return len(columns) - matrix.rank()
+
+
+def _reference_closed_dimension(s, sp, parity, cutoff):
+    return _reference_nullity(s, sp, parity, cutoff, True)
+
+
+def _reference_fixed_dimension(s, sp, parity, cutoff):
+    return _reference_nullity(s, sp, parity, cutoff, False)
 
 
 @pytest.mark.parametrize("name", [name for name, s in catalog.real_catalog()
@@ -129,25 +148,7 @@ def test_closed_dimension_matches_the_reference_oracle(name):
     for parity in (0, 1):
         for cutoff in (0, 1):
             got = closed_dimension(fixed_hom(s, s, parity, cutoff))
-            assert got == _reference_closed_dimension(s, parity, cutoff), (parity, cutoff)
-
-
-def test_closed_dimension_builds_d_once_on_plain_monomials(monkeypatch):
-    """D is Q(zeta_L)-linear: one window_operator call with a one-element
-    basis, though phi(L) = 4 here."""
-    s = dict(catalog.real_catalog())["dihedral-cubic-line"]
-    space = fixed_hom(s, s, 0, cutoff=1)
-    assert euler_phi(_field_conductor(s, s)) == 4
-    bases = []
-    window_operator = real.window_operator
-
-    def counted(left, right, parity, monomials, twist=None, basis=(Scalar.one(),)):
-        bases.append(len(basis))
-        return window_operator(left, right, parity, monomials, twist, basis)
-
-    monkeypatch.setattr(real, "window_operator", counted)
-    assert closed_dimension(space) == _reference_closed_dimension(s, 0, 1)
-    assert bases == [1]
+            assert got == _reference_closed_dimension(s, s, parity, cutoff), (parity, cutoff)
 
 
 def test_knorrer_closed_dims_are_stable():
@@ -206,13 +207,106 @@ def test_closed_dimension_matches_the_oracle_on_the_tower(steps):
     assert s.base.ranks == (2 ** steps,) * 2
     for parity in (0, 1):
         got = closed_dimension(fixed_hom(s, s, parity, cutoff=0))
-        assert got == _reference_closed_dimension(s, parity, 0), parity
+        assert got == _reference_closed_dimension(s, s, parity, 0), parity
+
+
+def _norm_twisted(s, c):
+    """s, over the conjugation group, with u_sigma scaled by c.  Its law
+    u_e = mu(sigma, sigma) (u_sigma)^sigma u_sigma holds with the twist
+    mu(sigma, sigma) = 1 / (conj(c) c): a coboundary, yet literally not
+    the trivial twist of s."""
+    one = Scalar.one()
+    mu = Cocycle2(s.group, ANTILINEAR, ((one, one), (one, (c.conjugate() * c).inverse())))
+    return RealStruct(s.base, s.action, (s.u[0], s.u[1].scale(c)), mu)
+
+
+@cache
+def _descent_structures():
+    """The real catalog, the spinor over Q(i) and, for both spinors, a
+    norm-twisted copy; with the Knoerrer image of each one not already
+    among them over the same ring."""
+    out = dict(catalog.real_catalog())
+    out["tower-spinor"] = _spinor_tower(0)
+    out["norm-twisted-conjugation-spinor"] = _norm_twisted(out["conjugation-spinor"],
+                                                           Scalar.from_rational(2))
+    out["norm-twisted-tower-spinor"] = _norm_twisted(out["tower-spinor"], 1 + Scalar.i())
+    for name, s in list(out.items()):
+        image = real_knorrer(s)
+        if not any(image == v and image.base.ring == v.base.ring for v in out.values()):
+            out[f"{name} knorrer"] = image
+    return out
+
+
+@cache
+def _descent_cases():
+    """(source, target, parity, cutoff) over pairs with one group, ring and
+    potential, at cutoffs 0 and 1, and 2 where both ranks are <= 2.  A case
+    is left out when the reference has more than 400 rational unknowns, to
+    keep the test to seconds: the dihedral Knoerrer image at cutoff 2 (480,
+    about 7 s a parity) and its own image at cutoff 1 (896, about 30 s)."""
+    structs = _descent_structures()
+    cases = []
+    for (a, s), (b, sp) in product(structs.items(), repeat=2):
+        if s.group != sp.group or s.base.ring != sp.base.ring or not s.base.w == sp.base.w:
+            continue
+        phi = euler_phi(_field_conductor(s, sp))
+        for cutoff in (0, 1, 2):
+            if cutoff == 2 and max(s.base.ranks + sp.base.ranks) > 2:
+                continue
+            for parity in (0, 1):
+                window = window_slots(s.base, sp.base, parity,
+                                      window_monomials(s.base.ring.nvars, cutoff))
+                if len(window) * phi <= 400:
+                    cases.append((a, b, parity, cutoff))
+    return cases
+
+
+@cache
+def _reference_dimensions(a, b, parity, cutoff):
+    s, sp = _descent_structures()[a], _descent_structures()[b]
+    return (_reference_fixed_dimension(s, sp, parity, cutoff),
+            _reference_closed_dimension(s, sp, parity, cutoff))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_descent_matches_the_q_reference(data):
+    """Fixed and closed dimensions by descent over K against the nullity
+    of every Real residual's rational coordinates, ranked by sympy."""
+    a, b, parity, cutoff = data.draw(st.sampled_from(_descent_cases()))
+    space = fixed_hom(_descent_structures()[a], _descent_structures()[b], parity, cutoff)
+    got = (_fixed_dimension(space), closed_dimension(space))
+    assert got == _reference_dimensions(a, b, parity, cutoff), (a, b, parity, cutoff)
+
+
+def test_unequal_twists_fix_nothing():
+    """Each norm-twisted spinor passes its law, and is a case of the
+    descent test against its untwisted spinor.  A_sigma A_sigma =
+    (mu'/mu)(sigma, sigma) = 1/2 or 1/4 on Hom, so no morphism is fixed, in
+    either direction, nor between the Knoerrer images; equal twists fix as
+    many as the untwisted spinor."""
+    structs = _descent_structures()
+    pairs = {(a, b) for a, b, _, _ in _descent_cases()}
+    for name in ("conjugation-spinor", "tower-spinor"):
+        s, twisted = structs[name], structs[f"norm-twisted-{name}"]
+        assert twisted.twist is not None and verify_real_structure(twisted).ok
+        assert (name, f"norm-twisted-{name}") in pairs
+        for a, b in ((s, twisted), (twisted, s), (real_knorrer(s), real_knorrer(twisted))):
+            for parity in (0, 1):
+                space = fixed_hom(a, b, parity, cutoff=1)
+                assert space.columns == [] and closed_dimension(space) == 0
+                assert _reference_fixed_dimension(a, b, parity, 1) == 0
+        for parity in (0, 1):
+            same, plain = fixed_hom(twisted, twisted, parity, 1), fixed_hom(s, s, parity, 1)
+            assert _fixed_dimension(same) == _fixed_dimension(plain) > 0
+            assert closed_dimension(same) == closed_dimension(plain)
 
 
 def _count_products(monkeypatch, module, name):
     """Count Scalar products: all of them, those made inside calls of
-    module.name, and those made inside mf.apply_ring_map."""
-    counts = {"inside": 0, "twist": 0, "all": 0}
+    module.name, and those made inside mf.apply_ring_map; and calls of
+    module.name."""
+    counts = {"inside": 0, "twist": 0, "all": 0, "calls": 0}
     where = []
     mul, fn, apply = scalars._mul, getattr(module, name), mf.apply_ring_map
 
@@ -224,6 +318,7 @@ def _count_products(monkeypatch, module, name):
 
     def within(key, f):
         def wrapped(*args, **kwargs):
+            counts["calls"] += key == "inside"
             where.append(key)
             try:
                 return f(*args, **kwargs)
@@ -261,38 +356,28 @@ def test_real_residual_multiplies_per_block_row_and_column(monkeypatch, steps):
 
 
 @pytest.mark.parametrize("steps", [2, 3])
-def test_closed_dimension_multiplies_only_in_window_operator(monkeypatch, steps):
-    """The coordinates of zeta_L^t multiples are read off numerators."""
+def test_closed_rank_makes_no_scalar_product(monkeypatch, steps):
+    """On the tower the closed rank is the rank of D alone, whose window is
+    rational: it runs on linalg's integer lane, with no Scalar product."""
     s = _spinor_tower(steps)
-    counts = _count_products(monkeypatch, real, "window_operator")
+    counts = _count_products(monkeypatch, linalg, "sparse_echelon")
     for parity in (0, 1):
         space = fixed_hom(s, s, parity, cutoff=0)
-        counts.update(inside=0, all=0)
-        closed_dimension(space)
-        assert counts["all"] == counts["inside"] > 0
+        counts.update(inside=0, calls=0)
+        assert closed_dimension(space) == 1
+        assert counts["calls"] == 1 and counts["inside"] == 0
 
 
-def _power_coordinates(v, L):
-    return {t: Scalar.from_rational(c) for t, c in enumerate(v.promote(L).coeffs) if c}
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_rational_coordinates_read_zeta_multiples_off_numerators(data):
-    """For every t < phi(L), the coordinates of zeta_L^t * v; at 12 and 15
-    shifting past phi(L) - 1 reduces modulo Phi_L nontrivially."""
-    L = data.draw(st.sampled_from([1, 3, 4, 5, 8, 12, 15]))
-    m = data.draw(st.sampled_from([d for d in range(1, L + 1) if L % d == 0]))
-    nums = data.draw(st.lists(st.integers(-6, 6), min_size=euler_phi(m),
-                              max_size=euler_phi(m)))
-    if data.draw(st.booleans()):
-        nums[1:] = [0] * (len(nums) - 1)
-    v = Scalar(m, [Fraction(n, data.draw(st.integers(1, 6))) for n in nums])
-    key = (0, 1, 0, (2,))
-    for t in range(euler_phi(L)):
-        got = real._rational_coordinates("tag", {key: v}, L, t)
-        want = _power_coordinates(Scalar.zeta(L, t) * v, L)
-        assert got == {("tag", *key, n): c for n, c in want.items()}, (L, m, v, t)
+def test_fixed_hom_on_the_tower_makes_no_window_operator_call(monkeypatch):
+    """The tower's only non-identity element is antilinear over Q(i): no
+    residual is built, every column is empty and scale is phi(4)/2 = 1."""
+    calls = []
+    monkeypatch.setattr(real, "window_operator", lambda *args: calls.append(args))
+    for steps in (2, 3):
+        for parity in (0, 1):
+            space = fixed_hom(_spinor_tower(steps), _spinor_tower(steps), parity, cutoff=0)
+            assert space.scale == 1 and space.columns and not any(space.columns)
+    assert calls == []
 
 
 def test_rank_one_condition_rejects_three_variables():
@@ -362,6 +447,32 @@ def test_verify_real_structure_names_each_problem(case):
         assert not verdict.term[4].is_zero()
     else:
         assert verdict.term is None
+
+
+# case -> closed_dimension of the broken structure with itself, at cutoffs
+# 0 and 1, each at parities 0 and 1
+BROKEN_CLOSED = {
+    "u_e scaled by -1": ((1, 1), (2, 2)),
+    "odd component": ((1, 1), (2, 2)),
+    "not closed": ((1, 0), (2, 0)),
+    "singular": ((1, 1), (2, 2)),
+    "one component negated": ((2, 0), (2, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_REAL))
+def test_closed_dimension_of_a_broken_structure_is_pinned(case):
+    """fixed_hom presumes structures that pass verify_real_structure and
+    does not check them: on each broken one it still returns a number,
+    pinned here.  With an odd component, at parity 1, that number is not
+    the Q dimension the reference computes: descent needs a true action."""
+    name, break_it, _, _ = BROKEN_REAL[case]
+    s = break_it(dict(catalog.real_catalog())[name])
+    got = tuple(tuple(closed_dimension(fixed_hom(s, s, parity, cutoff)) for parity in (0, 1))
+                for cutoff in (0, 1))
+    assert got == BROKEN_CLOSED[case]
+    if case == "odd component":
+        assert _reference_closed_dimension(s, s, 1, 0) == 0 != got[0][1]
 
 
 def _reference_verify(s):
