@@ -34,7 +34,7 @@ from .mf import (
 from .groups import (
     GroupSpec, ActionSpec, ANTILINEAR, CONTRAVARIANT, PLAIN, SHIFTED, ContraRep,
     cyclic_group, dihedral_group, product_group, Cocycle2, universal_sign_cocycle,
-    potential_invariance, validate_action, twist_mf,
+    potential_invariance, validate_action, twist_mf, cocycle_check,
 )
 from .real import (
     RealStruct, verify_real_structure, rank_one_real_condition, real_knorrer,
@@ -48,6 +48,7 @@ from .orientifold import (
 from .clifford import (
     beh_hom_compare, real_clifford_fixed, graded_tensor, cl_rs, signature,
     module_validate, mf_to_clifford_module, module_hom_dim, parity_shift,
+    beh_twist_intertwined,
 )
 from .cohomology import (
     CohoReport, hom_cohomology, default_cutoff, knorrer_hom_preservation,
@@ -241,13 +242,16 @@ def group_from_spec(obj) -> GroupSpec:
         return g
     if isinstance(obj, dict) and "table" in obj:
         _check_group_order(len(obj["table"]))
+        if type(identity := obj["identity"]) is not int:
+            raise ScenarioError(f"group identity must be an integer, got {identity!r}")
         g = GroupSpec(tuple(obj["labels"]), tuple(tuple(r) for r in obj["table"]),
-                      int(obj["identity"]), tuple(obj["grading"]))
+                      identity, tuple(obj["grading"]))
         g.validate()
         return g
     if isinstance(obj, dict):
         preset = obj.get("preset")
-        graded = bool(obj.get("graded", True))
+        if type(graded := obj.get("graded", True)) is not bool:
+            raise ScenarioError(f"group graded must be true or false, got {graded!r}")
     else:
         preset, graded = obj, True
     m = _PRESET.match(str(preset or ""))
@@ -307,15 +311,10 @@ def load_scenario(path: str) -> Scenario:
     names = ring_spec["variables"]
     if not (isinstance(names, list) and all(
             isinstance(v, str) and _NAME.fullmatch(v) and v not in ("i", "zeta")
-            for v in names)):
-        raise ScenarioError(f"{path}: ring.variables must be a list of names other than "
-                            f"i and zeta, got {names!r}")
-    try:
-        ring = RingSpec(tuple(names), conductor=int(ring_spec.get("conductor", 4)))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: {exc}")
-    if ring.conductor > MAX_CONDUCTOR:
-        raise ScenarioError(f"{path}: ring conductor {ring.conductor}, more than {MAX_CONDUCTOR}")
+            for v in names) and len(set(names)) == len(names)):
+        raise ScenarioError(f"{path}: ring.variables must be a list of distinct names other "
+                            f"than i and zeta, got {names!r}")
+    ring = RingSpec(tuple(names), conductor=_count(ring_spec, "conductor", 4, MAX_CONDUCTOR))
     potential = parse_poly(raw.get("potential", "0"), ring)
     group = action = None
     setting = raw.get("setting")
@@ -730,6 +729,7 @@ def _suite_orientifold():
            _check(found4 is not None, "no witness", "C4", rep4.variant), {})
     if found2 and found4:
         s2, s4 = found2[1], found4[1]
+        yield "twist-is-2-cocycle", _cocycle(rep2.twist, "C2", rep2.variant), {}
         yield ("theta-cocycle",
                theta_cocycle_check(rep2, s2.base) and theta_cocycle_check(rep4, s4.base), {})
         k2, c2 = orientifold_knorrer(s2)
@@ -745,6 +745,13 @@ def _suite_orientifold():
     yield "hyperbolic-transport", hyperbolic_transport_check(), {}
 
 
+def _cocycle(twist: Cocycle2, *at) -> Verdict:
+    """A twist is a 2-cocycle: cocycle_check(twist), failing at at and
+    then its elements."""
+    v = cocycle_check(twist)
+    return _check(v, v.identity, *at, *v.at)
+
+
 def _suite_clifford():
     mods = catalog.clifford_module_catalog()
     yield "modules-validate", _first_failure(
@@ -758,6 +765,11 @@ def _suite_clifford():
 
     yield ("bridge-hom-dims-agree", _first_failure(bridge(*pair) for pair in pairs),
            {"pairs": len(pairs)})
+    act = catalog.conjugation_action(RingSpec(("x",), conductor=4))
+    yield "bridge-commutes-with-twist", _first_failure(
+        _check(beh_twist_intertwined(catalog.spinor_module(), act.ring, act.map_of(i)),
+               "bridge commutes with twist", "spinor", act.group.labels[i])
+        for i in act.group.elements()), {}
     signatures = [(r, s) for r in range(5) for s in range(5 - r) if r + s]
     yield "signature-fixed-points", _first_failure(
         _check(real_clifford_fixed(r, s)[1], "signature fixed points", f"Cl({r},{s})")

@@ -19,7 +19,7 @@ from itertools import product as iproduct
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec
-from .mf import MF, MFMor, mf_new
+from .mf import MF, mf_new
 from .linalg import sparse_rank
 
 
@@ -254,30 +254,8 @@ def module_validate(m: CliffMod) -> list[tuple[int, int]]:
     return sorted(failures)
 
 
-def module_act(m: CliffMod, elem: dict, parity: int):
-    """The matrix of an algebra element on the given parity component,
-    as an (even block, odd block) pair of its graded pieces."""
-    gs = _sparse_gammas(m)
-    src = m.dims[parity]
-    acc = tuple([{} for _ in range(a)] for a in m.dims)
-    for subset, c in elem.items():
-        cur_parity = parity
-        cur = _sparse_scaled_identity(Scalar.one(), src)
-        for j in reversed(subset):
-            cur = _sparse_mul(gs[j][cur_parity], cur)
-            cur_parity = 1 - cur_parity
-        _sparse_mul(_sparse_scaled_identity(_to_scalar(c), len(cur)), cur, acc[cur_parity])
-    return tuple(_dense(rows, src) for rows in acc)
-
-
 # ---------------------------------------------------------------------------
 # the bridge functor to matrix factorizations
-
-def _scalar_to_poly_mat(ring: RingSpec, a):
-    zero = Poly.zero(ring)
-    return tuple(tuple(zero if c.is_zero() else Poly.constant(ring, c) for c in row)
-                 for row in a)
-
 
 def beh_phi(m: CliffMod, ring: RingSpec) -> MF:
     """The factorization of the quadratic form with differential
@@ -345,39 +323,6 @@ def mf_to_clifford_module(M: MF) -> CliffMod:
     if bad:
         raise ValueError(f"anticommutation relations fail at {bad}")
     return mod
-
-
-@dataclass(frozen=True)
-class CliffModMor:
-    """A degree-zero module map by its graded blocks f0: A0 -> A0' and
-    f1: A1 -> A1', entries in the scalar field."""
-
-    source: CliffMod
-    target: CliffMod
-    f0: tuple
-    f1: tuple
-
-    def is_module_map(self) -> bool:
-        """Whether f commutes with every generator: f1 g0 = h0 f0 on the
-        even part and f0 g1 = h1 f1 on the odd part."""
-        (a0, a1), (b0, b1) = self.source.dims, self.target.dims
-        f0 = _sparse_block(self.f0, b0, a0, "f0")
-        f1 = _sparse_block(self.f1, b1, a1, "f1")
-        for (g0, g1), (h0, h1) in zip(_sparse_gammas(self.source),
-                                      _sparse_gammas(self.target)):
-            if _sparse_mul(f1, g0) != _sparse_mul(h0, f0):
-                return False
-            if _sparse_mul(f0, g1) != _sparse_mul(h1, f1):
-                return False
-        return True
-
-
-def beh_phi_mor(f: CliffModMor, ring: RingSpec) -> MFMor:
-    M = beh_phi(f.source, ring)
-    N = beh_phi(f.target, ring)
-    return MFMor(M, N, 0,
-                 _scalar_to_poly_mat(ring, f.f0),
-                 _scalar_to_poly_mat(ring, f.f1))
 
 
 def module_hom_dim(m: CliffMod, mp: CliffMod) -> int:

@@ -10,9 +10,7 @@ image coordinates numbered by descending degree, each degree read once
 per call, so that the pivots give every rank (linalg's rank profile).
 Images are kept whole: at each c, dim H = kernel of D on the unknowns of
 degree <= c minus the part of the other parity's image in degree <= c.
-The flag compares cutoff and cutoff + 1.  A null homotopy h of f solves
-D(h) = f in degrees <= cutoff on the window of degree <= cutoff: cutting
-by degree is a ring homomorphism onto k[x]/(monomials of degree > cutoff).
+The flag compares cutoff and cutoff + 1.
 """
 
 from __future__ import annotations
@@ -20,11 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .polys import Poly, jacobi_basis
-from .mf import (
-    MF, MFError, MFMor, diff_mor, external_tensor, mor_coordinates,
-    mor_from_coordinates, window_monomials, window_operator, window_slots,
-)
-from .linalg import sparse_echelon, sparse_solve, sparse_transpose
+from .mf import MF, MFError, diff_mor, external_tensor, window_monomials, window_operator
+from .linalg import sparse_echelon
 
 
 @dataclass
@@ -78,25 +73,6 @@ def _numbered_window(M: MF, N: MF, parity: int, monomials, cutoff: int):
         col, columns[j] = columns[j], None  # frees each original column as it goes
         parts[c].append({index[k]: v for k, v in col.items()})
     return parts, {c: sum(len(keys) for d, keys in by_degree.items() if d > c) for c in parts}
-
-
-def null_homotopy(f: MFMor, cutoff: int) -> MFMor | None:
-    """A morphism h with entries of degree <= cutoff and D(h) = f in degrees
-    <= cutoff, if one exists."""
-    parity = (f.parity + 1) % 2
-    monomials = window_monomials(f.source.ring.nvars, cutoff)
-    slots = window_slots(f.source, f.target, parity, monomials)
-    columns = window_operator(diff_mor(f.target), diff_mor(f.source), parity, monomials)
-    # solve sum_j D(e_j) x_j - f = 0 on the coordinates of degree <= cutoff
-    target = {k: -v for k, v in mor_coordinates(f).items()}
-    rows = sparse_transpose(
-        [{k: v for k, v in col.items() if sum(k[3]) <= cutoff}
-         for col in columns + [target]])
-    sol = sparse_solve(rows, len(slots), len(slots))
-    if sol is None:
-        return None
-    coords = {slot[:4]: v for slot, v in zip(slots, sol) if not v.is_zero()}
-    return mor_from_coordinates(f.source, f.target, parity, coords)
 
 
 def default_cutoff(w: Poly, entry_degree: int | None = None) -> int:

@@ -362,11 +362,6 @@ def twist_mf(rm: RingMap, M: MF) -> MF:
     return MF(M.ring, apply_ring_map(rm, M.w), mat_apply(rm, M.d0), mat_apply(rm, M.d1))
 
 
-def twist_mor(rm: RingMap, f: MFMor) -> MFMor:
-    return MFMor(twist_mf(rm, f.source), twist_mf(rm, f.target), f.parity,
-                 mat_apply(rm, f.f0), mat_apply(rm, f.f1))
-
-
 # ---------------------------------------------------------------------------
 # the action on matrix factorizations
 

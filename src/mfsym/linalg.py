@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import Scalar, _rational
+from .scalars import _rational
 
 
 def _ratio(x, y):
@@ -98,7 +98,7 @@ def _echelon(rows, pivots=None):
 
 
 def sparse_echelon(rows, pivots=None):
-    """_echelon, continuing pivots if given.  Rank, solve and cohomology go
+    """_echelon, continuing pivots if given.  Rank and cohomology go
     through this public name, so perfbench's tracer sees their
     eliminations and none of mf's."""
     return _echelon(rows, pivots)
@@ -106,15 +106,6 @@ def sparse_echelon(rows, pivots=None):
 
 def sparse_rank(rows) -> int:
     return len(sparse_echelon(rows))
-
-
-def sparse_transpose(columns) -> list[dict]:
-    """The rows of the matrix whose j-th column is columns[j], keyed by j."""
-    rows: dict = {}
-    for j, col in enumerate(columns):
-        for key, v in col.items():
-            rows.setdefault(key, {})[j] = v
-    return list(rows.values())
 
 
 def _back_substitute(pivots):
@@ -125,17 +116,3 @@ def _back_substitute(pivots):
             if other_lead < lead and lead in other:
                 _clear(other, row, lead)
     return pivots
-
-
-def sparse_solve(rows, rhs_col, width):
-    """Solve the homogeneous system on the extended vector (x, 1): each row
-    encodes sum a_j x_j + row[rhs_col] = 0; returns a dense solution list
-    (free variables set to zero) or None if inconsistent."""
-    pivots = _back_substitute(sparse_echelon(rows))
-    if rhs_col in pivots:
-        return None  # inconsistent: a pivot in the augmented column
-    x = [Scalar.zero()] * width
-    for lead, row in pivots.items():
-        if rhs_col in row:
-            x[lead] = _ratio(-row[rhs_col], row[lead])
-    return x

@@ -375,47 +375,42 @@ def window_monomials(nvars: int, cutoff: int) -> list:
     return [m for bucket in _monomials_by_degree(nvars, cutoff) for m in bucket]
 
 
-def window_slots(M: MF, N: MF, parity: int, monomials, size: int = 1) -> list:
-    """The unknowns (block, row, col, monomial, t) of the window of
-    morphisms M -> N of the given parity with entries in the span of
-    basis[t] * x^monomial, t < size."""
-    return [(b, r, c, m, t)
+def window_slots(M: MF, N: MF, parity: int, monomials) -> list:
+    """The unknowns (block, row, col, monomial) of the window of morphisms
+    M -> N of the given parity with entries in the span of x^monomial."""
+    return [(b, r, c, m)
             for b, (rows, cols) in enumerate(_block_shapes(M, N, parity))
-            for r in range(rows) for c in range(cols)
-            for m in monomials for t in range(size)]
+            for r in range(rows) for c in range(cols) for m in monomials]
 
 
 def window_operator(left: MFMor, right: MFMor, parity: int, monomials,
-                    twist: RingMap | None = None, basis=(Scalar.one(),)) -> list:
+                    twist: RingMap | None = None) -> list:
     """The matrix of  f -> left . f - (-1)^{|f||right|} twist(f) . right  on
     the window of morphisms f: right.source -> left.source of the given
-    parity whose entries are rational combinations of basis[t] * x^m, m in
-    monomials.
+    parity whose entries are combinations of x^m, m in monomials.
 
     With left = d_N and right = d_M this is hom_diff; with left = u'_sigma,
     right = u_sigma and twist = sigma it is the Real residual
-    u'_sigma . f - f^sigma . u_sigma, where an antilinear twist conjugates
-    basis[t].  Column k is the image of the k-th unknown of window_slots,
-    a dict (block, row, col, exponent) -> nonzero coefficient.
+    u'_sigma . f - f^sigma . u_sigma.  Column k is the image of the k-th
+    unknown of window_slots, the entry x^m with coefficient one, a dict
+    (block, row, col, exponent) -> nonzero coefficient.  The operator is
+    linear over the coefficient field, except under an antilinear twist,
+    which conjugates f's coefficients: there it is linear over Q only.
 
     Multiplying an entry by a monomial only shifts its exponents, and the
-    left piece of block entry (b, r, c), basis[t] times column r of left's
-    block, does not depend on c, nor the right piece, sign * basis[t]
-    times row c of right's block, on r.  So the values are computed once
-    per block row r or column c and t, at the entries' own exponents, and
-    only the keys are built per entry.  The column of x^m shifts the left
-    piece by m and the right piece by each exponent of twist(x^m), scaled
-    by that term's coefficient unless it is one; with no twist that is m
-    with coefficient one, and nothing is multiplied.  Each shifted exponent
-    is built once per call, in a table from entry exponent to its shifts.
+    left piece of block entry (b, r, c), column r of left's block, does not
+    depend on c, nor the right piece, sign times row c of right's block, on
+    r.  So the values are read once per block row r or column c, at the
+    entries' own exponents, and only the keys are built per entry.  The
+    column of x^m shifts the left piece by m and the right piece by each
+    exponent of twist(x^m), scaled by that term's coefficient unless it is
+    one; with no twist that is m with coefficient one, and nothing is
+    multiplied.  Each shifted exponent is built once per call, in a table
+    from entry exponent to its shifts.
     """
     M, N = right.source, left.source
     q = right.parity
-    sign = 1 if parity * q % 2 else -1
-    anti = twist is not None and twist.antilinear
-    right_coeffs = [c.conjugate() if anti else c for c in basis]
-    if sign < 0:
-        right_coeffs = [-c for c in right_coeffs]
+    negate = not parity * q % 2
     # images[k]: the terms of twist(x^monomials[k]), (index into shifts,
     # coefficient or None for one)
     shifts = list(monomials)
@@ -439,52 +434,27 @@ def window_operator(left: MFMor, right: MFMor, parity: int, monomials,
     for b, (rows, cols) in enumerate(_block_shapes(M, N, parity)):
         out = (b + q) % 2
         lblock, rblock = left.block((b + parity) % 2), right.block(out)
-        rvals = [[[(j, e, rz * v) for j, p in enumerate(rblock[c]) for e, v in p.terms.items()]
-                  for rz in right_coeffs] for c in range(cols)]
+        rvals = [[(j, e, -v if negate else v) for j, p in enumerate(rblock[c])
+                  for e, v in p.terms.items()] for c in range(cols)]
         for r in range(rows):
-            lvals = [[(i, e, z * v) for i, row in enumerate(lblock) for e, v in row[r].terms.items()]
-                     for z in basis]
+            lvals = [(i, e, v) for i, row in enumerate(lblock) for e, v in row[r].terms.items()]
             for c in range(cols):
-                pieces = [([([(b, i, c, x) for x in shifted[e]], v) for i, e, v in lv],
-                           [([(out, r, j, x) for x in shifted[e]], v) for j, e, v in rv])
-                          for lv, rv in zip(lvals, rvals[c])]
+                lpiece = [([(b, i, c, x) for x in shifted[e]], v) for i, e, v in lvals]
+                rpiece = [([(out, r, j, x) for x in shifted[e]], v) for j, e, v in rvals[c]]
                 for k, image in enumerate(images):
-                    for lpiece, rpiece in pieces:
-                        col = {ks[k]: v for ks, v in lpiece}
-                        summed = False
-                        for s, w in image:
-                            for ks, v in rpiece:
-                                key = ks[s]
-                                if w is not None:
-                                    v = v * w
-                                if key in col:
-                                    v, summed = col[key] + v, True
-                                col[key] = v
-                        columns.append({key: v for key, v in col.items() if not v.is_zero()}
-                                       if summed else col)
+                    col = {ks[k]: v for ks, v in lpiece}
+                    summed = False
+                    for s, w in image:
+                        for ks, v in rpiece:
+                            key = ks[s]
+                            if w is not None:
+                                v = v * w
+                            if key in col:
+                                v, summed = col[key] + v, True
+                            col[key] = v
+                    columns.append({key: v for key, v in col.items() if not v.is_zero()}
+                                   if summed else col)
     return columns
-
-
-def mor_coordinates(f: MFMor) -> dict:
-    """{(block, row, col, exponent): coefficient} over the terms of f."""
-    return {(b, r, c, e): v
-            for b, blk in enumerate((f.f0, f.f1))
-            for r, row in enumerate(blk)
-            for c, p in enumerate(row)
-            for e, v in p.terms.items()}
-
-
-def mor_from_coordinates(M: MF, N: MF, parity: int, coords: dict) -> MFMor:
-    """The morphism M -> N with the given mor_coordinates: Scalar values at
-    exponents of M's ring; zero values are dropped."""
-    terms = [[[{} for _ in range(cols)] for _ in range(rows)]
-             for rows, cols in _block_shapes(M, N, parity)]
-    for (b, r, c, e), v in coords.items():
-        if not v.is_zero():
-            terms[b][r][c][e] = v
-    f0, f1 = (tuple(tuple(Poly._trusted(M.ring, t) for t in row) for row in blk)
-              for blk in terms)
-    return MFMor(M, N, parity, f0, f1)
 
 
 def is_closed(f: MFMor) -> bool:
@@ -660,15 +630,10 @@ def external_tensor(M: MF, N: MF) -> MF:
     return MF(ring, w, d0, d1)
 
 
-def external_tensor_mor(f: MFMor, g: MFMor) -> MFMor:
-    """(f x g)(m x n) = (-1)^{|g||m|} f(m) x g(n)."""
-    src = external_tensor(f.source, g.source)
-    tgt = external_tensor(f.target, g.target)
-    return MFMor(src, tgt, (f.parity + g.parity) % 2, *tensor_mor_blocks(f, g))
-
-
 def tensor_mor_blocks(f: MFMor, g: MFMor) -> tuple:
-    """The blocks (f0, f1) of external_tensor_mor(f, g)."""
+    """The blocks (f0, f1) of the external tensor f x g,
+    (f x g)(m x n) = (-1)^{|g||m|} f(m) x g(n), between the external
+    tensors of the sources and of the targets."""
     ring = join_rings(f.source.ring, g.source.ring)
     return _tensor_blocks(ring, [(f, g)], (f.parity + g.parity) % 2,
                           tensor_basis(f.target, g.target))

@@ -205,21 +205,6 @@ def comparison_torsor_check(rep: ContraRep, s: ContraRealStruct) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# generic duality and form functor checks
-
-def verify_duality(objects, p_obj, p_mor, theta) -> Verdict:
-    """P(Theta_C) ∘ Theta_{P(C)} = id for each object in the list; p_obj
-    and p_mor give the contravariant functor, theta the comparison maps.
-    A failure is placed at the object's position in the list."""
-    for k, C in enumerate(objects):
-        PC = p_obj(C)
-        if not (v := equation("duality", (f"objects[{k}]",),
-                              compose(p_mor(theta(C)), theta(PC)), identity_mor(PC))):
-            return v
-    return Verdict(True)
-
-
-# ---------------------------------------------------------------------------
 # the Knoerrer functor in the contravariant setting
 
 def hyperbolic_transport_check() -> Verdict:

@@ -257,9 +257,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self._rat and not self._num[0]
 
-    def is_rational(self) -> bool:
-        return self._rat
-
     def as_fraction(self) -> Fraction:
         if not self._rat:
             raise ValueError(f"not rational: {self}")

@@ -1,0 +1,60 @@
+"""Reference constructions the tests compare the package against.
+
+Each is the direct morphism-level form of a construction the package
+computes another way: twisting a morphism entrywise, the external tensor
+of two morphisms, a morphism's coordinates and back, and the generic
+duality identity.  The package itself never imports this module.
+"""
+
+from mfsym.polys import Poly, RingMap
+from mfsym.mf import (
+    MF, MFMor, Verdict, _block_shapes, compose, equation, external_tensor, identity_mor,
+    mat_apply, tensor_mor_blocks,
+)
+from mfsym.groups import twist_mf
+
+
+def twist_mor(rm: RingMap, f: MFMor) -> MFMor:
+    return MFMor(twist_mf(rm, f.source), twist_mf(rm, f.target), f.parity,
+                 mat_apply(rm, f.f0), mat_apply(rm, f.f1))
+
+
+def external_tensor_mor(f: MFMor, g: MFMor) -> MFMor:
+    """(f x g)(m x n) = (-1)^{|g||m|} f(m) x g(n)."""
+    src = external_tensor(f.source, g.source)
+    tgt = external_tensor(f.target, g.target)
+    return MFMor(src, tgt, (f.parity + g.parity) % 2, *tensor_mor_blocks(f, g))
+
+
+def mor_coordinates(f: MFMor) -> dict:
+    """{(block, row, col, exponent): coefficient} over the terms of f."""
+    return {(b, r, c, e): v
+            for b, blk in enumerate((f.f0, f.f1))
+            for r, row in enumerate(blk)
+            for c, p in enumerate(row)
+            for e, v in p.terms.items()}
+
+
+def mor_from_coordinates(M: MF, N: MF, parity: int, coords: dict) -> MFMor:
+    """The morphism M -> N with the given mor_coordinates: Scalar values at
+    exponents of M's ring; zero values are dropped."""
+    terms = [[[{} for _ in range(cols)] for _ in range(rows)]
+             for rows, cols in _block_shapes(M, N, parity)]
+    for (b, r, c, e), v in coords.items():
+        if not v.is_zero():
+            terms[b][r][c][e] = v
+    f0, f1 = (tuple(tuple(Poly._trusted(M.ring, t) for t in row) for row in blk)
+              for blk in terms)
+    return MFMor(M, N, parity, f0, f1)
+
+
+def verify_duality(objects, p_obj, p_mor, theta) -> Verdict:
+    """P(Theta_C) ∘ Theta_{P(C)} = id for each object in the list; p_obj
+    and p_mor give the contravariant functor, theta the comparison maps.
+    A failure is placed at the object's position in the list."""
+    for k, C in enumerate(objects):
+        PC = p_obj(C)
+        if not (v := equation("duality", (f"objects[{k}]",),
+                              compose(p_mor(theta(C)), theta(PC)), identity_mor(PC))):
+            return v
+    return Verdict(True)

@@ -26,7 +26,7 @@ from mfsym.real import (
 )
 from mfsym.orientifold import (
     PLAIN, SHIFTED, ContraRep, ContraRealStruct, rank_one_contra_condition,
-    verify_contra_structure, verify_duality, fixed_point_duality,
+    verify_contra_structure, fixed_point_duality,
     duality_comparison, comparison_torsor_check, orientifold_knorrer,
     double_knorrer, eta_blocks, eta_coherence_check, _extend_rep,
 )
@@ -38,6 +38,7 @@ from mfsym.cohomology import (
 )
 from mfsym.cli import _eightfold_consistency
 import mfsym.catalog as catalog
+from oracles import verify_duality
 
 
 def test_criterion_01_twisted_differential_soundness():

@@ -63,6 +63,34 @@ def test_group_presets():
         group_from_spec("Q(8)")
 
 
+@pytest.mark.parametrize("group", [
+    {"labels": ["e", "g"], "table": [[0, 1], [1, 0]], "identity": False, "grading": [1, -1]},
+    {"labels": ["e", "g"], "table": [[0, 1], [1, 0]], "identity": "0", "grading": [1, -1]},
+    {"preset": "C(2)", "graded": "no"},
+    {"preset": "C(2)", "graded": 0},
+], ids=["identity-false", "identity-string", "graded-string", "graded-integer"])
+def test_group_fields_are_not_coerced(tmp_path, group):
+    """A table's identity must be a JSON integer and a preset's graded a
+    JSON boolean: int() and bool() read false as 0 and "no" as true."""
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps({"schema": SCHEMA, "ring": {"variables": ["u"]}, "group": group}))
+    with pytest.raises(ScenarioError):
+        load_scenario(str(p))
+
+
+@pytest.mark.parametrize("conductor", [True, 4.7, "12", [4]],
+                         ids=["true", "float", "string", "list"])
+def test_ring_conductor_is_not_coerced(tmp_path, capsys, conductor):
+    """int() read true as 1, 4.7 as 4 and "12" as 12, and [4] gave a raw
+    TypeError message that did not name the conductor."""
+    p = tmp_path / "ring.json"
+    p.write_text(json.dumps({"schema": SCHEMA, "potential": "u",
+                             "ring": {"variables": ["u"], "conductor": conductor}}))
+    assert main(["validate", str(p)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: conductor must be"), lines
+
+
 def test_load_scenario_rejects_bad_schema(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"schema": "other/1"}))
@@ -123,10 +151,12 @@ def test_suite_all_passes_every_task():
         "signs:double-dual-and-grading-isos", "signs:tensor-isos-closed-invertible",
         "real:catalog-structures-verify", "real:knorrer-images-verify",
         "orientifold:terminal-shifted-witness", "orientifold:order-four-plain-witness",
+        "orientifold:twist-is-2-cocycle",
         "orientifold:theta-cocycle", "orientifold:knorrer-coherence-and-verify",
         "orientifold:double-knorrer-roundtrip", "orientifold:duality-and-comparison",
         "orientifold:hyperbolic-transport", "clifford:modules-validate",
-        "clifford:bridge-hom-dims-agree", "clifford:signature-fixed-points",
+        "clifford:bridge-hom-dims-agree", "clifford:bridge-commutes-with-twist",
+        "clifford:signature-fixed-points",
         "clifford:graded-tensor-isos", "cohomology:hyperbolic-dims",
         "cohomology:contractible-dims", "cohomology:knorrer-preserves-dims",
         "cohomology:potential-null-homotopy-witness",
@@ -358,6 +388,8 @@ BAD_SCENARIOS = {
     "variables-not-names": {"schema": SCHEMA, "ring": {"variables": ["u v", "2w"]}},
     "variable-i": {"schema": SCHEMA, "ring": {"variables": ["i", "v"]}, "potential": "i*v"},
     "variable-zeta": {"schema": SCHEMA, "ring": {"variables": ["zeta", "v"]}},
+    "group-graded-string": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                            "group": {"preset": "C(2)", "graded": "no"}},
     # size bounds
     "group-order-preset": {"schema": SCHEMA, "ring": {"variables": ["u"]}, "group": "C(128)"},
     "group-order-table": {"schema": SCHEMA, "ring": {"variables": ["u"]},

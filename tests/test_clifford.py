@@ -10,13 +10,15 @@ from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingMap, RingSpec
 from mfsym.mf import mat_mul, mat_eq
 from mfsym.clifford import (
-    QuadForm, CliffAlg, CliffMod, CliffModMor, clifford_mul, element_eq,
-    module_validate, module_act, beh_phi, beh_phi_mor, module_hom_dim,
+    QuadForm, CliffAlg, CliffMod, clifford_mul, element_eq,
+    module_validate, beh_phi, module_hom_dim,
     beh_hom_compare, module_twist, beh_twist_intertwined, parity_shift,
-    cl_rs, real_clifford_fixed, graded_tensor, GradedTensorAlg, signature, smat,
+    cl_rs, real_clifford_fixed, graded_tensor, GradedTensorAlg, signature,
     mf_to_clifford_module,
 )
 import mfsym.catalog as catalog
+import mfsym.clifford as clifford
+from mfsym.cli import run_suite
 
 
 def test_quadform_validation():
@@ -53,23 +55,6 @@ def test_module_catalog_validates():
         assert module_validate(m) == [], name
 
 
-def test_module_act_matches_gamma_products():
-    m = catalog.pauli_module()
-    alg = m.alg
-    prod = clifford_mul(alg, alg.generator(0), alg.generator(1))
-    even, odd = module_act(m, prod, 0)
-    _, g1_0 = m.gammas[0]
-    g0_1, _ = m.gammas[1]
-    # e0 e1 acts on the even part by gamma0 (odd to even) after gamma1
-    # (even to odd), landing back in the even part
-    direct = tuple(
-        tuple(sum((g1_0[r][k] * g0_1[k][c] for k in range(len(g0_1))),
-                  Scalar.zero()) for c in range(len(g0_1[0])))
-        for r in range(len(g1_0))
-    )
-    assert even == direct
-
-
 def test_beh_phi_factorizes_the_form():
     for name, m in catalog.clifford_module_catalog():
         ring = catalog.clifford_ring_for(m)
@@ -79,16 +64,6 @@ def test_beh_phi_factorizes_the_form():
             for c in range(M.r0):
                 want = M.w if r == c else Poly.zero(ring)
                 assert prod[r][c] == want, name
-
-
-def test_beh_phi_mor_preserves_module_maps():
-    m = catalog.spinor_module()
-    ident = CliffModMor(m, m, smat([[1]]), smat([[1]]))
-    assert ident.is_module_map()
-    ring = catalog.clifford_ring_for(m)
-    f = beh_phi_mor(ident, ring)
-    from mfsym.mf import is_closed
-    assert is_closed(f)
 
 
 def test_hom_dims_agree_across_bridge():
@@ -166,6 +141,27 @@ def test_twist_intertwines_bridge():
     act = catalog.conjugation_action(ring)
     for i in act.group.elements():
         assert beh_twist_intertwined(m, ring, act.map_of(i))
+
+
+def test_bridge_twist_verdict_names_the_module_and_element(monkeypatch):
+    """The clifford suite's bridge-twist entry, with the twisted module's
+    generators negated under the antilinear element: the bridge no longer
+    commutes with that twist, and the verdict says where."""
+    twist = clifford.module_twist
+
+    def corrupted(m, rm):
+        t = twist(m, rm)
+        if not rm.antilinear:
+            return t
+        return CliffMod(t.alg, t.dims, tuple(tuple(tuple(tuple(-x for x in row) for row in blk)
+                                                   for blk in g) for g in t.gammas))
+
+    monkeypatch.setattr(clifford, "module_twist", corrupted)
+    results = {r.name: r for r in run_suite("clifford").results}
+    entry = results.pop("bridge-commutes-with-twist")
+    assert not entry.ok and entry.detail == {"failed": {
+        "identity": "bridge commutes with twist", "at": ["spinor", "g1"], "term": None}}
+    assert all(r.ok for r in results.values())
 
 
 def test_module_hom_dim_rejects_differing_algebras():

@@ -2,12 +2,11 @@
 
 Each drawn graded module is also written as sympy matrices on A0 + A1,
 where generator j acts by [[0, g1], [g0, 0]]; the anticommutation
-relations, the action of algebra elements and the module-map condition
-are then plain rational matrix identities.
+relations and the module-map equations are then plain rational matrix
+identities.
 """
 
 from functools import cache
-from itertools import combinations
 
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -18,7 +17,7 @@ import mfsym.mf as mf
 import mfsym.scalars as scalars
 from mfsym.linalg import sparse_echelon
 from mfsym.clifford import (
-    CliffAlg, CliffMod, CliffModMor, QuadForm, module_act, module_hom_dim,
+    CliffAlg, CliffMod, QuadForm, module_hom_dim,
     module_validate, mf_to_clifford_module, parity_shift, smat,
 )
 from mfsym.polys import Poly
@@ -76,51 +75,6 @@ def test_module_validate_matches_sympy(data):
             if gs[i] * gs[j] + gs[j] * gs[i]
             != 2 * (diag[i] if i == j else 0) * sympy.eye(size)]
     assert module_validate(m) == want
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_module_act_matches_sympy(data):
-    m, _, raw = _draw_module(data)
-    n = len(raw)
-    gs = _sym_gammas(m, raw)
-    subsets = [s for k in range(n + 1) for s in combinations(range(n), k)]
-    picked = data.draw(st.lists(st.sampled_from(subsets), max_size=4, unique=True))
-    elem = {s: Scalar.from_rational(data.draw(st.sampled_from([1, -1, 3]))) for s in picked}
-    parity = data.draw(st.integers(0, 1))
-    a0, a1 = m.dims
-    size = a0 + a1
-    total = sympy.zeros(size, size)
-    for s, c in elem.items():
-        word = sympy.eye(size)
-        for j in s:
-            word = word * gs[j]
-        total += c.as_fraction() * word
-    cols = slice(0, a0) if parity == 0 else slice(a0, size)
-    src = m.dims[parity]
-    even, odd = module_act(m, elem, parity)
-    assert _sym_of_block(even, a0, src) == total[:a0, cols]
-    assert _sym_of_block(odd, a1, src) == total[a0:, cols]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_is_module_map_matches_sympy(data):
-    m, _, raw = _draw_module(data)
-    target, _, raw_t = (m, None, raw) if data.draw(st.booleans()) else _draw_module(data, len(raw))
-    (a0, a1), (b0, b1) = m.dims, target.dims
-    kind = data.draw(st.sampled_from(["drawn", "zero", "scalar"]))
-    if kind == "drawn":
-        f0, f1 = _block(data, b0, a0), _block(data, b1, a1)
-    else:
-        c = 0 if kind == "zero" else data.draw(st.sampled_from([1, -2]))
-        f0 = [[c if r == k else 0 for k in range(a0)] for r in range(b0)]
-        f1 = [[c if r == k else 0 for k in range(a1)] for r in range(b1)]
-    F = sympy.zeros(b0 + b1, a0 + a1)
-    F[:b0, :a0] = _sym(f0, b0, a0)
-    F[b0:, a0:] = _sym(f1, b1, a1)
-    want = all(F * g == h * F for g, h in zip(_sym_gammas(m, raw), _sym_gammas(target, raw_t)))
-    assert CliffModMor(m, target, smat(f0), smat(f1)).is_module_map() == want
 
 
 @cache

@@ -11,9 +11,7 @@ from mfsym.mf import (
     rank_one, mf_new, identity_mor, MFMor, hom_diff, diff_mor, external_tensor,
     window_monomials, window_operator, window_slots,
 )
-from mfsym.cohomology import (
-    hom_cohomology, null_homotopy, default_cutoff, knorrer_hom_preservation,
-)
+from mfsym.cohomology import hom_cohomology, default_cutoff, knorrer_hom_preservation
 import mfsym.catalog as catalog
 
 
@@ -56,27 +54,6 @@ def test_a_series_dims():
         assert rep.stable
 
 
-def test_null_homotopy_of_potential_scale():
-    for name, M in catalog.mf_catalog()[:6]:
-        f = identity_mor(M)
-        scaled = MFMor(M, M, 0,
-                       tuple(tuple(p * M.w for p in row) for row in f.f0),
-                       tuple(tuple(p * M.w for p in row) for row in f.f1))
-        cutoff = default_cutoff(M.w)
-        h = null_homotopy(scaled, cutoff)
-        assert h is not None, name
-        back = hom_diff(h)
-
-        def low(p):
-            return {e: c for e, c in p.terms.items() if sum(e) <= cutoff}
-
-        for blk_h, blk_f in ((back.f0, scaled.f0), (back.f1, scaled.f1)):
-            for row_h, row_f in zip(blk_h, blk_f):
-                for ph, pf in zip(row_h, row_f):
-                    # compare within the window of degree <= cutoff
-                    assert low(ph) == low(pf)
-
-
 def test_half_differential_is_exact_witness():
     half = Scalar.from_rational(1) / Scalar.from_rational(2)
     for name, M in catalog.mf_catalog():
@@ -90,13 +67,6 @@ def test_half_differential_is_exact_witness():
                                   for row in ident.f0), name
         assert target.f1 == tuple(tuple(p * M.w for p in row)
                                   for row in ident.f1), name
-
-
-def test_identity_is_not_null_homotopic():
-    ring = RingSpec(("x",))
-    x = Poly.variable(ring, "x")
-    M = rank_one(x, x)
-    assert null_homotopy(identity_mor(M), 4) is None
 
 
 def test_knorrer_preserves_hom_dims():

@@ -12,11 +12,12 @@ from mfsym.groups import (
     cyclic_group, dihedral_group, product_group, ActionSpec, validate_action,
     potential_invariance,
     Char1, Cocycle2, cocycle_check, universal_sign_cocycle,
-    ANTILINEAR, CONTRAVARIANT, twist_mf, twist_mor, diagonal_action,
+    ANTILINEAR, CONTRAVARIANT, twist_mf, diagonal_action,
     fresh_variable_pair, join_actions,
 )
 from mfsym.mf import rank_one, identity_mor
 import mfsym.catalog as catalog
+from oracles import twist_mor
 
 
 def test_group_presets_validate():

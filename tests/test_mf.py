@@ -17,12 +17,13 @@ from mfsym.mf import (
     MF, MFMor, MFError, mf_new, rank_one, identity_mor, compose,
     diff_mor, hom_diff, is_closed, is_isomorphism, mor_inverse, shift,
     shift_mor, dual, dual_mor, double_dual_iso, grading_iso, external_tensor,
-    external_tensor_mor, swap_iso, shift_tensor_iso_left,
+    swap_iso, shift_tensor_iso_left,
     shift_tensor_iso_right, tensor_dual_pairing, knorrer_apply,
     mat_mul, mat_identity, mat_zero, mat_det, mat_inverse, mat_eq, mat_neg,
     mat_block, join_rings, lift_poly, lift_mat, negate_mf,
 )
 import mfsym.catalog as catalog
+from oracles import external_tensor_mor
 
 
 RNG = random.Random(20240824)

@@ -19,19 +19,19 @@ from mfsym.groups import (
 )
 from mfsym.mf import (
     MF, MFMor, rank_one, identity_mor, compose, is_closed, mor_inverse, scaled_identity,
-    equation, external_tensor, external_tensor_mor, mat_block, mat_identity, mat_neg, mat_zero,
-    Verdict,
+    equation, external_tensor, mat_block, mat_identity, mat_neg, mat_zero, Verdict,
 )
 from mfsym.orientifold import (
     PLAIN, SHIFTED, ContraRep, ContraRealStruct, rank_one_contra_condition,
     verify_contra_structure, theta_cocycle_check,
     fixed_point_duality, duality_comparison, comparison_torsor_check,
-    verify_duality, orientifold_knorrer, double_knorrer,
+    orientifold_knorrer, double_knorrer,
     hyperbolic_transport_check, eta_blocks, eta_coherence_check, _extend_rep,
 )
 from mfsym.mf import dual, dual_mor, double_dual_iso
-from mfsym.cli import load_scenario, _contra_witness
+from mfsym.cli import load_scenario, _cocycle, _contra_witness, _run
 import mfsym.catalog as catalog
+from oracles import external_tensor_mor, verify_duality
 
 
 RING = RingSpec(("u", "v"), conductor=4)
@@ -242,6 +242,15 @@ def _non_cocycle_twist():
     one, two = Scalar.one(), Scalar.from_rational(2)
     return ContraRep(rep.group, rep.action, W, SHIFTED,
                      Cocycle2(rep.group, CONTRAVARIANT, ((one, one), (one, two))))
+
+
+def test_suite_cocycle_verdict_names_the_elements_of_a_non_cocycle_twist():
+    """The orientifold suite's 2-cocycle entry, given a twist that is not
+    a 2-cocycle, names the identity, the rep and the elements."""
+    [result] = _run([("twist-is-2-cocycle", _cocycle(_non_cocycle_twist().twist, "C2", SHIFTED),
+                      {})])
+    assert not result.ok and result.detail == {"failed": {
+        "identity": "2-cocycle", "at": ["C2", "shifted", "g1", "g1", "g1"], "term": None}}
 
 
 def _knorrer_case(rep, M):

@@ -16,11 +16,10 @@ from hypothesis import given, settings, strategies as st
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.mf import (
-    compose, diff_mor, dual, dual_mor, external_tensor, external_tensor_mor,
-    identity_mor, mf_key, mor_from_coordinates, rank_one, shift, shift_mor,
-    window_monomials, window_slots,
+    compose, diff_mor, dual, dual_mor, external_tensor, identity_mor, mf_key, rank_one, shift,
+    shift_mor, window_monomials, window_slots,
 )
-from mfsym.groups import ActionSpec, CONTRAVARIANT, cyclic_group, twist_mf, twist_mor
+from mfsym.groups import ActionSpec, CONTRAVARIANT, cyclic_group, twist_mf
 import mfsym.groups as groups
 import mfsym.mf as mf
 import mfsym.orientifold as orientifold
@@ -30,6 +29,7 @@ from mfsym.orientifold import (
     orientifold_knorrer, double_knorrer, verify_contra_structure, _extend_rep,
 )
 
+from oracles import external_tensor_mor, mor_from_coordinates, twist_mor
 from test_orientifold import (
     RING, U, V, W, c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep, witness, _eta_mor,
 )
