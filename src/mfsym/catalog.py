@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec
-from .mf import MF, rank_one, external_tensor, knorrer_apply, identity_mor, scaled_identity
+from .mf import MF, rank_one, external_tensor, identity_mor, scaled_identity
 from .groups import (
-    GroupSpec, ActionSpec, ANTILINEAR, ContraRep, cyclic_group, dihedral_group,
+    ActionSpec, ANTILINEAR, ContraRep, cyclic_group, dihedral_group,
     diagonal_action, scaled_fixed_point, twist_mf,
 )
 from .real import RealStruct, rank_one_real_condition, tensor_real_structure, real_knorrer
@@ -51,12 +51,12 @@ def mf_catalog():
     yv, zv = Poly.variable(Ry, "y"), Poly.variable(Ry, "z")
     K = rank_one(yv, zv)
     out.append(("tensor-uv-yz", external_tensor(rank_one(u, v), K)))
-    out.append(("knorrer-square", knorrer_apply(rank_one(x, x), K)))
-    out.append(("knorrer-a2", knorrer_apply(rank_one(x, x * x), K)))
+    out.append(("knorrer-square", external_tensor(rank_one(x, x), K)))
+    out.append(("knorrer-a2", external_tensor(rank_one(x, x * x), K)))
     Rst = _ring(("s", "t"), conductor=3)
     K2 = rank_one(Poly.variable(Rst, "s"), Poly.variable(Rst, "t"))
     out.append(("knorrer-cubic-line",
-                knorrer_apply(rank_one(xx + yy, xx * xx - xx * yy + yy * yy), K2)))
+                external_tensor(rank_one(xx + yy, xx * xx - xx * yy + yy * yy), K2)))
 
     Rq1 = _ring(("x",))
     spin = spinor_module()
@@ -78,14 +78,10 @@ def an_rank_one(n: int) -> MF:
 # ---------------------------------------------------------------------------
 # Real structures
 
-def conjugation_group() -> GroupSpec:
-    return cyclic_group(2, graded=True)
-
-
 def conjugation_action(ring: RingSpec, signs=None) -> ActionSpec:
     """The antilinear action whose odd generator conjugates coefficients
     and scales the variables by the given signs (default all +1)."""
-    g = conjugation_group()
+    g = cyclic_group(2, graded=True)
     if signs is None:
         signs = (1,) * ring.nvars
     eigen = {

@@ -67,7 +67,7 @@ class ScenarioError(ValueError):
 # Size bounds on what a scenario may ask for; past them, reading and
 # checking it takes seconds to hours.
 MAX_GROUP_ORDER = 64
-MAX_ITERATIONS = 5  # of eightfold-consistency; each costs about 20x the one before
+MAX_ITERATIONS = 5  # of eightfold-consistency; each costs about 4-5x the one before
 # monomials of a power's or a product's degree or lower; bounds an exponent too
 MAX_POWER_MONOMIALS = 500
 MAX_CONDUCTOR = 360  # of the ring and of the zeta orders of one expression
@@ -400,7 +400,10 @@ def _rank_one(params: dict, found, verify, *at):
     """The verdict that found, (chi values, witness) or None, is as params'
     expect says ("exists" or "none"), and that a witness that should exist
     verifies; a missing or an unexpected witness fails at at."""
-    if params.get("expect", "exists") == "none":
+    expect = params.get("expect", "exists")
+    if expect not in ("exists", "none"):
+        raise ScenarioError(f"expect must be exists or none, got {expect!r}")
+    if expect == "none":
         return _check(found is None, "unexpected witness", *at), {"found": found is not None}
     if found is None:
         return Verdict(False, "no witness", at), {"found": False}
@@ -409,9 +412,8 @@ def _rank_one(params: dict, found, verify, *at):
 
 
 def task_rank_one_real(sc: Scenario, params: dict):
-    found = rank_one_real_condition(_action(sc, ANTILINEAR))
-    return _rank_one(params, found and (found[0].values, found[1]), verify_real_structure,
-                     ANTILINEAR)
+    return _rank_one(params, rank_one_real_condition(_action(sc, ANTILINEAR)),
+                     verify_real_structure, ANTILINEAR)
 
 
 def task_real_knorrer(sc: Scenario, params: dict):

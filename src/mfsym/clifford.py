@@ -419,7 +419,8 @@ def real_clifford_fixed(r: int, s: int):
     """Realizes the signature algebra inside the complex Clifford algebra
     of the sum-of-squares form fixed by conjugation composed with negation
     of the last s coordinates: f_j = e_j for j < r and f_j = i e_j after.
-    Returns (CliffAlg over the rationals, relations verified flag)."""
+    Returns (CliffAlg over the rationals, relations verified flag); the
+    check stops at the first relation that fails."""
     n = r + s
     amb = CliffAlg(QuadForm.diagonal([1] * n))
     ivec = Scalar.i()
@@ -428,15 +429,14 @@ def real_clifford_fixed(r: int, s: int):
         g = amb.generator(j)
         gens.append(g if j < r else element_scale(ivec, g))
     target = cl_rs(r, s)
-    ok = True
     for a in range(n):
         for b in range(n):
             prod = element_add(clifford_mul(amb, gens[a], gens[b]),
                                clifford_mul(amb, gens[b], gens[a]))
             want = element_scale(_to_scalar(2) * target.quad.value(a, b), amb.unit())
             if not element_eq(prod, want):
-                ok = False
-    return target, ok
+                return target, False
+    return target, True
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +469,8 @@ class GradedTensorAlg:
 def graded_tensor(a: CliffAlg, b: CliffAlg):
     """(Clifford algebra of the direct-sum form, isomorphism verified flag):
     checks that v + v' maps to v tensor 1 + 1 tensor v' compatibly with all
-    generator relations and carries the monomial basis to a basis."""
+    generator relations and carries the monomial basis to a basis; the
+    check stops at the first relation or basis image that fails."""
     total = CliffAlg(a.quad.direct_sum(b.quad))
     tensor = GradedTensorAlg(a, b)
     n, m = a.quad.dimension, b.quad.dimension
@@ -478,7 +479,6 @@ def graded_tensor(a: CliffAlg, b: CliffAlg):
         images.append({((j,), ()): Scalar.one()})
     for j in range(m):
         images.append({((), (j,)): Scalar.one()})
-    ok = True
     two = _to_scalar(2)
     for x in range(n + m):
         for y in range(x, n + m):
@@ -489,7 +489,7 @@ def graded_tensor(a: CliffAlg, b: CliffAlg):
             for p, q in {(x, y), (y, x)}:
                 c = two * total.quad.value(p, q)
                 if prod != ({((), ()): c} if not c.is_zero() else {}):
-                    ok = False
+                    return total, False
     # basis check: images of sorted monomials are single pair-basis terms;
     # the basis lists each prefix first, so one product extends its image
     image_of = {(): tensor.unit()}
@@ -499,15 +499,12 @@ def graded_tensor(a: CliffAlg, b: CliffAlg):
             image_of[subset] = tensor.mul(image_of[subset[:-1]], images[subset[-1]])
         img = image_of[subset]
         if len(img) != 1:
-            ok = False
-            continue
+            return total, False
         (pair, coeff), = img.items()
         if not (coeff == Scalar.one() or coeff == -Scalar.one()):
-            ok = False
+            return total, False
         seen.add(pair)
-    if len(seen) != total.dimension:
-        ok = False
-    return total, ok
+    return total, len(seen) == total.dimension
 
 
 def signature(q: QuadForm) -> tuple[int, int]:

@@ -248,7 +248,7 @@ def validate_action(a: ActionSpec, w: Poly) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# characters and cocycles
+# the unit action and cocycles
 
 def _graded_act(setting: str, grading: int, c: Scalar) -> Scalar:
     """The action of a group element on a coefficient-field unit: odd elements
@@ -258,34 +258,6 @@ def _graded_act(setting: str, grading: int, c: Scalar) -> Scalar:
     if setting == ANTILINEAR:
         return c.conjugate()
     return c.inverse()
-
-
-@dataclass(frozen=True)
-class Char1:
-    group: GroupSpec
-    setting: str
-    values: tuple[Scalar, ...]
-
-    def value(self, i: int) -> Scalar:
-        return self.values[i]
-
-    def check(self) -> bool:
-        g = self.group
-        if not (self.values[g.identity] == 1):
-            return False
-        for i in g.elements():
-            if self.values[i].is_zero():
-                return False
-            for j in g.elements():
-                lhs = self.values[g.mul(i, j)]
-                rhs = self.values[i] * _graded_act(self.setting, g.grading[i], self.values[j])
-                if not (lhs == rhs):
-                    return False
-        return True
-
-    @staticmethod
-    def trivial(group: GroupSpec, setting: str) -> "Char1":
-        return Char1(group, setting, (Scalar.one(),) * group.order)
 
 
 @dataclass(frozen=True)
@@ -310,12 +282,6 @@ class Cocycle2:
             for i in self.group.elements()
         )
         return Cocycle2(self.group, self.setting, vals)
-
-    def is_trivial(self) -> bool:
-        return all(
-            self.values[i][j] == 1
-            for i in self.group.elements() for j in self.group.elements()
-        )
 
 
 def cocycle_check(mu: Cocycle2) -> Verdict:
@@ -372,6 +338,7 @@ class ContraRep:
     Every other element acts by the twist functor.  The coherence data
     theta_{g,h} is two block scalars, theta_scalars, at every object; an
     antilinear rep has mu(g,h) on both blocks and keeps the plain variant.
+    A twist of None is the trivial cocycle, stored as one.
 
     Each rep keeps the objects rho(i)(M) built from it under
     (i, mf_key(M)).  A key holds the full content of its inputs, so a hit
@@ -392,6 +359,8 @@ class ContraRep:
         if self.variant not in variants:
             raise ValueError(f"variant {self.variant!r} is not one of {variants} in the "
                              f"{self.action.setting} setting")
+        if self.twist is None:
+            object.__setattr__(self, "twist", Cocycle2.trivial(self.group, self.action.setting))
 
 
 def rep_apply(rep: ContraRep, i: int, M: MF) -> MF:
@@ -425,7 +394,7 @@ def theta_scalars(rep: ContraRep, i2: int, i1: int) -> tuple[Scalar, Scalar]:
     in the plain variant.  In the shifted variant the two shifts cancel the
     double dual; the sign of moving a shift past the dual is carried by the
     universal sign cocycle in the twist."""
-    c = Scalar.one() if rep.twist is None else rep.twist.value(i2, i1)
+    c = rep.twist.value(i2, i1)
     return c, (-c if rep.action.flips(i2) and rep.action.flips(i1) and rep.variant == PLAIN else c)
 
 

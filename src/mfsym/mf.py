@@ -718,12 +718,6 @@ def tensor_dual_pairing(M: MF, N: MF) -> MFMor:
                                   tensor_basis(M, N), place)
 
 
-def knorrer_apply(M: MF, K: MF) -> MF:
-    if K.ranks != (1, 1):
-        raise MFError("Knoerrer kernel must have ranks (1,1)")
-    return external_tensor(M, K)
-
-
 def shift_tensor_iso_left(M: MF, N: MF) -> MFMor:
     """Canonical closed iso (Sigma M) x N -> Sigma(M x N)."""
     src = external_tensor(shift(M), N)

@@ -240,8 +240,7 @@ def _extend_rep(rep: ContraRep, K: MF) -> ContraRep:
     kernel = diagonal_action(g, K.ring, CONTRAVARIANT, {
         i: (Scalar.from_rational(g.grading[i]), Scalar.one()) for i in g.elements()})
     action = join_actions(rep.action, kernel)
-    cheat = universal_sign_cocycle(g, CONTRAVARIANT)
-    twist = cheat if rep.twist is None else rep.twist.multiply(cheat)
+    twist = rep.twist.multiply(universal_sign_cocycle(g, CONTRAVARIANT))
     new_w = lift_poly(rep.w, action.ring) + lift_poly(K.w, action.ring)
     return ContraRep(g, action, new_w, SHIFTED if rep.variant == PLAIN else PLAIN, twist)
 
@@ -327,11 +326,7 @@ def double_knorrer(s: ContraRealStruct):
     result is a structure for the original variant and twist."""
     once, ok1 = orientifold_knorrer(s)
     twice, ok2 = orientifold_knorrer(once)
-    rep = twice.rep
-    if rep.variant != s.rep.variant:
-        raise ValueError(f"two Knoerrer steps give the {rep.variant} variant "
+    if twice.rep.variant != s.rep.variant:
+        raise ValueError(f"two Knoerrer steps give the {twice.rep.variant} variant "
                          f"from the {s.rep.variant} one")
-    if s.rep.twist is None and rep.twist is not None and rep.twist.is_trivial():
-        rep = ContraRep(rep.group, rep.action, rep.w, rep.variant, None)
-        twice = ContraRealStruct(twice.base, rep, twice.u)
     return twice, ok1 and ok2  # the first failing verdict

@@ -18,15 +18,15 @@ import math
 from dataclasses import dataclass
 
 from .scalars import Scalar, euler_phi
-from .polys import Poly, RingSpec, jacobi_basis
+from .polys import RingSpec
 from .mf import (
     MF, MFError, MFMor, Verdict, rank_one, scaled_identity, diff_mor, external_tensor,
     tensor_mor_blocks, window_monomials, window_operator, window_slots,
 )
 from .groups import (
-    ActionSpec, Char1, Cocycle2, ContraRep, GroupSpec, ANTILINEAR, diagonal_action,
+    ActionSpec, Cocycle2, ContraRep, GroupSpec, ANTILINEAR, diagonal_action,
     fresh_variable_pair, join_actions, rank_one_character, twist_mf, validate_action,
-    verify_fixed_point,
+    verify_fixed_point, _graded_act,
 )
 from .linalg import sparse_rank
 
@@ -36,7 +36,11 @@ class RealStruct:
     base: MF
     action: ActionSpec
     u: tuple[MFMor, ...]  # per group element: base -> twist(sigma, base)
-    twist: Cocycle2 | None = None
+    twist: Cocycle2 | None = None  # None is the trivial cocycle, stored as one
+
+    def __post_init__(self):
+        if self.twist is None:
+            object.__setattr__(self, "twist", Cocycle2.trivial(self.group, self.action.setting))
 
     @property
     def group(self) -> GroupSpec:
@@ -60,17 +64,20 @@ def verify_real_structure(s: RealStruct) -> Verdict:
 
 def rank_one_real_condition(act: ActionSpec):
     """For an antilinear action on a two-variable ring with w = u*v: returns
-    (chi, witness RealStruct) when every sigma scales the first variable by
-    chi(sigma) and the second by its inverse, else None.  The witness's
-    components are chi(sigma) times the identity, so its Real cocycle law
-    is chi's own law, which Char1.check has just verified."""
-    uvar, vvar, values = rank_one_character(act)
+    (chi values, witness RealStruct) when every sigma scales the first
+    variable by chi(sigma) and the second by its inverse, and chi obeys the
+    crossed law chi(e) = 1, chi(gh) = chi(g) * g(chi(h)); else None.  The
+    witness's components are chi(sigma) times the identity, so its Real
+    cocycle law is chi's crossed law, checked here."""
+    uvar, vvar, chi = rank_one_character(act)
     g = act.group
-    if values is None or not (chi := Char1(g, ANTILINEAR, values)).check():
+    if chi is None or chi[g.identity] != 1 or not all(
+            chi[g.mul(i, j)] == chi[i] * _graded_act(ANTILINEAR, g.grading[i], chi[j])
+            for i in g.elements() for j in g.elements()):
         return None
     base = rank_one(uvar, vvar)
     struct = RealStruct(base, act, tuple(
-        scaled_identity(base, twist_mf(act.map_of(i), base), 1, chi.value(i))
+        scaled_identity(base, twist_mf(act.map_of(i), base), 1, chi[i])
         for i in g.elements()
     ))
     return chi, struct
@@ -85,14 +92,7 @@ def tensor_real_structure(sM: RealStruct, sN: RealStruct) -> RealStruct:
         # the tensor of the twists equals the twist of the tensor on the nose
         comps.append(MFMor(base, twist_mf(act.map_of(i), base), 0,
                            *tensor_mor_blocks(sM.u[i], sN.u[i])))
-    twist = None
-    if sM.twist is not None or sN.twist is not None:
-        ta = sM.twist or Cocycle2.trivial(act.group, ANTILINEAR)
-        tb = sN.twist or Cocycle2.trivial(act.group, ANTILINEAR)
-        twist = ta.multiply(tb)
-        if twist.is_trivial():
-            twist = None
-    return RealStruct(base, act, tuple(comps), twist)
+    return RealStruct(base, act, tuple(comps), sM.twist.multiply(sN.twist))
 
 
 def knorrer_action(group: GroupSpec, ring: RingSpec) -> ActionSpec:
@@ -139,22 +139,16 @@ class FixedMorSpace:
     scale: int
 
 
-def default_chain_cutoff(w: Poly) -> int:
-    """Entry-degree bound for chain-level searches: socle degree + 1."""
-    _, socle = jacobi_basis(w)
-    return socle + 1
-
-
-def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int | None = None) -> FixedMorSpace:
+def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int) -> FixedMorSpace:
     """The fixed space of morphisms s.base -> sp.base of the given parity;
     its dimension over Q is scale * (len(columns) - their rank).
 
     Both structures must pass verify_real_structure; this is not checked
     here.  Then A_g(f) = u'_g^-1 f^g u_g satisfies A_t A_s = (mu'/mu)(t, s)
     A_ts for the twists mu of s and mu' of sp.  A fixed f != 0 forces
-    mu = mu', so twists that differ literally (None is trivial) leave no
-    unknowns.  Equal twists make A a true action.  Its linear elements G_0
-    (all of G when L <= 2, where conjugation is trivial on K) cut out the
+    mu = mu', so twists that differ literally leave no unknowns.  Equal
+    twists make A a true action.  Its linear elements G_0 (all of G when
+    L <= 2, where conjugation is trivial on K) cut out the
     K-space W by K-linear residuals, and any antilinear sigma acts on W as
     a semilinear involution: by Speiser's lemma (Hilbert 90 for GL_n) its
     fixed part is a Q(zeta_L)^+-form of W, so scale is phi(L)/2.  With no
@@ -167,14 +161,11 @@ def fixed_hom(s: RealStruct, sp: RealStruct, parity: int, cutoff: int | None = N
         raise MFError("rings differ")
     if not M.w == N.w:
         raise MFError("potentials differ")
-    if cutoff is None:
-        cutoff = default_chain_cutoff(M.w)
     L = _field_conductor(s, sp)
     monomials = window_monomials(M.ring.nvars, cutoff)
     anti = L > 2 and any(s.action.map_of(i).antilinear for i in s.group.elements())
-    trivial = Cocycle2.trivial(s.group, ANTILINEAR)
     columns = ([{} for _ in window_slots(M, N, parity, monomials)]
-               if (s.twist or trivial).values == (sp.twist or trivial).values else [])
+               if s.twist.values == sp.twist.values else [])
     for i in s.group.elements():
         rm = s.action.map_of(i)
         if columns and i != s.group.identity and not (anti and rm.antilinear):

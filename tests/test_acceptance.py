@@ -17,9 +17,9 @@ from mfsym.groups import (
 )
 from mfsym.mf import (
     MFMor, rank_one, identity_mor, compose, diff_mor, hom_diff, is_closed,
-    is_isomorphism, shift, shift_mor, dual, dual_mor, double_dual_iso,
+    is_isomorphism, shift_mor, dual, dual_mor, double_dual_iso,
     grading_iso, swap_iso, shift_tensor_iso_left, shift_tensor_iso_right,
-    tensor_dual_pairing, mat_mul, mat_eq,
+    tensor_dual_pairing, mat_mul,
 )
 from mfsym.real import (
     RealStruct, verify_real_structure, rank_one_real_condition, real_knorrer,
@@ -30,9 +30,7 @@ from mfsym.orientifold import (
     duality_comparison, comparison_torsor_check, orientifold_knorrer,
     double_knorrer, eta_blocks, eta_coherence_check, _extend_rep,
 )
-from mfsym.clifford import (
-    beh_hom_compare, cl_rs, graded_tensor, signature,
-)
+from mfsym.clifford import beh_hom_compare
 from mfsym.cohomology import (
     hom_cohomology, default_cutoff, knorrer_hom_preservation,
 )

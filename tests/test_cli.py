@@ -568,6 +568,7 @@ def test_every_op_on_a_bare_scenario_passes_or_names_the_problem(tmp_path, op, o
 C2_CONTRAVARIANT = {"group": "C(2)", "setting": "contravariant",
                     "action": [["u", "v"], ["-u", "v"]]}
 HYPERBOLIC = {"d0": [["u"]], "d1": [["v"]]}
+C2_SHIFTED = {**C2_CONTRAVARIANT, "variant": "shifted", "twist": "universal-sign"}
 
 # op, scenario fields, task parameters
 BAD_TASKS = {
@@ -579,6 +580,8 @@ BAD_TASKS = {
     "d1-number": ("hom-cohomology", {}, {"d0": [["u"]], "d1": 5}),
     "d0-ragged": ("null-homotopy-scale", {}, {"d0": [["u"], ["v", "u"]], "d1": [["v"]]}),
     "expect-number": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": 5}),
+    "expect-unknown": ("rank-one-orientifold", C2_SHIFTED, {"expect": "nope"}),
+    "expect-null": ("rank-one-orientifold", C2_SHIFTED, {"expect": None}),
     "iterations-bool": ("eightfold-consistency", {}, {"iterations": True}),
     "iterations-float": ("eightfold-consistency", {}, {"iterations": 2.5}),
     "iterations-zero": ("eightfold-consistency", {}, {"iterations": 0}),
@@ -610,8 +613,7 @@ OP_FAILURES = {
                             "w id = D(d/2)", ["ranks [1, 1]"]),
     "eightfold-consistency": ({}, {}, ("signature", lambda f: lambda q: (0, 0)),
                               "tensor signature", ["Cl(4,4)"]),
-    "rank-one-orientifold": ({**C2_CONTRAVARIANT, "variant": "shifted", "twist": "universal-sign"},
-                             {"expect": "none"}, None, "unexpected witness",
+    "rank-one-orientifold": (C2_SHIFTED, {"expect": "none"}, None, "unexpected witness",
                              ["contravariant", "shifted"]),
     "real-knorrer": ({"group": "C(2)", "setting": "antilinear",
                       "action": [["u", "v"], ["v", "u"]]}, {}, None, "no witness", ["antilinear"]),

@@ -8,9 +8,9 @@ import pytest
 
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingMap, RingSpec
-from mfsym.mf import mat_mul, mat_eq
+from mfsym.mf import mat_mul
 from mfsym.clifford import (
-    QuadForm, CliffAlg, CliffMod, clifford_mul, element_eq,
+    QuadForm, CliffMod, clifford_mul, element_eq,
     module_validate, beh_phi, module_hom_dim,
     beh_hom_compare, module_twist, beh_twist_intertwined, parity_shift,
     cl_rs, real_clifford_fixed, graded_tensor, GradedTensorAlg, signature,
@@ -133,6 +133,30 @@ def test_graded_tensor_tower(monkeypatch):
     # per step of k generators: k(k+1) for the relations and 2^k - 1 for
     # the basis, k = 4, 6, 8
     assert calls == sum(k * (k + 1) + 2 ** k - 1 for k in (4, 6, 8))
+
+
+def test_graded_tensor_stops_at_the_first_failing_relation(monkeypatch):
+    """Without the Koszul sign a left and a right generator commute, so
+    Cl(1,1) x Cl(1,1) fails its first mixed relation, and the check stops
+    there: before the k(k+1) = 20 products of all relations, k = 4."""
+    calls = 0
+
+    def unsigned_mul(self, a, b):
+        nonlocal calls
+        calls += 1
+        out = {}
+        one = Scalar.one()
+        for (sa, ta), ca in a.items():
+            for (sb, tb), cb in b.items():
+                for ls, lc in clifford_mul(self.left, {sa: one}, {sb: one}).items():
+                    for rs, rc in clifford_mul(self.right, {ta: one}, {tb: one}).items():
+                        clifford._elem_add(out, (ls, rs), ca * cb * lc * rc)
+        return out
+
+    monkeypatch.setattr(GradedTensorAlg, "mul", unsigned_mul)
+    _, iso = graded_tensor(cl_rs(1, 1), cl_rs(1, 1))
+    assert not iso
+    assert calls < 4 * 5
 
 
 def test_twist_intertwines_bridge():

@@ -11,11 +11,12 @@ from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.groups import (
     cyclic_group, dihedral_group, product_group, ActionSpec, validate_action,
     potential_invariance,
-    Char1, Cocycle2, cocycle_check, universal_sign_cocycle,
+    cocycle_check, universal_sign_cocycle,
     ANTILINEAR, CONTRAVARIANT, twist_mf, diagonal_action,
     fresh_variable_pair, join_actions,
 )
 from mfsym.mf import rank_one, identity_mor
+from mfsym.real import rank_one_real_condition
 import mfsym.catalog as catalog
 from oracles import twist_mor
 
@@ -99,13 +100,21 @@ def test_validate_action_names_the_failing_identity_and_element(images, antiline
 
 
 def test_char_crossed_law():
+    """rank_one_real_condition checks chi's crossed law on the C4 action
+    that scales u by chi and v by its inverse, odd elements antilinear."""
     g = cyclic_group(4, graded=True)
+    ring = RingSpec(("u", "v"), conductor=4)
     i = Scalar.i()
+
+    def action(chi):
+        return diagonal_action(g, ring, ANTILINEAR,
+                               {k: (c, c.inverse()) for k, c in enumerate(chi)})
+
     # chi(r) = i works antilinearly: chi(r^2) = i * conj(i) = 1
-    chi = Char1(g, ANTILINEAR, (Scalar.one(), i, Scalar.one(), i))
-    assert chi.check()
-    bad = Char1(g, ANTILINEAR, (Scalar.one(), i, -Scalar.one(), i))
-    assert not bad.check()
+    chi = (Scalar.one(), i, Scalar.one(), i)
+    found = rank_one_real_condition(action(chi))
+    assert found is not None and found[0] == chi
+    assert rank_one_real_condition(action((Scalar.one(), i, -Scalar.one(), i))) is None
 
 
 def test_universal_sign_cocycle():

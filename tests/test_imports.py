@@ -1,7 +1,7 @@
-"""No module of the package imports a name at module level that it never
-uses, no top-level name goes unused by the program, no function assigns a name it
-never reads, validation does not drift back onto assert statements, and
-checks return verdicts rather than bare bools."""
+"""No module of the package or of the tests imports a name at module level
+that it never uses, no top-level name goes unused by the program, no
+function assigns a name it never reads, validation does not drift back
+onto assert statements, and checks return verdicts rather than bare bools."""
 
 import ast
 from collections import Counter
@@ -35,7 +35,7 @@ def test_sources_found():
 
 def test_no_unused_module_level_imports():
     unused = {}
-    for path in SOURCES:
+    for path in SOURCES + sorted(Path(__file__).parent.glob("*.py")):
         names = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
         if names:
             unused[path.name] = names

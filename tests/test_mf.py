@@ -18,7 +18,7 @@ from mfsym.mf import (
     diff_mor, hom_diff, is_closed, is_isomorphism, mor_inverse, shift,
     shift_mor, dual, dual_mor, double_dual_iso, grading_iso, external_tensor,
     swap_iso, shift_tensor_iso_left,
-    shift_tensor_iso_right, tensor_dual_pairing, knorrer_apply,
+    shift_tensor_iso_right, tensor_dual_pairing,
     mat_mul, mat_identity, mat_zero, mat_det, mat_inverse, mat_eq, mat_neg,
     mat_block, join_rings, lift_poly, lift_mat, negate_mf,
 )
@@ -258,7 +258,7 @@ def test_knorrer_apply_shapes():
     M = rank_one(x, x)
     Ryz = RingSpec(("y", "z"))
     K = rank_one(Poly.variable(Ryz, "y"), Poly.variable(Ryz, "z"))
-    MK = knorrer_apply(M, K)
+    MK = external_tensor(M, K)
     assert MK.ranks == (2, 2)
     assert MK.ring.nvars == 3
 
