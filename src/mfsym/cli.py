@@ -468,8 +468,10 @@ def task_hom_cohomology(sc: Scenario, params: dict):
     M = _mf_from_params(sc, params)
     N = _mf_from_params(sc, params, key_prefix="other_") if "other_d0" in params else M
     cutoff = _count(params, "cutoff", None) or default_cutoff(M.w)
-    if not isinstance(expect := params.get("expect", []), list):
-        raise ScenarioError(f"expect must be a list of dimensions, got {expect!r}")
+    expect = params.get("expect")
+    if "expect" in params and not (isinstance(expect, list) and len(expect) == 2
+                                   and all(type(d) is int and d >= 0 for d in expect)):
+        raise ScenarioError(f"expect must be a list of two dimensions, got {expect!r}")
     entries = max(len(window_slots(M, N, p, [()])) for p in (0, 1))  # one per block entry
     unknowns = entries * math.comb(M.ring.nvars + cutoff + 1, M.ring.nvars)
     if unknowns > MAX_WINDOW_UNKNOWNS:
@@ -477,7 +479,7 @@ def task_hom_cohomology(sc: Scenario, params: dict):
     report = hom_cohomology(M, N, cutoff)
     detail = {"dims": list(report.dims), "cutoff": report.cutoff,
               "stable": report.stable}
-    return _dims_check(report, tuple(expect) if "expect" in params else None), detail
+    return _dims_check(report, None if expect is None else tuple(expect)), detail
 
 
 def _dims_check(report: CohoReport, want=None, *at) -> Verdict:

@@ -3,8 +3,8 @@
 A Clifford algebra is stored by the polarized bilinear matrix of its
 quadratic form, with basis the subsets of the generator index set and
 multiplication by straightening.  Graded modules are pairs of generator
-block matrices with exact anticommutation relations; module products run
-on sparse rows, so they touch only nonzero entries.  The bridge functor
+blocks in ``linalg``'s sparse rows, checked once when the module is built,
+so module products touch only nonzero entries.  The bridge functor
 sends a module to the factorization with differential sum gamma_j x_j.
 Conjugation fixed points realize the signature algebras Cl_{r,s} over
 the rationals, and the graded tensor product carries the periodicity
@@ -20,7 +20,7 @@ from itertools import product as iproduct
 from .scalars import Scalar
 from .polys import Poly, RingSpec
 from .mf import MF, mf_new
-from .linalg import sparse_rank
+from .linalg import _elem_add, _sparse_mul, _sparse_scaled_identity, sparse_rank
 
 
 def _to_scalar(c) -> Scalar:
@@ -106,15 +106,6 @@ class CliffAlg:
         return {(j,): Scalar.one()}
 
 
-def _elem_add(acc: dict, subset, c: Scalar) -> None:
-    cur = acc.get(subset)
-    new = c if cur is None else cur + c
-    if new.is_zero():
-        acc.pop(subset, None)
-    else:
-        acc[subset] = new
-
-
 def element_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for s, c in b.items():
@@ -174,68 +165,45 @@ def clifford_mul(alg: CliffAlg, a: dict, b: dict) -> dict:
 
 @dataclass(frozen=True)
 class CliffMod:
-    """A graded module by generator blocks: gammas[j] = (g0, g1) with
-    g0: A0 -> A1 of shape a1 x a0 and g1: A1 -> A0 of shape a0 x a1,
-    entries in the scalar field."""
+    """A graded module by generator blocks in sparse rows: gammas[j] =
+    (g0, g1) with g0: A0 -> A1 as a1 rows over columns 0..a0-1 and
+    g1: A1 -> A0 as a0 rows over columns 0..a1-1, each a tuple of
+    {column: nonzero scalar} dicts.  Raises ValueError when the generator
+    count, a row count, a column or a value is wrong."""
 
     alg: CliffAlg
     dims: tuple[int, int]
-    gammas: tuple[tuple[tuple, tuple], ...]
+    gammas: tuple[tuple[tuple[dict, ...], tuple[dict, ...]], ...]
 
-
-# A block in sparse rows is a list of {column: nonzero scalar} dicts.
-
-def _sparse_block(block, rows: int, cols: int, what: str) -> list[dict]:
-    """A dense rows x cols block as sparse rows; ValueError on any other shape."""
-    if len(block) != rows:
-        raise ValueError(f"{what} has {len(block)} rows, expected {rows}")
-    out = []
-    for r, row in enumerate(block):
-        if len(row) != cols:
-            raise ValueError(f"{what} row {r} has {len(row)} entries, expected {cols}")
-        out.append({c: x for c, x in enumerate(row) if not x.is_zero()})
-    return out
-
-
-def _sparse_gammas(m: CliffMod) -> list[tuple[list[dict], list[dict]]]:
-    """The generator blocks as sparse rows, after checking their count and shapes."""
-    n = m.alg.quad.dimension
-    if len(m.gammas) != n:
-        raise ValueError(f"{len(m.gammas)} generators for a form of dimension {n}")
-    a0, a1 = m.dims
-    return [(_sparse_block(g0, a1, a0, f"gamma_{j} even block"),
-             _sparse_block(g1, a0, a1, f"gamma_{j} odd block"))
-            for j, (g0, g1) in enumerate(m.gammas)]
-
-
-def _sparse_mul(a: list[dict], b: list[dict], acc: list[dict] | None = None) -> list[dict]:
-    """The product a b of sparse-row blocks, added onto acc when given."""
-    out = [{} for _ in a] if acc is None else acc
-    for row, orow in zip(a, out):
-        for k, x in row.items():
-            for c, y in b[k].items():
-                _elem_add(orow, c, x * y)
-    return out
-
-
-def _sparse_scaled_identity(c: Scalar, n: int) -> list[dict]:
-    return [{r: c} if not c.is_zero() else {} for r in range(n)]
-
-
-def _dense(rows: list[dict], cols: int):
-    zero = Scalar.zero()
-    return tuple(tuple(row.get(c, zero) for c in range(cols)) for row in rows)
+    def __post_init__(self):
+        n = self.alg.quad.dimension
+        if len(self.gammas) != n:
+            raise ValueError(f"{len(self.gammas)} generators for a form of dimension {n}")
+        a0, a1 = self.dims
+        for j, (g0, g1) in enumerate(self.gammas):
+            for what, block, rows, cols in (("even", g0, a1, a0), ("odd", g1, a0, a1)):
+                if len(block) != rows:
+                    raise ValueError(f"gamma_{j} {what} block has {len(block)} rows, "
+                                     f"expected {rows}")
+                for r, row in enumerate(block):
+                    for c, x in row.items():
+                        if not 0 <= c < cols or x.is_zero():
+                            raise ValueError(f"gamma_{j} {what} block row {r} has "
+                                             f"{x} at column {c}, expected a nonzero "
+                                             f"value at a column below {cols}")
 
 
 def smat(rows):
-    return tuple(tuple(_to_scalar(c) for c in row) for row in rows)
+    """A dense literal as sparse rows."""
+    return tuple({c: x for c, x in enumerate(map(_to_scalar, row)) if not x.is_zero()}
+                 for row in rows)
 
 
 def module_validate(m: CliffMod) -> list[tuple[int, int]]:
     """Failing index pairs of the anticommutation relations
     gamma_i gamma_j + gamma_j gamma_i = 2 B_ij I, per parity; empty if valid.
-    Raises ValueError when the generator count or a block shape is wrong."""
-    gs = _sparse_gammas(m)
+    A wrong generator count or block shape is refused earlier, by CliffMod."""
+    gs = m.gammas
     a0, a1 = m.dims
     two = _to_scalar(2)
     failures = []
@@ -268,7 +236,7 @@ def beh_phi(m: CliffMod, ring: RingSpec) -> MF:
     zero = Poly.zero(ring)
     d0 = [[zero] * a0 for _ in range(a1)]
     d1 = [[zero] * a1 for _ in range(a0)]
-    for x, blocks in zip(xs, _sparse_gammas(m)):
+    for x, blocks in zip(xs, m.gammas):
         for d, blk in zip((d0, d1), blocks):
             for r, row in enumerate(blk):
                 for c, v in row.items():
@@ -304,21 +272,18 @@ def mf_to_clifford_module(M: MF) -> CliffMod:
     quad = QuadForm(tuple(tuple(row) for row in bil))
     quad.validate()
 
-    def coeff_mats(mat, rows, cols):
-        out = [[[Scalar.zero()] * cols for _ in range(rows)] for _ in range(n)]
-        for r in range(rows):
-            for c in range(cols):
-                for e, v in mat[r][c].terms.items():
+    def generator_rows(mat):
+        out = [[{} for _ in mat] for _ in range(n)]
+        for r, row in enumerate(mat):
+            for c, entry in enumerate(row):
+                for e, v in entry.terms.items():
                     if sum(e) != 1:
                         raise ValueError("differential entry is not linear")
                     out[e.index(1)][r][c] = v
-        return [tuple(tuple(row) for row in m) for m in out]
+        return [tuple(rows) for rows in out]
 
-    r0, r1 = M.ranks
-    g0s = coeff_mats(M.d0, r1, r0)
-    g1s = coeff_mats(M.d1, r0, r1)
-    mod = CliffMod(CliffAlg(quad), (r0, r1),
-                   tuple((g0s[j], g1s[j]) for j in range(n)))
+    mod = CliffMod(CliffAlg(quad), M.ranks,
+                   tuple(zip(generator_rows(M.d0), generator_rows(M.d1))))
     bad = module_validate(mod)
     if bad:
         raise ValueError(f"anticommutation relations fail at {bad}")
@@ -334,7 +299,7 @@ def module_hom_dim(m: CliffMod, mp: CliffMod) -> int:
     if m.alg != mp.alg:
         raise ValueError("modules over different Clifford algebras")
     rows = []
-    for g, h in zip(_sparse_gammas(m), _sparse_gammas(mp)):
+    for g, h in zip(m.gammas, mp.gammas):
         for p in (0, 1):
             minus_g_cols = [{c: -row[j] for c, row in enumerate(g[p]) if j in row}
                             for j in range(m.dims[p])]
@@ -368,12 +333,13 @@ def module_twist(m: CliffMod, rm) -> CliffMod:
     n = m.alg.quad.dimension
     if ring.nvars != n or len(rm.images) != n:
         raise ValueError("twist needs one image per form variable")
-    gs = _sparse_gammas(m)
+    gs = m.gammas
     if rm.antilinear:
         gs = [tuple([{c: x.conjugate() for c, x in row.items()} for row in blk]
                     for blk in g) for g in gs]
     a0, a1 = m.dims
-    new = [([{} for _ in range(a1)], [{} for _ in range(a0)]) for _ in range(n)]
+    new = tuple((tuple({} for _ in range(a1)), tuple({} for _ in range(a0)))
+                for _ in range(n))
     # image j = sum_k c x_k adds c times old generator j to new generator k
     for img, (g0, g1) in zip(rm.images, gs):
         for e, c in img.terms.items():
@@ -382,8 +348,7 @@ def module_twist(m: CliffMod, rm) -> CliffMod:
             k = e.index(1)
             _sparse_mul(_sparse_scaled_identity(c, a1), g0, new[k][0])
             _sparse_mul(_sparse_scaled_identity(c, a0), g1, new[k][1])
-    return CliffMod(m.alg, m.dims,
-                    tuple((_dense(h0, a0), _dense(h1, a1)) for h0, h1 in new))
+    return CliffMod(m.alg, m.dims, new)
 
 
 def beh_twist_intertwined(m: CliffMod, ring: RingSpec, rm) -> bool:

@@ -9,13 +9,16 @@ then the pivots on keys below k are the rank of all rows so far projected
 onto those keys (the rank profile; Dumas, Pernet and Sultan, ISSAC 2013).
 Rational rows run as primitive int rows, fraction-free (Bareiss 1968), the
 rest as monic Scalar rows: a pivot row is fixed up to a factor (``_ratio``).
+
+A constant matrix is a sequence of such rows, keyed by column; its sum,
+product and scaled identity below touch only the nonzero entries.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import _rational
+from .scalars import Scalar, _rational
 
 
 def _ratio(x, y):
@@ -116,3 +119,26 @@ def _back_substitute(pivots):
             if other_lead < lead and lead in other:
                 _clear(other, row, lead)
     return pivots
+
+
+def _elem_add(acc: dict, subset, c: Scalar) -> None:
+    cur = acc.get(subset)
+    new = c if cur is None else cur + c
+    if new.is_zero():
+        acc.pop(subset, None)
+    else:
+        acc[subset] = new
+
+
+def _sparse_mul(a: list[dict], b: list[dict], acc: list[dict] | None = None) -> list[dict]:
+    """The product a b of sparse-row blocks, added onto acc when given."""
+    out = [{} for _ in a] if acc is None else acc
+    for row, orow in zip(a, out):
+        for k, x in row.items():
+            for c, y in b[k].items():
+                _elem_add(orow, c, x * y)
+    return out
+
+
+def _sparse_scaled_identity(c: Scalar, n: int) -> list[dict]:
+    return [{r: c} if not c.is_zero() else {} for r in range(n)]

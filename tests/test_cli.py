@@ -580,6 +580,9 @@ BAD_TASKS = {
     "d1-number": ("hom-cohomology", {}, {"d0": [["u"]], "d1": 5}),
     "d0-ragged": ("null-homotopy-scale", {}, {"d0": [["u"], ["v", "u"]], "d1": [["v"]]}),
     "expect-number": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": 5}),
+    "expect-strings": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": ["a", "b"]}),
+    "expect-short": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": [1]}),
+    "expect-bool": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": [True, False]}),
     "expect-unknown": ("rank-one-orientifold", C2_SHIFTED, {"expect": "nope"}),
     "expect-null": ("rank-one-orientifold", C2_SHIFTED, {"expect": None}),
     "iterations-bool": ("eightfold-consistency", {}, {"iterations": True}),

@@ -177,7 +177,8 @@ def test_bridge_twist_verdict_names_the_module_and_element(monkeypatch):
         t = twist(m, rm)
         if not rm.antilinear:
             return t
-        return CliffMod(t.alg, t.dims, tuple(tuple(tuple(tuple(-x for x in row) for row in blk)
+        return CliffMod(t.alg, t.dims, tuple(tuple(tuple({c: -x for c, x in row.items()}
+                                                         for row in blk)
                                                    for blk in g) for g in t.gammas))
 
     monkeypatch.setattr(clifford, "module_twist", corrupted)
@@ -194,10 +195,11 @@ def test_module_hom_dim_rejects_differing_algebras():
 
 
 def _ragged_double_pauli():
-    """The double Pauli module with one extra entry in row 1 of gamma_0's even block."""
+    """The double Pauli module with an entry past the last column in row 1
+    of gamma_0's even block."""
     m = catalog.double_pauli_module()
     (g0, g1), rest = m.gammas[0], m.gammas[1:]
-    bad = (g0[0], g0[1] + (Scalar.one(),))
+    bad = (g0[0], {**g0[1], 2: Scalar.one()})
     return CliffMod(m.alg, m.dims, ((bad, g1),) + rest)
 
 
@@ -212,6 +214,13 @@ def test_module_validate_rejects_wrong_row_count():
     (g0, g1), rest = m.gammas[0], m.gammas[1:]
     with pytest.raises(ValueError):
         module_validate(CliffMod(m.alg, m.dims, ((g0[:1], g1),) + rest))
+
+
+def test_clifford_module_rejects_a_zero_value():
+    m = catalog.pauli_module()
+    (g0, g1), rest = m.gammas[0], m.gammas[1:]
+    with pytest.raises(ValueError):
+        CliffMod(m.alg, m.dims, ((({0: Scalar.zero()},), g1),) + rest)
 
 
 def test_module_validate_rejects_ragged_row():

@@ -1,5 +1,5 @@
 """No module of the package or of the tests imports a name at module level
-that it never uses, no top-level name goes unused by the program, no
+that it never uses, no top-level name or method goes unused by the program, no
 function assigns a name it never reads, validation does not drift back
 onto assert statements, and checks return verdicts rather than bare bools."""
 
@@ -51,20 +51,43 @@ def _uses(node) -> Counter:
                    for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _program_trees() -> dict:
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for folder in ("src", "perfbench")
+            for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
 def test_every_public_top_level_name_is_used():
     """Each function and class of the package, private ones too, is named
     in src/ or perfbench/ outside its own definition: what only the tests
     reach is not part of the program (tests/oracles.py holds the references
     the tests compare against)."""
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for folder in ("src", "perfbench")
-             for path in sorted((ROOT / folder).rglob("*.py"))}
+    trees = _program_trees()
     uses = sum((_uses(tree) for tree in trees.values()), Counter())
     unused = [f"{path.name}:{node.name}"
               for path in SOURCES
               for node in trees[path.resolve()].body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and uses[node.name] <= _uses(node)[node.name]]
+    assert not unused, unused
+
+
+def test_every_method_is_used():
+    """Each method of a package class, dunders aside, is named in src/ or
+    perfbench/ outside its own body, as a name or an attribute.  A string
+    constant in perfbench/ counts as a use: its tracer wraps methods by the
+    names in its tables."""
+    trees = _program_trees()
+    uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    uses.update(n.value for path, tree in trees.items() if "perfbench" in path.parts
+                for n in ast.walk(tree)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    unused = [f"{path.name}:{cls.name}.{fn.name}"
+              for path in SOURCES
+              for cls in ast.walk(trees[path.resolve()]) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and not (fn.name.startswith("__") and fn.name.endswith("__"))
+              and uses[fn.name] <= _uses(fn)[fn.name]]
     assert not unused, unused
 
 

@@ -505,8 +505,7 @@ def _drawn_twist(data, rep):
         return Cocycle2(g, setting, tuple(tuple(data.draw(unit) for _ in g.elements())
                                           for _ in g.elements()))
     f = [Scalar.one() if i == g.identity else data.draw(unit) for i in g.elements()]
-    mu = _coboundary(g, setting, f)
-    twist = mu if rep.twist is None else rep.twist.multiply(mu)
+    twist = rep.twist.multiply(_coboundary(g, setting, f))
     assert cocycle_check(twist)
     return twist
 

@@ -504,8 +504,7 @@ def _reference_verify(s):
             uj = s.u[j]
             twisted = MFMor(targets[i], targets[ij], uj.parity,
                             mat_apply(rm, uj.f0), mat_apply(rm, uj.f1))
-            mu = Scalar.one() if s.twist is None else s.twist.value(i, j)
-            rhs = compose(twisted, s.u[i]).scale(mu)
+            rhs = compose(twisted, s.u[i]).scale(s.twist.value(i, j))
             if not (v := equation("Real cocycle", (g.labels[i], g.labels[j]), s.u[ij], rhs)):
                 return v
     return Verdict(True)
