@@ -230,8 +230,16 @@ def parse_poly(text: str, ring: RingSpec) -> Poly:
 _PRESET = re.compile(r"^([CD])\((\d+)\)$")
 
 
+def _known_fields(obj: dict, fields, what: str) -> None:
+    """ScenarioError naming the first key of obj, in sorted order, that is
+    not among fields: a misspelled field would otherwise be ignored."""
+    if unknown := sorted(set(obj) - set(fields)):
+        raise ScenarioError(f"{what} has unknown field {unknown[0]!r}")
+
+
 def group_from_spec(obj) -> GroupSpec:
     if isinstance(obj, dict) and "product" in obj:
+        _known_fields(obj, ("product",), "group")
         parts = [group_from_spec(p) for p in obj["product"]]
         if not parts:
             raise ScenarioError("empty group product")
@@ -241,6 +249,9 @@ def group_from_spec(obj) -> GroupSpec:
             g = product_group(g, p)
         return g
     if isinstance(obj, dict) and "table" in obj:
+        _known_fields(obj, ("labels", "table", "identity", "grading"), "group")
+        if not all(isinstance(obj[k], list) for k in ("labels", "table", "grading")):
+            raise ScenarioError("group labels, table and grading must be lists")
         _check_group_order(len(obj["table"]))
         if type(identity := obj["identity"]) is not int:
             raise ScenarioError(f"group identity must be an integer, got {identity!r}")
@@ -249,6 +260,7 @@ def group_from_spec(obj) -> GroupSpec:
         g.validate()
         return g
     if isinstance(obj, dict):
+        _known_fields(obj, ("preset", "graded"), "group")
         preset = obj.get("preset")
         if type(graded := obj.get("graded", True)) is not bool:
             raise ScenarioError(f"group graded must be true or false, got {graded!r}")
@@ -305,9 +317,12 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{path}: a scenario must be a JSON object")
     if raw.get("schema") != SCHEMA:
         raise ScenarioError(f"{path}: schema must be {SCHEMA!r}")
+    _known_fields(raw, ("schema", "name", "ring", "potential", "setting", "variant",
+                        "group", "action", "twist", "tasks"), f"{path}: scenario")
     ring_spec = raw.get("ring")
     if not isinstance(ring_spec, dict) or "variables" not in ring_spec:
         raise ScenarioError(f"{path}: missing ring.variables")
+    _known_fields(ring_spec, ("variables", "conductor"), f"{path}: ring")
     names = ring_spec["variables"]
     if not (isinstance(names, list) and all(
             isinstance(v, str) and _NAME.fullmatch(v) and v not in ("i", "zeta")
@@ -360,6 +375,7 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioError(f"{path}: each task needs a string 'op' field")
         if t["op"] not in TASKS:
             raise ScenarioError(f"{path}: unknown task op {t['op']!r}")
+        _known_fields(t, ("op", *TASKS[t["op"]][1]), f"{path}: {t['op']} task")
     return Scenario(raw.get("name", path), ring, potential, group, action,
                     setting, variant, twist, tasks)
 
@@ -466,7 +482,8 @@ def task_hyperbolic_transport(sc: Scenario, params: dict):
 
 def task_hom_cohomology(sc: Scenario, params: dict):
     M = _mf_from_params(sc, params)
-    N = _mf_from_params(sc, params, key_prefix="other_") if "other_d0" in params else M
+    other = {"other_d0", "other_d1"} & params.keys()
+    N = _mf_from_params(sc, params, key_prefix="other_") if other else M
     cutoff = _count(params, "cutoff", None) or default_cutoff(M.w)
     expect = params.get("expect")
     if "expect" in params and not (isinstance(expect, list) and len(expect) == 2
@@ -566,19 +583,21 @@ def _eightfold_consistency(iters: int = 4):
         _check(sig == (iters, iters), "tensor signature", f"Cl({iters},{iters})")])
 
 
+# op -> (task function, the parameters it reads besides op)
 TASKS = {
-    "validate-action": task_validate_action,
-    "rank-one-real": task_rank_one_real,
-    "real-knorrer": task_real_knorrer,
-    "rank-one-orientifold": task_rank_one_orientifold,
-    "theta-cocycle": task_theta_cocycle,
-    "orientifold-knorrer": task_orientifold_knorrer,
-    "double-knorrer": task_double_knorrer,
-    "duality-suite": task_duality_suite,
-    "hyperbolic-transport": task_hyperbolic_transport,
-    "hom-cohomology": task_hom_cohomology,
-    "null-homotopy-scale": task_null_homotopy_scale,
-    "eightfold-consistency": task_eightfold,
+    "validate-action": (task_validate_action, ()),
+    "rank-one-real": (task_rank_one_real, ("expect",)),
+    "real-knorrer": (task_real_knorrer, ()),
+    "rank-one-orientifold": (task_rank_one_orientifold, ("expect",)),
+    "theta-cocycle": (task_theta_cocycle, ()),
+    "orientifold-knorrer": (task_orientifold_knorrer, ()),
+    "double-knorrer": (task_double_knorrer, ()),
+    "duality-suite": (task_duality_suite, ()),
+    "hyperbolic-transport": (task_hyperbolic_transport, ()),
+    "hom-cohomology": (task_hom_cohomology,
+                       ("d0", "d1", "other_d0", "other_d1", "cutoff", "expect")),
+    "null-homotopy-scale": (task_null_homotopy_scale, ("d0", "d1")),
+    "eightfold-consistency": (task_eightfold, ("iterations",)),
 }
 
 
@@ -651,7 +670,7 @@ def run_scenario(path: str) -> Report:
     def tasks():
         for task in sc.tasks:
             try:
-                verdict, detail = TASKS[task["op"]](sc, task)
+                verdict, detail = TASKS[task["op"]][0](sc, task)
             except ValueError as exc:
                 verdict, detail = Verdict(False), {"error": str(exc)}
             yield task["op"], verdict, detail

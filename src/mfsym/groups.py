@@ -66,6 +66,15 @@ class GroupSpec:
 
     def validate(self) -> None:
         n = self.order
+        if not (all(isinstance(x, str) for x in self.labels) and len(set(self.labels)) == n):
+            raise ValueError(f"labels must be {n} distinct strings")
+        if not (len(self.table) == n and all(
+                len(row) == n and all(type(x) is int and 0 <= x < n for x in row)
+                for row in self.table)):
+            raise ValueError(f"table must be {n} rows of {n} element indices")
+        if not (len(self.grading) == n and all(
+                type(x) is int and x in (1, -1) for x in self.grading)):
+            raise ValueError(f"grading must be {n} values, each 1 or -1")
         e = self.identity
         if not 0 <= e < n:
             raise ValueError(f"identity {e} is not an element index")

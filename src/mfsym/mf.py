@@ -39,11 +39,6 @@ def mat_identity(ring: RingSpec, n: int) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def mat_zero(ring: RingSpec, r: int, c: int) -> Matrix:
-    zero = Poly.zero(ring)
-    return tuple((zero,) * c for _ in range(r))
-
-
 def mat_shape(m: Matrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
@@ -150,19 +145,6 @@ def mat_inverse(a: Matrix) -> Matrix:
     return tuple(tuple(Poly.constant(ring, _ratio(row[n + c], row[r])) if n + c in row
                        else Poly.zero(ring) for c in range(n))
                  for r, row in sorted(pivots.items()))
-
-
-def mat_block(blocks) -> Matrix:
-    """Assemble a 2x2 (or general) grid of matrices."""
-    out = []
-    for brow in blocks:
-        nrows = len(brow[0])
-        for i in range(nrows):
-            row = []
-            for blk in brow:
-                row.extend(blk[i])
-            out.append(tuple(row))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

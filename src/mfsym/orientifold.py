@@ -12,8 +12,9 @@ point law, the induced duality on fixed points with its coherence, and
 form-functor comparisons between odd elements.  Eta, the equivariance
 data of the Knoerrer functor, is constant blocks at every object too: the
 identity on even elements and a signed swap on odd ones, laid out by the
-ranks of rho(i)(M).  Its coherence is a check on those blocks, and the
-Knoerrer step multiplies them into u_i x id_K; no eta morphism is built.
+ranks of rho(i)(M), held as linalg's sparse rows.  Its coherence is a check
+on those rows, and the Knoerrer step applies them to u_i x id_K by row
+selection; no eta morphism is built.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from itertools import product
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap, apply_ring_map
+from .linalg import _sparse_mul, _sparse_scaled_identity
 from .mf import (
-    MF, MFMor, mat_identity, mat_mul, mat_neg, mat_scale, mat_zero, mat_block, compose,
-    identity_mor, mor_inverse, is_isomorphism, external_tensor, tensor_mor_blocks, rank_one,
-    join_rings, lift_poly, Verdict, equation,
+    MF, MFMor, mat_scale, compose, identity_mor, mor_inverse, is_isomorphism, external_tensor,
+    tensor_mor_blocks, rank_one, lift_poly, Verdict, equation,
 )
 from .groups import (
     CONTRAVARIANT, PLAIN, SHIFTED, ContraRep, diagonal_action, fresh_variable_pair,
@@ -81,7 +82,23 @@ class ContraRealStruct:
         the instance __dict__, which cached_property writes past the frozen
         __setattr__.  That rests on the structure being frozen and on no
         component of u being replaced or mutated after it is built."""
-        return _knorrer_image(self)
+        rep = self.rep
+        fresh = RingSpec(fresh_variable_pair(set(rep.action.ring.variables)),
+                         conductor=rep.action.ring.conductor)
+        K = rank_one(*(Poly.variable(fresh, name) for name in fresh.variables))
+        new_rep = _extend_rep(rep, K)
+        new_base = external_tensor(self.base, K)
+        one = Scalar.one()
+        u = {}
+        for i, f in self.u.items():
+            eta = eta_blocks(rep.group.grading[i] == -1, *_image_ranks(rep, i, self.base.ranks))
+            # each row of eta holds one entry, +-1, so eta times a block selects its rows
+            u[i] = MFMor(new_base, rep_apply(new_rep, i, new_base), 0, *(
+                tuple(blk[k] if x == one else tuple(-p for p in blk[k])
+                      for row in rows for k, x in row.items())
+                for rows, blk in zip(eta, tensor_mor_blocks(f, identity_mor(K)))))
+        coherent = eta_coherence_check(rep, new_rep, K, self.base)
+        return ContraRealStruct(new_base, new_rep, u), coherent
 
 
 def verify_contra_structure(s: ContraRealStruct) -> Verdict:
@@ -251,49 +268,51 @@ def _image_ranks(rep: ContraRep, i: int, ranks: tuple) -> tuple:
     return ranks[::-1] if rep.action.flips(i) and rep.variant == SHIFTED else ranks
 
 
-def eta_blocks(ring: RingSpec, odd: bool, a0: int, a1: int) -> tuple:
-    """The blocks (f0, f1) over ring of eta_i at M, the Knoerrer equivariance
-    map rho(i)(M) x K -> rho'(i)(M x K), where rho(i)(M) has ranks (a0, a1):
-    the identity on even elements, the signed swap on odd ones."""
+def eta_blocks(odd: bool, a0: int, a1: int) -> tuple:
+    """The blocks (f0, f1) of eta_i at M as sparse rows ({col: Scalar}, as in
+    linalg), the Knoerrer equivariance map rho(i)(M) x K -> rho'(i)(M x K),
+    where rho(i)(M) has ranks (a0, a1): the identity on even elements, the
+    signed swap on odd ones."""
+    one = Scalar.one()
     if not odd:
-        return mat_identity(ring, a0 + a1), mat_identity(ring, a0 + a1)
-    f0 = mat_block([
-        [mat_zero(ring, a1, a0), mat_identity(ring, a1)],
-        [mat_neg(mat_identity(ring, a0)), mat_zero(ring, a0, a1)],
-    ])
-    f1 = mat_block([
-        [mat_zero(ring, a0, a1), mat_identity(ring, a0)],
-        [mat_identity(ring, a1), mat_zero(ring, a1, a0)],
-    ])
+        ident = _sparse_scaled_identity(one, a0 + a1)
+        return ident, ident
+    f0 = [{a0 + r: one} for r in range(a1)] + [{r: -one} for r in range(a0)]
+    f1 = [{a1 + r: one} for r in range(a0)] + [{r: one} for r in range(a1)]
     return f0, f1
 
 
 def eta_coherence_check(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, M: MF) -> Verdict:
     """theta'_{i2, i1} ∘ rho'(i2)(eta_{i1}^{pi(i2)}) ∘ eta_{i2} = eta_{i2 i1} ∘ (theta_{i2, i1} x id_K)
-    at M on all element pairs, on eta's blocks over the ring of M x K.
-    Where i2 flips, rho'(i2) takes the transposed inverse of a block pair,
-    swapped in the shifted variant; eta's blocks are signed permutations,
-    so that is the pair itself.  theta x id_K scales the column of each
-    basis element m x n by theta's scalar on the part of m."""
+    at M on all element pairs, on eta's rows.  Where i2 flips, rho'(i2)
+    takes the transposed inverse of a block pair, swapped in the shifted
+    variant; eta's blocks are signed permutations, so that is the pair
+    itself.  theta x id_K scales the column of each basis element m x n by
+    theta's scalar on the part of m.  A failure's term is the least nonzero
+    entry of lhs - rhs, at the constant exponent of the ring of M x K."""
     g = src_rep.group
-    ring = join_rings(M.ring, K.ring)
     for i2, i1 in product(g.elements(), repeat=2):
         # rho(i2)(rho(i1)(M)) has the ranks of rho(i2 i1)(M)
         a0, a1 = _image_ranks(src_rep, g.mul(i2, i1), M.ranks)
-        inner = eta_blocks(ring, g.grading[i1] == -1, *_image_ranks(src_rep, i1, M.ranks))
+        inner = eta_blocks(g.grading[i1] == -1, *_image_ranks(src_rep, i1, M.ranks))
         if tgt_rep.action.flips(i2) and tgt_rep.variant == SHIFTED:
             inner = inner[::-1]
+        outer = eta_blocks(g.grading[i2] == -1, a0, a1)
         c = theta_scalars(tgt_rep, i2, i1)
-        lhs = [mat_scale(c[p], mat_mul(inner[p], t))
-               for p, t in enumerate(eta_blocks(ring, g.grading[i2] == -1, a0, a1))]
         # the even basis of rho(i2 i1)(M) x K is M0 x K0, M1 x K1, the odd one M1 x K0, M0 x K1
-        d = theta_scalars(src_rep, i2, i1)
-        scales = ([d[0]] * a0 + [d[1]] * a1, [d[1]] * a1 + [d[0]] * a0)
-        eta = eta_blocks(ring, g.grading[g.mul(i2, i1)] == -1, a0, a1)
-        rhs = [tuple(tuple(x * s for x, s in zip(row, col)) for row in blk)
-               for blk, col in zip(eta, scales)]
-        if not (v := equation("eta coherence", (g.labels[i2], g.labels[i1]), lhs, rhs)):
-            return v
+        d0, d1 = (-x for x in theta_scalars(src_rep, i2, i1))
+        minus_theta = ([{k: s} for k, s in enumerate([d0] * a0 + [d1] * a1)],
+                       [{k: s} for k, s in enumerate([d1] * a1 + [d0] * a0)])
+        eta = eta_blocks(g.grading[g.mul(i2, i1)] == -1, a0, a1)
+        # lhs - rhs = c (inner outer) - eta (theta x id_K), block by block
+        diff = [_sparse_mul(eta[p], minus_theta[p], _sparse_mul(
+                    _sparse_scaled_identity(c[p], a0 + a1), _sparse_mul(inner[p], outer[p])))
+                for p in (0, 1)]
+        if any(row for blk in diff for row in blk):
+            constant = (0,) * (M.ring.nvars + K.ring.nvars)
+            return Verdict(False, "eta coherence", (g.labels[i2], g.labels[i1]), min(
+                (p, r, col, constant, v) for p, blk in enumerate(diff)
+                for r, row in enumerate(blk) for col, v in row.items()))
     return Verdict(True)
 
 
@@ -303,22 +322,6 @@ def orientifold_knorrer(s: ContraRealStruct):
     sign-twisted action together with the eta coherence verdict.  Each
     structure builds its image once (ContraRealStruct.knorrer)."""
     return s.knorrer
-
-
-def _knorrer_image(s: ContraRealStruct):
-    rep = s.rep
-    fresh = RingSpec(fresh_variable_pair(set(rep.action.ring.variables)),
-                     conductor=rep.action.ring.conductor)
-    K = rank_one(*(Poly.variable(fresh, name) for name in fresh.variables))
-    new_rep = _extend_rep(rep, K)
-    new_base = external_tensor(s.base, K)
-    u = {}
-    for i, f in s.u.items():
-        eta = eta_blocks(new_base.ring, rep.group.grading[i] == -1,
-                         *_image_ranks(rep, i, s.base.ranks))
-        u[i] = MFMor(new_base, rep_apply(new_rep, i, new_base), 0,
-                     *map(mat_mul, eta, tensor_mor_blocks(f, identity_mor(K))))
-    return ContraRealStruct(new_base, new_rep, u), eta_coherence_check(rep, new_rep, K, s.base)
 
 
 def double_knorrer(s: ContraRealStruct):

@@ -3,15 +3,34 @@
 Each is the direct morphism-level form of a construction the package
 computes another way: twisting a morphism entrywise, the external tensor
 of two morphisms, a morphism's coordinates and back, and the generic
-duality identity.  The package itself never imports this module.
+duality identity; zero matrices and block grids of polynomial matrices
+serve the dense references.  The package itself never imports this module.
 """
 
-from mfsym.polys import Poly, RingMap
+from mfsym.polys import Poly, RingMap, RingSpec
 from mfsym.mf import (
-    MF, MFMor, Verdict, _block_shapes, compose, equation, external_tensor, identity_mor,
+    MF, MFMor, Matrix, Verdict, _block_shapes, compose, equation, external_tensor, identity_mor,
     mat_apply, tensor_mor_blocks,
 )
 from mfsym.groups import twist_mf
+
+
+def mat_zero(ring: RingSpec, r: int, c: int) -> Matrix:
+    zero = Poly.zero(ring)
+    return tuple((zero,) * c for _ in range(r))
+
+
+def mat_block(blocks) -> Matrix:
+    """Assemble a 2x2 (or general) grid of matrices."""
+    out = []
+    for brow in blocks:
+        nrows = len(brow[0])
+        for i in range(nrows):
+            row = []
+            for blk in brow:
+                row.extend(blk[i])
+            out.append(tuple(row))
+    return tuple(out)
 
 
 def twist_mor(rm: RingMap, f: MFMor) -> MFMor:

@@ -227,12 +227,10 @@ def test_criterion_06_orientifold_eta_and_double_knorrer():
         assert found is not None
         s = found[1]
         ext = _extend_rep(rep, K)
-        sigma = rep.group.odd_elements()[0]
-        r = ext.action.ring
-        f0, f1 = eta_blocks(r, True, *s.base.ranks)
-        one, zero = Poly.constant(r, 1), Poly.zero(r)
-        assert f0 == ((zero, one), (-one, zero))
-        assert f1 == ((zero, one), (one, zero))
+        f0, f1 = eta_blocks(True, *s.base.ranks)
+        one = Scalar.one()
+        assert f0 == [{1: one}, {0: -one}]
+        assert f1 == [{1: one}, {0: one}]
         assert eta_coherence_check(rep, ext, K, s.base)
         out, coherent = double_knorrer(s)
         assert coherent

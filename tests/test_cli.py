@@ -415,6 +415,33 @@ BAD_SCENARIOS = {
                        "potential": "u"},
     "long-integer": {"schema": SCHEMA, "ring": {"variables": ["u"]},
                      "potential": "9" * 5000 + "*u"},
+    # a table is checked against its own size: n distinct string labels,
+    # n rows of n element indices, n gradings each 1 or -1
+    **{f"group-{case}": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                         "group": {"labels": ["e", "g"], "table": [[0, 1], [1, 0]],
+                                   "identity": 0, "grading": [1, -1], **fields}}
+       for case, fields in {
+           "grading-zero": {"grading": [0, 0]},
+           "grading-bools": {"grading": [True, True]},
+           "grading-three-values": {"grading": [1, -1, 1]},
+           "table-third-row": {"table": [[0, 1], [1, 0], [0, 1]]},
+           "table-extra-column": {"table": [[0, 1, 0], [1, 0, 1]]},
+           "labels-duplicate": {"labels": ["e", "e"]},
+       }.items()},
+    # misspelled fields are refused, not ignored, in every kind of object
+    "scenario-field": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                       "potential": "u*v", "twsit": "universal-sign"},
+    "ring-field": {"schema": SCHEMA, "ring": {"variables": ["u"], "conductr": 8}},
+    "group-preset-field": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                           "group": {"preset": "C(2)", "grade": False}},
+    "group-table-field": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                          "group": {"labels": ["e", "g"], "table": [[0, 1], [1, 0]],
+                                    "identity": 0, "grading": [1, -1], "order": 2}},
+    "group-product-field": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                            "group": {"product": ["C(2)"], "graded": False}},
+    "task-field": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]}, "potential": "u*v",
+                   "tasks": [{"op": "hom-cohomology", "d0": [["u"]], "d1": [["v"]],
+                              "cutof": 99, "expct": [5, 5]}]},
 }
 
 
@@ -579,6 +606,7 @@ BAD_TASKS = {
     "cutoff-past-bound": ("hom-cohomology", {}, {**HYPERBOLIC, "cutoff": 1000000}),
     "d1-number": ("hom-cohomology", {}, {"d0": [["u"]], "d1": 5}),
     "d0-ragged": ("null-homotopy-scale", {}, {"d0": [["u"], ["v", "u"]], "d1": [["v"]]}),
+    "other-d1-alone": ("hom-cohomology", {}, {**HYPERBOLIC, "other_d1": [["u"]]}),
     "expect-number": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": 5}),
     "expect-strings": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": ["a", "b"]}),
     "expect-short": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": [1]}),

@@ -9,7 +9,7 @@ import pytest
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.groups import (
-    cyclic_group, dihedral_group, product_group, ActionSpec, validate_action,
+    GroupSpec, cyclic_group, dihedral_group, product_group, ActionSpec, validate_action,
     potential_invariance,
     cocycle_check, universal_sign_cocycle,
     ANTILINEAR, CONTRAVARIANT, twist_mf, diagonal_action,
@@ -25,6 +25,19 @@ def test_group_presets_validate():
     for g in (cyclic_group(2, graded=True), cyclic_group(4, graded=True),
               cyclic_group(3), dihedral_group(3), dihedral_group(4)):
         g.validate()
+
+
+@pytest.mark.parametrize("labels, table, grading", [
+    (("e", "g"), ((0, 1), (1, 0)), (0, 0)),
+    (("e", "g"), ((0, 1), (1, 0)), (True, -1)),
+    (("e", "g"), ((0, 1), (1, 0), (0, 1)), (1, -1)),
+    (("e", "e"), ((0, 1), (1, 0)), (1, -1)),
+], ids=["grading-zero", "grading-bool", "extra-row", "duplicate-labels"])
+def test_validate_checks_the_table_against_its_size(labels, table, grading):
+    """Each passed the identity, associativity and homomorphism tests: 0 * 0
+    is 0, and the loops read only the first n rows."""
+    with pytest.raises(ValueError):
+        GroupSpec(labels, table, 0, grading).validate()
 
 
 def test_gradings():

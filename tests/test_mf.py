@@ -19,11 +19,11 @@ from mfsym.mf import (
     shift_mor, dual, dual_mor, double_dual_iso, grading_iso, external_tensor,
     swap_iso, shift_tensor_iso_left,
     shift_tensor_iso_right, tensor_dual_pairing,
-    mat_mul, mat_identity, mat_zero, mat_det, mat_inverse, mat_eq, mat_neg,
-    mat_block, join_rings, lift_poly, lift_mat, negate_mf,
+    mat_mul, mat_identity, mat_det, mat_inverse, mat_eq, mat_neg,
+    join_rings, lift_poly, lift_mat, negate_mf,
 )
 import mfsym.catalog as catalog
-from oracles import external_tensor_mor
+from oracles import external_tensor_mor, mat_block, mat_zero
 
 
 RNG = random.Random(20240824)

@@ -19,7 +19,7 @@ from mfsym.groups import (
 )
 from mfsym.mf import (
     MF, MFMor, rank_one, identity_mor, compose, is_closed, mor_inverse, scaled_identity,
-    equation, external_tensor, mat_block, mat_identity, mat_neg, mat_zero, Verdict,
+    equation, external_tensor, mat_identity, mat_neg, Verdict,
 )
 from mfsym.orientifold import (
     PLAIN, SHIFTED, ContraRep, ContraRealStruct, rank_one_contra_condition,
@@ -31,7 +31,7 @@ from mfsym.orientifold import (
 from mfsym.mf import dual, dual_mor, double_dual_iso
 from mfsym.cli import load_scenario, _cocycle, _contra_witness, _run
 import mfsym.catalog as catalog
-from oracles import external_tensor_mor, verify_duality
+from oracles import external_tensor_mor, mat_block, mat_zero, verify_duality
 
 
 RING = RingSpec(("u", "v"), conductor=4)
@@ -130,17 +130,13 @@ def test_generic_duality_on_catalog():
 
 
 def test_eta_display_rank_one():
-    rep = c2_shifted_rep()
-    s = witness(rep)
-    ring = external_tensor(s.base, K_YZ).ring
-    sigma = rep.group.odd_elements()[0]
-    f0, f1 = eta_blocks(ring, True, *s.base.ranks)
-    one = Poly.constant(ring, 1)
-    zero = Poly.zero(ring)
-    assert f0 == ((zero, one), (-one, zero))
-    assert f1 == ((zero, one), (one, zero))
-    ident = eta_blocks(ring, False, *s.base.ranks)
-    assert ident[0] == ((one, zero), (zero, one))
+    s = witness(c2_shifted_rep())
+    f0, f1 = eta_blocks(True, *s.base.ranks)
+    one = Scalar.one()
+    assert f0 == [{1: one}, {0: -one}]
+    assert f1 == [{1: one}, {0: one}]
+    ident = eta_blocks(False, *s.base.ranks)
+    assert ident[0] == [{0: one}, {1: one}]
 
 
 def test_knorrer_flips_variant():
@@ -404,6 +400,27 @@ def _eta_mor(src_rep, tgt_rep, K, i, M):
         [mat_identity(ring, a1), mat_zero(ring, a1, a0)],
     ])
     return MFMor(src, tgt, 0, f0, f1)
+
+
+def _rows(blk):
+    """A block of constant polynomials as sparse rows {col: Scalar} of its
+    nonzero entries."""
+    return [{c: p.constant_coeff() for c, p in enumerate(row) if not p.is_zero()}
+            for row in blk]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_eta_blocks_are_the_dense_reference_read_as_rows(data):
+    """Even and odd elements, ranks up to 4, unequal ones included, on the
+    factorization of 0 with zero differential."""
+    rep = data.draw(st.sampled_from((c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep)))()
+    i = data.draw(st.sampled_from(rep.group.elements()))
+    a0, a1 = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    M = MF(RING, Poly.zero(RING), mat_zero(RING, a1, a0), mat_zero(RING, a0, a1))
+    eta = _eta_mor(rep, _extend_rep(rep, K_YZ), K_YZ, i, M)
+    odd = rep.group.grading[i] == -1
+    assert (_rows(eta.f0), _rows(eta.f1)) == eta_blocks(odd, *rep_apply(rep, i, M).ranks)
 
 
 def _reference_eta_coherence(src_rep, tgt_rep, K, M):

@@ -8,6 +8,7 @@ endpoints, so those are compared as MFs as well.
 
 import collections
 import copy
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from mfsym.groups import ActionSpec, CONTRAVARIANT, cyclic_group, twist_mf
 import mfsym.groups as groups
 import mfsym.mf as mf
 import mfsym.orientifold as orientifold
-from mfsym.cli import run_scenario
+from mfsym.cli import _contra_witness, load_scenario, run_scenario
 from mfsym.orientifold import (
     PLAIN, SHIFTED, ContraRep, ContraRealStruct, rep_apply, rep_apply_mor, eta_blocks,
     orientifold_knorrer, double_knorrer, verify_contra_structure, _extend_rep,
@@ -31,7 +32,7 @@ from mfsym.orientifold import (
 
 from oracles import external_tensor_mor, mor_from_coordinates, twist_mor
 from test_orientifold import (
-    RING, U, V, W, c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep, witness, _eta_mor,
+    RING, U, V, W, c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep, witness, _eta_mor, _rows,
 )
 
 REPS = (c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep)
@@ -156,7 +157,7 @@ def test_eta_and_knorrer_maps_match_direct_tensors():
             assert eta.source == external_tensor(_slow_obj(rep, i, s.base), K)
             assert eta.target == _slow_obj(ext, i, external_tensor(s.base, K))
             odd, ranks = rep.group.grading[i] == -1, rep_apply(rep, i, s.base).ranks
-            assert (eta.f0, eta.f1) == eta_blocks(eta.source.ring, odd, *ranks)
+            assert (_rows(eta.f0), _rows(eta.f1)) == eta_blocks(odd, *ranks)
 
         out, _ = orientifold_knorrer(s)
         ring = RingSpec(("u1", "v1"), conductor=4)
@@ -243,16 +244,40 @@ def test_bundled_scenarios_invert_no_theta(monkeypatch):
 
 def test_eta_coherence_check_builds_no_morphism(monkeypatch):
     """eta_coherence_check built three eta morphisms per element pair, each
-    through a twist of a twist and its tensor with K, and composed them."""
+    through a twist of a twist and its tensor with K, and composed them;
+    then it multiplied eta's blocks as polynomial matrices, 144 mat_mul
+    calls and 1440 Poly products on these cases."""
     cases = [(make(), M) for make in REPS for M in (BASE, witness(make()).base)]
     cases = [(rep, _extend_rep(rep, K), M) for rep, M in cases]
     calls = _counting(monkeypatch, [
         (groups, "twist_mf"), (groups, "rep_apply"), (orientifold, "rep_apply"),
         (mf, "external_tensor"), (orientifold, "external_tensor"), (mf, "compose"),
-        (orientifold, "compose"), (mf.MFMor, "__post_init__")])
+        (orientifold, "compose"), (mf.MFMor, "__post_init__"), (mf, "mat_mul"),
+        (groups, "mat_mul"), (Poly, "__mul__")])
     for src, tgt, M in cases:
         assert orientifold.eta_coherence_check(src, tgt, K, M)
     assert calls == {}
+
+
+def test_knorrer_step_multiplies_matrices_only_to_check_k(monkeypatch):
+    """Multiplying eta's blocks into those of u_i x id_K as polynomial
+    matrices took 42 mat_mul calls on the C4 plain witness and 14 on the C2
+    shifted one; eta's rows select rows instead, and the two calls left are
+    mf_new's check d^2 = w of K."""
+    callers = []
+    mat_mul = mf.mat_mul
+
+    def counted(a, b):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return mat_mul(a, b)
+
+    for module in (mf, groups):
+        monkeypatch.setattr(module, "mat_mul", counted)
+    for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
+        s = _contra_witness(load_scenario(str(SCENARIOS / name)))
+        callers.clear()
+        orientifold_knorrer(s)
+        assert callers == ["mf_new", "mf_new"], (name, callers)
 
 
 def test_bundled_scenarios_build_no_eta_endpoints(monkeypatch):
