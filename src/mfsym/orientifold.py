@@ -26,7 +26,7 @@ from itertools import product
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap, apply_ring_map
-from .linalg import _sparse_mul, _sparse_scaled_identity
+from .linalg import _least_term, _sparse_mul, _sparse_scaled_identity
 from .mf import (
     MF, MFMor, mat_scale, compose, identity_mor, mor_inverse, is_isomorphism, external_tensor,
     tensor_mor_blocks, rank_one, lift_poly, Verdict, equation,
@@ -308,11 +308,8 @@ def eta_coherence_check(src_rep: ContraRep, tgt_rep: ContraRep, K: MF, M: MF) ->
         diff = [_sparse_mul(eta[p], minus_theta[p], _sparse_mul(
                     _sparse_scaled_identity(c[p], a0 + a1), _sparse_mul(inner[p], outer[p])))
                 for p in (0, 1)]
-        if any(row for blk in diff for row in blk):
-            constant = (0,) * (M.ring.nvars + K.ring.nvars)
-            return Verdict(False, "eta coherence", (g.labels[i2], g.labels[i1]), min(
-                (p, r, col, constant, v) for p, blk in enumerate(diff)
-                for r, row in enumerate(blk) for col, v in row.items()))
+        if (term := _least_term(diff, (0,) * (M.ring.nvars + K.ring.nvars))) is not None:
+            return Verdict(False, "eta coherence", (g.labels[i2], g.labels[i1]), term)
     return Verdict(True)
 
 

@@ -8,6 +8,9 @@ cases do not finish in bounded time today:
 - the conductor bound admits divisions by zeta(359) + 2, which take
   seconds each, and nothing bounds their number in one expression; that
   case lands with a faster Scalar inverse;
+- the monomial bounds count terms, not the cost of their coefficients:
+  the expression case below has rational ones, and one admitted product
+  whose coefficients are dense in Q(zeta_359) takes seconds;
 - the group-order bound admits witness searches over up to
   units^(|G| - 1) families at |G| = 64; that case lands with the witness
   search by propagation from generators.
@@ -17,7 +20,11 @@ import json
 import time
 
 from mfsym import cli
-from mfsym.cli import MAX_ITERATIONS, SCHEMA, _eightfold_consistency, main, parse_poly
+import pytest
+
+from mfsym.cli import (
+    MAX_ITERATIONS, SCHEMA, ScenarioError, _eightfold_consistency, main, parse_poly,
+)
 from mfsym.polys import RingSpec
 
 
@@ -66,3 +73,18 @@ def test_parse_poly_at_the_monomial_bound():
     poly, seconds = _timed(parse_poly, "(u+v+1)^15*(u+v+1)^15", RingSpec(("u", "v")))
     assert len(poly.terms) == 496
     assert seconds < 1, seconds
+
+
+def test_parse_poly_at_the_expression_bound():
+    """About 0.12 s for products and powers that count 1971 of the
+    MAX_EXPRESSION_MONOMIALS = 2000 monomials together: two products of 496
+    monomials, each of two powers of 136, and a power of 435; the same
+    product once more is refused."""
+    assert (cli.MAX_POWER_MONOMIALS, cli.MAX_EXPRESSION_MONOMIALS) == (500, 2000)
+    ring = RingSpec(("u", "v"))
+    product = "(u+v+1)^15*(u+v+1)^15"
+    poly, seconds = _timed(parse_poly, f"{product}+{product}+(u+v+1)^28", ring)
+    assert len(poly.terms) == 496
+    assert seconds < 2, seconds
+    with pytest.raises(ScenarioError):
+        parse_poly(f"{product}+{product}+{product}", ring)

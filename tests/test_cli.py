@@ -355,6 +355,11 @@ def test_validate_rejects_duplicate_variables(tmp_path, optimize):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+ANTILINEAR_UV = {
+    "schema": SCHEMA, "ring": {"variables": ["u", "v"]}, "potential": "u*v", "group": "C(2)",
+    "setting": "antilinear", "action": [["u", "v"], ["-u", "-v"]],
+    "tasks": [{"op": "rank-one-real"}, {"op": "real-knorrer"}, {"op": "validate-action"}]}
+
 BAD_SCENARIOS = {
     "zeta-order-zero": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
                         "potential": "zeta(0)*u*v"},
@@ -405,6 +410,8 @@ BAD_SCENARIOS = {
                       "potential": "(u+v)^20^20"},
     "product-monomials": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
                           "potential": "(u+v+1)^30*(u+v+1)^30*(u+v+1)^30"},
+    "expression-monomials": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                             "potential": "+".join(["(u+v+1)^15*(u+v+1)^15"] * 3)},
     "constant-power": {"schema": SCHEMA, "ring": {"variables": ["u"]},
                        "potential": "2^1000000*u"},
     "zeta-order": {"schema": SCHEMA, "ring": {"variables": ["u"]},
@@ -442,6 +449,15 @@ BAD_SCENARIOS = {
     "task-field": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]}, "potential": "u*v",
                    "tasks": [{"op": "hom-cohomology", "d0": [["u"]], "d1": [["v"]],
                               "cutof": 99, "expct": [5, 5]}]},
+    # only contravariant tasks read the variant and the twist: elsewhere they
+    # are refused, not ignored (this sign-twisted witness fails its Real
+    # cocycle law at (g1, g1) once the twist is read)
+    "antilinear-twist": {**ANTILINEAR_UV, "twist": "universal-sign"},
+    "antilinear-variant": {**ANTILINEAR_UV, "variant": "plain"},
+    "twist-without-setting": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                              "potential": "u*v", "group": "C(2)", "twist": "universal-sign"},
+    "variant-without-setting": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                                "potential": "u*v", "variant": "shifted"},
 }
 
 

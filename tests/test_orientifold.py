@@ -4,6 +4,7 @@ points, and the contravariant Knoerrer step."""
 import os
 import subprocess
 import sys
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -15,11 +16,11 @@ from mfsym.polys import Poly, RingSpec, RingMap
 from mfsym.groups import (
     cyclic_group, product_group, ActionSpec, ANTILINEAR, CONTRAVARIANT,
     Cocycle2, cocycle_check, universal_sign_cocycle, rep_apply, rep_apply_mor,
-    theta_scalars, _graded_act,
+    theta_scalars, verify_fixed_point, _graded_act,
 )
 from mfsym.mf import (
-    MF, MFMor, rank_one, identity_mor, compose, is_closed, mor_inverse, scaled_identity,
-    equation, external_tensor, mat_identity, mat_neg, Verdict,
+    MF, MFMor, rank_one, identity_mor, compose, is_closed, is_isomorphism, mor_inverse,
+    scaled_identity, equation, external_tensor, mat_identity, mat_neg, mat_scale, Verdict,
 )
 from mfsym.orientifold import (
     PLAIN, SHIFTED, ContraRep, ContraRealStruct, rank_one_contra_condition,
@@ -497,6 +498,63 @@ def test_scalar_theta_checks_match_the_morphism_reference(case):
     for rep, obj in ((src, M), (tgt, external_tensor(M, K))):
         _agree(theta_cocycle_check(rep, obj), _reference_theta_cocycle(rep, obj))
     assert eta_coherence_check(src, tgt, K, M) == _reference_eta_coherence(src, tgt, K, M)
+
+
+def _reference_fixed_point(rep, base, u):
+    """verify_fixed_point composed as morphisms: rho(i2) on u_{i1}, or on
+    its inverse where i2 flips, by rep_apply_mor, and theta as the scaled
+    identity of its scalars."""
+    g = rep.group
+    if not (v := equation("u_e = id", (g.labels[g.identity],), u[g.identity],
+                          identity_mor(base))):
+        return v
+    for i, f in u.items():
+        at = (g.labels[i],)
+        if f.parity != 0:
+            return Verdict(False, "not even", at)
+        if not is_closed(f):
+            return Verdict(False, "not closed", at)
+        if not is_isomorphism(f):
+            return Verdict(False, "not invertible", at)
+    for i2, i1 in product(u, repeat=2):
+        prod = g.mul(i2, i1)
+        if prod not in u:
+            continue
+        inner = mor_inverse(u[i1]) if rep.action.flips(i2) else u[i1]
+        moved = rep_apply_mor(rep, i2, inner)
+        theta = scaled_identity(moved.target, rep_apply(rep, prod, base),
+                                *theta_scalars(rep, i2, i1))
+        rhs = compose(theta, compose(moved, u[i2]))
+        if not (v := equation("fixed point law", (g.labels[i2], g.labels[i1]), u[prod], rhs)):
+            return v
+    return Verdict(True)
+
+
+@cache
+def _image(make, steps):
+    """The witness of a test rep after the given number of Knoerrer steps,
+    built once per process."""
+    s = witness(make())
+    for _ in range(steps):
+        s, _ = orientifold_knorrer(s)
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fixed_point_law_matches_the_morphism_reference_on_drawn_mutations(data):
+    """One block, or both, of one component scaled by -1, i or 2, on the
+    three test reps' witnesses and their first two Knoerrer images: the
+    verdicts are equal, term included."""
+    s = _image(data.draw(st.sampled_from((c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep))),
+               data.draw(st.integers(0, 2)))
+    i = data.draw(st.sampled_from(sorted(s.u)))
+    c = data.draw(st.sampled_from((-Scalar.one(), Scalar.i(), Scalar.from_rational(2))))
+    blocks = data.draw(st.sampled_from(((0,), (1,), (0, 1))))
+    f = s.u[i]
+    f0, f1 = (mat_scale(c, b) if p in blocks else b for p, b in enumerate((f.f0, f.f1)))
+    u = {**s.u, i: MFMor(f.source, f.target, 0, f0, f1)}
+    assert verify_fixed_point(s.rep, s.base, u) == _reference_fixed_point(s.rep, s.base, u)
 
 
 def _antilinear_rep():

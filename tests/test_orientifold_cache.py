@@ -21,6 +21,7 @@ from mfsym.mf import (
     shift_mor, window_monomials, window_slots,
 )
 from mfsym.groups import ActionSpec, CONTRAVARIANT, cyclic_group, twist_mf
+import mfsym.cli as cli
 import mfsym.groups as groups
 import mfsym.mf as mf
 import mfsym.orientifold as orientifold
@@ -253,7 +254,7 @@ def test_eta_coherence_check_builds_no_morphism(monkeypatch):
         (groups, "twist_mf"), (groups, "rep_apply"), (orientifold, "rep_apply"),
         (mf, "external_tensor"), (orientifold, "external_tensor"), (mf, "compose"),
         (orientifold, "compose"), (mf.MFMor, "__post_init__"), (mf, "mat_mul"),
-        (groups, "mat_mul"), (Poly, "__mul__")])
+        (Poly, "__mul__")])
     for src, tgt, M in cases:
         assert orientifold.eta_coherence_check(src, tgt, K, M)
     assert calls == {}
@@ -271,13 +272,63 @@ def test_knorrer_step_multiplies_matrices_only_to_check_k(monkeypatch):
         callers.append(sys._getframe(1).f_code.co_name)
         return mat_mul(a, b)
 
-    for module in (mf, groups):
-        monkeypatch.setattr(module, "mat_mul", counted)
+    monkeypatch.setattr(mf, "mat_mul", counted)
     for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
         s = _contra_witness(load_scenario(str(SCENARIOS / name)))
         callers.clear()
         orientifold_knorrer(s)
         assert callers == ["mf_new", "mf_new"], (name, callers)
+
+
+def test_fixed_point_law_multiplies_no_polynomial_matrices(monkeypatch):
+    """The law multiplied rho(g)(u_h) into u_g as polynomial matrices and
+    scaled the product by theta; now it is a product of sparse rows, and
+    the Poly products left are is_closed's, and twist_mf's where rep_apply
+    builds an image.  Checked on both bundled witnesses and their first
+    and second Knoerrer images, built before counting."""
+    structs = []
+    for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
+        s = _contra_witness(load_scenario(str(SCENARIOS / name)))
+        structs += [s, orientifold_knorrer(s)[0], double_knorrer(s)[0]]
+    stray = collections.Counter()
+
+    def watched(name, f, allowed):
+        def call(*args):
+            frame, names = sys._getframe(1), set()
+            while frame is not None and frame.f_code.co_name != "verify_fixed_point":
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            if frame is not None and not names & allowed:
+                stray[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(mf, "mat_mul", watched("mat_mul", mf.mat_mul, {"is_closed"}))
+    monkeypatch.setattr(Poly, "__mul__", watched("Poly.__mul__", Poly.__mul__,
+                                                 {"is_closed", "twist_mf"}))
+    for s in structs:
+        assert verify_contra_structure(s).ok
+    assert stray == {}, stray
+
+
+def test_rank_one_orientifold_verifies_its_witness_once(monkeypatch):
+    """The task ran verify_contra_structure on the family that
+    scaled_fixed_point had just verified."""
+    callers = []
+    verify = groups.verify_fixed_point
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return verify(*args)
+
+    for module in (groups, orientifold):
+        monkeypatch.setattr(module, "verify_fixed_point", counted)
+    task = cli.TASKS["rank-one-orientifold"][0]
+    for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
+        callers.clear()
+        verdict, detail = task(load_scenario(str(SCENARIOS / name)), {})
+        assert verdict.ok and "chi" in detail, (name, detail)
+        assert callers and set(callers) == {"scaled_fixed_point"}, (name, callers)
 
 
 def test_bundled_scenarios_build_no_eta_endpoints(monkeypatch):
