@@ -227,12 +227,18 @@ class _ExprParser:
 
 
 def parse_poly(text: str, ring: RingSpec) -> Poly:
-    text = str(text)
     try:
         return _ExprParser(text, ring).parse()
     except RecursionError:
         raise ScenarioError(f"expression of {len(text)} characters nests too deeply "
                             f"to parse") from None
+
+
+def _expression(value, field: str, ring: RingSpec) -> Poly:
+    """parse_poly of a scenario field, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise ScenarioError(f"{field} must be an expression string, got {value!r}")
+    return parse_poly(value, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +347,9 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{path}: ring.variables must be a list of distinct names other "
                             f"than i and zeta, got {names!r}")
     ring = RingSpec(tuple(names), conductor=_count(ring_spec, "conductor", 4, MAX_CONDUCTOR))
-    potential = parse_poly(raw.get("potential", "0"), ring)
+    if not isinstance(name := raw.get("name", path), str):
+        raise ScenarioError(f"{path}: name must be a string, got {name!r}")
+    potential = _expression(raw.get("potential", "0"), f"{path}: potential", ring)
     group = action = None
     setting = raw.get("setting")
     if setting is not None and setting not in (ANTILINEAR, CONTRAVARIANT):
@@ -372,7 +380,8 @@ def load_scenario(path: str) -> Scenario:
         for idx, images in enumerate(maps):
             if not isinstance(images, list) or len(images) != ring.nvars:
                 raise ScenarioError(f"{path}: element {idx} needs {ring.nvars} images")
-            polys = tuple(parse_poly(s, ring) for s in images)
+            polys = tuple(_expression(s, f"{path}: action[{idx}][{k}]", ring)
+                          for k, s in enumerate(images))
             anti = setting == ANTILINEAR and group.grading[idx] == -1
             ring_maps.append(RingMap(polys, anti))
         action = ActionSpec(group, setting, tuple(ring_maps))
@@ -393,7 +402,7 @@ def load_scenario(path: str) -> Scenario:
         if t["op"] not in TASKS:
             raise ScenarioError(f"{path}: unknown task op {t['op']!r}")
         _known_fields(t, ("op", *TASKS[t["op"]][1]), f"{path}: {t['op']} task")
-    return Scenario(raw.get("name", path), ring, potential, group, action,
+    return Scenario(name, ring, potential, group, action,
                     setting, variant, twist, tasks)
 
 
@@ -533,17 +542,18 @@ def task_null_homotopy_scale(sc: Scenario, params: dict):
 def _potential_null_homotopy(M: MF, *at) -> Verdict:
     """w * id = D(d/2): check the exact witness rather than re-solving."""
     h = diff_mor(M).scale(Scalar.from_rational(Fraction(1, 2)))
-    return equation("w id = D(d/2)", at, hom_diff(h), scaled_identity(M, M, M.w, M.w))
+    return equation("w id = D(d/2)", at, hom_diff(h), identity_mor(M).scale(M.w))
 
 
 def _mf_from_params(sc: Scenario, params: dict, key_prefix: str = "") -> MF:
-    mats = [params.get(key_prefix + "d0"), params.get(key_prefix + "d1")]
+    mats = [params.get(f"{key_prefix}d{k}") for k in (0, 1)]
     if not all(isinstance(m, list) and all(isinstance(row, list) and len(row) == len(m[0])
                                            for row in m) for m in mats):
         raise ScenarioError("task needs d0 and d1 matrices of expressions: lists of rows "
                             "of one length")
-    return mf_new(sc.ring, sc.potential,
-                  *(tuple(tuple(parse_poly(s, sc.ring) for s in row) for row in m) for m in mats))
+    return mf_new(sc.ring, sc.potential, *(tuple(tuple(
+        _expression(s, f"{key_prefix}d{k} entry", sc.ring) for s in row) for row in m)
+        for k, m in enumerate(mats)))
 
 
 def task_eightfold(sc: Scenario, params: dict):
@@ -691,7 +701,8 @@ def run_scenario(path: str) -> Report:
                 verdict, detail = TASKS[task["op"]][0](sc, task)
             except ValueError as exc:
                 verdict, detail = Verdict(False), {"error": str(exc)}
-            yield task["op"], verdict, detail
+            # one copy of each task name, however many reports a process keeps
+            yield sys.intern(task["op"]), verdict, detail
 
     return Report(REPORT_SCHEMA, sc.name, _run(tasks()))
 

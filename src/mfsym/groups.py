@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .scalars import Scalar
-from .linalg import _least_term, _sparse_mul, _sparse_scaled_identity
+from .linalg import _inverse, _least_term, _sparse_mul, _sparse_scaled_identity
 from .polys import Poly, RingSpec, RingMap, apply_ring_map, monomial_ratio
 from .mf import (
     MF, MFMor, Verdict, equation, identity_mor, scaled_witnesses,
-    is_closed, is_isomorphism, mor_inverse, join_rings, lift_poly, mat_apply, mf_key,
+    is_closed, join_rings, lift_poly, mat_apply, mf_key, _constant_rows,
     dual, dual_mor, shift, shift_mor,
 )
 
@@ -421,29 +421,22 @@ def verify_fixed_point(rep: ContraRep, base: MF, u: dict,
     g = rep.group
     if not (v := equation("u_e = id", (g.labels[g.identity],), u[g.identity], identity_mor(base))):
         return v
-    targets = {i: rep_apply(rep, i, base) for i in u}
+    # blocks as rows; where g flips, rho(g) takes u_h's transposed inverse, swapped if shifted
+    own, flipped = {}, {}
     for i, f in u.items():
         at = (g.labels[i],)
         if f.parity != 0:
             return Verdict(False, "not even", at)
-        f = MFMor(base, targets[i], 0, f.f0, f.f1)
-        if not is_closed(f):
+        if not is_closed(MFMor(base, rep_apply(rep, i, base), 0, f.f0, f.f1)):
             return Verdict(False, "not closed", at)
-        if not is_isomorphism(f):
-            return Verdict(False, "not invertible", at)
-
-    def rows(blk):
-        return [{c: x.constant_coeff() for c, x in enumerate(row) if x.terms} for row in blk]
-
-    own = {i: (rows(f.f0), rows(f.f1)) for i, f in u.items()}
-    # where g flips, rho(g) takes the transposed inverse of u_h's blocks,
-    # swapped in the shifted variant; each component is inverted once
-    flipped = {}
-    if any(rep.action.flips(i) for i in u):
-        for i, f in u.items():
-            inv = mor_inverse(f)
-            b = (rows(zip(*inv.f0)), rows(zip(*inv.f1)))
-            flipped[i] = b if rep.variant == PLAIN else b[::-1]
+        own[i], flipped[i] = [], []
+        for blk in (f.f0, f.f1):
+            own[i].append(rows := _constant_rows(blk))
+            if (inverse := _inverse(rows, transposed=True)) is None:
+                return Verdict(False, "not invertible", at)
+            flipped[i].append(inverse)
+        if rep.variant != PLAIN:
+            flipped[i].reverse()
     constant = (0,) * base.ring.nvars
     for i2, i1 in iproduct(u, repeat=2):
         prod = g.mul(i2, i1)

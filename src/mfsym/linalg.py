@@ -3,16 +3,17 @@
 Rows (or columns) are dicts mapping a sortable key to a ``Scalar``; zero
 values count as absent.  Every elimination of the package runs on one
 forward elimination, ``_echelon``, which pivots on the smallest key of
-each row; ``mf``'s determinants and inverses call it directly, everything
-else through ``sparse_echelon``.  It continues on pivots handed back, and
-then the pivots on keys below k are the rank of all rows so far projected
-onto those keys (the rank profile; Dumas, Pernet and Sultan, ISSAC 2013).
+each row; ``_inverse`` calls it directly, everything else through
+``sparse_echelon``.  It continues on pivots handed back, and then the
+pivots on keys below k are the rank of all rows so far projected onto
+those keys (the rank profile; Dumas, Pernet and Sultan, ISSAC 2013).
 Rational rows run as primitive int rows, fraction-free (Bareiss 1968), the
 rest as monic Scalar rows: a pivot row is fixed up to a factor (``_ratio``).
 
 A constant matrix is a sequence of such rows, keyed by column; its sum,
-product and scaled identity below touch only the nonzero entries, and a
-failing identity of such blocks names their least nonzero entry.
+product (which takes polynomial values too), inverse and scaled identity
+below touch only the nonzero entries, and a failing identity of such
+blocks names their least nonzero entry.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _echelon(rows, pivots=None):
 def sparse_echelon(rows, pivots=None):
     """_echelon, continuing pivots if given.  Rank and cohomology go
     through this public name, so perfbench's tracer sees their
-    eliminations and none of mf's."""
+    eliminations and none of _inverse's."""
     return _echelon(rows, pivots)
 
 
@@ -112,14 +113,25 @@ def sparse_rank(rows) -> int:
     return len(sparse_echelon(rows))
 
 
-def _back_substitute(pivots):
-    """Clear each pivot column from every other pivot row, in place: the
-    reduced echelon form of forward-eliminated pivots, up to row factors."""
-    for lead, row in sorted(pivots.items(), reverse=True):
-        for other_lead, other in pivots.items():
-            if other_lead < lead and lead in other:
-                _clear(other, row, lead)
-    return pivots
+def _inverse(rows, transposed=False):
+    """The inverse of the square matrix with these sparse rows, as rows (of
+    its transpose if transposed), or None if it is singular: [I | A^-1] up
+    to row factors, back-substituted from the forward echelon of [A | I]."""
+    n, one = len(rows), Scalar.one()
+    pivots = _echelon([{**row, n + r: one} for r, row in enumerate(rows)])
+    if any(lead >= n for lead in pivots):
+        return None
+    for lead in range(n - 1, 0, -1):
+        for other in range(lead):
+            if lead in pivots[other]:
+                _clear(pivots[other], pivots[lead], lead)
+    out = [{} for _ in rows]
+    for r, row in pivots.items():
+        for c, v in row.items():
+            if c >= n:
+                i, j = (c - n, r) if transposed else (r, c - n)
+                out[i][j] = _ratio(v, row[r])
+    return out
 
 
 def _elem_add(acc: dict, subset, c: Scalar) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .polys import Poly, RingSpec, RingMap, apply_ring_map, _monomials_by_degree
-from .linalg import _back_substitute, _echelon, _ratio
+from .linalg import _inverse, _sparse_mul, _sparse_scaled_identity
 from .scalars import Scalar
 
 Matrix = tuple  # rows of tuples of Poly
@@ -31,12 +31,6 @@ class MFError(ValueError):
 
 def mat(rows) -> Matrix:
     return tuple(tuple(r) for r in rows)
-
-
-def mat_identity(ring: RingSpec, n: int) -> Matrix:
-    one = Poly._trusted(ring, {(0,) * ring.nvars: Scalar.one()})
-    zero = Poly.zero(ring)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def mat_shape(m: Matrix) -> tuple[int, int]:
@@ -95,56 +89,30 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x.is_zero() for r in a for x in r)
-
-
 def mat_apply(rm: RingMap, a: Matrix) -> Matrix:
     return tuple(tuple(apply_ring_map(rm, x) for x in r) for r in a)
 
 
-def _identity_echelon(a: Matrix) -> tuple[int, dict]:
-    """n and the forward echelon of the rows of [A | I], A a nonempty square
-    matrix with constant entries; A is singular exactly when a pivot falls
-    in the I columns n, ..., 2n - 1."""
-    n, m = mat_shape(a)
-    if n == 0 or n != m:
-        raise MFError(f"structure map must be a nonempty square matrix, got shape {(n, m)}")
+def _rows(a: Matrix) -> list[dict]:
+    """a as linalg's sparse rows, each constant entry read as its Scalar."""
+    return [{c: x.constant_coeff() if x.is_constant() else x for c, x in enumerate(row) if x.terms}
+            for row in a]
+
+
+def _constant_rows(a: Matrix) -> list[dict]:
+    """The sparse rows of a nonempty square matrix of constants; others raise MFError."""
+    if not a or len(a) != len(a[0]):
+        raise MFError(f"structure map must be a nonempty square matrix, got shape {mat_shape(a)}")
     if not all(x.is_constant() for row in a for x in row):
         raise MFError("structure map has non-constant entries")
-    rows = [{**{c: x.constant_coeff() for c, x in enumerate(row)}, n + r: Scalar.one()}
-            for r, row in enumerate(a)]
-    return n, _echelon(rows)
+    return _rows(a)
 
 
-def mat_det(a: Matrix) -> Poly:
-    """Determinant of a square constant matrix, from the forward echelon of
-    [A | I]: the product of the rows' leads, signed by the order in which
-    the rows found their lead columns."""
-    n, pivots = _identity_echelon(a)
-    ring = a[0][0].ring
-    leads = list(pivots)  # in row order: row r found leads[r]
-    if max(leads) >= n:
-        return Poly.zero(ring)
-    # row r is reduced only by earlier rows: its pivot row is a multiple of
-    # a row with lead_r at its lead, 1 at column n + r and nothing beyond
-    det = _ratio(math.prod(pivots[lead][lead] for lead in leads),
-                 math.prod(pivots[lead][n + r] for r, lead in enumerate(leads)))
-    inversions = sum(leads[j] > leads[r] for r in range(n) for j in range(r))
-    return Poly.constant(ring, -det if inversions % 2 else det)
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    """Inverse of a square constant matrix, read off the reduced echelon
-    form [I | A^-1] of [A | I] (up to row factors); MFError if singular."""
-    n, pivots = _identity_echelon(a)
-    if max(pivots) >= n:
-        raise MFError("matrix is singular")
-    _back_substitute(pivots)
-    ring = a[0][0].ring
-    return tuple(tuple(Poly.constant(ring, _ratio(row[n + c], row[r])) if n + c in row
-                       else Poly.zero(ring) for c in range(n))
-                 for r, row in sorted(pivots.items()))
+def _poly_block(ring: RingSpec, rows) -> Matrix:
+    """The square matrix of constant Polys with these sparse rows."""
+    zero, const = Poly.zero(ring), (0,) * ring.nvars
+    return tuple(tuple(Poly._trusted(ring, {const: row[c]}) if c in row else zero
+                       for c in range(len(rows))) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +226,6 @@ class MFMor:
         """The block out of source part p."""
         return self.f0 if p == 0 else self.f1
 
-    def is_zero(self) -> bool:
-        return mat_is_zero(self.f0) and mat_is_zero(self.f1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MFMor):
             return NotImplemented
@@ -290,14 +255,15 @@ class MFMor:
 
 
 def identity_mor(M: MF) -> MFMor:
-    return MFMor(M, M, 0, mat_identity(M.ring, M.r0), mat_identity(M.ring, M.r1))
+    return scaled_identity(M, M, 1, 1)
 
 
 def scaled_identity(M: MF, N: MF, c0, c1) -> MFMor:
-    """The even map M -> N with blocks c0 * id and c1 * id (N has M's ranks)."""
-    return MFMor(M, N, 0,
-                 mat_scale(c0, mat_identity(M.ring, M.r0)),
-                 mat_scale(c1, mat_identity(M.ring, M.r1)))
+    """The even map M -> N with blocks c0 * id and c1 * id (N has M's
+    ranks), for Scalars or ints c0 and c1."""
+    return MFMor(M, N, 0, *(_poly_block(M.ring, _sparse_scaled_identity(
+        c if isinstance(c, Scalar) else Scalar.from_rational(c), n))
+        for c, n in ((c0, M.r0), (c1, M.r1))))
 
 
 def scaled_witnesses(base: MF, targets, identity: int, units):
@@ -440,20 +406,34 @@ def window_operator(left: MFMor, right: MFMor, parity: int, monomials,
 
 
 def is_closed(f: MFMor) -> bool:
-    return hom_diff(f).is_zero()
+    """Whether D(f) = 0 (hom_diff is the reference): on each source part p,
+    d_N f_p = (-1)^{|f|} f_{1-p} d_M, compared as products of sparse rows,
+    so a constant entry of f only scales entries of the differentials."""
+    q = f.parity
+    dN, dM, fr = ((_rows(h.f0), _rows(h.f1)) for h in (diff_mor(f.target), diff_mor(f.source), f))
+    for p in (0, 1):
+        right = fr[1 - p] if q else [{k: -x for k, x in row.items()} for row in fr[1 - p]]
+        if any(_sparse_mul(right, dM[p], _sparse_mul(dN[(p + q) % 2], fr[p]))):
+            return False
+    return True
 
 
-def mor_inverse(f: MFMor) -> MFMor:
+def mor_inverse(f: MFMor) -> MFMor | None:
+    """The inverse of f, or None if f is odd or a block is singular; MFError
+    for a block that _constant_rows refuses, f0 decided before f1 is read."""
     if f.parity != 0:
-        raise MFError("only even morphisms are inverted")
-    return MFMor(f.target, f.source, 0, mat_inverse(f.f0), mat_inverse(f.f1))
+        return None
+    blocks = []
+    for blk in (f.f0, f.f1):
+        if (rows := _inverse(_constant_rows(blk))) is None:
+            return None
+        blocks.append(_poly_block(blk[0][0].ring, rows))
+    return MFMor(f.target, f.source, 0, *blocks)
 
 
 def is_isomorphism(f: MFMor) -> bool:
-    """f is even with constant square blocks of nonzero determinant; blocks
-    that are not constant or not square raise MFError."""
-    return (f.parity == 0 and not mat_det(f.f0).is_zero()
-            and not mat_det(f.f1).is_zero())
+    """Whether f is even with invertible blocks, as mor_inverse decides."""
+    return mor_inverse(f) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +611,8 @@ def _basis_permutation_mor(src: MF, tgt: MF, f: MFMor, g: MFMor, tgt_bases,
 def _shift_identity(M: MF) -> MFMor:
     """The odd map Sigma M -> M that is the identity on the underlying
     module: part p of Sigma M is part 1-p of M."""
-    return MFMor(shift(M), M, 1, mat_identity(M.ring, M.r1), mat_identity(M.ring, M.r0))
+    ident = identity_mor(shift(M))
+    return MFMor(ident.source, M, 1, ident.f0, ident.f1)
 
 
 def transport_mf(M: MF, ring: RingSpec) -> MF:

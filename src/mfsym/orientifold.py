@@ -28,7 +28,7 @@ from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap, apply_ring_map
 from .linalg import _least_term, _sparse_mul, _sparse_scaled_identity
 from .mf import (
-    MF, MFMor, mat_scale, compose, identity_mor, mor_inverse, is_isomorphism, external_tensor,
+    MF, MFMor, mat_scale, compose, identity_mor, mor_inverse, external_tensor,
     tensor_mor_blocks, rank_one, lift_poly, Verdict, equation,
 )
 from .groups import (
@@ -126,10 +126,12 @@ def rank_one_contra_condition(rep: ContraRep):
 def _inverses(rep: ContraRep, u: dict):
     """The inverse of each component of u, or the verdict naming the first
     one that is not invertible."""
+    inverse = {}
     for i, f in u.items():
-        if not is_isomorphism(f):
+        inverse[i] = mor_inverse(f)
+        if inverse[i] is None:
             return Verdict(False, "not invertible", (rep.group.labels[i],))
-    return {i: mor_inverse(f) for i, f in u.items()}
+    return inverse
 
 
 def _duality_data(rep: ContraRep, sigma: int, C: MF, u: dict, inverse: dict):

@@ -3,8 +3,9 @@
 Each is the direct morphism-level form of a construction the package
 computes another way: twisting a morphism entrywise, the external tensor
 of two morphisms, a morphism's coordinates and back, and the generic
-duality identity; zero matrices and block grids of polynomial matrices
-serve the dense references.  The package itself never imports this module.
+duality identity; identity and zero matrices and block grids of
+polynomial matrices serve the dense references.  The package itself
+never imports this module.
 """
 
 from mfsym.polys import Poly, RingMap, RingSpec
@@ -13,6 +14,11 @@ from mfsym.mf import (
     mat_apply, tensor_mor_blocks,
 )
 from mfsym.groups import twist_mf
+
+
+def mat_identity(ring: RingSpec, n: int) -> Matrix:
+    one, zero = Poly.constant(ring, 1), Poly.zero(ring)
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def mat_zero(ring: RingSpec, r: int, c: int) -> Matrix:

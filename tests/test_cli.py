@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -458,6 +459,12 @@ BAD_SCENARIOS = {
                               "potential": "u*v", "group": "C(2)", "twist": "universal-sign"},
     "variant-without-setting": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
                                 "potential": "u*v", "variant": "shifted"},
+    # an expression is a JSON string, not a number read through str(), and a
+    # name is a string
+    "potential-number": {"schema": SCHEMA, "ring": {"variables": ["u", "v"]}, "potential": 0},
+    "action-image-number": {**ANTILINEAR_UV, "action": [["u", "v"], [1, "-v"]]},
+    "name-list": {"schema": SCHEMA, "name": ["a", 1], "ring": {"variables": ["u", "v"]},
+                  "potential": "u*v"},
 }
 
 
@@ -472,6 +479,18 @@ def test_bad_scenario_gives_one_error_line(tmp_path, probe, optimize):
     assert "Traceback" not in run.stderr
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("probe, field", [("potential-number", "potential"),
+                                          ("action-image-number", "action[1][0]"),
+                                          ("name-list", "name")])
+def test_non_string_fields_are_named(tmp_path, probe, field):
+    """A JSON number where an expression is expected was read through str(),
+    and a name of any JSON type was echoed into the report."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(BAD_SCENARIOS[probe]))
+    with pytest.raises(ScenarioError, match=f": {re.escape(field)} must be "):
+        load_scenario(str(p))
 
 
 def test_size_bounds_at_their_limits():
@@ -622,6 +641,7 @@ BAD_TASKS = {
     "cutoff-past-bound": ("hom-cohomology", {}, {**HYPERBOLIC, "cutoff": 1000000}),
     "d1-number": ("hom-cohomology", {}, {"d0": [["u"]], "d1": 5}),
     "d0-ragged": ("null-homotopy-scale", {}, {"d0": [["u"], ["v", "u"]], "d1": [["v"]]}),
+    "d0-number": ("null-homotopy-scale", {"potential": "u"}, {"d0": [[1]], "d1": [["u"]]}),
     "other-d1-alone": ("hom-cohomology", {}, {**HYPERBOLIC, "other_d1": [["u"]]}),
     "expect-number": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": 5}),
     "expect-strings": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": ["a", "b"]}),

@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,11 +20,11 @@ from mfsym.mf import (
     shift_mor, dual, dual_mor, double_dual_iso, grading_iso, external_tensor,
     swap_iso, shift_tensor_iso_left,
     shift_tensor_iso_right, tensor_dual_pairing,
-    mat_mul, mat_identity, mat_det, mat_inverse, mat_eq, mat_neg,
-    join_rings, lift_poly, lift_mat, negate_mf,
+    mat_mul, mat_eq, mat_neg, mat_shape, scaled_identity,
+    join_rings, lift_poly, lift_mat, negate_mf, _block_shapes,
 )
 import mfsym.catalog as catalog
-from oracles import external_tensor_mor, mat_block, mat_zero
+from oracles import external_tensor_mor, mat_block, mat_identity, mat_zero
 
 
 RNG = random.Random(20240824)
@@ -263,20 +264,38 @@ def test_knorrer_apply_shapes():
     assert MK.ring.nvars == 3
 
 
+def _block_mor(ring, f0):
+    """The even map with block f0, of any shape, and the 1 x 1 identity,
+    between factorizations of 0 with zero differentials (built as MFs: an
+    empty block has no column count for mf_new to check)."""
+    def zero_mf(n):
+        return MF(ring, Poly.zero(ring), mat_zero(ring, 1, n), mat_zero(ring, n, 1))
+    rows, cols = mat_shape(f0)
+    return MFMor(zero_mf(cols), zero_mf(rows), 0, f0, mat_identity(ring, 1))
+
+
+def _assert_inverts(f):
+    """mor_inverse(f) composes with f to the identity on both sides."""
+    inv = mor_inverse(f)
+    assert compose(inv, f) == identity_mor(f.source)
+    assert compose(f, inv) == identity_mor(f.target)
+
+
 def test_matrix_det_and_inverse_constant():
     ring = RingSpec(("x",), conductor=4)
-    i = Scalar.i()
-    rows = ((Poly.constant(ring, 1), Poly.constant(ring, i)),
-            (Poly.constant(ring, 0), Poly.constant(ring, 2)))
-    det = mat_det(rows)
-    assert det == Poly.constant(ring, 2)
-    inv = mat_inverse(rows)
-    assert mat_eq(mat_mul(rows, inv), mat_identity(ring, 2))
+    i, half = Scalar.i(), Scalar.from_rational(Fraction(1, 2))
+    rows = [[Scalar.one(), i], [Scalar.zero(), Scalar.from_rational(2)]]
+    assert _laplace_det(rows) == 2
+    f = _block_mor(ring, _as_matrix(ring, rows))
+    assert is_isomorphism(f)
+    assert mat_eq(mor_inverse(f).f0, _as_matrix(ring, [[Scalar.one(), -i * half],
+                                                      [Scalar.zero(), half]]))
+    _assert_inverts(f)
 
 
 def _laplace_det(rows):
     """Determinant by cofactor expansion along the first row: the oracle
-    for the determinant read off the echelon form of [A | I]."""
+    for invertibility, which an elimination of [A | I] decides."""
     if len(rows) == 1:
         return rows[0][0]
     acc = Scalar.zero()
@@ -304,30 +323,19 @@ def _as_matrix(ring, rows):
     return tuple(tuple(Poly.constant(ring, x) for x in row) for row in rows)
 
 
-def _square_mor(ring, f0):
-    """The even endomorphism with blocks f0 and the identity of the
-    rank-(n, n) factorization of 0 with zero differential."""
-    n = len(f0)
-    zero = mat_zero(ring, n, n)
-    M = mf_new(ring, Poly.zero(ring), zero, zero)
-    return MFMor(M, M, 0, f0, mat_identity(ring, n))
-
-
 @settings(max_examples=80, deadline=None)
 @given(constant_matrices())
 def test_gauss_jordan_matches_laplace_and_inverts(drawn):
+    """A constant map is invertible exactly when its Laplace determinant is
+    nonzero, and then its inverse composes to the identity on both sides."""
     ring, rows = drawn
-    a = _as_matrix(ring, rows)
-    det = mat_det(a)
-    assert det == Poly.constant(ring, _laplace_det(rows))
-    assert is_isomorphism(_square_mor(ring, a)) == (not det.is_zero())
-    if det.is_zero():
-        with pytest.raises(MFError):
-            mat_inverse(a)
-        return
-    inv = mat_inverse(a)
-    eye = mat_identity(ring, len(a))
-    assert mat_eq(mat_mul(a, inv), eye) and mat_eq(mat_mul(inv, a), eye)
+    f = _block_mor(ring, _as_matrix(ring, rows))
+    invertible = not _laplace_det(rows).is_zero()
+    assert is_isomorphism(f) == invertible
+    if invertible:
+        _assert_inverts(f)
+    else:
+        assert mor_inverse(f) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,47 +346,62 @@ def test_gauss_jordan_singular_matrix(drawn, data):
     i, j = data.draw(st.permutations(range(n)))[:2]
     c = data.draw(st.sampled_from((Scalar.one(), -Scalar.zeta(ring.conductor), Scalar.zero())))
     rows[j] = [c * x for x in rows[i]]
-    a = _as_matrix(ring, rows)
-    assert mat_det(a).is_zero()
-    with pytest.raises(MFError):
-        mat_inverse(a)
-    assert not is_isomorphism(_square_mor(ring, a))
+    assert _laplace_det(rows).is_zero()
+    f = _block_mor(ring, _as_matrix(ring, rows))
+    assert mor_inverse(f) is None
+    assert not is_isomorphism(f)
 
 
 def test_gauss_jordan_rejects_polynomial_and_non_square_input():
+    """A block that is not a nonempty square matrix of constants raises
+    MFError; f0 is decided before f1 is read, so a singular f0 answers
+    first.  An odd map has no even inverse."""
     ring = RingSpec(("x",), conductor=4)
-    one, x = Poly.constant(ring, 1), Poly.variable(ring, "x")
-    polynomial = ((one, x), (Poly.zero(ring), one))
+    one, x, zero = Poly.constant(ring, 1), Poly.variable(ring, "x"), Poly.zero(ring)
+    polynomial = ((one, x), (zero, one))
     for bad in (polynomial, ((one, one),), ()):
-        with pytest.raises(MFError):
-            mat_det(bad)
-        with pytest.raises(MFError):
-            mat_inverse(bad)
+        f = _block_mor(ring, bad)
+        for check in (is_isomorphism, mor_inverse):
+            with pytest.raises(MFError):
+                check(f)
+    singular = _block_mor(ring, ((zero,),))
+    for f1 in (((x,),), ((zero,),)):
+        f = MFMor(singular.source, singular.target, 0, singular.f0, f1)
+        assert mor_inverse(f) is None and not is_isomorphism(f)
+    f = MFMor(singular.source, singular.target, 0, ((one,),), ((x,),))
     with pytest.raises(MFError):
-        is_isomorphism(_square_mor(ring, polynomial))
+        is_isomorphism(f)
     odd = diff_mor(rank_one(x, x))
     assert not is_isomorphism(odd)
-    with pytest.raises(MFError):
-        mor_inverse(odd)
+    assert mor_inverse(odd) is None
+
+
+def _permutation_mor(ring, perm, scale):
+    """The map whose f0 has scale[r] at (r, perm[r]), with its Laplace
+    determinant, which is the product of the scales signed by the
+    inversions of perm, and the exact inverse block: 1 / scale[r] at
+    (perm[r], r)."""
+    n = len(perm)
+    rows = [[scale[r] if c == perm[r] else Scalar.zero() for c in range(n)] for r in range(n)]
+    inverse = [[scale[c].inverse() if r == perm[c] else Scalar.zero() for c in range(n)]
+               for r in range(n)]
+    inversions = sum(perm[j] > perm[r] for r in range(n) for j in range(r))
+    product = math.prod(scale, start=Scalar.one())
+    assert _laplace_det(rows) == (-product if inversions % 2 else product)
+    return _block_mor(ring, _as_matrix(ring, rows)), _as_matrix(ring, inverse)
 
 
 def test_scaled_permutation_det_sign_and_inverse():
-    """Row r of a permutation matrix finds its lead column at perm[r], so
-    the determinant's sign comes from the order the leads are found in."""
+    """Row r of a permutation matrix finds its lead column at perm[r]; the
+    inverse is read off whatever order the leads are found in."""
     ring = RingSpec(("x",), conductor=12)
     for n in range(1, 5):
         for perm in itertools.permutations(range(n)):
-            scale = [Scalar.zeta(12, 5 * r + 1) for r in range(n)]
-            a = tuple(tuple(Poly.constant(ring, scale[r]) if c == perm[r] else Poly.zero(ring)
-                            for c in range(n)) for r in range(n))
-            inversions = sum(perm[j] > perm[r] for r in range(n) for j in range(r))
-            product = Scalar.one()
-            for x in scale:
-                product = product * x
-            assert mat_det(a) == Poly.constant(ring, -product if inversions % 2 else product)
-            eye = mat_identity(ring, n)
-            inv = mat_inverse(a)
-            assert mat_eq(mat_mul(a, inv), eye) and mat_eq(mat_mul(inv, a), eye)
+            f, inverse = _permutation_mor(ring, perm,
+                                          [Scalar.zeta(12, 5 * r + 1) for r in range(n)])
+            assert is_isomorphism(f)
+            assert mat_eq(mor_inverse(f).f0, inverse)
+            _assert_inverts(f)
 
 
 def test_rational_scaled_permutation_det_sign_and_inverse():
@@ -387,21 +410,18 @@ def test_rational_scaled_permutation_det_sign_and_inverse():
     ring = RingSpec(("x",), conductor=1)
     for n in range(1, 5):
         for perm in itertools.permutations(range(n)):
-            scale = [(-1) ** r * (r + 2) for r in range(n)]
-            a = tuple(tuple(Poly.constant(ring, scale[r]) if c == perm[r] else Poly.zero(ring)
-                            for c in range(n)) for r in range(n))
-            inversions = sum(perm[j] > perm[r] for r in range(n) for j in range(r))
-            product = math.prod(scale)
-            assert mat_det(a) == Poly.constant(ring, -product if inversions % 2 else product)
-            eye = mat_identity(ring, n)
-            inv = mat_inverse(a)
-            assert mat_eq(mat_mul(a, inv), eye) and mat_eq(mat_mul(inv, a), eye)
+            f, inverse = _permutation_mor(ring, perm, [Scalar.from_rational((-1) ** r * (r + 2))
+                                                       for r in range(n)])
+            assert is_isomorphism(f)
+            assert mat_eq(mor_inverse(f).f0, inverse)
+            _assert_inverts(f)
 
 
 def test_structure_maps_make_no_public_linalg_calls(monkeypatch):
-    """Determinants and inverses run on linalg's private elimination core,
-    so a benchmark tracer that wraps the public linalg functions sees none
-    of them (and the orientifold checks make no linalg calls)."""
+    """Inverses and closedness run on linalg's private elimination core and
+    row products, so a benchmark tracer that wraps the public linalg
+    functions sees none of them (and the orientifold checks make no linalg
+    calls)."""
     import mfsym.linalg as linalg
 
     def refuse(*args, **kwargs):
@@ -420,12 +440,52 @@ def test_structure_maps_make_no_public_linalg_calls(monkeypatch):
     with pytest.raises(AssertionError):
         linalg.sparse_rank([])
     ring = RingSpec(("x",), conductor=4)
-    a = _as_matrix(ring, [[Scalar.one(), Scalar.i()], [Scalar.from_rational(2), Scalar.zero()]])
-    f = _square_mor(ring, a)
-    assert mat_det(a) == Poly.constant(ring, -2 * Scalar.i())
-    assert mat_eq(mat_mul(a, mat_inverse(a)), mat_identity(ring, 2))
+    f = _block_mor(ring, _as_matrix(ring, [[Scalar.one(), Scalar.i()],
+                                           [Scalar.from_rational(2), Scalar.zero()]]))
     assert is_isomorphism(f)
-    assert compose(f, mor_inverse(f)) == identity_mor(f.source)
+    assert is_closed(f)
+    _assert_inverts(f)
+
+
+@st.composite
+def drawn_mors(draw, M, N, parity=None, constant=None):
+    """A map M -> N of a drawn parity, its entries drawn sums of at most two
+    terms of degree at most one (of degree zero where constant), with small
+    integer coefficients, so zero entries are common."""
+    parity = draw(st.integers(0, 1)) if parity is None else parity
+    constant = draw(st.booleans()) if constant is None else constant
+    nvars = M.ring.nvars
+    exps = [(0,) * nvars] + ([] if constant else
+                             [tuple(int(k == j) for k in range(nvars)) for j in range(nvars)])
+    blocks = [tuple(tuple(Poly(M.ring, {e: draw(st.integers(-2, 2)) for e in
+                                        draw(st.lists(st.sampled_from(exps), max_size=2))})
+                          for _ in range(cols)) for _ in range(rows))
+              for rows, cols in _block_shapes(M, N, parity)]
+    return MFMor(M, N, parity, *blocks)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_SMALL_CATALOG), st.data())
+def test_is_closed_matches_hom_diff(M, data):
+    """is_closed multiplies sparse rows; hom_diff multiplies polynomial
+    matrices.  They agree on drawn maps of both parities, constant and not,
+    closed (boundaries, scaled identities with equal scales, the grading
+    iso) and not."""
+    kind = data.draw(st.sampled_from(("drawn", "boundary", "scaled", "grading")))
+    if kind == "drawn":
+        f = data.draw(drawn_mors(M, M))
+    elif kind == "boundary":
+        f = hom_diff(data.draw(drawn_mors(M, M)))
+        assert is_closed(f)
+    else:
+        N = M if kind == "scaled" else negate_mf(M)
+        a, b = (Scalar.from_rational(data.draw(st.integers(-2, 2))) for _ in range(2))
+        f = scaled_identity(M, N, a, data.draw(st.sampled_from((a, -a, b))))
+    if data.draw(st.booleans()):
+        f = f + data.draw(drawn_mors(f.source, f.target, f.parity, constant=True))
+    boundary = hom_diff(f)
+    assert is_closed(f) == all(p.is_zero() for blk in (boundary.f0, boundary.f1)
+                               for row in blk for p in row)
 
 
 _BAD_MOR = """

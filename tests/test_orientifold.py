@@ -19,8 +19,8 @@ from mfsym.groups import (
     theta_scalars, verify_fixed_point, _graded_act,
 )
 from mfsym.mf import (
-    MF, MFMor, rank_one, identity_mor, compose, is_closed, is_isomorphism, mor_inverse,
-    scaled_identity, equation, external_tensor, mat_identity, mat_neg, mat_scale, Verdict,
+    MF, MFError, MFMor, rank_one, identity_mor, compose, is_closed, is_isomorphism, mor_inverse,
+    scaled_identity, equation, external_tensor, mat_neg, mat_scale, Verdict,
 )
 from mfsym.orientifold import (
     PLAIN, SHIFTED, ContraRep, ContraRealStruct, rank_one_contra_condition,
@@ -32,7 +32,7 @@ from mfsym.orientifold import (
 from mfsym.mf import dual, dual_mor, double_dual_iso
 from mfsym.cli import load_scenario, _cocycle, _contra_witness, _run
 import mfsym.catalog as catalog
-from oracles import external_tensor_mor, mat_block, mat_zero, verify_duality
+from oracles import external_tensor_mor, mat_block, mat_identity, mat_zero, verify_duality
 
 
 RING = RingSpec(("u", "v"), conductor=4)
@@ -308,6 +308,24 @@ def test_singular_component_fails_instead_of_raising():
         False, "not invertible", ("g1",), None)
 
 
+def test_non_constant_component_raises_or_fails_as_before():
+    """A closed component that is not constant raises MFError where it is
+    read as rows, in the fixed point law and in the dualities' inverses,
+    as the determinant of its blocks did; one that is not closed fails on
+    that first."""
+    s = witness(c4_plain_rep())
+    one_plus_w = Poly.constant(RING, 1) + W
+    with pytest.raises(MFError, match="non-constant"):
+        verify_contra_structure(_scaled(s, 1, one_plus_w))
+    with pytest.raises(MFError, match="non-constant"):
+        fixed_point_duality(s.rep, 1, _kernel_part(_scaled(s, 2, one_plus_w)))
+    f = s.u[1]
+    shifted = MFMor(f.source, f.target, 0, tuple(tuple(x + U for x in row) for row in f.f0), f.f1)
+    verdict = verify_contra_structure(ContraRealStruct(s.base, s.rep, {**s.u, 1: shifted}))
+    assert (verdict.ok, verdict.identity, verdict.at, verdict.term) == (
+        False, "not closed", ("g1",), None)
+
+
 def test_singular_kernel_component_fails_the_dualities_instead_of_raising():
     """Building the induced structure inverted u_g2 before any check ran."""
     s = _scaled(witness(c4_plain_rep()), 2, Scalar.zero())
@@ -337,20 +355,21 @@ def test_duality_comparison_does_not_rerun_the_dualities(monkeypatch):
 
 
 def test_contra_verification_inverts_each_component_once(monkeypatch):
-    """Inverting u_{i1} for every odd i2 took |odd| * |G| inversions."""
+    """Inverting u_{i1} for every odd i2 took |odd| * |G| inversions; now
+    each of a component's two blocks is eliminated once."""
     import mfsym.groups as groups
 
     s = witness(c4_plain_rep())
     calls = []
-    mor_inverse = groups.mor_inverse
+    inverse = groups._inverse
 
-    def counted(f):
+    def counted(rows, **kwargs):
         calls.append(1)
-        return mor_inverse(f)
+        return inverse(rows, **kwargs)
 
-    monkeypatch.setattr(groups, "mor_inverse", counted)
+    monkeypatch.setattr(groups, "_inverse", counted)
     assert verify_contra_structure(s).ok
-    assert len(calls) == len(s.u)
+    assert len(calls) == 2 * len(s.u)
 
 
 # ---------------------------------------------------------------------------

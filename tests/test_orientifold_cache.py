@@ -213,9 +213,9 @@ def _counting(monkeypatch, targets):
     """Patches each (module, name) in targets to count its calls by name."""
     calls = collections.Counter()
     for module, name in targets:
-        def counted(*args, _f=getattr(module, name), _name=name):
+        def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _f(*args)
+            return _f(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     return calls
 
@@ -226,8 +226,8 @@ def test_theta_cocycle_check_builds_no_morphism(monkeypatch):
     them."""
     rep = c4_plain_rep()
     calls = _counting(monkeypatch, [(groups, "twist_mf"), (mf, "compose"),
-                                    (orientifold, "compose"), (groups, "mor_inverse"),
-                                    (orientifold, "mor_inverse")])
+                                    (orientifold, "compose"), (groups, "_inverse"),
+                                    (mf, "_inverse")])
     assert orientifold.theta_cocycle_check(rep, BASE)
     assert calls == {}
 
@@ -236,11 +236,14 @@ def test_bundled_scenarios_invert_no_theta(monkeypatch):
     """One pass over both orientifold scenarios made 166 mor_inverse calls:
     46 in verify_fixed_point, 30 on eta, 10 on u and v components and 80
     on thetas; then 86, with eta still inverted as a morphism and each
-    task verifying its own witness."""
-    calls = _counting(monkeypatch, [(groups, "mor_inverse"), (orientifold, "mor_inverse")])
+    task verifying its own witness; then 34.  Now each block is eliminated
+    once, by linalg's one inverse: 44 blocks in verify_fixed_point, which
+    inverts every component it checks, and 20 in the duality's
+    mor_inverse calls."""
+    calls = _counting(monkeypatch, [(groups, "_inverse"), (mf, "_inverse")])
     for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
         assert run_scenario(str(SCENARIOS / name)).ok
-    assert calls["mor_inverse"] <= 34, calls
+    assert calls["_inverse"] <= 64, calls
 
 
 def test_eta_coherence_check_builds_no_morphism(monkeypatch):
@@ -282,30 +285,31 @@ def test_knorrer_step_multiplies_matrices_only_to_check_k(monkeypatch):
 
 def test_fixed_point_law_multiplies_no_polynomial_matrices(monkeypatch):
     """The law multiplied rho(g)(u_h) into u_g as polynomial matrices and
-    scaled the product by theta; now it is a product of sparse rows, and
-    the Poly products left are is_closed's, and twist_mf's where rep_apply
-    builds an image.  Checked on both bundled witnesses and their first
-    and second Knoerrer images, built before counting."""
+    scaled the product by theta; now it is a product of sparse rows.
+    is_closed multiplied polynomial matrices too; now a constant component
+    only scales the entries of the differentials.  The products of two
+    polynomials left are twist_mf's, where rep_apply builds an image.
+    Checked on both bundled witnesses and their first and second Knoerrer
+    images, built before counting."""
     structs = []
     for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
         s = _contra_witness(load_scenario(str(SCENARIOS / name)))
         structs += [s, orientifold_knorrer(s)[0], double_knorrer(s)[0]]
     stray = collections.Counter()
 
-    def watched(name, f, allowed):
-        def call(*args):
+    def watched(name, f):
+        def call(a, b):
             frame, names = sys._getframe(1), set()
             while frame is not None and frame.f_code.co_name != "verify_fixed_point":
                 names.add(frame.f_code.co_name)
                 frame = frame.f_back
-            if frame is not None and not names & allowed:
+            if frame is not None and "twist_mf" not in names and isinstance(b, (Poly, tuple)):
                 stray[name] += 1
-            return f(*args)
+            return f(a, b)
         return call
 
-    monkeypatch.setattr(mf, "mat_mul", watched("mat_mul", mf.mat_mul, {"is_closed"}))
-    monkeypatch.setattr(Poly, "__mul__", watched("Poly.__mul__", Poly.__mul__,
-                                                 {"is_closed", "twist_mf"}))
+    monkeypatch.setattr(mf, "mat_mul", watched("mat_mul", mf.mat_mul))
+    monkeypatch.setattr(Poly, "__mul__", watched("Poly.__mul__", Poly.__mul__))
     for s in structs:
         assert verify_contra_structure(s).ok
     assert stray == {}, stray
