@@ -72,7 +72,8 @@ MAX_ITERATIONS = 5  # of eightfold-consistency; each costs about 4-5x the one be
 MAX_POWER_MONOMIALS = 500
 # the same count summed over the powers and products of one expression
 MAX_EXPRESSION_MONOMIALS = 2000
-MAX_CONDUCTOR = 360  # of the ring and of the zeta orders of one expression
+# of the ring and the zeta orders of one expression, and of their lcm over a scenario
+MAX_CONDUCTOR = 360
 MAX_WINDOW_UNKNOWNS = 20000  # per parity, of a hom-cohomology window at cutoff + 1
 
 
@@ -241,6 +242,18 @@ def _expression(value, field: str, ring: RingSpec) -> Poly:
     return parse_poly(value, ring)
 
 
+def _bound_conductor(what: str, ring: RingSpec, potential: Poly, action, entries=()) -> None:
+    """Refuses a scenario whose ring, potential, action images and the given
+    entries need together a conductor past MAX_CONDUCTOR: scalars of two
+    conductors combine at their lcm."""
+    images = [p for rm in action.maps for p in rm.images] if action else []
+    m = math.lcm(ring.conductor, *(c.conductor for p in (potential, *images, *entries)
+                                   for c in p.terms.values()))
+    if m > MAX_CONDUCTOR:
+        raise ScenarioError(f"{what}: the ring and the expressions need conductor {m} "
+                            f"together, more than {MAX_CONDUCTOR}")
+
+
 # ---------------------------------------------------------------------------
 # scenario loading
 
@@ -385,6 +398,7 @@ def load_scenario(path: str) -> Scenario:
             anti = setting == ANTILINEAR and group.grading[idx] == -1
             ring_maps.append(RingMap(polys, anti))
         action = ActionSpec(group, setting, tuple(ring_maps))
+    _bound_conductor(path, ring, potential, action)
     twist = None
     tw = raw.get("twist", "trivial")
     if tw == "universal-sign":
@@ -551,9 +565,11 @@ def _mf_from_params(sc: Scenario, params: dict, key_prefix: str = "") -> MF:
                                            for row in m) for m in mats):
         raise ScenarioError("task needs d0 and d1 matrices of expressions: lists of rows "
                             "of one length")
-    return mf_new(sc.ring, sc.potential, *(tuple(tuple(
-        _expression(s, f"{key_prefix}d{k} entry", sc.ring) for s in row) for row in m)
-        for k, m in enumerate(mats)))
+    d0, d1 = (tuple(tuple(_expression(s, f"{key_prefix}d{k} entry", sc.ring) for s in row)
+                    for row in m) for k, m in enumerate(mats))
+    _bound_conductor(f"{key_prefix}d0 and d1", sc.ring, sc.potential, sc.action,
+                     [e for row in d0 + d1 for e in row])
+    return mf_new(sc.ring, sc.potential, d0, d1)
 
 
 def task_eightfold(sc: Scenario, params: dict):

@@ -294,23 +294,28 @@ def module_hom_dim(m: CliffMod, mp: CliffMod) -> int:
     """Dimension over the scalar field of the space of degree-zero module
     maps f: m -> mp, the solutions of h_p f_p = f_{1-p} g_p (p = 0, 1) for
     every generator pair (g, h).  Entry (i, j) of an equation is one sparse
-    row on the unknowns (p, r, c) = entry (r, c) of f_p; the keys of its
-    h side and its g side differ in p, so they never collide."""
+    row on int unknowns: entry (r, c) of f_p, a b_p x a_p block, is
+    base[p] + r * a_p + c with base = (0, a0 * b0), so the keys of its h
+    side (f_p) and of its g side (f_{1-p}) never collide."""
     if m.alg != mp.alg:
         raise ValueError("modules over different Clifford algebras")
+    a, (b0, b1) = m.dims, mp.dims
+    base = (0, a[0] * b0)
     rows = []
     for g, h in zip(m.gammas, mp.gammas):
         for p in (0, 1):
-            minus_g_cols = [{c: -row[j] for c, row in enumerate(g[p]) if j in row}
-                            for j in range(m.dims[p])]
+            q = 1 - p
+            minus_g_cols = [[(base[q] + c, -row[j]) for c, row in enumerate(g[p]) if j in row]
+                            for j in range(a[p])]
             for i, hrow in enumerate(h[p]):
+                h_side = [(base[p] + r * a[p], x) for r, x in hrow.items()]
                 for j, col in enumerate(minus_g_cols):
-                    eq = {(p, r, j): x for r, x in hrow.items()}
-                    eq.update({(1 - p, i, c): x for c, x in col.items()})
-                    if eq:
+                    if h_side or col:
+                        eq = {k + j: x for k, x in h_side}
+                        for k, x in col:
+                            eq[k + i * a[q]] = x
                         rows.append(eq)
-    (a0, a1), (b0, b1) = m.dims, mp.dims
-    return a0 * b0 + a1 * b1 - sparse_rank(rows)
+    return base[1] + a[1] * b1 - sparse_rank(rows)
 
 
 def beh_hom_compare(m: CliffMod, mp: CliffMod, ring: RingSpec):
@@ -422,12 +427,12 @@ class GradedTensorAlg:
         out = {}
         for (sa, ta), ca in a.items():
             for (sb, tb), cb in b.items():
-                sign = -Scalar.one() if (len(ta) % 2 and len(sb) % 2) else Scalar.one()
+                c = -(ca * cb) if len(ta) % 2 and len(sb) % 2 else ca * cb
                 lprod = clifford_mul(self.left, {sa: Scalar.one()}, {sb: Scalar.one()})
                 rprod = clifford_mul(self.right, {ta: Scalar.one()}, {tb: Scalar.one()})
                 for ls, lc in lprod.items():
                     for rs, rc in rprod.items():
-                        _elem_add(out, (ls, rs), sign * ca * cb * lc * rc)
+                        _elem_add(out, (ls, rs), c * lc * rc)
         return out
 
 

@@ -9,6 +9,11 @@ pivots on keys below k are the rank of all rows so far projected onto
 those keys (the rank profile; Dumas, Pernet and Sultan, ISSAC 2013).
 Rational rows run as primitive int rows, fraction-free (Bareiss 1968), the
 rest as monic Scalar rows: a pivot row is fixed up to a factor (``_ratio``).
+A pivot row with one entry clears its column from a row by deleting that
+key, with no product, on either lane.  ``sparse_rank`` eliminates the
+shortest rows first, so one-entry rows become pivots before the rows they
+clear (structured Gaussian elimination; LaMacchia and Odlyzko, 1990); a
+rank does not depend on row order.
 
 A constant matrix is a sequence of such rows, keyed by column; its sum,
 product (which takes polynomial values too), inverse and scaled identity
@@ -89,6 +94,7 @@ def _echelon(rows, pivots=None):
                 pivots[lead] = {k: _ratio(v, prow[lead]) for k, v in prow.items()}
         if not integer:
             new = {k: v for k, v in row.items() if not v.is_zero()}
+        dropped = False
         while new:
             lead = min(new)
             prow = pivots.get(lead)
@@ -96,9 +102,15 @@ def _echelon(rows, pivots=None):
                 if not integer:
                     c = new[lead].inverse()
                     new = {k: v * c for k, v in new.items()}
+                elif dropped:  # a deleted key can leave a common factor
+                    _primitive(new)
                 pivots[lead] = new
                 break
-            _clear(new, prow, lead)
+            if len(prow) == 1:
+                del new[lead]
+                dropped = True
+            else:
+                _clear(new, prow, lead)
     return pivots
 
 
@@ -110,7 +122,8 @@ def sparse_echelon(rows, pivots=None):
 
 
 def sparse_rank(rows) -> int:
-    return len(sparse_echelon(rows))
+    """The rank, eliminated shortest row first."""
+    return len(sparse_echelon(sorted(rows, key=len)))
 
 
 def _inverse(rows, transposed=False):

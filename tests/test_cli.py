@@ -421,6 +421,14 @@ BAD_SCENARIOS = {
                              "potential": "i*zeta(359)*u"},
     "ring-conductor": {"schema": SCHEMA, "ring": {"variables": ["u"], "conductor": 10 ** 9},
                        "potential": "u"},
+    # each expression is within the bound, their lcm with the ring's is not
+    "zeta-orders-across-fields": {"schema": SCHEMA,
+                                  "ring": {"variables": ["u", "v"], "conductor": 1},
+                                  "potential": "zeta(359)*u*v", "group": "C(2)",
+                                  "setting": "contravariant",
+                                  "action": [["u", "v"], ["i*v", "-i*u"]]},
+    "zeta-order-with-the-ring": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                                 "potential": "zeta(359)*u"},
     "long-integer": {"schema": SCHEMA, "ring": {"variables": ["u"]},
                      "potential": "9" * 5000 + "*u"},
     # a table is checked against its own size: n distinct string labels,
@@ -649,6 +657,9 @@ BAD_TASKS = {
     "expect-bool": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": [True, False]}),
     "expect-unknown": ("rank-one-orientifold", C2_SHIFTED, {"expect": "nope"}),
     "expect-null": ("rank-one-orientifold", C2_SHIFTED, {"expect": None}),
+    # a factorization of u*v whose entries need conductor 359, 1436 with the ring's 4
+    "conductor-entries": ("null-homotopy-scale", {},
+                          {"d0": [["zeta(359)*u"]], "d1": [["zeta(359, 358)*v"]]}),
     "iterations-bool": ("eightfold-consistency", {}, {"iterations": True}),
     "iterations-float": ("eightfold-consistency", {}, {"iterations": 2.5}),
     "iterations-zero": ("eightfold-consistency", {}, {"iterations": 0}),

@@ -2,12 +2,16 @@
 over Q(zeta_m): rank on drawn matrices whose kernels are not spanned by
 unit vectors, and the rank profile of an elimination continued chunk by
 chunk.  Its integer lane (rational rows)
-is checked against its Scalar lane (the same rows scaled by units)."""
+is checked against its Scalar lane (the same rows scaled by units).  Rows
+of one or two entries and repeated rows, rational or over Q(zeta_8), check
+that the rank ignores row order and that one-entry pivots, which clear by
+deleting a key, keep the rank profile, against sympy over Q(zeta_8)."""
 
 from fractions import Fraction
 
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from mfsym.scalars import Scalar
 from mfsym.linalg import _ratio, sparse_echelon, sparse_rank
@@ -163,3 +167,69 @@ def test_continued_elimination_leaves_the_integer_lane_once(drawn, dense, powers
     assert sparse_echelon(later, pivots) is pivots
     assert not any(v.__class__ is int for row in pivots.values() for v in row.values())
     assert _same_line(pivots, sparse_echelon(later, reference))
+
+
+_Q8 = sympy.QQ.algebraic_field((1 + sympy.I) * sympy.sqrt(2) / 2)
+_ZETA8 = _Q8.from_sympy((1 + sympy.I) * sympy.sqrt(2) / 2)
+
+
+def _in_q8(v):
+    """A Scalar of conductor 1, 4 or 8 as an element of sympy's Q(zeta_8)."""
+    z = _ZETA8 ** (8 // v.conductor)
+    return sum((_Q8.from_sympy(sympy.Rational(c.numerator, c.denominator)) * z ** k
+                for k, c in enumerate(v.coeffs)), _Q8.zero)
+
+
+def _q8_rank(width, rows):
+    return DomainMatrix([[_in_q8(row[c]) if c in row else _Q8.zero for c in range(width)]
+                         for row in rows], (len(rows), width), _Q8).rank()
+
+
+@st.composite
+def structured_rows(draw):
+    """(width, rows) of the shapes structured elimination meets: rows of one
+    entry, rows of two, repeats of an earlier row, and rows of any length,
+    with rational values or, on the Scalar lane, values times i or zeta_8."""
+    unit = draw(st.sampled_from((Scalar.one(), Scalar.i(), Scalar.zeta(8))))
+    values = st.builds(lambda n, d, k: Scalar.from_rational(Fraction(n, d)) * unit ** k,
+                       st.integers(-3, 3).filter(bool), st.integers(1, 3), st.integers(0, 3))
+    width = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        size = draw(st.sampled_from((1, 1, 2, 2, None, "repeat")))
+        if size == "repeat" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+            continue
+        size = min(width, draw(st.integers(0, width)) if size in (None, "repeat") else size)
+        cols = draw(st.lists(st.integers(0, width - 1), min_size=size, max_size=size,
+                             unique=True))
+        rows.append({c: draw(values) for c in cols})
+    return width, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_rows(), st.randoms(use_true_random=False))
+def test_rank_ignores_row_order(drawn, rnd):
+    """sparse_rank on the rows as drawn and shuffled, against sympy over
+    Q(zeta_8)."""
+    width, rows = drawn
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert sparse_rank(rows) == sparse_rank(shuffled) == _q8_rank(width, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(structured_rows(), st.lists(st.integers(0, 3), max_size=5))
+def test_one_entry_pivots_keep_every_leading_rank(drawn, cuts):
+    """An elimination continued chunk by chunk on rows whose one-entry pivots
+    clear by deleting keys still reads the rank of every leading column
+    block off its pivots, against sympy over Q(zeta_8)."""
+    width, rows = drawn
+    pivots, pushed = {}, []
+    for size in cuts + [len(rows)]:
+        chunk = rows[len(pushed):len(pushed) + size]
+        pushed += chunk
+        sparse_echelon(chunk, pivots)
+        for k in range(1, width + 1):
+            below = [{j: v for j, v in row.items() if j < k} for row in pushed]
+            assert sum(1 for lead in pivots if lead < k) == _q8_rank(k, below)
