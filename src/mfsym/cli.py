@@ -1,7 +1,8 @@
 """Scenario driver and verification suites.
 
 Scenarios are JSON files with a versioned schema: a ring, a potential,
-a graded group with an action, and an ordered task list.  Polynomial
+a graded group with an action, and an ordered task list, each field read
+through one table, SCENARIO, when the file is loaded.  Polynomial
 and scalar values are written in a small expression grammar (integers,
 rationals, the imaginary unit ``i``, ``zeta(m)`` or ``zeta(m, k)``,
 variables, ``+ - * ^`` and parentheses).  The ``suite`` verb runs named
@@ -21,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, asdict
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .scalars import Scalar
 from .polys import Poly, RingSpec, RingMap
@@ -235,13 +236,6 @@ def parse_poly(text: str, ring: RingSpec) -> Poly:
                             f"to parse") from None
 
 
-def _expression(value, field: str, ring: RingSpec) -> Poly:
-    """parse_poly of a scenario field, which must be a JSON string."""
-    if not isinstance(value, str):
-        raise ScenarioError(f"{field} must be an expression string, got {value!r}")
-    return parse_poly(value, ring)
-
-
 def _bound_conductor(what: str, ring: RingSpec, potential: Poly, action, entries=()) -> None:
     """Refuses a scenario whose ring, potential, action images and the given
     entries need together a conductor past MAX_CONDUCTOR: scalars of two
@@ -257,60 +251,81 @@ def _bound_conductor(what: str, ring: RingSpec, potential: Poly, action, entries
 # ---------------------------------------------------------------------------
 # scenario loading
 
-_PRESET = re.compile(r"^([CD])\((\d+)\)$")
+REQUIRED = object()  # the default of a field the scenario must give
 
 
-def _known_fields(obj: dict, fields, what: str) -> None:
-    """ScenarioError naming the first key of obj, in sorted order, that is
-    not among fields: a misspelled field would otherwise be ignored."""
-    if unknown := sorted(set(obj) - set(fields)):
-        raise ScenarioError(f"{what} has unknown field {unknown[0]!r}")
+def _read(value, rule, name: str, where: str = ""):
+    """value read through a rule of the schema, else a ScenarioError naming
+    name or the field at fault.  A rule is a dict {field: (rule, default or
+    REQUIRED)}, a JSON object whose fields are named where + field; [rule],
+    a JSON list; (test, what); or a function (value, name) that reads it."""
+    if callable(rule):
+        return rule(value, name)
+    test, what = _OBJECT if isinstance(rule, dict) else _LIST if isinstance(rule, list) else rule
+    if not test(value):
+        raise ScenarioError(f"{name} must be {what}, got {value!r}")
+    if isinstance(rule, list):
+        return [_read(v, rule[0], f"{name}[{k}]") for k, v in enumerate(value)]
+    if isinstance(rule, tuple):
+        return value
+    out = {}
+    for key, (sub, default) in rule.items():
+        if key not in value and default is REQUIRED:
+            raise ScenarioError(f"{name} needs field {key!r}")
+        out[key] = _read(value[key], sub, where + key) if key in value else default
+    if unknown := sorted(set(value) - set(rule)):
+        raise ScenarioError(f"{name} has unknown field {unknown[0]!r}")
+    return out
 
 
-def group_from_spec(obj) -> GroupSpec:
-    if isinstance(obj, dict) and "product" in obj:
-        _known_fields(obj, ("product",), "group")
-        parts = [group_from_spec(p) for p in obj["product"]]
-        if not parts:
-            raise ScenarioError("empty group product")
-        _check_group_order(math.prod(p.order for p in parts))
-        g = parts[0]
-        for p in parts[1:]:
-            g = product_group(g, p)
+def group_from_spec(obj, name: str = "group") -> GroupSpec:
+    """The group a preset string names, or an object of one of GROUP_FORMS
+    describes: a product if it has a product field, a table if it has a
+    table field, else a preset."""
+    if type(obj) is not dict:
+        obj = {"preset": _read(obj, _PRESET, name)}
+    spec = _read(obj, GROUP_FORMS[next((k for k in ("product", "table") if k in obj), "preset")],
+                 name)
+    if "product" in spec:
+        if not spec["product"]:
+            raise ScenarioError(f"{name}: product must name at least one group")
+        _check_group_order(math.prod(p.order for p in spec["product"]))
+        return reduce(product_group, spec["product"])
+    if "table" in spec:
+        if not len(spec["labels"]) == len(spec["table"]) == len(spec["grading"]):
+            raise ScenarioError(f"{name}: labels, table and grading must be of one length")
+        _check_group_order(len(spec["table"]))
+        g = GroupSpec(tuple(spec["labels"]), tuple(map(tuple, spec["table"])),
+                      spec["identity"], tuple(spec["grading"]))
+        try:
+            g.validate()
+        except ValueError as exc:
+            raise ScenarioError(f"{name}: {exc}") from None
         return g
-    if isinstance(obj, dict) and "table" in obj:
-        _known_fields(obj, ("labels", "table", "identity", "grading"), "group")
-        if not all(isinstance(obj[k], list) for k in ("labels", "table", "grading")):
-            raise ScenarioError("group labels, table and grading must be lists")
-        _check_group_order(len(obj["table"]))
-        if type(identity := obj["identity"]) is not int:
-            raise ScenarioError(f"group identity must be an integer, got {identity!r}")
-        g = GroupSpec(tuple(obj["labels"]), tuple(tuple(r) for r in obj["table"]),
-                      identity, tuple(obj["grading"]))
-        g.validate()
-        return g
-    if isinstance(obj, dict):
-        _known_fields(obj, ("preset", "graded"), "group")
-        preset = obj.get("preset")
-        if type(graded := obj.get("graded", True)) is not bool:
-            raise ScenarioError(f"group graded must be true or false, got {graded!r}")
-    else:
-        preset, graded = obj, True
-    m = _PRESET.match(str(preset or ""))
-    if m is None:
-        raise ScenarioError(f"unknown group spec {obj!r}")
-    kind, n = m.group(1), int(m.group(2))
+    preset, graded = spec["preset"], spec["graded"]
+    n = int(preset[2:-1])
     _check_group_order(n)
-    if kind == "C":
-        return cyclic_group(n, graded=graded and n % 2 == 0)
+    if preset[0] == "C":
+        if graded and n % 2:
+            raise ScenarioError(f"{name}: graded must be false for {preset}, of odd order")
+        return cyclic_group(n, graded=graded is not False and n % 2 == 0)
     if n % 2:
-        raise ScenarioError("dihedral preset D(2m) needs an even order")
+        raise ScenarioError(f"{name}: dihedral preset D(2m) needs an even order")
+    if graded is False:
+        raise ScenarioError(f"{name}: graded must be true for {preset}, graded by reflections")
     return dihedral_group(n // 2)
 
 
 def _check_group_order(n: int) -> None:
     if n > MAX_GROUP_ORDER:
         raise ScenarioError(f"group of order {n}, more than {MAX_GROUP_ORDER}")
+
+
+def _task(obj, name: str) -> dict:
+    """A task object: its op, and the parameters TASKS gives that op."""
+    op = obj.get("op") if type(obj) is dict else None
+    params = TASKS[op][1] if type(op) is str and op in TASKS else {}
+    return _read(obj, {"op": (_one_of(*TASKS), REQUIRED), **params}, name)
 
 
 @dataclass
@@ -336,88 +351,38 @@ class Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
+    """The scenario of a file, read through SCENARIO, then checked across fields."""
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            spec = _read(json.load(fh), SCENARIO, f"{path}: scenario", f"{path}: ")
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
         except RecursionError:
             raise ScenarioError(f"{path}: JSON nested too deeply")
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: a scenario must be a JSON object")
-    if raw.get("schema") != SCHEMA:
-        raise ScenarioError(f"{path}: schema must be {SCHEMA!r}")
-    _known_fields(raw, ("schema", "name", "ring", "potential", "setting", "variant",
-                        "group", "action", "twist", "tasks"), f"{path}: scenario")
-    ring_spec = raw.get("ring")
-    if not isinstance(ring_spec, dict) or "variables" not in ring_spec:
-        raise ScenarioError(f"{path}: missing ring.variables")
-    _known_fields(ring_spec, ("variables", "conductor"), f"{path}: ring")
-    names = ring_spec["variables"]
-    if not (isinstance(names, list) and all(
-            isinstance(v, str) and _NAME.fullmatch(v) and v not in ("i", "zeta")
-            for v in names) and len(set(names)) == len(names)):
-        raise ScenarioError(f"{path}: ring.variables must be a list of distinct names other "
-                            f"than i and zeta, got {names!r}")
-    ring = RingSpec(tuple(names), conductor=_count(ring_spec, "conductor", 4, MAX_CONDUCTOR))
-    if not isinstance(name := raw.get("name", path), str):
-        raise ScenarioError(f"{path}: name must be a string, got {name!r}")
-    potential = _expression(raw.get("potential", "0"), f"{path}: potential", ring)
-    group = action = None
-    setting = raw.get("setting")
-    if setting is not None and setting not in (ANTILINEAR, CONTRAVARIANT):
-        raise ScenarioError(f"{path}: setting must be antilinear or contravariant")
-    variant = raw.get("variant")
-    if variant is not None and variant not in (PLAIN, SHIFTED):
-        raise ScenarioError(f"{path}: variant must be plain or shifted")
+    ring = RingSpec(tuple(spec["ring"]["variables"]), conductor=spec["ring"]["conductor"])
+    potential = parse_poly(spec["potential"], ring)
+    setting, group, maps = spec["setting"], spec["group"], spec["action"]
     # only contravariant tasks read the variant and the twist
-    if setting != CONTRAVARIANT:
-        if "variant" in raw:
-            raise ScenarioError(f"{path}: variant needs the contravariant setting")
-        if raw.get("twist", "trivial") != "trivial":
-            raise ScenarioError(f"{path}: twist needs the contravariant setting")
-    if "group" in raw:
-        try:
-            group = group_from_spec(raw["group"])
-        except (RecursionError, TypeError, LookupError, ValueError) as exc:
-            raise ScenarioError(f"{path}: bad group spec: {exc}")
-    if "action" in raw:
+    if setting != CONTRAVARIANT and (spec["variant"] or spec["twist"] != "trivial"):
+        raise ScenarioError(f"{path}: variant and twist need the contravariant setting")
+    action = None
+    if maps is not None:
         if group is None or setting is None:
             raise ScenarioError(f"{path}: action needs group and setting")
-        if not ring.nvars:
-            raise ScenarioError(f"{path}: action needs at least one ring variable")
-        maps = raw["action"]
-        if not isinstance(maps, list) or len(maps) != group.order:
-            raise ScenarioError(f"{path}: action needs one image list per element")
-        ring_maps = []
-        for idx, images in enumerate(maps):
-            if not isinstance(images, list) or len(images) != ring.nvars:
-                raise ScenarioError(f"{path}: element {idx} needs {ring.nvars} images")
-            polys = tuple(_expression(s, f"{path}: action[{idx}][{k}]", ring)
-                          for k, s in enumerate(images))
-            anti = setting == ANTILINEAR and group.grading[idx] == -1
-            ring_maps.append(RingMap(polys, anti))
-        action = ActionSpec(group, setting, tuple(ring_maps))
+        if not ring.nvars or len(maps) != group.order or any(
+                len(images) != ring.nvars for images in maps):
+            raise ScenarioError(f"{path}: action needs a ring variable, and one list of "
+                                f"{ring.nvars} images per element of the group")
+        action = ActionSpec(group, setting, tuple(
+            RingMap(tuple(parse_poly(s, ring) for s in images),
+                    setting == ANTILINEAR and group.grading[idx] == -1)
+            for idx, images in enumerate(maps)))
     _bound_conductor(path, ring, potential, action)
-    twist = None
-    tw = raw.get("twist", "trivial")
-    if tw == "universal-sign":
-        if group is None:
-            raise ScenarioError(f"{path}: twist needs a group")
-        twist = universal_sign_cocycle(group)
-    elif tw != "trivial":
-        raise ScenarioError(f"{path}: unknown twist {tw!r}")
-    tasks = raw.get("tasks", [])
-    if not isinstance(tasks, list):
-        raise ScenarioError(f"{path}: tasks must be a list")
-    for t in tasks:
-        if not isinstance(t, dict) or not isinstance(t.get("op"), str):
-            raise ScenarioError(f"{path}: each task needs a string 'op' field")
-        if t["op"] not in TASKS:
-            raise ScenarioError(f"{path}: unknown task op {t['op']!r}")
-        _known_fields(t, ("op", *TASKS[t["op"]][1]), f"{path}: {t['op']} task")
-    return Scenario(name, ring, potential, group, action,
-                    setting, variant, twist, tasks)
+    if spec["twist"] == "universal-sign" and group is None:
+        raise ScenarioError(f"{path}: twist needs a group")
+    twist = universal_sign_cocycle(group) if spec["twist"] == "universal-sign" else None
+    return Scenario(path if spec["name"] is None else spec["name"], ring, potential, group,
+                    action, setting, spec["variant"], twist, spec["tasks"])
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +393,6 @@ def _action(sc: Scenario, setting: str | None = None) -> ActionSpec:
     if sc.action is None or setting not in (None, sc.setting):
         raise ScenarioError(f"task needs an action{f' in the {setting} setting' if setting else ''}")
     return sc.action
-
-
-def _count(params: dict, key: str, default, most: int | None = None):
-    """params[key], a positive integer up to most (if given); default if absent."""
-    value = params.get(key, default)
-    if key in params and (type(value) is not int or value < 1 or most and value > most):
-        raise ScenarioError(f"{key} must be a positive integer{f' up to {most}' if most else ''}"
-                            f", got {value!r}")
-    return value
 
 
 def _contra_witness(sc: Scenario) -> ContraRealStruct:
@@ -456,10 +412,7 @@ def _rank_one(params: dict, found, verify, *at):
     """The verdict that found, (chi values, witness) or None, is as params'
     expect says ("exists" or "none"), and that a witness that should exist
     verifies; a missing or an unexpected witness fails at at."""
-    expect = params.get("expect", "exists")
-    if expect not in ("exists", "none"):
-        raise ScenarioError(f"expect must be exists or none, got {expect!r}")
-    if expect == "none":
+    if params["expect"] == "none":
         return _check(found is None, "unexpected witness", *at), {"found": found is not None}
     if found is None:
         return Verdict(False, "no witness", at), {"found": False}
@@ -523,13 +476,9 @@ def task_hyperbolic_transport(sc: Scenario, params: dict):
 
 def task_hom_cohomology(sc: Scenario, params: dict):
     M = _mf_from_params(sc, params)
-    other = {"other_d0", "other_d1"} & params.keys()
-    N = _mf_from_params(sc, params, key_prefix="other_") if other else M
-    cutoff = _count(params, "cutoff", None) or default_cutoff(M.w)
-    expect = params.get("expect")
-    if "expect" in params and not (isinstance(expect, list) and len(expect) == 2
-                                   and all(type(d) is int and d >= 0 for d in expect)):
-        raise ScenarioError(f"expect must be a list of two dimensions, got {expect!r}")
+    N = M if params["other_d0"] is params["other_d1"] is None else _mf_from_params(
+        sc, params, key_prefix="other_")
+    cutoff = params["cutoff"] or default_cutoff(M.w)
     entries = max(len(window_slots(M, N, p, [()])) for p in (0, 1))  # one per block entry
     unknowns = entries * math.comb(M.ring.nvars + cutoff + 1, M.ring.nvars)
     if unknowns > MAX_WINDOW_UNKNOWNS:
@@ -537,7 +486,7 @@ def task_hom_cohomology(sc: Scenario, params: dict):
     report = hom_cohomology(M, N, cutoff)
     detail = {"dims": list(report.dims), "cutoff": report.cutoff,
               "stable": report.stable}
-    return _dims_check(report, None if expect is None else tuple(expect)), detail
+    return _dims_check(report, params["expect"] and tuple(params["expect"])), detail
 
 
 def _dims_check(report: CohoReport, want=None, *at) -> Verdict:
@@ -560,20 +509,17 @@ def _potential_null_homotopy(M: MF, *at) -> Verdict:
 
 
 def _mf_from_params(sc: Scenario, params: dict, key_prefix: str = "") -> MF:
-    mats = [params.get(f"{key_prefix}d{k}") for k in (0, 1)]
-    if not all(isinstance(m, list) and all(isinstance(row, list) and len(row) == len(m[0])
-                                           for row in m) for m in mats):
-        raise ScenarioError("task needs d0 and d1 matrices of expressions: lists of rows "
-                            "of one length")
-    d0, d1 = (tuple(tuple(_expression(s, f"{key_prefix}d{k} entry", sc.ring) for s in row)
-                    for row in m) for k, m in enumerate(mats))
+    mats = [params[f"{key_prefix}d{k}"] for k in (0, 1)]
+    if None in mats:
+        raise ScenarioError(f"task needs both {key_prefix}d0 and {key_prefix}d1")
+    d0, d1 = (tuple(tuple(parse_poly(s, sc.ring) for s in row) for row in m) for m in mats)
     _bound_conductor(f"{key_prefix}d0 and d1", sc.ring, sc.potential, sc.action,
                      [e for row in d0 + d1 for e in row])
     return mf_new(sc.ring, sc.potential, d0, d1)
 
 
 def task_eightfold(sc: Scenario, params: dict):
-    detail, verdict = _eightfold_consistency(_count(params, "iterations", 4, MAX_ITERATIONS))
+    detail, verdict = _eightfold_consistency(params["iterations"])
     return verdict, detail
 
 
@@ -627,21 +573,73 @@ def _eightfold_consistency(iters: int = 4):
         _check(sig == (iters, iters), "tensor signature", f"Cl({iters},{iters})")])
 
 
-# op -> (task function, the parameters it reads besides op)
+# ---------------------------------------------------------------------------
+# the scenario schema: every field of a scenario, read by _read
+
+def _one_of(*values):
+    return (lambda v: v in values), " or ".join(values)
+
+
+def _positive(most: int | None = None):
+    return ((lambda v: type(v) is int and 0 < v <= (most or v)),
+            f"a positive integer{f' up to {most}' if most else ''}")
+
+
+_LIST = (lambda v: type(v) is list, "a list")
+_EXPRESSION = (lambda v: type(v) is str, "an expression string")
+_OBJECT = (lambda v: type(v) is dict, "an object")
+_PRESET = (lambda v: type(v) is str and re.fullmatch(r"[CD]\([1-9][0-9]{0,8}\)", v) is not None,
+           'a preset "C(n)" or "D(2m)", n and m positive')
+_NAMES = (lambda v: type(v) is list and all(
+    type(x) is str and _NAME.fullmatch(x) and x not in ("i", "zeta") for x in v)
+    and len(set(v)) == len(v), "a list of distinct names other than i and zeta")
+_MATRIX = (lambda m: type(m) is list and all(type(r) is list and len(r) == len(m[0]) and all(
+    type(s) is str for s in r) for r in m), "a list of rows of one length of expression strings")
+_D0_D1 = {"d0": (_MATRIX, REQUIRED), "d1": (_MATRIX, REQUIRED)}
+_EXPECT = {"expect": (_one_of("exists", "none"), "exists")}
+
+# the three objects that describe a group; a string is a preset
+GROUP_FORMS = {
+    "preset": {"preset": (_PRESET, REQUIRED),
+               "graded": ((lambda v: type(v) is bool, "true or false"), None)},
+    "table": {"labels": (_LIST, REQUIRED), "table": ([_LIST], REQUIRED),
+              "identity": ((lambda v: type(v) is int, "an integer"), REQUIRED),
+              "grading": (_LIST, REQUIRED)},
+    "product": {"product": ([group_from_spec], REQUIRED)},
+}
+
+# op -> (task function, the parameters it reads besides op, as fields of a rule)
 TASKS = {
-    "validate-action": (task_validate_action, ()),
-    "rank-one-real": (task_rank_one_real, ("expect",)),
-    "real-knorrer": (task_real_knorrer, ()),
-    "rank-one-orientifold": (task_rank_one_orientifold, ("expect",)),
-    "theta-cocycle": (task_theta_cocycle, ()),
-    "orientifold-knorrer": (task_orientifold_knorrer, ()),
-    "double-knorrer": (task_double_knorrer, ()),
-    "duality-suite": (task_duality_suite, ()),
-    "hyperbolic-transport": (task_hyperbolic_transport, ()),
-    "hom-cohomology": (task_hom_cohomology,
-                       ("d0", "d1", "other_d0", "other_d1", "cutoff", "expect")),
-    "null-homotopy-scale": (task_null_homotopy_scale, ("d0", "d1")),
-    "eightfold-consistency": (task_eightfold, ("iterations",)),
+    "validate-action": (task_validate_action, {}),
+    "rank-one-real": (task_rank_one_real, _EXPECT),
+    "real-knorrer": (task_real_knorrer, {}),
+    "rank-one-orientifold": (task_rank_one_orientifold, _EXPECT),
+    "theta-cocycle": (task_theta_cocycle, {}),
+    "orientifold-knorrer": (task_orientifold_knorrer, {}),
+    "double-knorrer": (task_double_knorrer, {}),
+    "duality-suite": (task_duality_suite, {}),
+    "hyperbolic-transport": (task_hyperbolic_transport, {}),
+    "hom-cohomology": (task_hom_cohomology, {
+        **_D0_D1, "other_d0": (_MATRIX, None), "other_d1": (_MATRIX, None),
+        "cutoff": (_positive(), None),  # None: default_cutoff of the potential
+        "expect": ((lambda v: type(v) is list and len(v) == 2 and all(
+            type(d) is int and d >= 0 for d in v), "a list of two dimensions"), None)}),
+    "null-homotopy-scale": (task_null_homotopy_scale, _D0_D1),
+    "eightfold-consistency": (task_eightfold, {"iterations": (_positive(MAX_ITERATIONS), 4)}),
+}
+
+SCENARIO = {
+    "schema": (_one_of(SCHEMA), REQUIRED),
+    "name": ((lambda v: type(v) is str, "a string"), None),  # None: the file's path
+    "ring": ({"variables": (_NAMES, REQUIRED),
+              "conductor": (_positive(MAX_CONDUCTOR), 4)}, REQUIRED),
+    "potential": (_EXPRESSION, "0"),
+    "setting": (_one_of(ANTILINEAR, CONTRAVARIANT), None),
+    "variant": (_one_of(PLAIN, SHIFTED), None),
+    "group": (group_from_spec, None),
+    "action": ([[_EXPRESSION]], None),  # per group element, the image of each variable
+    "twist": (_one_of("trivial", "universal-sign"), "trivial"),
+    "tasks": ([_task], ()),
 }
 
 

@@ -60,6 +60,9 @@ def test_group_presets():
     assert d6.order == 6
     prod = group_from_spec({"product": ["C(2)", {"preset": "C(2)", "graded": False}]})
     assert prod.order == 4
+    # an odd C(n) without a graded field is ungraded, as before
+    assert group_from_spec("C(3)").grading == (1, 1, 1)
+    assert group_from_spec({"preset": "C(3)"}).grading == (1, 1, 1)
     with pytest.raises(ScenarioError):
         group_from_spec("Q(8)")
 
@@ -356,6 +359,18 @@ def test_validate_rejects_duplicate_variables(tmp_path, optimize):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+C2_CONTRAVARIANT = {"group": "C(2)", "setting": "contravariant",
+                    "action": [["u", "v"], ["-u", "v"]]}
+HYPERBOLIC = {"d0": [["u"]], "d1": [["v"]]}
+C2_SHIFTED = {**C2_CONTRAVARIANT, "variant": "shifted", "twist": "universal-sign"}
+
+
+def _one_task(op, fields, params):
+    """A scenario in u, v with potential u*v and the given fields that runs one task."""
+    return {"schema": SCHEMA, "ring": {"variables": ["u", "v"]}, "potential": "u*v", **fields,
+            "tasks": [{"op": op, **params}]}
+
+
 ANTILINEAR_UV = {
     "schema": SCHEMA, "ring": {"variables": ["u", "v"]}, "potential": "u*v", "group": "C(2)",
     "setting": "antilinear", "action": [["u", "v"], ["-u", "-v"]],
@@ -473,20 +488,60 @@ BAD_SCENARIOS = {
     "action-image-number": {**ANTILINEAR_UV, "action": [["u", "v"], [1, "-v"]]},
     "name-list": {"schema": SCHEMA, "name": ["a", 1], "ring": {"variables": ["u", "v"]},
                   "potential": "u*v"},
+    # a preset's graded field is read, not ignored, and null is no enum value
+    "group-graded-odd-cyclic": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                                "group": {"preset": "C(3)", "graded": True}},
+    "group-ungraded-dihedral": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                                "group": {"preset": "D(4)", "graded": False}},
+    "setting-null": {"schema": SCHEMA, "ring": {"variables": ["u"]}, "setting": None},
+    "variant-null": {"schema": SCHEMA, "ring": {"variables": ["u"]},
+                     "setting": "contravariant", "variant": None},
+    # task parameters are read with the scenario: a value of the wrong type or
+    # range is refused before any task runs
+    **{case: _one_task(*spec) for case, spec in {
+        "cutoff-string": ("hom-cohomology", {}, {**HYPERBOLIC, "cutoff": "3"}),
+        "cutoff-zero": ("hom-cohomology", {}, {**HYPERBOLIC, "cutoff": 0}),
+        "d1-number": ("hom-cohomology", {}, {"d0": [["u"]], "d1": 5}),
+        "d0-ragged": ("null-homotopy-scale", {}, {"d0": [["u"], ["v", "u"]], "d1": [["v"]]}),
+        "d0-number": ("null-homotopy-scale", {"potential": "u"}, {"d0": [[1]], "d1": [["u"]]}),
+        "expect-number": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": 5}),
+        "expect-strings": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": ["a", "b"]}),
+        "expect-short": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": [1]}),
+        "expect-bool": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": [True, False]}),
+        "expect-unknown": ("rank-one-orientifold", C2_SHIFTED, {"expect": "nope"}),
+        "expect-null": ("rank-one-orientifold", C2_SHIFTED, {"expect": None}),
+        "iterations-bool": ("eightfold-consistency", {}, {"iterations": True}),
+        "iterations-float": ("eightfold-consistency", {}, {"iterations": 2.5}),
+        "iterations-zero": ("eightfold-consistency", {}, {"iterations": 0}),
+        "iterations-past-bound": ("eightfold-consistency", {},
+                                  {"iterations": cli.MAX_ITERATIONS + 1}),
+    }.items()},
 }
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
 @pytest.mark.parametrize("probe", sorted(BAD_SCENARIOS))
-def test_bad_scenario_gives_one_error_line(tmp_path, probe, optimize):
+def test_bad_scenario_gives_one_error_line(tmp_path, capsys, probe, optimize):
+    """Without -O, validate and run each go in-process through main; with
+    -O, run goes through a fresh interpreter, where asserts are stripped."""
     p = tmp_path / "bad.json"
     spec = BAD_SCENARIOS[probe]
     p.write_text(spec if isinstance(spec, str) else json.dumps(spec))
-    run = _cli(["run", str(p)], optimize)
-    assert run.returncode == 2, run.stdout + run.stderr
-    assert "Traceback" not in run.stderr
-    lines = run.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    if optimize:
+        run = _cli(["run", str(p)], optimize)
+        assert run.returncode == 2, run.stdout + run.stderr
+        errors = [run.stderr]
+    else:
+        errors = []
+        for verb in ("validate", "run"):
+            assert main([verb, str(p)]) == 2, verb
+            out, err = capsys.readouterr()
+            assert not out, (verb, out)
+            errors.append(err)
+    for err in errors:
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 @pytest.mark.parametrize("probe, field", [("potential-number", "potential"),
@@ -499,6 +554,20 @@ def test_non_string_fields_are_named(tmp_path, probe, field):
     p.write_text(json.dumps(BAD_SCENARIOS[probe]))
     with pytest.raises(ScenarioError, match=f": {re.escape(field)} must be "):
         load_scenario(str(p))
+
+
+@pytest.mark.parametrize("probe, field", [
+    ("group-graded-odd-cyclic", "graded"), ("group-ungraded-dihedral", "graded"),
+    ("setting-null", "setting"), ("variant-null", "variant"), ("cutoff-string", "cutoff"),
+    ("expect-unknown", "expect"), ("iterations-zero", "iterations"), ("d0-ragged", "d0")])
+def test_formerly_valid_scenarios_are_refused_naming_the_field(tmp_path, capsys, probe, field):
+    """validate printed "valid" and exited 0 on each: the first four were read
+    with another meaning, the others were refused only when their task ran."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(BAD_SCENARIOS[probe]))
+    assert main(["validate", str(p)]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert re.search(rf"(^|: ){field} must be ", line.removeprefix("error: ")), line
 
 
 def test_size_bounds_at_their_limits():
@@ -623,57 +692,40 @@ def test_failing_verdict_is_recorded_in_detail(tmp_path, monkeypatch):
 @pytest.mark.parametrize("op", sorted(cli.TASKS))
 def test_every_op_on_a_bare_scenario_passes_or_names_the_problem(tmp_path, op, optimize):
     """A scenario with no group, no action and no task parameters: each op
-    passes, or gives an error detail and exit code 2."""
+    passes, or gives an error detail and exit code 2; an op that needs a
+    factorization is refused with the scenario, naming its d0."""
     p = tmp_path / "bare.json"
     p.write_text(json.dumps({"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
                              "potential": "u*v", "tasks": [{"op": op}]}))
     out = tmp_path / "report.json"
     run = _cli(["run", str(p), "--json", str(out)], optimize)
     assert "Traceback" not in run.stdout + run.stderr
+    if op in ("hom-cohomology", "null-homotopy-scale"):
+        assert run.returncode == 2 and not out.exists()
+        assert run.stderr.splitlines() == [f"error: {p}: tasks[0] needs field 'd0'"]
+        return
     assert run.returncode in (0, 2), run.stdout
     if run.returncode == 2:
         assert "error" in json.loads(out.read_text())["tasks"][0]["detail"]
 
 
-C2_CONTRAVARIANT = {"group": "C(2)", "setting": "contravariant",
-                    "action": [["u", "v"], ["-u", "v"]]}
-HYPERBOLIC = {"d0": [["u"]], "d1": [["v"]]}
-C2_SHIFTED = {**C2_CONTRAVARIANT, "variant": "shifted", "twist": "universal-sign"}
-
-# op, scenario fields, task parameters
+# op, scenario fields, task parameters: input that only the task's run can
+# tell is wrong, by the setting, the action, the window or the entries
 BAD_TASKS = {
     "real-knorrer-contravariant": ("real-knorrer", C2_CONTRAVARIANT, {}),
     "rank-one-real-no-action": ("rank-one-real", {"setting": "antilinear"}, {}),
-    "cutoff-string": ("hom-cohomology", {}, {**HYPERBOLIC, "cutoff": "3"}),
-    "cutoff-zero": ("hom-cohomology", {}, {**HYPERBOLIC, "cutoff": 0}),
     "cutoff-past-bound": ("hom-cohomology", {}, {**HYPERBOLIC, "cutoff": 1000000}),
-    "d1-number": ("hom-cohomology", {}, {"d0": [["u"]], "d1": 5}),
-    "d0-ragged": ("null-homotopy-scale", {}, {"d0": [["u"], ["v", "u"]], "d1": [["v"]]}),
-    "d0-number": ("null-homotopy-scale", {"potential": "u"}, {"d0": [[1]], "d1": [["u"]]}),
     "other-d1-alone": ("hom-cohomology", {}, {**HYPERBOLIC, "other_d1": [["u"]]}),
-    "expect-number": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": 5}),
-    "expect-strings": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": ["a", "b"]}),
-    "expect-short": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": [1]}),
-    "expect-bool": ("hom-cohomology", {}, {**HYPERBOLIC, "expect": [True, False]}),
-    "expect-unknown": ("rank-one-orientifold", C2_SHIFTED, {"expect": "nope"}),
-    "expect-null": ("rank-one-orientifold", C2_SHIFTED, {"expect": None}),
     # a factorization of u*v whose entries need conductor 359, 1436 with the ring's 4
     "conductor-entries": ("null-homotopy-scale", {},
                           {"d0": [["zeta(359)*u"]], "d1": [["zeta(359, 358)*v"]]}),
-    "iterations-bool": ("eightfold-consistency", {}, {"iterations": True}),
-    "iterations-float": ("eightfold-consistency", {}, {"iterations": 2.5}),
-    "iterations-zero": ("eightfold-consistency", {}, {"iterations": 0}),
-    "iterations-past-bound": ("eightfold-consistency", {},
-                              {"iterations": cli.MAX_ITERATIONS + 1}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_TASKS))
 def test_bad_task_input_gives_an_error_detail(tmp_path, case):
-    op, fields, params = BAD_TASKS[case]
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
-                             "potential": "u*v", **fields, "tasks": [{"op": op, **params}]}))
+    p.write_text(json.dumps(_one_task(*BAD_TASKS[case])))
     out = tmp_path / "report.json"
     assert main(["run", str(p), "--json", str(out)]) == 2
     task, = json.loads(out.read_text())["tasks"]
@@ -707,8 +759,7 @@ def test_a_failing_scenario_op_names_what_failed(tmp_path, monkeypatch, op):
         name, mutate = mutation
         monkeypatch.setattr(cli, name, mutate(getattr(cli, name)))
     p = tmp_path / "failing.json"
-    p.write_text(json.dumps({"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
-                             "potential": "u*v", **fields, "tasks": [{"op": op, **params}]}))
+    p.write_text(json.dumps(_one_task(op, fields, params)))
     out = tmp_path / "report.json"
     assert main(["run", str(p), "--json", str(out)]) == 1
     task, = json.loads(out.read_text())["tasks"]

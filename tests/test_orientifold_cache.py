@@ -330,7 +330,7 @@ def test_rank_one_orientifold_verifies_its_witness_once(monkeypatch):
     task = cli.TASKS["rank-one-orientifold"][0]
     for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
         callers.clear()
-        verdict, detail = task(load_scenario(str(SCENARIOS / name)), {})
+        verdict, detail = task(load_scenario(str(SCENARIOS / name)), {"expect": "exists"})
         assert verdict.ok and "chi" in detail, (name, detail)
         assert callers and set(callers) == {"scaled_fixed_point"}, (name, callers)
 
