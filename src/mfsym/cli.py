@@ -254,21 +254,23 @@ def _bound_conductor(what: str, ring: RingSpec, potential: Poly, action, entries
 REQUIRED = object()  # the default of a field the scenario must give
 
 
-def _read(value, rule, name: str, where: str = ""):
+def _read(value, rule, name: str, where: str | None = None):
     """value read through a rule of the schema, else a ScenarioError naming
-    name or the field at fault.  A rule is a dict {field: (rule, default or
-    REQUIRED)}, a JSON object whose fields are named where + field; [rule],
-    a JSON list; (test, what); or a function (value, name) that reads it."""
+    name or the field at fault by its place (tasks[1].cutoff), with the JSON
+    of a wrong value.  A rule is a dict {field: (rule, default or REQUIRED)},
+    a JSON object whose fields are named where + field (where is name + "."
+    by default); [rule], a JSON list; (test, what); or a function (value,
+    name) that reads it."""
     if callable(rule):
         return rule(value, name)
     test, what = _OBJECT if isinstance(rule, dict) else _LIST if isinstance(rule, list) else rule
     if not test(value):
-        raise ScenarioError(f"{name} must be {what}, got {value!r}")
+        raise ScenarioError(f"{name} must be {what}, got {json.dumps(value)}")
     if isinstance(rule, list):
         return [_read(v, rule[0], f"{name}[{k}]") for k, v in enumerate(value)]
     if isinstance(rule, tuple):
         return value
-    out = {}
+    out, where = {}, f"{name}." if where is None else where
     for key, (sub, default) in rule.items():
         if key not in value and default is REQUIRED:
             raise ScenarioError(f"{name} needs field {key!r}")
@@ -288,7 +290,7 @@ def group_from_spec(obj, name: str = "group") -> GroupSpec:
                  name)
     if "product" in spec:
         if not spec["product"]:
-            raise ScenarioError(f"{name}: product must name at least one group")
+            raise ScenarioError(f"{name}.product must name at least one group")
         _check_group_order(math.prod(p.order for p in spec["product"]))
         return reduce(product_group, spec["product"])
     if "table" in spec:
@@ -307,12 +309,12 @@ def group_from_spec(obj, name: str = "group") -> GroupSpec:
     _check_group_order(n)
     if preset[0] == "C":
         if graded and n % 2:
-            raise ScenarioError(f"{name}: graded must be false for {preset}, of odd order")
+            raise ScenarioError(f"{name}.graded must be false for {preset}, of odd order")
         return cyclic_group(n, graded=graded is not False and n % 2 == 0)
     if n % 2:
         raise ScenarioError(f"{name}: dihedral preset D(2m) needs an even order")
     if graded is False:
-        raise ScenarioError(f"{name}: graded must be true for {preset}, graded by reflections")
+        raise ScenarioError(f"{name}.graded must be true for {preset}, graded by reflections")
     return dihedral_group(n // 2)
 
 
@@ -440,8 +442,7 @@ def task_rank_one_orientifold(sc: Scenario, params: dict):
 
 
 def task_theta_cocycle(sc: Scenario, params: dict):
-    s = _contra_witness(sc)
-    return theta_cocycle_check(s.rep, s.base), {}
+    return theta_cocycle_check(_contra_witness(sc).rep), {}
 
 
 def task_orientifold_knorrer(sc: Scenario, params: dict):
@@ -796,8 +797,7 @@ def _suite_orientifold():
     if found2 and found4:
         s2, s4 = found2[1], found4[1]
         yield "twist-is-2-cocycle", _cocycle(rep2.twist, "C2", rep2.variant), {}
-        yield ("theta-cocycle",
-               theta_cocycle_check(rep2, s2.base) and theta_cocycle_check(rep4, s4.base), {})
+        yield "theta-cocycle", theta_cocycle_check(rep2) and theta_cocycle_check(rep4), {}
         k2, c2 = orientifold_knorrer(s2)
         k4, c4 = orientifold_knorrer(s4)
         yield ("knorrer-coherence-and-verify",

@@ -16,9 +16,10 @@ clear (structured Gaussian elimination; LaMacchia and Odlyzko, 1990); a
 rank does not depend on row order.
 
 A constant matrix is a sequence of such rows, keyed by column; its sum,
-product (which takes polynomial values too), inverse and scaled identity
-below touch only the nonzero entries, and a failing identity of such
-blocks names their least nonzero entry.
+product, inverse and scaled identity below touch only the nonzero
+entries, and a failing identity of such blocks names their least nonzero
+entry.  The product takes polynomial values too: it is the package's one
+matrix product, which mf uses for every product of polynomial blocks.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ An MF is a pair of polynomial matrix blocks (d0: M0 -> M1, d1: M1 -> M0)
 with d1*d0 and d0*d1 both equal to the potential times the identity,
 checked exactly on construction.  Morphisms carry a parity and two
 blocks; all signs (Hom differential, shift, external tensor, duality)
-live here.
+live here.  Every matrix product is linalg's product of sparse rows, and
+D has one kernel of such products, which is_closed and hom_diff read.
 """
 
 from __future__ import annotations
@@ -35,35 +36,6 @@ def mat(rows) -> Matrix:
 
 def mat_shape(m: Matrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if ca != rb:
-        raise MFError(f"shape mismatch {mat_shape(a)} x {mat_shape(b)}")
-    ring = a[0][0].ring if ra and ca else b[0][0].ring
-    zero = Poly.zero(ring)
-    out = []
-    for i in range(ra):
-        arow = a[i]
-        live = [k for k in range(ca) if arow[k].terms]
-        row = []
-        for j in range(cb):
-            acc = None
-            for k in live:
-                bkj = b[k][j]
-                if not bkj.terms:
-                    continue
-                term = arow[k] * bkj
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else zero)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -108,11 +80,20 @@ def _constant_rows(a: Matrix) -> list[dict]:
     return _rows(a)
 
 
-def _poly_block(ring: RingSpec, rows) -> Matrix:
-    """The square matrix of constant Polys with these sparse rows."""
+def _poly_block(ring: RingSpec, rows, cols: int) -> Matrix:
+    """The matrix of Polys with these sparse rows and cols columns, the one
+    writer of blocks from rows: a Scalar value becomes a constant Poly."""
     zero, const = Poly.zero(ring), (0,) * ring.nvars
-    return tuple(tuple(Poly._trusted(ring, {const: row[c]}) if c in row else zero
-                       for c in range(len(rows))) for row in rows)
+    return tuple(tuple(v if (v := row.get(c, zero)).__class__ is Poly
+                       else Poly._trusted(ring, {const: v}) for c in range(cols)) for row in rows)
+
+
+def _product(ring: RingSpec, a: Matrix, b: Matrix) -> Matrix:
+    """a b, the product of their sparse rows (linalg._sparse_mul); inner
+    sizes that differ raise MFError."""
+    if mat_shape(a)[1] != len(b):
+        raise MFError(f"shape mismatch {mat_shape(a)} x {mat_shape(b)}")
+    return _poly_block(ring, _sparse_mul(_rows(a), _rows(b)), mat_shape(b)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +165,8 @@ def mf_new(ring: RingSpec, w: Poly, d0, d1) -> MF:
     r0b, r1b = mat_shape(d1)
     if (r0, r1) != (r0b, r1b):
         raise MFError(f"block shapes inconsistent: d0 {mat_shape(d0)}, d1 {mat_shape(d1)}")
-    for name, prod, n in (("d1*d0", mat_mul(d1, d0), r0), ("d0*d1", mat_mul(d0, d1), r1)):
+    for name, prod, n in (("d1*d0", _product(ring, d1, d0), r0),
+                          ("d0*d1", _product(ring, d0, d1), r1)):
         for i in range(n):
             for j in range(n):
                 want = w if i == j else Poly.zero(ring)
@@ -226,6 +208,18 @@ class MFMor:
         """The block out of source part p."""
         return self.f0 if p == 0 else self.f1
 
+    @cached_property
+    def _inverted(self) -> "MFMor | None":
+        """mor_inverse(self), found on first use and then kept, as MF._key is."""
+        if self.parity != 0:
+            return None
+        blocks = []
+        for blk in (self.f0, self.f1):
+            if (rows := _inverse(_constant_rows(blk))) is None:
+                return None
+            blocks.append(_poly_block(blk[0][0].ring, rows, len(rows)))
+        return MFMor(self.target, self.source, 0, *blocks)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MFMor):
             return NotImplemented
@@ -236,18 +230,6 @@ class MFMor:
         )
 
     __hash__ = None
-
-    def __add__(self, other: "MFMor") -> "MFMor":
-        if self.parity != other.parity:
-            raise MFError("parities differ")
-        return MFMor(self.source, self.target, self.parity,
-                     mat_add(self.f0, other.f0), mat_add(self.f1, other.f1))
-
-    def __sub__(self, other: "MFMor") -> "MFMor":
-        if self.parity != other.parity:
-            raise MFError("parities differ")
-        return MFMor(self.source, self.target, self.parity,
-                     mat_sub(self.f0, other.f0), mat_sub(self.f1, other.f1))
 
     def scale(self, c) -> "MFMor":
         return MFMor(self.source, self.target, self.parity,
@@ -262,7 +244,7 @@ def scaled_identity(M: MF, N: MF, c0, c1) -> MFMor:
     """The even map M -> N with blocks c0 * id and c1 * id (N has M's
     ranks), for Scalars or ints c0 and c1."""
     return MFMor(M, N, 0, *(_poly_block(M.ring, _sparse_scaled_identity(
-        c if isinstance(c, Scalar) else Scalar.from_rational(c), n))
+        c if isinstance(c, Scalar) else Scalar.from_rational(c), n), n)
         for c, n in ((c0, M.r0), (c1, M.r1))))
 
 
@@ -297,8 +279,8 @@ def compose(f: MFMor, g: MFMor) -> MFMor:
     """f after g."""
     parity = (f.parity + g.parity) % 2
     # g sends source part p to part p+|g|, where f's block picks up
-    b0 = mat_mul(f.block(g.parity % 2), g.f0)
-    b1 = mat_mul(f.block((1 + g.parity) % 2), g.f1)
+    b0 = _product(g.source.ring, f.block(g.parity % 2), g.f0)
+    b1 = _product(g.source.ring, f.block((1 + g.parity) % 2), g.f1)
     return MFMor(g.source, f.target, parity, b0, b1)
 
 
@@ -307,15 +289,23 @@ def diff_mor(M: MF) -> MFMor:
     return MFMor(M, M, 1, M.d0, M.d1)
 
 
+def _hom_diff_rows(f: MFMor):
+    """The sparse rows of D(f) = d_N f - (-1)^{|f|} f d_M out of each source
+    part p in turn, d_N f_p - (-1)^{|f|} f_{1-p} d_M: products of rows, so
+    a constant entry of f only scales entries of the differentials."""
+    q = f.parity
+    dN, dM, fr = ((_rows(h.f0), _rows(h.f1)) for h in (diff_mor(f.target), diff_mor(f.source), f))
+    for p in (0, 1):
+        right = fr[1 - p] if q else [{k: -x for k, x in row.items()} for row in fr[1 - p]]
+        yield _sparse_mul(right, dM[p], _sparse_mul(dN[(p + q) % 2], fr[p]))
+
+
 def hom_diff(f: MFMor) -> MFMor:
     """D(f) = d_N . f - (-1)^{|f|} f . d_M."""
-    dN = diff_mor(f.target)
-    dM = diff_mor(f.source)
-    left = compose(dN, f)
-    right = compose(f, dM)
-    if f.parity == 0:
-        return left - right
-    return left + right
+    parity = 1 - f.parity
+    blocks = [_poly_block(f.source.ring, rows, cols) for rows, (_, cols) in
+              zip(_hom_diff_rows(f), _block_shapes(f.source, f.target, parity))]
+    return MFMor(f.source, f.target, parity, *blocks)
 
 
 def window_monomials(nvars: int, cutoff: int) -> list:
@@ -406,29 +396,14 @@ def window_operator(left: MFMor, right: MFMor, parity: int, monomials,
 
 
 def is_closed(f: MFMor) -> bool:
-    """Whether D(f) = 0 (hom_diff is the reference): on each source part p,
-    d_N f_p = (-1)^{|f|} f_{1-p} d_M, compared as products of sparse rows,
-    so a constant entry of f only scales entries of the differentials."""
-    q = f.parity
-    dN, dM, fr = ((_rows(h.f0), _rows(h.f1)) for h in (diff_mor(f.target), diff_mor(f.source), f))
-    for p in (0, 1):
-        right = fr[1 - p] if q else [{k: -x for k, x in row.items()} for row in fr[1 - p]]
-        if any(_sparse_mul(right, dM[p], _sparse_mul(dN[(p + q) % 2], fr[p]))):
-            return False
-    return True
+    """Whether D(f) = 0, read part by part off hom_diff's rows."""
+    return not any(any(rows) for rows in _hom_diff_rows(f))
 
 
 def mor_inverse(f: MFMor) -> MFMor | None:
     """The inverse of f, or None if f is odd or a block is singular; MFError
     for a block that _constant_rows refuses, f0 decided before f1 is read."""
-    if f.parity != 0:
-        return None
-    blocks = []
-    for blk in (f.f0, f.f1):
-        if (rows := _inverse(_constant_rows(blk))) is None:
-            return None
-        blocks.append(_poly_block(blk[0][0].ring, rows))
-    return MFMor(f.target, f.source, 0, *blocks)
+    return f._inverted
 
 
 def is_isomorphism(f: MFMor) -> bool:

@@ -43,9 +43,9 @@ def _scale_blocks(f: MFMor, source: MF, target: MF, c) -> MFMor:
     return MFMor(source, target, 0, mat_scale(c[0], f.f0), mat_scale(c[1], f.f1))
 
 
-def theta_cocycle_check(rep: ContraRep, M: MF) -> Verdict:
+def theta_cocycle_check(rep: ContraRep) -> Verdict:
     """theta_{i3 i2, i1} ∘ theta_{i3, i2} = theta_{i3, i2 i1} ∘ rho(i3)(theta_{i2, i1}^{pi(i3)})
-    on all element triples, on theta's block scalars, the same at every M:
+    on all element triples, on theta's block scalars, the same at every object:
     rho(i3) acts on them as on units (groups._graded_act) and swaps the
     blocks where it flips in the shifted variant, as rep_apply_mor does."""
     g = rep.group
@@ -211,9 +211,12 @@ def duality_comparison(rep: ContraRep, s1: int, s2: int, s: ContraRealStruct) ->
 
 
 def comparison_torsor_check(rep: ContraRep, s: ContraRealStruct) -> Verdict:
-    """phi^{s1,s3} = phi^{s2,s3} ∘ phi^{s1,s2} over all odd triples."""
+    """phi^{s1,s3} = phi^{s2,s3} ∘ phi^{s1,s2} over all odd triples, once
+    the kernel components that phi reads are found invertible."""
     g = rep.group
     sub = {i: s.u[i] for i in g.kernel()}
+    if isinstance(singular := _inverses(rep, sub), Verdict):
+        return singular
     odd = g.odd_elements()
     phi = {(s1, s2): _comparison_map(rep, s1, s2, s.base, sub) for s1, s2 in product(odd, repeat=2)}
     for s1, s2, s3 in product(odd, repeat=3):

@@ -1,17 +1,18 @@
 """Reference constructions the tests compare the package against.
 
 Each is the direct morphism-level form of a construction the package
-computes another way: twisting a morphism entrywise, the external tensor
-of two morphisms, a morphism's coordinates and back, and the generic
-duality identity; identity and zero matrices and block grids of
-polynomial matrices serve the dense references.  The package itself
-never imports this module.
+computes another way: the product of two polynomial matrices entry by
+entry, the sum of two morphisms and the Hom differential built from them,
+twisting a morphism entrywise, the external tensor of two morphisms, a
+morphism's coordinates and back, and the generic duality identity;
+identity and zero matrices and block grids of polynomial matrices serve
+the dense references.  The package itself never imports this module.
 """
 
 from mfsym.polys import Poly, RingMap, RingSpec
 from mfsym.mf import (
-    MF, MFMor, Matrix, Verdict, _block_shapes, compose, equation, external_tensor, identity_mor,
-    mat_apply, tensor_mor_blocks,
+    MF, MFError, MFMor, Matrix, Verdict, _block_shapes, compose, equation, external_tensor,
+    identity_mor, mat_apply, mat_shape, tensor_mor_blocks,
 )
 from mfsym.groups import twist_mf
 
@@ -24,6 +25,46 @@ def mat_identity(ring: RingSpec, n: int) -> Matrix:
 def mat_zero(ring: RingSpec, r: int, c: int) -> Matrix:
     zero = Poly.zero(ring)
     return tuple((zero,) * c for _ in range(r))
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a b, entry by entry on Polys; the package multiplies sparse rows."""
+    ra, ca = mat_shape(a)
+    rb, cb = mat_shape(b)
+    if ca != rb:
+        raise MFError(f"shape mismatch {mat_shape(a)} x {mat_shape(b)}")
+    ring = a[0][0].ring if ra and ca else b[0][0].ring
+    zero = Poly.zero(ring)
+    out = []
+    for i in range(ra):
+        row = []
+        for j in range(cb):
+            acc = zero
+            for k in range(ca):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def mor_add(f: MFMor, g: MFMor, sign: int = 1) -> MFMor:
+    """f + sign * g, blockwise, for two maps of one parity between the same
+    objects."""
+    if f.parity != g.parity:
+        raise MFError("parities differ")
+    return MFMor(f.source, f.target, f.parity, *(
+        tuple(tuple(x + y * sign for x, y in zip(rf, rg)) for rf, rg in zip(bf, bg))
+        for bf, bg in ((f.f0, g.f0), (f.f1, g.f1))))
+
+
+def hom_diff_reference(f: MFMor) -> MFMor:
+    """D(f) = d_N f - (-1)^{|f|} f d_M, out of each source part p
+    d_N f_p - (-1)^{|f|} f_{1-p} d_M, from mat_mul."""
+    q, dN, dM = f.parity, (f.target.d0, f.target.d1), (f.source.d0, f.source.d1)
+    left = MFMor(f.source, f.target, 1 - q, *(mat_mul(dN[(p + q) % 2], f.block(p))
+                                             for p in (0, 1)))
+    right = MFMor(f.source, f.target, 1 - q, *(mat_mul(f.block(1 - p), dM[p]) for p in (0, 1)))
+    return mor_add(left, right, 1 if q else -1)
 
 
 def mat_block(blocks) -> Matrix:

@@ -19,7 +19,7 @@ from mfsym.mf import (
     MFMor, rank_one, identity_mor, compose, diff_mor, hom_diff, is_closed,
     is_isomorphism, shift_mor, dual, dual_mor, double_dual_iso,
     grading_iso, swap_iso, shift_tensor_iso_left, shift_tensor_iso_right,
-    tensor_dual_pairing, mat_mul,
+    tensor_dual_pairing,
 )
 from mfsym.real import (
     RealStruct, verify_real_structure, rank_one_real_condition, real_knorrer,
@@ -36,7 +36,7 @@ from mfsym.cohomology import (
 )
 from mfsym.cli import _eightfold_consistency
 import mfsym.catalog as catalog
-from oracles import verify_duality
+from oracles import mat_mul, verify_duality
 
 
 def test_criterion_01_twisted_differential_soundness():

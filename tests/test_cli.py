@@ -82,17 +82,21 @@ def test_group_fields_are_not_coerced(tmp_path, group):
         load_scenario(str(p))
 
 
-@pytest.mark.parametrize("conductor", [True, 4.7, "12", [4]],
-                         ids=["true", "float", "string", "list"])
-def test_ring_conductor_is_not_coerced(tmp_path, capsys, conductor):
+@pytest.mark.parametrize("conductor, shown", [(True, "true"), (4.7, "4.7"), ("12", '"12"'),
+                                               ([4], "[4]"), (None, "null")],
+                         ids=["true", "float", "string", "list", "null"])
+def test_ring_conductor_is_not_coerced(tmp_path, capsys, conductor, shown):
     """int() read true as 1, 4.7 as 4 and "12" as 12, and [4] gave a raw
-    TypeError message that did not name the conductor."""
+    TypeError message that did not name the conductor.  The conductor is
+    named by its place in the file, and the value shown as it is written
+    there, not as a Python repr (True, None, '12')."""
     p = tmp_path / "ring.json"
     p.write_text(json.dumps({"schema": SCHEMA, "potential": "u",
                              "ring": {"variables": ["u"], "conductor": conductor}}))
     assert main(["validate", str(p)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: conductor must be"), lines
+    assert lines == [f"error: {p}: ring.conductor must be a positive integer up to "
+                     f"{cli.MAX_CONDUCTOR}, got {shown}"], lines
 
 
 def test_load_scenario_rejects_bad_schema(tmp_path):
@@ -294,6 +298,9 @@ def test_main_failing_task_exits_one(tmp_path):
         }],
     }))
     assert main(["run", str(p)]) == 1
+    # and once through a fresh interpreter, the one true run of exit code 1
+    run = _cli(["run", str(p)], False)
+    assert run.returncode == 1 and not run.stderr, run.stderr
 
 
 def test_suite_tasks_record_their_duration():
@@ -519,19 +526,62 @@ BAD_SCENARIOS = {
 }
 
 
+def _write_probe(path, probe):
+    spec = BAD_SCENARIOS[probe]
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+
+
+# Runs main(["run", path]) in-process for each path given, and prints a JSON
+# object: the interpreter's optimize flag, and per path the exit code (null
+# where main raised), stdout and stderr, a traceback included.
+_RUN_EACH = """
+import contextlib, io, json, sys, traceback
+sys.path[:0] = [sys.argv[1]]
+from mfsym.cli import main
+runs = {}
+for path in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out, \\
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(["run", path])
+        except Exception:
+            code = None
+            traceback.print_exc()
+    runs[path] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps({"optimize": sys.flags.optimize, "runs": runs}))
+"""
+
+
+@pytest.fixture(scope="module")
+def optimized_runs(tmp_path_factory):
+    """probe -> (exit code, stdout, stderr) of run on each bad scenario, all
+    in one interpreter under -O, where asserts are stripped."""
+    folder = tmp_path_factory.mktemp("bad-O")
+    paths = {probe: folder / f"{probe}.json" for probe in BAD_SCENARIOS}
+    for probe, path in paths.items():
+        _write_probe(path, probe)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    host = subprocess.run([sys.executable, "-O", "-c", _RUN_EACH, src, *map(str, paths.values())],
+                          capture_output=True, text=True, timeout=600)
+    assert host.returncode == 0, host.stderr
+    report = json.loads(host.stdout)
+    assert report["optimize"] == 1
+    return {probe: report["runs"][str(path)] for probe, path in paths.items()}
+
+
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
 @pytest.mark.parametrize("probe", sorted(BAD_SCENARIOS))
-def test_bad_scenario_gives_one_error_line(tmp_path, capsys, probe, optimize):
+def test_bad_scenario_gives_one_error_line(tmp_path, capsys, request, probe, optimize):
     """Without -O, validate and run each go in-process through main; with
-    -O, run goes through a fresh interpreter, where asserts are stripped."""
-    p = tmp_path / "bad.json"
-    spec = BAD_SCENARIOS[probe]
-    p.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    -O, run goes through main in one fresh interpreter for all probes
+    (optimized_runs)."""
     if optimize:
-        run = _cli(["run", str(p)], optimize)
-        assert run.returncode == 2, run.stdout + run.stderr
-        errors = [run.stderr]
+        code, out, err = request.getfixturevalue("optimized_runs")[probe]
+        assert code == 2, out + err
+        errors = [err]
     else:
+        p = tmp_path / "bad.json"
+        _write_probe(p, probe)
         errors = []
         for verb in ("validate", "run"):
             assert main([verb, str(p)]) == 2, verb
@@ -562,12 +612,15 @@ def test_non_string_fields_are_named(tmp_path, probe, field):
     ("expect-unknown", "expect"), ("iterations-zero", "iterations"), ("d0-ragged", "d0")])
 def test_formerly_valid_scenarios_are_refused_naming_the_field(tmp_path, capsys, probe, field):
     """validate printed "valid" and exited 0 on each: the first four were read
-    with another meaning, the others were refused only when their task ran."""
+    with another meaning, the others were refused only when their task ran.
+    The field is named by its place after the file's path."""
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(BAD_SCENARIOS[probe]))
     assert main(["validate", str(p)]) == 2
     line, = capsys.readouterr().err.splitlines()
-    assert re.search(rf"(^|: ){field} must be ", line.removeprefix("error: ")), line
+    # a field of the group, of the scenario, or of its one task
+    place = {"graded": "group.", "setting": "", "variant": ""}.get(field, "tasks[0].")
+    assert line.startswith(f"error: {p}: {place}{field} must be "), line
 
 
 def test_size_bounds_at_their_limits():
@@ -677,7 +730,7 @@ def test_failing_verdict_is_recorded_in_detail(tmp_path, monkeypatch):
 
     broken = Verdict(False, "theta cocycle", ("g1", "g1", "g1"),
                      (0, 0, 0, (0, 0), Scalar.from_rational(3)))
-    monkeypatch.setattr(cli, "theta_cocycle_check", lambda rep, M: broken)
+    monkeypatch.setattr(cli, "theta_cocycle_check", lambda rep: broken)
     out = tmp_path / "report.json"
     path = os.path.join(SCENARIO_DIR, "orientifold-shifted-c2.json")
     assert main(["run", path, "--json", str(out)]) == 1

@@ -8,7 +8,6 @@ import pytest
 
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingMap, RingSpec
-from mfsym.mf import mat_mul
 from mfsym.clifford import (
     QuadForm, CliffMod, clifford_mul, element_eq,
     module_validate, beh_phi, module_hom_dim,
@@ -19,6 +18,7 @@ from mfsym.clifford import (
 import mfsym.catalog as catalog
 import mfsym.clifford as clifford
 from mfsym.cli import run_suite
+from oracles import mat_mul
 
 
 def test_quadform_validation():

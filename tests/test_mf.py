@@ -20,11 +20,13 @@ from mfsym.mf import (
     shift_mor, dual, dual_mor, double_dual_iso, grading_iso, external_tensor,
     swap_iso, shift_tensor_iso_left,
     shift_tensor_iso_right, tensor_dual_pairing,
-    mat_mul, mat_eq, mat_neg, mat_shape, scaled_identity,
+    mat_eq, mat_neg, mat_shape, scaled_identity,
     join_rings, lift_poly, lift_mat, negate_mf, _block_shapes,
 )
 import mfsym.catalog as catalog
-from oracles import external_tensor_mor, mat_block, mat_identity, mat_zero
+from oracles import (
+    external_tensor_mor, hom_diff_reference, mat_block, mat_identity, mat_mul, mat_zero, mor_add,
+)
 
 
 RNG = random.Random(20240824)
@@ -239,7 +241,7 @@ def test_external_tensor_mor_leibniz():
             right = external_tensor_mor(f, hom_diff(g))
             if pf:
                 right = right.scale(-Scalar.one())
-            assert lhs == external_tensor_mor(hom_diff(f), g) + right
+            assert lhs == mor_add(external_tensor_mor(hom_diff(f), g), right)
 
 
 def test_tensor_structure_isos():
@@ -467,23 +469,24 @@ def drawn_mors(draw, M, N, parity=None, constant=None):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(_SMALL_CATALOG), st.data())
 def test_is_closed_matches_hom_diff(M, data):
-    """is_closed multiplies sparse rows; hom_diff multiplies polynomial
-    matrices.  They agree on drawn maps of both parities, constant and not,
-    closed (boundaries, scaled identities with equal scales, the grading
-    iso) and not."""
+    """is_closed and hom_diff read one kernel of sparse-row products; both
+    agree with D built from the tests' own matrix product, on drawn maps of
+    both parities, constant and not, closed (boundaries, scaled identities
+    with equal scales, the grading iso) and not."""
     kind = data.draw(st.sampled_from(("drawn", "boundary", "scaled", "grading")))
     if kind == "drawn":
         f = data.draw(drawn_mors(M, M))
     elif kind == "boundary":
-        f = hom_diff(data.draw(drawn_mors(M, M)))
+        f = hom_diff_reference(data.draw(drawn_mors(M, M)))
         assert is_closed(f)
     else:
         N = M if kind == "scaled" else negate_mf(M)
         a, b = (Scalar.from_rational(data.draw(st.integers(-2, 2))) for _ in range(2))
         f = scaled_identity(M, N, a, data.draw(st.sampled_from((a, -a, b))))
     if data.draw(st.booleans()):
-        f = f + data.draw(drawn_mors(f.source, f.target, f.parity, constant=True))
-    boundary = hom_diff(f)
+        f = mor_add(f, data.draw(drawn_mors(f.source, f.target, f.parity, constant=True)))
+    boundary = hom_diff_reference(f)
+    assert hom_diff(f) == boundary
     assert is_closed(f) == all(p.is_zero() for blk in (boundary.f0, boundary.f1)
                                for row in blk for p in row)
 
@@ -492,17 +495,21 @@ _BAD_MOR = """
 import sys
 sys.path[:0] = sys.argv[1:]
 from mfsym.catalog import an_rank_one
-from mfsym.mf import MFError, MFMor, diff_mor, equation, identity_mor, mat_mul
+from mfsym.mf import (
+    MFError, MFMor, compose, diff_mor, equation, external_tensor, identity_mor, rank_one)
+from mfsym.polys import Poly, RingSpec
 M = an_rank_one(2)
-ident, d = identity_mor(M), diff_mor(M)
+ident = identity_mor(M)
+yz = RingSpec(("y", "z"))
+# ranks (2, 2): the blocks of its identity do not compose with ident's
+wide = external_tensor(M, rank_one(Poly.variable(yz, "y"), Poly.variable(yz, "z")))
 blocks = (ident.f0, ident.f1)
 bad = {
     "f0 shape": lambda: MFMor(M, M, 0, (), ident.f1),
     "f1 shape": lambda: MFMor(M, M, 0, ident.f0, ()),
-    "sum of parities": lambda: ident + d,
-    "difference of parities": lambda: ident - d,
-    "matrix product shapes": lambda: mat_mul(ident.f0, ident.f0 + ident.f0),
-    "equation of parities": lambda: equation("e", (), ident, d),
+    "matrix product shapes": lambda: compose(identity_mor(wide), ident),
+    "short matrix product": lambda: compose(ident, identity_mor(wide)),
+    "equation of parities": lambda: equation("e", (), ident, diff_mor(M)),
     # the rows the two sides share are equal
     "equation of block shapes": lambda: equation("e", (), blocks,
                                                  (ident.f0 + ident.f0, ident.f1)),

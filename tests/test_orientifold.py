@@ -92,7 +92,7 @@ def test_order_four_plain_witness():
 def test_theta_cocycle_law():
     for rep in (c2_shifted_rep(), c4_plain_rep(), c2xc2_shifted_rep()):
         s = witness(rep)
-        assert theta_cocycle_check(rep, s.base)
+        assert theta_cocycle_check(rep)
 
 
 def test_theta_components_are_closed():
@@ -271,7 +271,7 @@ MUTATIONS = {
         lambda: verify_contra_structure(_scaled(witness(c4_plain_rep()), 1, -Scalar.one())),
         ("g1", "g2")),
     "2-cocycle": (lambda: cocycle_check(_non_cocycle_twist().twist), ("g1", "g1", "g1")),
-    "theta cocycle": (lambda: theta_cocycle_check(_non_cocycle_twist(), rank_one(U, V)),
+    "theta cocycle": (lambda: theta_cocycle_check(_non_cocycle_twist()),
                       ("g1", "g1", "g1")),
     "eta coherence": (lambda: eta_coherence_check(*_eta_case_without_sign_twist()), ("g1", "g1")),
     "duality object law: fixed point law": (
@@ -319,6 +319,8 @@ def test_non_constant_component_raises_or_fails_as_before():
         verify_contra_structure(_scaled(s, 1, one_plus_w))
     with pytest.raises(MFError, match="non-constant"):
         fixed_point_duality(s.rep, 1, _kernel_part(_scaled(s, 2, one_plus_w)))
+    with pytest.raises(MFError, match="non-constant"):
+        comparison_torsor_check(s.rep, _scaled(s, 2, one_plus_w))
     f = s.u[1]
     shifted = MFMor(f.source, f.target, 0, tuple(tuple(x + U for x in row) for row in f.f0), f.f1)
     verdict = verify_contra_structure(ContraRealStruct(s.base, s.rep, {**s.u, 1: shifted}))
@@ -327,13 +329,21 @@ def test_non_constant_component_raises_or_fails_as_before():
 
 
 def test_singular_kernel_component_fails_the_dualities_instead_of_raising():
-    """Building the induced structure inverted u_g2 before any check ran."""
+    """Building the induced structure inverted u_g2 before any check ran;
+    the torsor check composed the comparison maps without checking the
+    components they read, and passed."""
     s = _scaled(witness(c4_plain_rep()), 2, Scalar.zero())
     rep = s.rep
     for verdict in (fixed_point_duality(rep, 1, _kernel_part(s)),
-                    duality_comparison(rep, 1, 3, s)):
+                    duality_comparison(rep, 1, 3, s), comparison_torsor_check(rep, s)):
         assert (verdict.ok, verdict.identity, verdict.at, verdict.term) == (
             False, "not invertible", ("g2",), None)
+    # with C2's one odd element every comparison map is the identity's
+    # scaled u_e, so the torsor check passed on a zero u_e
+    s = _scaled(witness(c2_shifted_rep()), 0, Scalar.zero())
+    for verdict in (duality_comparison(s.rep, 1, 1, s), comparison_torsor_check(s.rep, s)):
+        assert (verdict.ok, verdict.identity, verdict.at, verdict.term) == (
+            False, "not invertible", ("g0",), None)
 
 
 def test_duality_comparison_does_not_rerun_the_dualities(monkeypatch):
@@ -515,7 +525,7 @@ def test_scalar_theta_checks_match_the_morphism_reference(case):
     theta cocycle verdicts agree; the eta coherence verdicts are equal."""
     src, tgt, K, M = ORACLE_CASES[case]()
     for rep, obj in ((src, M), (tgt, external_tensor(M, K))):
-        _agree(theta_cocycle_check(rep, obj), _reference_theta_cocycle(rep, obj))
+        _agree(theta_cocycle_check(rep), _reference_theta_cocycle(rep, obj))
     assert eta_coherence_check(src, tgt, K, M) == _reference_eta_coherence(src, tgt, K, M)
 
 
@@ -614,7 +624,7 @@ def test_theta_cocycle_matches_the_reference_on_drawn_twists(data):
     rep = data.draw(st.sampled_from(
         (c2_shifted_rep, c4_plain_rep, c2xc2_shifted_rep, _antilinear_rep)))()
     drawn = _retwisted(rep, _drawn_twist(data, rep))
-    _agree(theta_cocycle_check(drawn, BASE_UV), _reference_theta_cocycle(drawn, BASE_UV))
+    _agree(theta_cocycle_check(drawn), _reference_theta_cocycle(drawn, BASE_UV))
 
 
 @settings(max_examples=40, deadline=None)
@@ -640,7 +650,7 @@ def test_dualities_hold_under_a_coboundary_twist_with_non_unit_theta():
     f = [Scalar.one(), Scalar.one(), Scalar.from_rational(2), Scalar.one()]
     rep = ContraRep(g, s.rep.action, W, PLAIN, _coboundary(g, CONTRAVARIANT, f))
     moved = ContraRealStruct(s.base, rep, {i: u.scale(f[i].inverse()) for i, u in s.u.items()})
-    assert verify_contra_structure(moved) and theta_cocycle_check(rep, s.base)
+    assert verify_contra_structure(moved) and theta_cocycle_check(rep)
     odd = g.odd_elements()
     for sigma in odd:
         assert fixed_point_duality(rep, sigma, _kernel_part(moved))

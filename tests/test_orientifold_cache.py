@@ -23,6 +23,7 @@ from mfsym.mf import (
 from mfsym.groups import ActionSpec, CONTRAVARIANT, cyclic_group, twist_mf
 import mfsym.cli as cli
 import mfsym.groups as groups
+import mfsym.linalg as linalg
 import mfsym.mf as mf
 import mfsym.orientifold as orientifold
 from mfsym.cli import _contra_witness, load_scenario, run_scenario
@@ -228,7 +229,7 @@ def test_theta_cocycle_check_builds_no_morphism(monkeypatch):
     calls = _counting(monkeypatch, [(groups, "twist_mf"), (mf, "compose"),
                                     (orientifold, "compose"), (groups, "_inverse"),
                                     (mf, "_inverse")])
-    assert orientifold.theta_cocycle_check(rep, BASE)
+    assert orientifold.theta_cocycle_check(rep)
     assert calls == {}
 
 
@@ -239,25 +240,29 @@ def test_bundled_scenarios_invert_no_theta(monkeypatch):
     task verifying its own witness; then 34.  Now each block is eliminated
     once, by linalg's one inverse: 44 blocks in verify_fixed_point, which
     inverts every component it checks, and 20 in the duality's
-    mor_inverse calls."""
+    mor_inverse calls.  A morphism now keeps its inverse, so the duality
+    suite inverts the kernel components once, not once per check: 12
+    blocks, the torsor check's reading of them included."""
     calls = _counting(monkeypatch, [(groups, "_inverse"), (mf, "_inverse")])
     for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
         assert run_scenario(str(SCENARIOS / name)).ok
-    assert calls["_inverse"] <= 64, calls
+    assert calls["_inverse"] <= 56, calls
 
 
 def test_eta_coherence_check_builds_no_morphism(monkeypatch):
     """eta_coherence_check built three eta morphisms per element pair, each
     through a twist of a twist and its tensor with K, and composed them;
-    then it multiplied eta's blocks as polynomial matrices, 144 mat_mul
-    calls and 1440 Poly products on these cases."""
+    then it multiplied eta's blocks as polynomial matrices, 144 matrix
+    products and 1440 Poly products on these cases.  mf multiplies
+    matrices only through its _sparse_mul, and Poly.__rmul__ (a Scalar
+    times a Poly) is bound apart from __mul__."""
     cases = [(make(), M) for make in REPS for M in (BASE, witness(make()).base)]
     cases = [(rep, _extend_rep(rep, K), M) for rep, M in cases]
     calls = _counting(monkeypatch, [
         (groups, "twist_mf"), (groups, "rep_apply"), (orientifold, "rep_apply"),
         (mf, "external_tensor"), (orientifold, "external_tensor"), (mf, "compose"),
-        (orientifold, "compose"), (mf.MFMor, "__post_init__"), (mf, "mat_mul"),
-        (Poly, "__mul__")])
+        (orientifold, "compose"), (mf.MFMor, "__post_init__"), (mf, "_sparse_mul"),
+        (Poly, "__mul__"), (Poly, "__rmul__")])
     for src, tgt, M in cases:
         assert orientifold.eta_coherence_check(src, tgt, K, M)
     assert calls == {}
@@ -265,17 +270,21 @@ def test_eta_coherence_check_builds_no_morphism(monkeypatch):
 
 def test_knorrer_step_multiplies_matrices_only_to_check_k(monkeypatch):
     """Multiplying eta's blocks into those of u_i x id_K as polynomial
-    matrices took 42 mat_mul calls on the C4 plain witness and 14 on the C2
-    shifted one; eta's rows select rows instead, and the two calls left are
-    mf_new's check d^2 = w of K."""
+    matrices took 42 matrix products on the C4 plain witness and 14 on the
+    C2 shifted one; eta's rows select rows instead, and the two products
+    left are mf_new's check d^2 = w of K.  Every matrix product of mf is
+    a call of its _sparse_mul, made for its caller by mf._product."""
     callers = []
-    mat_mul = mf.mat_mul
+    sparse_mul = mf._sparse_mul
 
-    def counted(a, b):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return mat_mul(a, b)
+    def counted(*args):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_product":
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return sparse_mul(*args)
 
-    monkeypatch.setattr(mf, "mat_mul", counted)
+    monkeypatch.setattr(mf, "_sparse_mul", counted)
     for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
         s = _contra_witness(load_scenario(str(SCENARIOS / name)))
         callers.clear()
@@ -289,27 +298,37 @@ def test_fixed_point_law_multiplies_no_polynomial_matrices(monkeypatch):
     is_closed multiplied polynomial matrices too; now a constant component
     only scales the entries of the differentials.  The products of two
     polynomials left are twist_mf's, where rep_apply builds an image.
-    Checked on both bundled witnesses and their first and second Knoerrer
-    images, built before counting."""
+    Every matrix product is linalg's _sparse_mul, under each name that
+    holds it: one that mf._product makes, or one of two blocks of Poly
+    entries, is a polynomial matrix product.  Checked on both bundled
+    witnesses and their first and second Knoerrer images, built before
+    counting."""
     structs = []
     for name in ("orientifold-plain-c4.json", "orientifold-shifted-c2.json"):
         s = _contra_witness(load_scenario(str(SCENARIOS / name)))
         structs += [s, orientifold_knorrer(s)[0], double_knorrer(s)[0]]
     stray = collections.Counter()
 
+    def polynomial(x):
+        return isinstance(x, Poly) or isinstance(x, list) and any(
+            isinstance(v, Poly) for row in x for v in row.values())
+
     def watched(name, f):
-        def call(a, b):
+        def call(a, b, *rest):
             frame, names = sys._getframe(1), set()
             while frame is not None and frame.f_code.co_name != "verify_fixed_point":
                 names.add(frame.f_code.co_name)
                 frame = frame.f_back
-            if frame is not None and "twist_mf" not in names and isinstance(b, (Poly, tuple)):
+            if frame is not None and "twist_mf" not in names and (
+                    "_product" in names or polynomial(a) and polynomial(b)):
                 stray[name] += 1
-            return f(a, b)
+            return f(a, b, *rest)
         return call
 
-    monkeypatch.setattr(mf, "mat_mul", watched("mat_mul", mf.mat_mul))
-    monkeypatch.setattr(Poly, "__mul__", watched("Poly.__mul__", Poly.__mul__))
+    for module in (mf, groups, orientifold):
+        monkeypatch.setattr(module, "_sparse_mul", watched("_sparse_mul", linalg._sparse_mul))
+    for method in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Poly, method, watched(f"Poly.{method}", getattr(Poly, method)))
     for s in structs:
         assert verify_contra_structure(s).ok
     assert stray == {}, stray

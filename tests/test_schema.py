@@ -3,7 +3,8 @@
 Every field of every object a scenario holds (the scenario, its ring, the
 three group forms and each op's parameters) gets a wrong JSON value in an
 otherwise valid scenario, which `mfsym validate` must refuse with exit code
-2 and one `error:` line naming that field: one value of each JSON kind,
+2 and one `error:` line naming that field by its place in the file
+(`ring.conductor`, `tasks[0].cutoff`): one value of each JSON kind,
 then drawn values.  A valid value must pass.  The
 rules below are written here, independently of `cli`'s table: only the
 table's field names are read, so that a field added to it without a rule
@@ -183,12 +184,20 @@ def test_every_field_of_the_table_has_a_rule_here():
     assert table == set(RULES)
 
 
+# where a field is named in an error line, after the file's path: a field of
+# the scenario alone, one of the ring or of the (only) task after ring. or
+# tasks[0].; one of a group after group. or, where a refusal reads several
+# fields of the group together, anywhere after group:
+PLACES = {"scenario": "", "ring": r"ring\.", "group": r"group(\.|: .*?)"}
+
+
 def _assert_refused(tmp_path_factory, place, field, value):
     code, out, err = _validate(tmp_path_factory, _scenario(place, field, value))
     lines = err.splitlines()
     assert code == 2 and not out, (value, out, err)
     assert len(lines) == 1 and lines[0].startswith("error:"), (value, lines)
-    assert re.search(rf"(?<![\w-]){re.escape(field)}(?![\w-])", lines[0]), (value, lines)
+    where = PLACES.get(place.split()[0], r"tasks\[0\]\.")
+    assert re.match(rf"error: <path>: {where}{re.escape(field)}(?![\w-])", lines[0]), (value, lines)
 
 
 @_FIELDS

@@ -23,7 +23,7 @@ from mfsym.mf import (
 )
 from mfsym.real import _field_conductor
 import mfsym.catalog as catalog
-from oracles import mor_coordinates, mor_from_coordinates, twist_mor
+from oracles import mor_add, mor_coordinates, mor_from_coordinates, twist_mor
 
 
 @cache
@@ -148,7 +148,7 @@ def test_operator_matches_real_residual(data):
     rm = s.action.map_of(sigma)
     f, monomials = _draw_window_mor(data, s.base, s.base, _field_conductor(s), rm.antilinear)
     image = _operator_image(f, monomials, s.u[sigma], s.u[sigma], rm)
-    slow = compose(s.u[sigma], f) - compose(twist_mor(rm, f), s.u[sigma])
+    slow = mor_add(compose(s.u[sigma], f), compose(twist_mor(rm, f), s.u[sigma]), -1)
     assert image == mor_coordinates(slow)
 
 
