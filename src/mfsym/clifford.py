@@ -1,8 +1,9 @@
 """Clifford algebras, graded modules, and the bridge to factorizations.
 
 A Clifford algebra is stored by the polarized bilinear matrix of its
-quadratic form, with basis the subsets of the generator index set and
-multiplication by straightening.  Graded modules are pairs of generator
+quadratic form, with basis the subsets of the generator index set;
+products are taken on an orthogonal basis, by one closed rule for two
+basis blades.  Graded modules are pairs of generator
 blocks in ``linalg``'s sparse rows, checked once when the module is built,
 so module products touch only nonzero entries.  The bridge functor
 sends a module to the factorization with differential sum gamma_j x_j.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 
 from .scalars import Scalar
@@ -43,6 +45,17 @@ class QuadForm:
     def value(self, i: int, j: int) -> Scalar:
         return self.bilinear[i][j]
 
+    @cached_property
+    def squares(self) -> tuple[Scalar, ...]:
+        """q(e_i) for each basis vector of a diagonal form; raises ValueError
+        when the form is not diagonal.  Kept in the instance __dict__, which
+        cached_property writes past the frozen __setattr__."""
+        for i, row in enumerate(self.bilinear):
+            for j, c in enumerate(row):
+                if i != j and not c.is_zero():
+                    raise ValueError(f"the form is not diagonal: B[{i}][{j}] = {c}")
+        return tuple(row[i] for i, row in enumerate(self.bilinear))
+
     def validate(self) -> None:
         n = self.dimension
         for i in range(n):
@@ -69,14 +82,7 @@ class QuadForm:
         return q
 
     def direct_sum(self, other: "QuadForm") -> "QuadForm":
-        n, m = self.dimension, other.dimension
-        zero = Scalar.zero()
-        rows = []
-        for i in range(n):
-            rows.append(tuple(self.bilinear[i]) + (zero,) * m)
-        for i in range(m):
-            rows.append((zero,) * n + tuple(other.bilinear[i]))
-        return QuadForm(tuple(rows))
+        return QuadForm.diagonal(self.squares + other.squares)
 
 
 # Algebra elements are dicts mapping sorted index tuples to nonzero Scalars;
@@ -97,9 +103,6 @@ class CliffAlg:
             out.append(tuple(i for i in range(n) if bits[i]))
         return sorted(out, key=lambda s: (len(s), s))
 
-    def unit(self):
-        return {(): Scalar.one()}
-
     def generator(self, j: int):
         if not 0 <= j < self.quad.dimension:
             raise ValueError(f"generator index {j} out of range")
@@ -113,50 +116,25 @@ def element_add(a: dict, b: dict) -> dict:
     return out
 
 
-def element_scale(c: Scalar, a: dict) -> dict:
-    c = _to_scalar(c)
-    if c.is_zero():
-        return {}
-    return {s: c * v for s, v in a.items()}
-
-
-def element_eq(a: dict, b: dict) -> bool:
-    return element_add(a, element_scale(-Scalar.one(), b)) == {}
-
-
-def _gen_left(alg: CliffAlg, j: int, subset: tuple[int, ...]) -> dict:
-    """e_j times the basis element e_subset, straightened back onto the
-    sorted basis via e_j e_i = -e_i e_j + 2 B_ij (i != j) and e_j^2 = B_jj."""
-    if not subset:
-        return {(j,): Scalar.one()}
-    i = subset[0]
-    rest = subset[1:]
-    if j < i:
-        return {(j,) + subset: Scalar.one()}
-    if j == i:
-        return {rest: alg.quad.value(j, j)}
-    out = {}
-    cross = alg.quad.value(j, i) + alg.quad.value(i, j)
-    if not cross.is_zero():
-        _elem_add(out, rest, cross)
-    for s, c in _gen_left(alg, j, rest).items():
-        _elem_add(out, (i,) + s, -c)
-    return out
+def _blade_mul(squares, a: tuple[int, ...], b: tuple[int, ...], c: Scalar):
+    """c e_a e_b on an orthogonal basis, for sorted index tuples a and b:
+    e_a e_b = (-1)^N prod_{i in a & b} q(e_i) e_{a ^ b}, N the number of
+    pairs (x, y) in a x b with x > y.  Returns (a ^ b sorted, coefficient)."""
+    for i in set(a).intersection(b):
+        c = c * squares[i]
+    if sum(x > y for x in a for y in b) % 2:
+        c = -c
+    return tuple(sorted(set(a).symmetric_difference(b))), c
 
 
 def clifford_mul(alg: CliffAlg, a: dict, b: dict) -> dict:
+    """a b in a Clifford algebra of a diagonal form; raises ValueError
+    when the form is not diagonal."""
+    squares = alg.quad.squares
     out = {}
     for sa, ca in a.items():
         for sb, cb in b.items():
-            term = {sb: ca * cb}
-            for j in reversed(sa):
-                nxt = {}
-                for s, c in term.items():
-                    for s2, c2 in _gen_left(alg, j, s).items():
-                        _elem_add(nxt, s2, c * c2)
-                term = nxt
-            for s, c in term.items():
-                _elem_add(out, s, c)
+            _elem_add(out, *_blade_mul(squares, sa, sb, ca * cb))
     return out
 
 
@@ -393,18 +371,14 @@ def real_clifford_fixed(r: int, s: int):
     check stops at the first relation that fails."""
     n = r + s
     amb = CliffAlg(QuadForm.diagonal([1] * n))
-    ivec = Scalar.i()
-    gens = []
-    for j in range(n):
-        g = amb.generator(j)
-        gens.append(g if j < r else element_scale(ivec, g))
+    gens = [amb.generator(j) if j < r else {(j,): Scalar.i()} for j in range(n)]
     target = cl_rs(r, s)
+    two = _to_scalar(2)
     for a in range(n):
         for b in range(n):
             prod = element_add(clifford_mul(amb, gens[a], gens[b]),
                                clifford_mul(amb, gens[b], gens[a]))
-            want = element_scale(_to_scalar(2) * target.quad.value(a, b), amb.unit())
-            if not element_eq(prod, want):
+            if prod != ({(): two * target.quad.squares[a]} if a == b else {}):
                 return target, False
     return target, True
 
@@ -424,15 +398,14 @@ class GradedTensorAlg:
         return {((), ()): Scalar.one()}
 
     def mul(self, a: dict, b: dict) -> dict:
+        lsq, rsq = self.left.quad.squares, self.right.quad.squares
         out = {}
         for (sa, ta), ca in a.items():
             for (sb, tb), cb in b.items():
                 c = -(ca * cb) if len(ta) % 2 and len(sb) % 2 else ca * cb
-                lprod = clifford_mul(self.left, {sa: Scalar.one()}, {sb: Scalar.one()})
-                rprod = clifford_mul(self.right, {ta: Scalar.one()}, {tb: Scalar.one()})
-                for ls, lc in lprod.items():
-                    for rs, rc in rprod.items():
-                        _elem_add(out, (ls, rs), c * lc * rc)
+                ls, c = _blade_mul(lsq, sa, sb, c)
+                rs, c = _blade_mul(rsq, ta, tb, c)
+                _elem_add(out, (ls, rs), c)
         return out
 
 
@@ -440,7 +413,8 @@ def graded_tensor(a: CliffAlg, b: CliffAlg):
     """(Clifford algebra of the direct-sum form, isomorphism verified flag):
     checks that v + v' maps to v tensor 1 + 1 tensor v' compatibly with all
     generator relations and carries the monomial basis to a basis; the
-    check stops at the first relation or basis image that fails."""
+    check stops at the first relation or basis image that fails.  Raises
+    ValueError when either form is not diagonal."""
     total = CliffAlg(a.quad.direct_sum(b.quad))
     tensor = GradedTensorAlg(a, b)
     n, m = a.quad.dimension, b.quad.dimension
@@ -450,16 +424,14 @@ def graded_tensor(a: CliffAlg, b: CliffAlg):
     for j in range(m):
         images.append({((), (j,)): Scalar.one()})
     two = _to_scalar(2)
+    squares = total.quad.squares
     for x in range(n + m):
         for y in range(x, n + m):
-            # the left side is symmetric in x, y, so it is formed once per
-            # pair and compared with both orders of the form
+            # the left side is symmetric in x, y, so it is formed once per pair
             prod = element_add(tensor.mul(images[x], images[y]),
                                tensor.mul(images[y], images[x]))
-            for p, q in {(x, y), (y, x)}:
-                c = two * total.quad.value(p, q)
-                if prod != ({((), ()): c} if not c.is_zero() else {}):
-                    return total, False
+            if prod != ({((), ()): two * squares[x]} if x == y else {}):
+                return total, False
     # basis check: images of sorted monomials are single pair-basis terms;
     # the basis lists each prefix first, so one product extends its image
     image_of = {(): tensor.unit()}
@@ -479,14 +451,5 @@ def graded_tensor(a: CliffAlg, b: CliffAlg):
 
 def signature(q: QuadForm) -> tuple[int, int]:
     """(positive, negative) counts for a rational diagonal form."""
-    pos = neg = 0
-    for i in range(q.dimension):
-        for j in range(q.dimension):
-            if i != j and not q.value(i, j).is_zero():
-                raise ValueError("signature needs a diagonal form")
-        d = q.value(i, i).as_fraction()
-        if d > 0:
-            pos += 1
-        elif d < 0:
-            neg += 1
-    return pos, neg
+    signs = [d.as_fraction() for d in q.squares]
+    return sum(d > 0 for d in signs), sum(d < 0 for d in signs)

@@ -231,9 +231,7 @@ class RingMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMap):
             return NotImplemented
-        return self.antilinear == other.antilinear and all(
-            a == b for a, b in zip(self.images, other.images)
-        )
+        return self.antilinear == other.antilinear and self.images == other.images
 
     __hash__ = None
 

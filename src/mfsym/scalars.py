@@ -52,19 +52,17 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
+    """num / den for a monic den that divides num, as every Phi_d divides
+    x^m - 1: each quotient digit is the leading coefficient left in num."""
     num = list(num)
     dd = len(den) - 1
     quot = [0] * (len(num) - dd)
     for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c == 0:
-            continue
-        q, r = divmod(c, den[dd])
-        assert r == 0
-        quot[k - dd] = q
-        for j in range(dd + 1):
-            num[k - dd + j] -= q * den[j]
-    assert all(c == 0 for c in num)
+        q = num[k]
+        if q:
+            quot[k - dd] = q
+            for j in range(dd + 1):
+                num[k - dd + j] -= q * den[j]
     return quot
 
 

@@ -4,7 +4,8 @@ Each is the direct morphism-level form of a construction the package
 computes another way: the product of two polynomial matrices entry by
 entry, the sum of two morphisms and the Hom differential built from them,
 twisting a morphism entrywise, the external tensor of two morphisms, a
-morphism's coordinates and back, and the generic duality identity;
+morphism's coordinates and back, the generic duality identity, and the
+Clifford product by straightening words over any symmetric form;
 identity and zero matrices and block grids of polynomial matrices serve
 the dense references.  The package itself never imports this module.
 """
@@ -15,6 +16,8 @@ from mfsym.mf import (
     identity_mor, mat_apply, mat_shape, tensor_mor_blocks,
 )
 from mfsym.groups import twist_mf
+from mfsym.linalg import _elem_add
+from mfsym.scalars import Scalar
 
 
 def mat_identity(ring: RingSpec, n: int) -> Matrix:
@@ -124,3 +127,57 @@ def verify_duality(objects, p_obj, p_mor, theta) -> Verdict:
                               compose(p_mor(theta(C)), theta(PC)), identity_mor(PC))):
             return v
     return Verdict(True)
+
+
+def _gen_left(quad, j: int, subset: tuple[int, ...]) -> dict:
+    """e_j times the basis element e_subset, straightened back onto the
+    sorted basis via e_j e_i = -e_i e_j + 2 B_ij (i != j) and e_j^2 = B_jj."""
+    if not subset:
+        return {(j,): Scalar.one()}
+    i = subset[0]
+    rest = subset[1:]
+    if j < i:
+        return {(j,) + subset: Scalar.one()}
+    if j == i:
+        return {rest: quad.value(j, j)}
+    out = {}
+    cross = quad.value(j, i) + quad.value(i, j)
+    if not cross.is_zero():
+        _elem_add(out, rest, cross)
+    for s, c in _gen_left(quad, j, rest).items():
+        _elem_add(out, (i,) + s, -c)
+    return out
+
+
+def clifford_mul_reference(alg, a: dict, b: dict) -> dict:
+    """a b in a Clifford algebra of any symmetric form, one generator of
+    each word of a at a time, last first, by straightening; the package
+    multiplies two blades of an orthogonal basis in closed form."""
+    out = {}
+    for sa, ca in a.items():
+        for sb, cb in b.items():
+            term = {sb: ca * cb}
+            for j in reversed(sa):
+                nxt = {}
+                for s, c in term.items():
+                    for s2, c2 in _gen_left(alg.quad, j, s).items():
+                        _elem_add(nxt, s2, c * c2)
+                term = nxt
+            for s, c in term.items():
+                _elem_add(out, s, c)
+    return out
+
+
+def graded_tensor_mul_reference(left, right, a: dict, b: dict) -> dict:
+    """a b in the graded tensor product of two Clifford algebras:
+    (x (x) y)(x' (x) y') = (-1)^{|y||x'|} x x' (x) y y', from
+    clifford_mul_reference on single blades."""
+    one = Scalar.one()
+    out = {}
+    for (sa, ta), ca in a.items():
+        for (sb, tb), cb in b.items():
+            c = ca * cb * (-1) ** (len(ta) * len(sb))
+            for ls, lc in clifford_mul_reference(left, {sa: one}, {sb: one}).items():
+                for rs, rc in clifford_mul_reference(right, {ta: one}, {tb: one}).items():
+                    _elem_add(out, (ls, rs), c * lc * rc)
+    return out

@@ -1,11 +1,14 @@
 """Scenario parsing, the expression grammar, and the command line verbs."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -281,6 +284,13 @@ def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "other"}))
     assert main(["validate", str(bad)]) == 2
+    # and once each through a fresh interpreter, the one true run of exit
+    # codes 0 and 2
+    run = _cli(["run", good])
+    assert run.returncode == 0 and not run.stderr, run.stderr
+    run = _cli(["validate", str(bad)])
+    assert run.returncode == 2 and "Traceback" not in run.stderr
+    assert len(run.stderr.splitlines()) == 1, run.stderr
 
 
 def test_main_failing_task_exits_one(tmp_path):
@@ -299,7 +309,7 @@ def test_main_failing_task_exits_one(tmp_path):
     }))
     assert main(["run", str(p)]) == 1
     # and once through a fresh interpreter, the one true run of exit code 1
-    run = _cli(["run", str(p)], False)
+    run = _cli(["run", str(p)])
     assert run.returncode == 1 and not run.stderr, run.stderr
 
 
@@ -312,14 +322,33 @@ def test_suite_tasks_record_their_duration():
     assert sum(r.seconds for r in rep.results) <= wall
 
 
-def _cli(args, optimize):
-    """Run the command line in a fresh interpreter, with or without -O."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _cli(args):
+    """Run the command line in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    flags = ["-O"] if optimize else []
-    return subprocess.run([sys.executable, *flags, "-m", "mfsym.cli", *args],
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "mfsym.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _in_process(argv):
+    """(exit code, stdout, stderr) of main(argv) in this interpreter."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _probe(request, tmp_path, optimize, key):
+    """(argv, exit code, stdout, stderr) of the probe PROBES[key]: written
+    to tmp_path and run in-process through main, or under -O taken from the
+    one optimized interpreter that runs every probe (optimized_runs)."""
+    if optimize:
+        return request.getfixturevalue("optimized_runs")[key]
+    argv = PROBES[key](tmp_path)
+    return (argv, *_in_process(argv))
 
 
 BAD_RANK_ONE = {
@@ -336,33 +365,40 @@ BAD_RANK_ONE = {
 }
 
 
-@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
-@pytest.mark.parametrize("op", sorted(BAD_RANK_ONE))
-def test_bad_rank_one_task_reports_error_and_later_tasks_run(tmp_path, op, optimize):
-    p = tmp_path / "bad.json"
+def _bad_rank_one_probe(folder, op):
+    p = folder / "bad.json"
     p.write_text(json.dumps({
         "schema": SCHEMA, "name": "bad-rank-one", "group": {"preset": "C(2)"},
         **BAD_RANK_ONE[op],
         "tasks": [{"op": op}, {"op": "hyperbolic-transport"}],
     }))
-    out = tmp_path / "report.json"
-    run = _cli(["run", str(p), "--json", str(out)], optimize)
-    assert "Traceback" not in run.stdout + run.stderr
-    assert run.returncode == 2
-    tasks = json.loads(out.read_text())["tasks"]
+    return ["run", str(p), "--json", str(folder / "report.json")]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@pytest.mark.parametrize("op", sorted(BAD_RANK_ONE))
+def test_bad_rank_one_task_reports_error_and_later_tasks_run(tmp_path, request, op, optimize):
+    argv, code, out, err = _probe(request, tmp_path, optimize, ("rank-one", op))
+    assert "Traceback" not in out + err
+    assert code == 2
+    tasks = json.loads(Path(argv[-1]).read_text())["tasks"]
     assert not tasks[0]["ok"] and "error" in tasks[0]["detail"]
     assert tasks[1]["ok"]
 
 
-@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
-def test_validate_rejects_duplicate_variables(tmp_path, optimize):
-    p = tmp_path / "dup.json"
+def _duplicate_variables_probe(folder):
+    p = folder / "dup.json"
     p.write_text(json.dumps({"schema": SCHEMA, "ring": {"variables": ["x", "x"]},
                              "potential": "x^2"}))
-    run = _cli(["validate", str(p)], optimize)
-    assert run.returncode == 2
-    assert "Traceback" not in run.stderr
-    lines = run.stderr.splitlines()
+    return ["validate", str(p)]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_validate_rejects_duplicate_variables(tmp_path, request, optimize):
+    _, code, _, err = _probe(request, tmp_path, optimize, ("duplicate-variables",))
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
@@ -526,66 +562,69 @@ BAD_SCENARIOS = {
 }
 
 
-def _write_probe(path, probe):
+def _bad_scenario_probe(folder, probe):
+    p = folder / "bad.json"
     spec = BAD_SCENARIOS[probe]
-    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    p.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    return ["run", str(p)]
 
 
-# Runs main(["run", path]) in-process for each path given, and prints a JSON
-# object: the interpreter's optimize flag, and per path the exit code (null
-# where main raised), stdout and stderr, a traceback included.
+# Runs main(argv) in-process for each argv of the JSON list on stdin, and
+# prints a JSON object: the interpreter's optimize flag, and per argv the
+# exit code (null where main raised), stdout and stderr, a traceback included.
 _RUN_EACH = """
 import contextlib, io, json, sys, traceback
 sys.path[:0] = [sys.argv[1]]
 from mfsym.cli import main
-runs = {}
-for path in sys.argv[2:]:
+runs = []
+for argv in json.load(sys.stdin):
     with contextlib.redirect_stdout(io.StringIO()) as out, \\
             contextlib.redirect_stderr(io.StringIO()) as err:
         try:
-            code = main(["run", path])
+            code = main(argv)
         except Exception:
             code = None
             traceback.print_exc()
-    runs[path] = [code, out.getvalue(), err.getvalue()]
+    runs.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps({"optimize": sys.flags.optimize, "runs": runs}))
 """
 
 
 @pytest.fixture(scope="module")
 def optimized_runs(tmp_path_factory):
-    """probe -> (exit code, stdout, stderr) of run on each bad scenario, all
-    in one interpreter under -O, where asserts are stripped."""
-    folder = tmp_path_factory.mktemp("bad-O")
-    paths = {probe: folder / f"{probe}.json" for probe in BAD_SCENARIOS}
-    for probe, path in paths.items():
-        _write_probe(path, probe)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    host = subprocess.run([sys.executable, "-O", "-c", _RUN_EACH, src, *map(str, paths.values())],
+    """key -> (argv, exit code, stdout, stderr) of every probe of PROBES, all
+    in one interpreter under -O, where asserts are stripped; each probe
+    writes its files to a folder of its own."""
+    folder = tmp_path_factory.mktemp("probes-O")
+    argvs = {}
+    for n, (key, write) in enumerate(PROBES.items()):
+        (folder / str(n)).mkdir()
+        argvs[key] = write(folder / str(n))
+    host = subprocess.run([sys.executable, "-O", "-c", _RUN_EACH, SRC],
+                          input=json.dumps(list(argvs.values())),
                           capture_output=True, text=True, timeout=600)
     assert host.returncode == 0, host.stderr
     report = json.loads(host.stdout)
     assert report["optimize"] == 1
-    return {probe: report["runs"][str(path)] for probe, path in paths.items()}
+    return {key: (argv, *run) for (key, argv), run in zip(argvs.items(), report["runs"])}
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
 @pytest.mark.parametrize("probe", sorted(BAD_SCENARIOS))
-def test_bad_scenario_gives_one_error_line(tmp_path, capsys, request, probe, optimize):
+def test_bad_scenario_gives_one_error_line(tmp_path, request, probe, optimize):
     """Without -O, validate and run each go in-process through main; with
     -O, run goes through main in one fresh interpreter for all probes
     (optimized_runs)."""
     if optimize:
-        code, out, err = request.getfixturevalue("optimized_runs")[probe]
+        _, code, out, err = request.getfixturevalue("optimized_runs")[("bad", probe)]
         assert code == 2, out + err
         errors = [err]
     else:
-        p = tmp_path / "bad.json"
-        _write_probe(p, probe)
+        _, path = _bad_scenario_probe(tmp_path, probe)
         errors = []
         for verb in ("validate", "run"):
-            assert main([verb, str(p)]) == 2, verb
-            out, err = capsys.readouterr()
+            code, out, err = _in_process([verb, path])
+            assert code == 2, verb
             assert not out, (verb, out)
             errors.append(err)
     for err in errors:
@@ -741,25 +780,39 @@ def test_failing_verdict_is_recorded_in_detail(tmp_path, monkeypatch):
         "identity": "theta cocycle", "at": ["g1", "g1", "g1"], "term": [0, 0, 0, [0, 0], "3"]}}
 
 
+def _bare_op_probe(folder, op):
+    p = folder / "bare.json"
+    p.write_text(json.dumps({"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
+                             "potential": "u*v", "tasks": [{"op": op}]}))
+    return ["run", str(p), "--json", str(folder / "report.json")]
+
+
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
 @pytest.mark.parametrize("op", sorted(cli.TASKS))
-def test_every_op_on_a_bare_scenario_passes_or_names_the_problem(tmp_path, op, optimize):
+def test_every_op_on_a_bare_scenario_passes_or_names_the_problem(tmp_path, request, op,
+                                                                  optimize):
     """A scenario with no group, no action and no task parameters: each op
     passes, or gives an error detail and exit code 2; an op that needs a
     factorization is refused with the scenario, naming its d0."""
-    p = tmp_path / "bare.json"
-    p.write_text(json.dumps({"schema": SCHEMA, "ring": {"variables": ["u", "v"]},
-                             "potential": "u*v", "tasks": [{"op": op}]}))
-    out = tmp_path / "report.json"
-    run = _cli(["run", str(p), "--json", str(out)], optimize)
-    assert "Traceback" not in run.stdout + run.stderr
+    (_, p, _, report), code, out, err = _probe(request, tmp_path, optimize, ("bare", op))
+    assert "Traceback" not in out + err
     if op in ("hom-cohomology", "null-homotopy-scale"):
-        assert run.returncode == 2 and not out.exists()
-        assert run.stderr.splitlines() == [f"error: {p}: tasks[0] needs field 'd0'"]
+        assert code == 2 and not Path(report).exists()
+        assert err.splitlines() == [f"error: {p}: tasks[0] needs field 'd0'"]
         return
-    assert run.returncode in (0, 2), run.stdout
-    if run.returncode == 2:
-        assert "error" in json.loads(out.read_text())["tasks"][0]["detail"]
+    assert code in (0, 2), out
+    if code == 2:
+        assert "error" in json.loads(Path(report).read_text())["tasks"][0]["detail"]
+
+
+# key -> writer of a probe into a folder, returning the argv of main that
+# runs it; the probes with a plain and an -O half
+PROBES = {
+    **{("bad", probe): partial(_bad_scenario_probe, probe=probe) for probe in BAD_SCENARIOS},
+    **{("rank-one", op): partial(_bad_rank_one_probe, op=op) for op in BAD_RANK_ONE},
+    ("duplicate-variables",): _duplicate_variables_probe,
+    **{("bare", op): partial(_bare_op_probe, op=op) for op in cli.TASKS},
+}
 
 
 # op, scenario fields, task parameters: input that only the task's run can

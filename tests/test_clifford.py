@@ -2,14 +2,16 @@
 
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfsym.scalars import Scalar
 from mfsym.polys import Poly, RingMap, RingSpec
 from mfsym.clifford import (
-    QuadForm, CliffMod, clifford_mul, element_eq,
+    QuadForm, CliffAlg, CliffMod, clifford_mul,
     module_validate, beh_phi, module_hom_dim,
     beh_hom_compare, module_twist, beh_twist_intertwined, parity_shift,
     cl_rs, real_clifford_fixed, graded_tensor, GradedTensorAlg, signature,
@@ -18,7 +20,8 @@ from mfsym.clifford import (
 import mfsym.catalog as catalog
 import mfsym.clifford as clifford
 from mfsym.cli import run_suite
-from oracles import mat_mul
+from mfsym.mf import rank_one
+from oracles import clifford_mul_reference, graded_tensor_mul_reference, mat_mul
 
 
 def test_quadform_validation():
@@ -34,12 +37,12 @@ def test_generator_relations():
     for j, sign in enumerate((1, 1, -1)):
         e = alg.generator(j)
         sq = clifford_mul(alg, e, e)
-        assert element_eq(sq, {(): one * sign})
+        assert sq == {(): one * sign}
     e0, e1 = alg.generator(0), alg.generator(1)
     anti = clifford_mul(alg, e0, e1)
     swap = clifford_mul(alg, e1, e0)
-    assert element_eq(anti, {(0, 1): one})
-    assert element_eq(swap, {(0, 1): -one})
+    assert anti == {(0, 1): one}
+    assert swap == {(0, 1): -one}
 
 
 def test_straightening_reduces_words():
@@ -47,7 +50,63 @@ def test_straightening_reduces_words():
     e0, e1 = alg.generator(0), alg.generator(1)
     word = clifford_mul(alg, clifford_mul(alg, e1, e0), e1)
     # e1 e0 e1 = -e0 e1 e1 = -e0
-    assert element_eq(word, {(0,): -Scalar.one()})
+    assert word == {(0,): -Scalar.one()}
+
+
+# squares beyond +-1, so that the square factor of the blade rule shows
+SQUARES = (Scalar.one(), -Scalar.one(), Scalar.from_rational(2),
+           Scalar.from_rational(Fraction(-1, 3)), Scalar.zeta(8))
+
+
+@st.composite
+def clifford_algebras(draw):
+    if draw(st.booleans()):
+        r = draw(st.integers(0, 5))
+        return cl_rs(r, draw(st.integers(0 if r else 1, 5 - r)))
+    return CliffAlg(QuadForm.diagonal(draw(st.lists(st.sampled_from(SQUARES),
+                                                    min_size=1, max_size=5))))
+
+
+def elements(draw, basis):
+    """Up to 4 terms on the given basis, coefficients a + b zeta_8."""
+    coeffs = st.builds(lambda a, b: Scalar.from_rational(a) + Scalar.from_rational(b)
+                       * Scalar.zeta(8), st.integers(-3, 3), st.integers(-3, 3))
+    terms = draw(st.dictionaries(st.sampled_from(basis), coeffs, max_size=4))
+    return {k: c for k, c in terms.items() if not c.is_zero()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_blade_rule_matches_straightening(data):
+    alg = data.draw(clifford_algebras())
+    a, b = (elements(data.draw, alg.basis()) for _ in range(2))
+    assert clifford_mul(alg, a, b) == clifford_mul_reference(alg, a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_graded_tensor_mul_matches_straightening(data):
+    left, right = data.draw(clifford_algebras()), data.draw(clifford_algebras())
+    pairs = [(s, t) for s in left.basis() for t in right.basis()]
+    a, b = (elements(data.draw, pairs) for _ in range(2))
+    assert (GradedTensorAlg(left, right).mul(a, b)
+            == graded_tensor_mul_reference(left, right, a, b))
+
+
+def test_products_on_a_form_that_is_not_diagonal_are_refused():
+    """The algebra of uv has B_01 = 1/2; the straightening reference gives
+    e_1 e_0 = 1 - e_0 e_1 there, and the package refuses it."""
+    ring = RingSpec(("u", "v"))
+    alg = mf_to_clifford_module(rank_one(Poly.variable(ring, "u"),
+                                         Poly.variable(ring, "v"))).alg
+    e0, e1 = alg.generator(0), alg.generator(1)
+    assert clifford_mul_reference(alg, e1, e0) == {(): Scalar.one(), (0, 1): -Scalar.one()}
+    with pytest.raises(ValueError, match="not diagonal"):
+        clifford_mul(alg, e1, e0)
+    with pytest.raises(ValueError, match="not diagonal"):
+        graded_tensor(alg, cl_rs(1, 0))
+    with pytest.raises(ValueError, match="not diagonal"):
+        signature(alg.quad)
 
 
 def test_module_catalog_validates():
@@ -94,7 +153,6 @@ def test_mf_to_clifford_module_round_trip():
 def test_mf_to_clifford_module_rejects_nonlinear():
     ring = RingSpec(("x",))
     x = Poly.variable(ring, "x")
-    from mfsym.mf import rank_one
     M = rank_one(x, x ** 3)
     with pytest.raises(ValueError):
         mf_to_clifford_module(M)

@@ -72,6 +72,11 @@ def test_antilinear_composition_conjugates():
     assert apply_ring_map(both, X) == X * (-Scalar.i())
 
 
+def test_ring_maps_with_more_images_differ():
+    assert RingMap((X,)) != RingMap((X, Y))
+    assert RingMap((X, Y)) != RingMap((X,))
+
+
 def test_jacobi_basis_a_series():
     Rx = RingSpec(("x",))
     x = Poly.variable(Rx, "x")

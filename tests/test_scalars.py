@@ -13,6 +13,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from mfsym.scalars import Scalar, euler_phi, cyclotomic_poly
+from mfsym.cli import MAX_CONDUCTOR
 
 
 rationals = st.builds(
@@ -40,6 +41,13 @@ def test_phi_and_cyclotomic_basics():
     assert euler_phi(12) == 4
     assert cyclotomic_poly(1) == (-1, 1)
     assert cyclotomic_poly(4) == (1, 0, 1)
+
+
+def test_cyclotomic_poly_matches_sympy_at_every_admitted_conductor():
+    x = sympy.Symbol("x")
+    for m in range(1, MAX_CONDUCTOR + 1):
+        want = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert cyclotomic_poly(m) == tuple(want), m
 
 
 def test_roots_of_unity():
